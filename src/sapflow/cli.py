@@ -4,11 +4,6 @@ Runs are configured by a flat JSON manifest plus flag overrides (flags win),
 so checked-in manifests reproduce results exactly. All floating output uses
 17 significant digits for lossless round trips; ``analyze`` re-derives the
 summary of a finished run from its artifacts alone.
-
-Environment: SAPFLOW_DETERMINISTIC=1 forces deterministic reductions (the
-current implementation is single-threaded and deterministic always; the flag
-is recorded in run metadata). SAPFLOW_THREADS is reserved for parallel field
-computation and is recorded but has no effect in this implementation.
 """
 
 import argparse
@@ -44,7 +39,6 @@ MANIFEST_DEFAULTS = {
     "min_angle_limit": 1e-3,
     "output_dir": "sapflow_out",
     "mesh_cadence": 1,
-    "deterministic": False,
     "seed": 0,
 }
 
@@ -167,10 +161,6 @@ def cmd_run(args):
     )
     series = result.series
     series.metadata["manifest"] = manifest
-    series.metadata["environment"] = {
-        "SAPFLOW_DETERMINISTIC": os.environ.get("SAPFLOW_DETERMINISTIC", ""),
-        "SAPFLOW_THREADS": os.environ.get("SAPFLOW_THREADS", ""),
-    }
 
     outdir = manifest["output_dir"]
     os.makedirs(os.path.join(outdir, "meshes"), exist_ok=True)
@@ -190,9 +180,11 @@ def cmd_run(args):
         result.snapshot_meshes[last], os.path.join(outdir, "meshes", "final.off")
     )
 
-    summary = _summary_over_rows(
-        series, mesh_rows, [result.snapshot_meshes[r] for r in mesh_rows],
-        str(result.termination),
+    summary = diagnostics.make_summary(
+        series,
+        [result.snapshot_meshes[r] for r in mesh_rows],
+        termination=str(result.termination),
+        rows=mesh_rows,
     )
     diagnostics.write_summary(summary, os.path.join(outdir, "summary.json"))
     with open(os.path.join(outdir, "run_meta.json"), "w", encoding="ascii") as fh:
@@ -206,29 +198,6 @@ def cmd_run(args):
     print(json.dumps(summary["max_residuals"]))
     print(f"termination: {result.termination}")
     return 0 if result.termination.kind in ("converged", "time_limit") else 2
-
-
-def _summary_over_rows(series, mesh_rows, meshes, termination):
-    """Summary whose residual block uses exactly the persisted mesh rows."""
-    summary = diagnostics.make_summary(series, meshes=None, termination=termination)
-    if meshes:
-        sub = diagnostics.TimeSeries(
-            records=[series.records[r] for r in mesh_rows], metadata=series.metadata
-        )
-        res = diagnostics.identity_residuals(sub, meshes)
-        summary["max_residuals"] = {
-            "area": float(diagnostics.area_identity_residuals(series).max()),
-            "h_ode": float(res.h_ode.max()) if len(res.h_ode) else None,
-            "H2_ode": float(res.H2_ode.max()) if len(res.H2_ode) else None,
-        }
-        if meshes[-1].mode == "surface":
-            sphere = diagnostics.best_fit_sphere(meshes[-1])
-            summary["final_sphere"] = {
-                "center": [float(x) for x in sphere.center],
-                "radius": sphere.radius,
-                "residual": sphere.rms_residual,
-            }
-    return summary
 
 
 def cmd_analyze(args):
@@ -248,7 +217,9 @@ def cmd_analyze(args):
                 if row < len(series):
                     mesh_rows.append(row)
                     meshes.append(meshmod.load_mesh(os.path.join(mesh_dir, name)))
-    summary = _summary_over_rows(series, mesh_rows, meshes, termination)
+    summary = diagnostics.make_summary(
+        series, meshes, termination=termination, rows=mesh_rows
+    )
     out = args.output or os.path.join(rundir, "summary.json")
     diagnostics.write_summary(summary, out)
     print(out)

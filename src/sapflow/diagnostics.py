@@ -22,6 +22,7 @@ from .errors import (
 )
 from . import geometry
 from .flow import area_centroid, intrinsic_dimension
+from .mesh import _min_angle
 
 FLOAT_FMT = "%.17g"
 
@@ -96,17 +97,11 @@ class TimeSeries:
 
 def record_snapshot(state, cache, diameter_seed=0):
     """Assemble one diagnostics row from a state and its geometry cache."""
-    from .mesh import _face_corner_angles, validate
-
     mesh = state.mesh
     n = intrinsic_dimension(mesh)
     va = cache.vertex_area
     H = cache.mean_curvature
     one_minus = 1.0 - state.h * H
-    if mesh.mode == "surface":
-        min_angle = float(_face_corner_angles(mesh).min())
-    else:
-        min_angle = validate(mesh).min_angle
     return DiagnosticsRecord(
         t=state.t,
         area=cache.total_area,
@@ -123,7 +118,7 @@ def record_snapshot(state, cache, diameter_seed=0):
         sup_one_minus_hH=float(np.abs(one_minus).max()),
         diameter_est=geometry.diameter_estimate(mesh, seed=diameter_seed),
         int_Hpow=geometry.surface_integral(mesh, va, np.abs(H) ** (n - 1)),
-        min_angle=min_angle,
+        min_angle=_min_angle(mesh),
         area_scale_applied=state.last_projection_scale,
     )
 
@@ -357,12 +352,14 @@ def mean_convexity_onset(series):
 
 
 def make_summary(series, meshes=None, termination=None, fit_field="int_traceless_sq",
-                 n=None):
+                 n=None, rows=None):
     """Build the run summary dict (termination, decay fit, bound, sphere fit).
 
-    ``meshes`` (snapshot meshes aligned with the series) enables the ODE
-    residuals and the final best-fit sphere; without them those entries are
-    null. Fields that cannot be computed (e.g. a decay fit on a non-positive
+    ``meshes`` are snapshot meshes of the series rows ``rows`` (default: one
+    mesh per row, in order). They enable the ODE residuals, taken between
+    consecutive meshes, and the best-fit sphere of the last mesh; without
+    them those entries are null. The area residual always covers every row.
+    Fields that cannot be computed (e.g. a decay fit on a non-positive
     series) are null rather than errors, so summaries exist for every run.
     """
     if n is None:
@@ -374,7 +371,11 @@ def make_summary(series, meshes=None, termination=None, fit_field="int_traceless
         "delta_paper": decay_rate_lower_bound(series, n=n),
         "final_sphere": None,
         "mean_convexity_onset": mean_convexity_onset(series),
-        "max_residuals": {"area": None, "h_ode": None, "H2_ode": None},
+        "max_residuals": {
+            "area": float(area_identity_residuals(series).max()),
+            "h_ode": None,
+            "H2_ode": None,
+        },
     }
     try:
         fit = fit_exponential_rate(series, fit_field)
@@ -383,12 +384,14 @@ def make_summary(series, meshes=None, termination=None, fit_field="int_traceless
     except (NonPositiveSamplesError, WindowTooSmallError):
         pass
     if meshes:
+        if rows is not None:
+            series = TimeSeries(
+                records=[series.records[r] for r in rows], metadata=series.metadata
+            )
         residuals = identity_residuals(series, meshes)
-        out["max_residuals"] = {
-            "area": float(residuals.area.max()),
-            "h_ode": float(residuals.h_ode.max()) if len(residuals.h_ode) else None,
-            "H2_ode": float(residuals.H2_ode.max()) if len(residuals.H2_ode) else None,
-        }
+        if len(residuals.h_ode):
+            out["max_residuals"]["h_ode"] = float(residuals.h_ode.max())
+            out["max_residuals"]["H2_ode"] = float(residuals.H2_ode.max())
         if meshes[-1].mode == "surface":
             sphere = best_fit_sphere(meshes[-1])
             out["final_sphere"] = {
@@ -396,8 +399,6 @@ def make_summary(series, meshes=None, termination=None, fit_field="int_traceless
                 "radius": sphere.radius,
                 "residual": sphere.rms_residual,
             }
-    else:
-        out["max_residuals"]["area"] = float(area_identity_residuals(series).max())
     return out
 
 

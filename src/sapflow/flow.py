@@ -15,9 +15,14 @@ import numpy as np
 import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
-from .errors import BlowUpError, DegenerateMeanCurvatureError
+from .errors import (
+    BlowUpError,
+    DegenerateGeometryError,
+    DegenerateMeanCurvatureError,
+    OrientationError,
+)
 from . import geometry
-from .mesh import TriMesh, validate
+from .mesh import TriMesh, _min_angle, validate
 
 
 @dataclass(frozen=True)
@@ -161,16 +166,7 @@ def advance(state, cache, config, dt=None):
 
 def area_centroid(mesh):
     """Surface-measure centroid (fixed point of the projection rescaling)."""
-    if mesh.mode == "curve":
-        v = mesh.vertices
-        nxt = np.roll(v, -1, axis=0)
-        ln = np.linalg.norm(nxt - v, axis=1)
-        return ((v + nxt) / 2 * ln[:, None]).sum(0) / ln.sum()
-    p = mesh.vertices[mesh.faces]
-    cr = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    fa = 0.5 * np.linalg.norm(cr, axis=1)
-    cent = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
-    return (cent * fa[:, None]).sum(0) / fa.sum()
+    return geometry._area_centroid(mesh, geometry._configuration(mesh))
 
 
 def enforce_area_constraint(state):
@@ -181,13 +177,13 @@ def enforce_area_constraint(state):
     diagnostics to compensate.
     """
     mesh = state.mesh
-    weights = geometry.vertex_area_weights(mesh)
-    current = float(weights.sum())
+    conf = geometry._configuration(mesh)
+    current = float(geometry._weights(mesh, conf).sum())
     exponent = 0.5 if mesh.mode == "surface" else 1.0
     scale = (state.initial_area / current) ** exponent
     if scale == 1.0:
         return replace(state, last_projection_scale=1.0)
-    c = area_centroid(mesh)
+    c = geometry._area_centroid(mesh, conf)
     new_v = c + scale * (mesh.vertices - c)
     return replace(
         state,
@@ -199,10 +195,14 @@ def enforce_area_constraint(state):
 def run_flow(mesh, config, keep_meshes=True, diameter_seed=0):
     """Evolve a mesh until convergence, the time limit, or blow-up.
 
-    Loop: fields -> h -> snapshot (at cadence, and always on the final
-    state) -> dt -> advance -> optional area projection. The roundness
-    stopping rule compares int |Adev|^2 dmu at snapshots against
-    ``roundness_tol`` times its initial value.
+    Loop: h -> snapshot (at cadence, and always on the final state) -> dt
+    -> advance -> optional area projection -> fields of the new state. The
+    roundness stopping rule compares int |Adev|^2 dmu at snapshots against
+    ``roundness_tol`` times its initial value. A ``DegenerateGeometryError``
+    or ``OrientationError`` in the step, the projection or the new fields
+    ends the run as ``blow_up(degenerate_geometry)`` or
+    ``blow_up(orientation)`` at the last valid state; on the input mesh it
+    propagates.
 
     Returns
     -------
@@ -211,7 +211,6 @@ def run_flow(mesh, config, keep_meshes=True, diameter_seed=0):
         snapshot meshes aligned with the series records.
     """
     from . import diagnostics
-    from .mesh import _face_corner_angles
 
     report = validate(mesh)
     if not (report.is_closed and report.is_oriented):
@@ -224,43 +223,38 @@ def run_flow(mesh, config, keep_meshes=True, diameter_seed=0):
     termination = None
 
     def take_snapshot(state, cache):
-        records.append(
-            diagnostics.record_snapshot(state, cache, diameter_seed=diameter_seed)
-        )
+        row = diagnostics.record_snapshot(state, cache, diameter_seed=diameter_seed)
+        records.append(row)
         if keep_meshes:
             meshes.append(state.mesh)
+        return row
 
+    cache = geometry.compute_cache(state.mesh)
     while True:
-        cache = geometry.compute_cache(state.mesh)
         try:
             h = compute_h(state.mesh, cache)
         except DegenerateMeanCurvatureError as exc:
             termination = Termination("blow_up", f"degenerate_H: {exc}")
             break
         state = replace(state, h=h)
-        if state.step_index == 0:
-            ts0 = geometry.surface_integral(
-                state.mesh, cache.vertex_area, cache.traceless_norm**2
-            )
-            state = replace(
-                state,
-                initial_area=cache.total_area,
-                initial_traceless_l2=ts0,
-            )
-            if blowup_limit is None:
-                blowup_limit = 1e3 * max(float(cache.second_form_norm.max()), 1e-300)
 
         recorded = state.step_index % config.snapshot_every == 0
         if recorded:
-            take_snapshot(state, cache)
-
-        int_ts = geometry.surface_integral(
-            state.mesh, cache.vertex_area, cache.traceless_norm**2
-        )
-        if state.mesh.mode == "surface":
-            min_angle = float(_face_corner_angles(state.mesh).min())
+            row = take_snapshot(state, cache)
+            int_ts, min_angle = row.int_traceless_sq, row.min_angle
         else:
-            min_angle = validate(state.mesh).min_angle
+            int_ts = geometry.surface_integral(
+                state.mesh, cache.vertex_area, cache.traceless_norm**2
+            )
+            min_angle = _min_angle(state.mesh)
+        if state.step_index == 0:
+            state = replace(
+                state,
+                initial_area=cache.total_area,
+                initial_traceless_l2=int_ts,
+            )
+            if blowup_limit is None:
+                blowup_limit = 1e3 * max(float(cache.second_form_norm.max()), 1e-300)
 
         if h <= 0:
             termination = Termination("blow_up", "nonpositive_h")
@@ -275,23 +269,26 @@ def run_flow(mesh, config, keep_meshes=True, diameter_seed=0):
             termination = Termination("converged")
         elif state.t >= config.t_max:
             termination = Termination("time_limit")
+        else:
+            try:
+                dt = select_timestep(state.mesh, cache, h, config)
+                if state.t + dt > config.t_max:
+                    dt = config.t_max - state.t
+                nxt = advance(state, cache, config, dt)
+                if config.area_projection:
+                    nxt = enforce_area_constraint(nxt)
+                nxt_cache = geometry.compute_cache(nxt.mesh)
+            except BlowUpError as exc:
+                termination = Termination("blow_up", exc.kind)
+            except OrientationError:
+                termination = Termination("blow_up", "orientation")
+            except DegenerateGeometryError:
+                termination = Termination("blow_up", "degenerate_geometry")
         if termination is not None:
             if not recorded:
                 take_snapshot(state, cache)
             break
-
-        try:
-            dt = select_timestep(state.mesh, cache, h, config)
-            if state.t + dt > config.t_max:
-                dt = config.t_max - state.t
-            state = advance(state, cache, config, dt)
-        except BlowUpError as exc:
-            termination = Termination("blow_up", exc.kind)
-            if not recorded:
-                take_snapshot(state, cache)
-            break
-        if config.area_projection:
-            state = enforce_area_constraint(state)
+        state, cache = nxt, nxt_cache
 
     series = diagnostics.TimeSeries(
         records=records,

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import DegenerateGeometryError, OrientationError
-from .mesh import _shoelace_area
+from .mesh import _FaceRecord, _shoelace_area
 
 
 @dataclass
@@ -58,36 +58,48 @@ class GeometryCache:
         return float(self.vertex_area.sum())
 
 
-# -- shared per-face computations (surface mode) ------------------------------
+# -- per-configuration data and the field formulas ----------------------------
+#
+# Every field is built from one per-configuration record: the face record of
+# a surface, or the unit tangents and segment lengths of a curve. Each helper
+# below holds the one formula for its field and the one curve/surface branch;
+# compute_cache and the standalone field functions both call them.
 
 
-def _face_data(mesh):
-    p = mesh.vertices[mesh.faces]
-    cr = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    dbl = np.linalg.norm(cr, axis=1)
-    if (dbl == 0).any():
+def _scatter(index, values, n):
+    """Sum the rows of ``values`` into ``n`` bins by ``index``, in input order.
+
+    ``np.bincount`` accumulates sequentially, so the sums are bit-identical to
+    ``np.add.at`` over the same index order.
+    """
+    if values.ndim == 1:
+        return np.bincount(index, weights=values, minlength=n)
+    return np.column_stack(
+        [np.bincount(index, weights=values[:, c], minlength=n)
+         for c in range(values.shape[1])]
+    )
+
+
+def _configuration(mesh):
+    """Face record (surface) or (unit tangents, segment lengths) (curve)."""
+    if mesh.mode == "curve":
+        v = mesh.vertices
+        e = np.diff(np.vstack([v, v[:1]]), axis=0)  # edge i: v_i -> v_{i+1}
+        ln = np.linalg.norm(e, axis=1)
+        if (ln == 0).any():
+            raise DegenerateGeometryError("zero-length curve segment")
+        return e / ln[:, None], ln
+    faces = _FaceRecord(mesh)
+    if (faces.area == 0).any():
         raise DegenerateGeometryError("zero-area face")
-    return p, cr, 0.5 * dbl, cr / dbl[:, None]
+    return faces
 
 
-def _corner_cotangents(p):
-    cots = np.empty((len(p), 3))
-    for k in range(3):
-        u = p[:, (k + 1) % 3] - p[:, k]
-        v = p[:, (k + 2) % 3] - p[:, k]
-        cr = np.linalg.norm(np.cross(u, v), axis=1)
-        if (cr == 0).any():
-            raise DegenerateGeometryError("zero-area face in cotangent weights")
-        cots[:, k] = np.einsum("ij,ij->i", u, v) / cr
-    return cots
-
-
-def _signed_volume(p, cr):
-    cent = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
-    return float(np.einsum("ij,ij->i", cent, cr).sum() / 6.0)
-
-
-def _mixed_weights(mesh, p, areas, cots):
+def _weights(mesh, conf):
+    if mesh.mode == "curve":
+        _, ln = conf
+        return 0.5 * (ln + np.roll(ln, 1))
+    p, areas, cots = conf.corners, conf.area, conf.cot
     opp2 = np.empty((len(p), 3))
     for k in range(3):
         d = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
@@ -103,62 +115,92 @@ def _mixed_weights(mesh, p, areas, cots):
         w[at_i, i] = areas[at_i] / 2.0
         for d in (1, 2):
             w[at_i, (i + d) % 3] = areas[at_i] / 4.0
-    va = np.zeros(mesh.n_vertices)
-    np.add.at(va, mesh.faces.ravel(), w.ravel())
+    va = _scatter(mesh.faces.ravel(), w.ravel(), mesh.n_vertices)
     if (va <= 0).any():
         raise DegenerateGeometryError("non-positive vertex area weight")
     return va
 
 
-def _area_weighted_normals(mesh, p, cr, areas, fn):
+def _normals(mesh, conf):
+    if mesh.mode == "curve":
+        t, _ = conf
+        # outward for counter-clockwise orientation: rotate tangent by -90 deg
+        rot = np.column_stack([t[:, 1], -t[:, 0]])
+        n = rot + np.roll(rot, 1, axis=0)
+        ln = np.linalg.norm(n, axis=1)
+        if (ln == 0).any():
+            raise DegenerateGeometryError("cusp vertex on curve")
+        if _shoelace_area(mesh.vertices) < 0:
+            raise OrientationError("clockwise curve (negative enclosed area)")
+        return n / ln[:, None]
     # the volume sign check only means anything on closed meshes
-    if mesh.is_closed and _signed_volume(p, cr) <= 0:
+    if mesh.is_closed and conf.volume <= 0:
         raise OrientationError("inward orientation (negative enclosed volume)")
-    n = np.zeros_like(mesh.vertices)
-    contrib = fn * areas[:, None]
-    for k in range(3):
-        np.add.at(n, mesh.faces[:, k], contrib)
+    contrib = conf.normal * conf.area[:, None]
+    n = _scatter(mesh.faces.T.ravel(), np.tile(contrib, (3, 1)), mesh.n_vertices)
     ln = np.linalg.norm(n, axis=1)
     if (ln == 0).any():
         raise DegenerateGeometryError("zero-length vertex normal")
     return n / ln[:, None]
 
 
-def _area_gradient(mesh, cots):
-    mcv = np.zeros_like(mesh.vertices)
-    f = mesh.faces
-    v = mesh.vertices
+def _area_gradient(mesh, conf):
+    if mesh.mode == "curve":
+        t, _ = conf
+        return np.roll(t, 1, axis=0) - t  # gradient of total length
+    f, p, cots = mesh.faces, conf.corners, conf.cot
+    index, values = [], []
     for k in range(3):
         i, j = (k + 1) % 3, (k + 2) % 3
-        c = 0.5 * cots[:, k][:, None] * (v[f[:, i]] - v[f[:, j]])
-        np.add.at(mcv, f[:, i], c)
-        np.add.at(mcv, f[:, j], -c)
-    return mcv
+        c = 0.5 * cots[:, k][:, None] * (p[:, i] - p[:, j])
+        index += [f[:, i], f[:, j]]
+        values += [c, -c]
+    return _scatter(np.concatenate(index), np.concatenate(values), mesh.n_vertices)
 
 
-def _grad_norms(mesh, f, areas, fn):
+def _mean_curvature(mesh, conf, weights, normals, mcv):
+    if mesh.mode == "curve":
+        t, _ = conf
+        tp = np.roll(t, 1, axis=0)
+        cross = tp[:, 0] * t[:, 1] - tp[:, 1] * t[:, 0]
+        turning = np.arctan2(cross, np.einsum("ij,ij->i", tp, t))
+        return turning / weights
+    return np.einsum("ij,ij->i", mcv, normals) / weights
+
+
+def _second_form(mesh, normals, H):
+    """(|A|, |Adev|) with |Adev| = sqrt(max(|A|^2 - H^2/2, 0))."""
+    if mesh.mode == "curve":
+        return np.abs(H), np.zeros_like(H)
+    k1, k2 = _shape_operator_eigen(mesh, normals, H)
+    second = np.sqrt(k1**2 + k2**2)
+    return second, np.sqrt(np.maximum(second**2 - H**2 / 2.0, 0.0))
+
+
+def _gradient_norm(mesh, conf, f):
+    if mesh.mode == "curve":
+        _, ln = conf
+        df = np.roll(f, -1) - np.roll(f, 1)
+        return np.abs(df) / (ln + np.roll(ln, 1))
+    p, areas, fn = conf.corners, conf.area, conf.normal
     F = mesh.faces
     g = np.zeros((len(F), 3))
     for k in range(3):
-        jj, ll = F[:, (k + 1) % 3], F[:, (k + 2) % 3]
-        opp = mesh.vertices[ll] - mesh.vertices[jj]
+        opp = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
         g += f[F[:, k]][:, None] * np.cross(fn, opp) / (2.0 * areas)[:, None]
-    vg = np.zeros_like(mesh.vertices)
-    wsum = np.zeros(mesh.n_vertices)
-    for k in range(3):
-        np.add.at(vg, F[:, k], g * areas[:, None])
-        np.add.at(wsum, F[:, k], areas)
-    vg /= wsum[:, None]
+    corner = F.T.ravel()
+    n = mesh.n_vertices
+    vg = _scatter(corner, np.tile(g * areas[:, None], (3, 1)), n)
+    vg /= _scatter(corner, np.tile(areas, 3), n)[:, None]
     return np.linalg.norm(vg, axis=1)
 
 
-def _curve_tangents(mesh):
-    v = mesh.vertices
-    e = np.diff(np.vstack([v, v[:1]]), axis=0)  # edge i: v_i -> v_{i+1}
-    ln = np.linalg.norm(e, axis=1)
-    if (ln == 0).any():
-        raise DegenerateGeometryError("zero-length curve segment")
-    return e / ln[:, None], ln
+def _area_centroid(mesh, conf):
+    if mesh.mode == "curve":
+        v = mesh.vertices
+        _, ln = conf
+        return ((v + np.roll(v, -1, axis=0)) / 2 * ln[:, None]).sum(0) / ln.sum()
+    return (conf.centroid * conf.area[:, None]).sum(0) / conf.area.sum()
 
 
 # -- per-vertex field operations ----------------------------------------------
@@ -171,11 +213,7 @@ def vertex_area_weights(mesh):
     for non-obtuse triangles, half/quarter splits when a triangle is obtuse.
     Curve mode: half the summed length of the two incident segments.
     """
-    if mesh.mode == "curve":
-        _, ln = _curve_tangents(mesh)
-        return 0.5 * (ln + np.roll(ln, 1))
-    p, cr, areas, fn = _face_data(mesh)
-    return _mixed_weights(mesh, p, areas, _corner_cotangents(p))
+    return _weights(mesh, _configuration(mesh))
 
 
 def vertex_normals(mesh):
@@ -188,19 +226,7 @@ def vertex_normals(mesh):
     DegenerateGeometryError
         Zero-length averaged normal.
     """
-    if mesh.mode == "curve":
-        t, _ = _curve_tangents(mesh)
-        # outward for counter-clockwise orientation: rotate tangent by -90 deg
-        rot = np.column_stack([t[:, 1], -t[:, 0]])
-        n = rot + np.roll(rot, 1, axis=0)
-        ln = np.linalg.norm(n, axis=1)
-        if (ln == 0).any():
-            raise DegenerateGeometryError("cusp vertex on curve")
-        if _shoelace_area(mesh.vertices) < 0:
-            raise OrientationError("clockwise curve (negative enclosed area)")
-        return n / ln[:, None]
-    p, cr, areas, fn = _face_data(mesh)
-    return _area_weighted_normals(mesh, p, cr, areas, fn)
+    return _normals(mesh, _configuration(mesh))
 
 
 def mean_curvature_vector(mesh):
@@ -209,11 +235,7 @@ def mean_curvature_vector(mesh):
     Equals the (integrated) discrete Laplace-Beltrami of the embedding with
     the sign of the outward mean curvature normal times vertex area.
     """
-    if mesh.mode == "curve":
-        t, _ = _curve_tangents(mesh)
-        return np.roll(t, 1, axis=0) - t  # gradient of total length
-    p, _, _, _ = _face_data(mesh)
-    return _area_gradient(mesh, _corner_cotangents(p))
+    return _area_gradient(mesh, _configuration(mesh))
 
 
 def mean_curvature_field(mesh, weights, normals):
@@ -223,14 +245,8 @@ def mean_curvature_field(mesh, weights, normals):
     by the vertex area weight, so a sphere of radius r gives H = 2/r > 0.
     Curves: turning angle divided by the vertex length weight.
     """
-    if mesh.mode == "curve":
-        t, _ = _curve_tangents(mesh)
-        tp = np.roll(t, 1, axis=0)
-        cross = tp[:, 0] * t[:, 1] - tp[:, 1] * t[:, 0]
-        turning = np.arctan2(cross, np.einsum("ij,ij->i", tp, t))
-        return turning / weights
-    mcv = mean_curvature_vector(mesh)
-    return np.einsum("ij,ij->i", mcv, normals) / weights
+    conf = _configuration(mesh)
+    return _mean_curvature(mesh, conf, weights, normals, _area_gradient(mesh, conf))
 
 
 def cotangent_stiffness(mesh):
@@ -241,7 +257,7 @@ def cotangent_stiffness(mesh):
     """
     n = mesh.n_vertices
     if mesh.mode == "curve":
-        _, ln = _curve_tangents(mesh)
+        _, ln = _configuration(mesh)
         i = np.arange(n)
         j = np.roll(i, -1)
         w = 1.0 / ln
@@ -249,8 +265,7 @@ def cotangent_stiffness(mesh):
         cols = np.concatenate([j, i, i, j])
         vals = np.concatenate([-w, -w, w, w])
         return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    p, _, _, _ = _face_data(mesh)
-    cots = _corner_cotangents(p)
+    cots = _configuration(mesh).cot
     rows, cols, vals = [], [], []
     for k in range(3):
         a, b = mesh.faces[:, (k + 1) % 3], mesh.faces[:, (k + 2) % 3]
@@ -282,17 +297,12 @@ def osculating_sphere_normals(mesh, reference_normals):
     q = np.einsum("ij,ij->i", d, d)
 
     dim = v.shape[1]
-    s1 = np.zeros((n, dim))
-    np.add.at(s1, dst, d)
-    s2 = np.zeros((n, dim * dim))
-    np.add.at(s2, dst, (d[:, :, None] * d[:, None, :]).reshape(len(d), -1))
+    s1 = _scatter(dst, d, n)
+    s2 = _scatter(dst, (d[:, :, None] * d[:, None, :]).reshape(len(d), -1), n)
     s2 = s2.reshape(n, dim, dim)
-    s3 = np.zeros(n)
-    np.add.at(s3, dst, q)
-    s4 = np.zeros((n, dim))
-    np.add.at(s4, dst, q[:, None] * d)
-    cnt = np.zeros(n)
-    np.add.at(cnt, dst, np.ones(len(e)))
+    s3 = _scatter(dst, q, n)
+    s4 = _scatter(dst, q[:, None] * d, n)
+    cnt = np.bincount(dst, minlength=n)
 
     m = dim + 1
     G = np.zeros((n, m, m))
@@ -339,19 +349,14 @@ def _shape_operator_eigen(mesh, normals, H):
     w2 = np.einsum("ij,ij->i", t2[i], dn)
 
     # normal equations for symmetric S = [[a, b], [b, c]]
-    G = np.zeros((n, 3, 3))
-    R = np.zeros((n, 3))
     g11, g12, g22 = u1 * u1, u1 * u2, u2 * u2
-    np.add.at(G[:, 0, 0], i, g11)
-    np.add.at(G[:, 0, 1], i, g12)
-    np.add.at(G[:, 1, 1], i, g11 + g22)
-    np.add.at(G[:, 1, 2], i, g12)
-    np.add.at(G[:, 2, 2], i, g22)
-    G[:, 1, 0] = G[:, 0, 1]
-    G[:, 2, 1] = G[:, 1, 2]
-    np.add.at(R[:, 0], i, u1 * w1)
-    np.add.at(R[:, 1], i, u2 * w1 + u1 * w2)
-    np.add.at(R[:, 2], i, u2 * w2)
+    s11, s12, s22 = _scatter(i, np.column_stack([g11, g12, g22]), n).T
+    G = np.zeros((n, 3, 3))
+    G[:, 0, 0] = s11
+    G[:, 0, 1] = G[:, 1, 0] = G[:, 1, 2] = G[:, 2, 1] = s12
+    G[:, 1, 1] = _scatter(i, g11 + g22, n)
+    G[:, 2, 2] = s22
+    R = _scatter(i, np.column_stack([u1 * w1, u2 * w1 + u1 * w2, u2 * w2]), n)
 
     if (np.abs(np.linalg.det(G)) <= 0).any():
         raise DegenerateGeometryError("rank-deficient 1-ring shape operator fit")
@@ -386,13 +391,7 @@ def traceless_second_form_field(mesh, weights, normals):
     DegenerateGeometryError
         Rank-deficient 1-ring fit.
     """
-    H = mean_curvature_field(mesh, weights, normals)
-    if mesh.mode == "curve":
-        return np.abs(H), np.zeros_like(H)
-    k1, k2 = _shape_operator_eigen(mesh, normals, H)
-    second = np.sqrt(k1**2 + k2**2)
-    traceless_sq = np.maximum(second**2 - H**2 / 2.0, 0.0)
-    return second, np.sqrt(traceless_sq)
+    return _second_form(mesh, normals, mean_curvature_field(mesh, weights, normals))
 
 
 def gradient_norm_field(mesh, f, weights):
@@ -403,13 +402,7 @@ def gradient_norm_field(mesh, f, weights):
     over the incident faces. Exact on affine fields over flat patches.
     Curve mode: centred difference along arc length.
     """
-    f = np.asarray(f, dtype=np.float64)
-    if mesh.mode == "curve":
-        _, ln = _curve_tangents(mesh)
-        df = np.roll(f, -1) - np.roll(f, 1)
-        return np.abs(df) / (ln + np.roll(ln, 1))
-    _, _, areas, fn = _face_data(mesh)
-    return _grad_norms(mesh, f, areas, fn)
+    return _gradient_norm(mesh, _configuration(mesh), np.asarray(f, dtype=np.float64))
 
 
 def surface_integral(mesh, weights, f):
@@ -424,8 +417,7 @@ def enclosed_volume(mesh):
     """
     if mesh.mode == "curve":
         return _shoelace_area(mesh.vertices)
-    p, cr, _, _ = _face_data(mesh)
-    return _signed_volume(p, cr)
+    return _configuration(mesh).volume
 
 
 def diameter_estimate(mesh, n_sources=32, seed=0):
@@ -440,7 +432,7 @@ def diameter_estimate(mesh, n_sources=32, seed=0):
 
     n = mesh.n_vertices
     if mesh.mode == "curve":
-        _, ln = _curve_tangents(mesh)
+        _, ln = _configuration(mesh)
         cum = np.concatenate([[0.0], np.cumsum(ln)])
         total = cum[-1]
         arc = np.abs(cum[:, None] - cum[None, :-1])
@@ -468,31 +460,15 @@ def diameter_estimate(mesh, n_sources=32, seed=0):
 def compute_cache(mesh):
     """Compute all per-vertex geometry fields for one mesh configuration.
 
-    Shares the per-face data across the field computations; produces the
-    same values as calling the individual operations.
+    Builds the per-configuration data once and runs the same field helpers as
+    the individual operations, so the values are identical to theirs.
     """
-    if mesh.mode == "curve":
-        weights = vertex_area_weights(mesh)
-        normals = vertex_normals(mesh)
-        H = mean_curvature_field(mesh, weights, normals)
-        return GeometryCache(
-            vertex_area=weights,
-            normal=normals,
-            mean_curvature=H,
-            mean_curvature_vector=mean_curvature_vector(mesh),
-            second_form_norm=np.abs(H),
-            traceless_norm=np.zeros_like(H),
-            grad_H_norm=gradient_norm_field(mesh, H, weights),
-        )
-    p, cr, areas, fn = _face_data(mesh)
-    cots = _corner_cotangents(p)
-    weights = _mixed_weights(mesh, p, areas, cots)
-    normals = _area_weighted_normals(mesh, p, cr, areas, fn)
-    mcv = _area_gradient(mesh, cots)
-    H = np.einsum("ij,ij->i", mcv, normals) / weights
-    k1, k2 = _shape_operator_eigen(mesh, normals, H)
-    second = np.sqrt(k1**2 + k2**2)
-    traceless = np.sqrt(np.maximum(second**2 - H**2 / 2.0, 0.0))
+    conf = _configuration(mesh)
+    weights = _weights(mesh, conf)
+    normals = _normals(mesh, conf)
+    mcv = _area_gradient(mesh, conf)
+    H = _mean_curvature(mesh, conf, weights, normals, mcv)
+    second, traceless = _second_form(mesh, normals, H)
     return GeometryCache(
         vertex_area=weights,
         normal=normals,
@@ -500,5 +476,5 @@ def compute_cache(mesh):
         mean_curvature_vector=mcv,
         second_form_norm=second,
         traceless_norm=traceless,
-        grad_H_norm=_grad_norms(mesh, H, areas, fn),
+        grad_H_norm=_gradient_norm(mesh, conf, H),
     )

@@ -8,12 +8,13 @@ machinery.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import pi, sqrt
 import os
 
 import numpy as np
 
-from .errors import MeshParseError, MeshTopologyError
+from .errors import DegenerateGeometryError, MeshParseError, MeshTopologyError
 
 FLOAT_FMT = "%.17g"  # lossless double round-trip
 
@@ -161,9 +162,49 @@ class TriMesh:
         return f"TriMesh(mode={self.mode!r}, |V|={self.n_vertices}, |F|={self.n_faces})"
 
 
-def _face_corner_angles(mesh):
-    p = mesh.vertices[mesh.faces]
-    ang = np.empty((len(mesh.faces), 3))
+class _FaceRecord:
+    """Per-face data of one surface configuration, built once and shared.
+
+    ``corners`` (m, 3, 3), ``cross`` = (p1 - p0) x (p2 - p0), ``area`` and
+    ``centroid`` are computed on construction; the unit ``normal`` and the
+    corner cotangents ``cot`` (m, 3) on first use, since validation must not
+    raise on degenerate faces. Not kept on the mesh: a run holding its
+    snapshot meshes would hold their face data too.
+    """
+
+    def __init__(self, mesh):
+        p = mesh.vertices[mesh.faces]
+        self.corners = p
+        self.cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+        self.area = 0.5 * np.linalg.norm(self.cross, axis=1)
+        self.centroid = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
+
+    @cached_property
+    def normal(self):
+        return self.cross / (2.0 * self.area)[:, None]
+
+    @cached_property
+    def cot(self):
+        p = self.corners
+        cots = np.empty((len(p), 3))
+        for k in range(3):
+            u = p[:, (k + 1) % 3] - p[:, k]
+            v = p[:, (k + 2) % 3] - p[:, k]
+            cr = np.linalg.norm(np.cross(u, v), axis=1)
+            if (cr == 0).any():
+                raise DegenerateGeometryError("zero-area face in cotangent weights")
+            cots[:, k] = np.einsum("ij,ij->i", u, v) / cr
+        return cots
+
+    @property
+    def volume(self):
+        """Signed enclosed volume (divergence theorem, exact for polyhedra)."""
+        return float(np.einsum("ij,ij->i", self.centroid, self.cross).sum() / 6.0)
+
+
+def _face_corner_angles(p):
+    """(m, 3) corner angles of faces with corner positions ``p``."""
+    ang = np.empty((len(p), 3))
     for k in range(3):
         u = p[:, (k + 1) % 3] - p[:, k]
         v = p[:, (k + 2) % 3] - p[:, k]
@@ -175,10 +216,11 @@ def _face_corner_angles(mesh):
     return ang
 
 
-def _face_areas(mesh):
-    p = mesh.vertices[mesh.faces]
-    cr = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    return 0.5 * np.linalg.norm(cr, axis=1)
+def _min_angle(mesh):
+    """Smallest face corner angle; smallest interior vertex angle of a curve."""
+    if mesh.mode == "curve":
+        return validate(mesh).min_angle
+    return float(_face_corner_angles(mesh.vertices[mesh.faces]).min())
 
 
 def validate(mesh):
@@ -207,8 +249,9 @@ def validate(mesh):
     overshared = bool((counts > 2).any())
     closed = boundary == 0 and not overshared
     oriented = not mesh._has_duplicate_directed and not overshared
-    areas = _face_areas(mesh)
-    angles = _face_corner_angles(mesh)
+    faces = _FaceRecord(mesh)
+    areas = faces.area
+    angles = _face_corner_angles(faces.corners)
     return MeshQualityReport(
         is_closed=closed,
         is_oriented=oriented,
@@ -221,13 +264,6 @@ def validate(mesh):
 def _shoelace_area(pts):
     x, y = pts[:, 0], pts[:, 1]
     return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
-
-
-def _signed_volume(mesh):
-    p = mesh.vertices[mesh.faces]
-    cr = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-    cent = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
-    return float(np.einsum("ij,ij->i", cent, cr).sum() / 6.0)
 
 
 # -- file I/O ---------------------------------------------------------------
@@ -275,7 +311,7 @@ def load_mesh(path, fmt=None):
         raise MeshTopologyError(f"{report.boundary_edge_count} boundary edges")
     if not report.is_oriented:
         raise MeshTopologyError("inconsistent face orientation")
-    if _signed_volume(mesh) <= 0:
+    if _FaceRecord(mesh).volume <= 0:
         raise MeshTopologyError("inward orientation (negative enclosed volume)")
     return mesh
 

@@ -4,6 +4,20 @@ import pytest
 from sapflow import TriMesh, gen_icosphere
 
 
+def fail_on_call(monkeypatch, module, name, k, error):
+    """Make ``module.name`` raise ``error`` on its k-th call only."""
+    real = getattr(module, name)
+    calls = []
+
+    def wrapped(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == k:
+            raise error("injected")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapped)
+
+
 @pytest.fixture(scope="session")
 def icosphere():
     """Cached icosphere factory: icosphere(radius, subdiv, center)."""

@@ -6,7 +6,6 @@ fixtures; the whole module targets desk-scale hardware (subdivision 3 is
 1280 faces).
 """
 
-import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -240,7 +239,6 @@ def test_criterion_10_linear_regime_oracle():
 
 
 def test_criterion_11_determinism(tmp_path):
-    env = dict(os.environ, SAPFLOW_DETERMINISTIC="1")
     blobs = []
     for tag in ("a", "b"):
         outdir = tmp_path / tag
@@ -252,7 +250,6 @@ def test_criterion_11_determinism(tmp_path):
                 "-o", str(outdir),
             ],
             capture_output=True,
-            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         blobs.append((outdir / "series.csv").read_bytes())

@@ -6,9 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from sapflow import load_mesh
+from sapflow import DegenerateGeometryError, geometry, load_mesh
 from sapflow.cli import main
 from sapflow.diagnostics import RECORD_FIELDS, DiagnosticsRecord, TimeSeries
+from conftest import fail_on_call
 
 
 def run_cli(*argv):
@@ -83,6 +84,18 @@ def test_run_blowup_exit_code(tmp_path):
     assert run_cli("run", "--manifest", str(manifest_path)) == 2
 
 
+def test_run_midrun_geometry_error_keeps_artifacts(tmp_path, monkeypatch):
+    fail_on_call(monkeypatch, geometry, "compute_cache", 3, DegenerateGeometryError)
+    manifest_path, manifest = run_manifest(tmp_path, snapshot_every=1)
+    assert run_cli("run", "--manifest", str(manifest_path)) == 2
+    outdir = manifest["output_dir"]
+    series = TimeSeries.from_csv(os.path.join(outdir, "series.csv"))
+    assert len(series) == 2
+    assert os.path.exists(os.path.join(outdir, "meshes", "final.off"))
+    with open(os.path.join(outdir, "summary.json")) as fh:
+        assert json.load(fh)["termination"] == "blow_up(degenerate_geometry)"
+
+
 def test_flag_overrides_win(tmp_path):
     manifest_path, manifest = run_manifest(tmp_path, t_max=50.0)
     outdir = manifest["output_dir"]
@@ -91,8 +104,9 @@ def test_flag_overrides_win(tmp_path):
     assert series.records[-1].t <= 0.1 + 1e-12
 
 
-def test_analyze_idempotent(tmp_path):
-    manifest_path, manifest = run_manifest(tmp_path)
+@pytest.mark.parametrize("mesh_cadence", [1, 2])
+def test_analyze_idempotent(tmp_path, mesh_cadence):
+    manifest_path, manifest = run_manifest(tmp_path, mesh_cadence=mesh_cadence)
     assert run_cli("run", "--manifest", str(manifest_path)) == 0
     outdir = manifest["output_dir"]
     summary_path = os.path.join(outdir, "summary.json")
@@ -150,8 +164,10 @@ def test_manifest_roundtrip_through_run_meta(tmp_path):
 
 def test_manifest_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "m.json"
-    path.write_text(json.dumps({"generator": "icosphere", "bogus_key": 1}))
-    assert run_cli("run", "--manifest", str(path)) == 1
+    for key in ("bogus_key", "deterministic"):
+        path.write_text(json.dumps({"generator": "icosphere", key: 1}))
+        assert run_cli("run", "--manifest", str(path)) == 1
+        assert "unknown manifest keys" in capsys.readouterr().err
 
 
 def test_manifest_requires_exactly_one_source(tmp_path):
@@ -173,7 +189,6 @@ def test_console_entry_point(tmp_path):
 
 
 def test_deterministic_env_runs_byte_identical(tmp_path):
-    env = dict(os.environ, SAPFLOW_DETERMINISTIC="1")
     csvs = []
     for tag in ("a", "b"):
         outdir = tmp_path / tag
@@ -185,7 +200,6 @@ def test_deterministic_env_runs_byte_identical(tmp_path):
                 "-o", str(outdir),
             ],
             capture_output=True,
-            env=env,
         )
         assert proc.returncode == 0, proc.stderr
         csvs.append((outdir / "series.csv").read_bytes())

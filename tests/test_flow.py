@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 
 from sapflow import (
+    DegenerateGeometryError,
     DegenerateMeanCurvatureError,
     FlowConfig,
     FlowState,
     GeometryCache,
+    OrientationError,
     TriMesh,
     advance,
     compute_cache,
@@ -19,8 +21,9 @@ from sapflow import (
     surface_integral,
     vertex_area_weights,
 )
-from sapflow import diagnostics, geometry
+from sapflow import diagnostics, flow, geometry
 from sapflow.diagnostics import area_identity_residuals, best_fit_sphere, series_to_csv_bytes
+from conftest import fail_on_call
 
 
 def synthetic_cache(mesh, H_value, normals=None):
@@ -210,6 +213,36 @@ def test_blowup_guard_reports_cleanly():
     result = run_flow(m, config)
     assert result.termination.kind == "blow_up"
     assert "max_A" in result.termination.detail
+
+
+@pytest.mark.parametrize(
+    "error,kind",
+    [(DegenerateGeometryError, "degenerate_geometry"), (OrientationError, "orientation")],
+)
+def test_midrun_geometry_error_is_blowup(monkeypatch, error, kind):
+    fail_on_call(monkeypatch, geometry, "compute_cache", 4, error)
+    result = run_flow(gen_ellipsoid(1.2, 1.0, 0.85, 2), FlowConfig(t_max=5.0))
+    assert result.termination.kind == "blow_up"
+    assert result.termination.detail == kind
+    assert len(result.series) == 3
+    # the fields of step 3 failed: the run ends at step 2, which has a row
+    assert len(result.snapshot_meshes) == 3
+    assert result.final_state.step_index == 2
+
+
+def test_projection_geometry_error_is_blowup(monkeypatch):
+    fail_on_call(monkeypatch, flow, "enforce_area_constraint", 2, DegenerateGeometryError)
+    result = run_flow(gen_ellipsoid(1.2, 1.0, 0.85, 2), FlowConfig(t_max=5.0))
+    assert str(result.termination) == "blow_up(degenerate_geometry)"
+    # the step whose projection failed is discarded; its start has a row
+    assert len(result.series) == 2
+    assert result.final_state.step_index == 1
+
+
+def test_geometry_error_on_input_propagates(monkeypatch):
+    fail_on_call(monkeypatch, geometry, "compute_cache", 1, DegenerateGeometryError)
+    with pytest.raises(DegenerateGeometryError):
+        run_flow(gen_ellipsoid(1.2, 1.0, 0.85, 2), FlowConfig(t_max=5.0))
 
 
 def test_area_identity_and_cauchy_schwarz_every_snapshot():

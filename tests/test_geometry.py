@@ -1,11 +1,18 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapflow import (
+    GaussianDentBump,
+    GeometryCache,
     OrientationError,
     TriMesh,
     gen_circle,
     gen_ellipsoid,
+    gen_perturbed_sphere,
     compute_cache,
     diameter_estimate,
     enclosed_volume,
@@ -16,6 +23,7 @@ from sapflow import (
     vertex_area_weights,
     vertex_normals,
 )
+from sapflow.geometry import mean_curvature_vector
 from conftest import make_cylinder_patch
 
 
@@ -287,3 +295,55 @@ def test_curve_cache_traceless_zero():
     assert np.all(c.traceless_norm == 0)
     assert np.allclose(c.mean_curvature, 0.5, rtol=1e-3)
     assert c.total_area == pytest.approx(2 * np.pi * 2.0, rel=1e-3)
+
+
+# -- the cache and the standalone operations ------------------------------------------
+
+CACHE_MESHES = {
+    "ellipsoid": lambda: gen_ellipsoid(1.2, 1.0, 0.85, 2),
+    "dented": lambda: gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 2),
+    "circle": lambda: gen_circle(1.0, 48),
+}
+CACHE_FIELDS = [f.name for f in fields(GeometryCache)]
+
+
+def standalone_fields(mesh):
+    w = vertex_area_weights(mesh)
+    n = vertex_normals(mesh)
+    H = mean_curvature_field(mesh, w, n)
+    second, traceless = traceless_second_form_field(mesh, w, n)
+    return {
+        "vertex_area": w,
+        "normal": n,
+        "mean_curvature": H,
+        "mean_curvature_vector": mean_curvature_vector(mesh),
+        "second_form_norm": second,
+        "traceless_norm": traceless,
+        "grad_H_norm": gradient_norm_field(mesh, H, w),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_MESHES))
+def test_cache_equals_standalone_operations(name):
+    mesh = CACHE_MESHES[name]()
+    cache = compute_cache(mesh)
+    expected = standalone_fields(mesh)
+    assert sorted(expected) == sorted(CACHE_FIELDS)
+    for field in CACHE_FIELDS:
+        assert np.array_equal(getattr(cache, field), expected[field]), field
+
+
+@settings(max_examples=20, deadline=None)
+@given(name=st.sampled_from(["ellipsoid", "dented"]), seed=st.integers(0, 2**32 - 1))
+def test_cache_relabelling_property(name, seed):
+    # new vertex j is old vertex perm[j]; every field must follow the labels
+    mesh = CACHE_MESHES[name]()
+    perm = np.random.default_rng(seed).permutation(mesh.n_vertices)
+    new_label = np.empty_like(perm)
+    new_label[perm] = np.arange(len(perm))
+    relabelled = TriMesh(mesh.vertices[perm], new_label[mesh.faces])
+    c1, c2 = compute_cache(mesh), compute_cache(relabelled)
+    for field in CACHE_FIELDS:
+        assert np.allclose(
+            getattr(c2, field), getattr(c1, field)[perm], rtol=0, atol=1e-10
+        ), field
