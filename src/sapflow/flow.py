@@ -123,18 +123,31 @@ def select_timestep(mesh, cache, h, config):
     return dt
 
 
+# relative residual at which each coordinate's CG solve stops (atol = 0)
+_CG_RTOL = 1e-12
+
+
 def _semi_implicit_step(mesh, cache, h, dt):
-    # (M + dt h L) x' = M (x + dt nu): stiff h*Laplacian part implicit,
-    # unit normal transport explicit; one factorization serves all coordinates
-    L = geometry.cotangent_stiffness(mesh)
-    M = sparse.diags(cache.vertex_area)
-    A = (M + dt * h * L).tocsc()
+    # (M + dt h L) x' = M (x + dt nu): stiff h*Laplacian part implicit, unit
+    # normal transport explicit. M is the positive mixed-Voronoi diagonal and
+    # L is PSD, so A is SPD: each coordinate is solved by Jacobi-preconditioned
+    # CG, warm-started from the explicit step.
+    A = geometry.cotangent_stiffness(mesh, cache.stiffness_weight)
+    diagonal = mesh._stiffness_pattern.diagonal
+    A.data *= dt * h
+    A.data[diagonal] += cache.vertex_area
+    jacobi = sparse.diags(1.0 / A.data[diagonal])
     rhs = cache.vertex_area[:, None] * (mesh.vertices + dt * cache.normal)
-    try:
-        solve = spla.factorized(A)
-    except RuntimeError as exc:
-        raise BlowUpError("linear_solve", str(exc)) from exc
-    out = np.column_stack([solve(rhs[:, k]) for k in range(rhs.shape[1])])
+    guess = mesh.vertices + dt * flow_velocity(mesh, cache, h)
+    out = np.empty_like(rhs)
+    for k in range(rhs.shape[1]):
+        out[:, k], info = spla.cg(
+            A, rhs[:, k], x0=guess[:, k], rtol=_CG_RTOL, atol=0.0, M=jacobi
+        )
+        if info != 0:
+            raise BlowUpError(
+                "linear_solve", f"CG on coordinate {k} did not converge (info={info})"
+            )
     return out
 
 
@@ -213,8 +226,8 @@ def run_flow(mesh, config, keep_meshes=True, diameter_seed=0):
     from . import diagnostics
 
     report = validate(mesh)
-    if not (report.is_closed and report.is_oriented):
-        raise BlowUpError("invalid_input", "mesh is not closed and oriented")
+    if not (report.is_closed and report.is_oriented and report.is_vertex_manifold):
+        raise BlowUpError("invalid_input", "mesh is not a closed oriented manifold")
 
     records = []
     meshes = []

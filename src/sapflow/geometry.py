@@ -43,6 +43,9 @@ class GeometryCache:
         |Adev| with |Adev|^2 = |A|^2 - H^2/n; identically zero in curve mode.
     grad_H_norm : (n,) float
         Intrinsic |grad H| from area-averaged per-face affine gradients.
+    stiffness_weight : (3m,) or (n,) float
+        Edge weights of the cotangent stiffness: half the cotangent of each
+        face corner, corner-major, or 1/length of each curve segment.
     """
 
     vertex_area: np.ndarray
@@ -52,6 +55,7 @@ class GeometryCache:
     second_form_norm: np.ndarray
     traceless_norm: np.ndarray
     grad_H_norm: np.ndarray
+    stiffness_weight: np.ndarray
 
     @property
     def total_area(self):
@@ -195,6 +199,13 @@ def _gradient_norm(mesh, conf, f):
     return np.linalg.norm(vg, axis=1)
 
 
+def _stiffness_weight(mesh, conf):
+    if mesh.mode == "curve":
+        _, ln = conf
+        return 1.0 / ln
+    return 0.5 * conf.cot.T.ravel()
+
+
 def _area_centroid(mesh, conf):
     if mesh.mode == "curve":
         v = mesh.vertices
@@ -249,34 +260,25 @@ def mean_curvature_field(mesh, weights, normals):
     return _mean_curvature(mesh, conf, weights, normals, _area_gradient(mesh, conf))
 
 
-def cotangent_stiffness(mesh):
-    """Sparse positive-semidefinite cotangent stiffness matrix L.
+def cotangent_stiffness(mesh, weight=None):
+    """Sparse positive-semidefinite cotangent stiffness matrix L (CSR).
 
     ``L @ x`` equals :func:`mean_curvature_vector` applied per coordinate;
     ``f @ (L @ f)`` is the discrete Dirichlet energy of a vertex field.
+    ``weight`` is the ``stiffness_weight`` of this configuration's cache,
+    computed when omitted. The sparsity pattern is built once per
+    connectivity; each call is one scatter into its slots.
     """
-    n = mesh.n_vertices
-    if mesh.mode == "curve":
-        _, ln = _configuration(mesh)
-        i = np.arange(n)
-        j = np.roll(i, -1)
-        w = 1.0 / ln
-        rows = np.concatenate([i, j, i, j])
-        cols = np.concatenate([j, i, i, j])
-        vals = np.concatenate([-w, -w, w, w])
-        return sparse.csr_matrix((vals, (rows, cols)), shape=(n, n))
-    cots = _configuration(mesh).cot
-    rows, cols, vals = [], [], []
-    for k in range(3):
-        a, b = mesh.faces[:, (k + 1) % 3], mesh.faces[:, (k + 2) % 3]
-        w = 0.5 * cots[:, k]
-        rows += [a, b, a, b]
-        cols += [b, a, a, b]
-        vals += [-w, -w, w, w]
-    return sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(n, n),
+    if weight is None:
+        weight = _stiffness_weight(mesh, _configuration(mesh))
+    pattern = mesh._stiffness_pattern
+    data = _scatter(
+        pattern.slot,
+        np.concatenate([-weight, -weight, weight, weight]),
+        len(pattern.indices),
     )
+    n = mesh.n_vertices
+    return sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
 
 def osculating_sphere_normals(mesh, reference_normals):
@@ -477,4 +479,5 @@ def compute_cache(mesh):
         second_form_norm=second,
         traceless_norm=traceless,
         grad_H_norm=_gradient_norm(mesh, conf, H),
+        stiffness_weight=_stiffness_weight(mesh, conf),
     )

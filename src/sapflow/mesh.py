@@ -25,6 +25,7 @@ class MeshQualityReport:
 
     is_closed: bool
     is_oriented: bool
+    is_vertex_manifold: bool
     min_face_area: float
     min_angle: float
     boundary_edge_count: int
@@ -145,6 +146,11 @@ class TriMesh:
         clone.vertices = vertices
         return clone
 
+    @cached_property
+    def _stiffness_pattern(self):
+        # built on first use; with_vertices hands it to every later derived mesh
+        return _StiffnessPattern(self)
+
     def edge_lengths(self):
         v = self.vertices
         e = self.directed_edges if self.mode == "curve" else self.edges
@@ -202,6 +208,67 @@ class _FaceRecord:
         return float(np.einsum("ij,ij->i", self.centroid, self.cross).sum() / 6.0)
 
 
+class _StiffnessPattern:
+    """CSR sparsity pattern of the cotangent stiffness of one connectivity.
+
+    The stiffness is a sum of w (e_a - e_b)(e_a - e_b)^T over weighted vertex
+    pairs (a, b): for surfaces the edge opposite each face corner, pair
+    ``k * m + f`` for corner k of face f (the order of ``_FaceRecord.cot.T``);
+    for curves the segments i -> i + 1. ``slot`` maps the entries (a, b),
+    (b, a), (a, a), (b, b) of every pair, in that block order, to their
+    place in the CSR arrays ``indptr`` / ``indices``; ``diagonal`` holds the
+    slot of each diagonal entry.
+    """
+
+    def __init__(self, mesh):
+        n = mesh.n_vertices
+        if mesh.mode == "curve":
+            a = np.arange(n)
+            b = np.roll(a, -1)
+        else:
+            a = mesh.faces[:, [1, 2, 0]].T.ravel()
+            b = mesh.faces[:, [2, 0, 1]].T.ravel()
+        rows = np.concatenate([a, b, a, b])
+        cols = np.concatenate([b, a, a, b])
+        # sorted row-major keys are the CSR order
+        keys, self.slot = np.unique(rows * n + cols, return_inverse=True)
+        self.indices = (keys % n).astype(np.int32)
+        self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
+        self.diagonal = np.searchsorted(keys, np.arange(n) * (n + 1))
+
+
+def _single_vertex_links(mesh):
+    """True iff every vertex has faces and its one-ring is a single cycle.
+
+    Needs a closed oriented mesh. Around vertex v, the corner of face
+    (v, a, b) is followed by the corner whose outgoing half-edge v -> b is the
+    twin of this face's incoming b -> v; each cycle of that successor map is
+    one fan of faces, so the links are single cycles iff there is one cycle
+    per vertex.
+    """
+    n, m = mesh.n_vertices, mesh.n_faces
+    if (np.bincount(mesh.faces.ravel(), minlength=n) == 0).any():
+        return False
+    de = mesh.directed_edges  # row k * m + i: corner k of face i, outgoing
+    # on a closed mesh each undirected edge is two adjacent half-edges in
+    # this order, and they are each other's twins
+    pairs = np.argsort(de.min(axis=1) * n + de.max(axis=1)).reshape(-1, 2)
+    twin = np.empty(3 * m, dtype=np.int64)
+    twin[pairs[:, 0]], twin[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    succ = np.roll(twin, m)  # the incoming half-edge of row r is row r - m
+    # pointer doubling: after round j each corner holds the smallest index
+    # among the 2^j corners from it along its cycle; a round that changes
+    # nothing has reached every cycle's minimum
+    corner = np.arange(3 * m)
+    label, hop = corner, succ
+    while True:
+        nxt = np.minimum(label, label[hop])
+        if np.array_equal(nxt, label):
+            break
+        label, hop = nxt, hop[hop]
+    return np.count_nonzero(label == corner) == n
+
+
 def _face_corner_angles(p):
     """(m, 3) corner angles of faces with corner positions ``p``."""
     ang = np.empty((len(p), 3))
@@ -229,7 +296,10 @@ def validate(mesh):
     Never raises; all failures are carried by the report. A mesh is closed
     iff every undirected edge is shared by exactly two faces
     (``boundary_edge_count == 0`` and no over-shared edge), and oriented iff
-    the two half-edges of every interior edge run in opposite directions.
+    the two half-edges of every interior edge run in opposite directions. A
+    closed oriented mesh is vertex-manifold iff every vertex lies on a face
+    and its one-ring is a single cycle (two tetrahedra sharing a vertex are
+    not).
     """
     if mesh.mode == "curve":
         seg = mesh.edge_lengths()
@@ -240,6 +310,7 @@ def validate(mesh):
         return MeshQualityReport(
             is_closed=True,
             is_oriented=bool(_shoelace_area(mesh.vertices) > 0),
+            is_vertex_manifold=True,
             min_face_area=float(seg.min()),
             min_angle=float((pi - turning).min()),
             boundary_edge_count=0,
@@ -249,12 +320,14 @@ def validate(mesh):
     overshared = bool((counts > 2).any())
     closed = boundary == 0 and not overshared
     oriented = not mesh._has_duplicate_directed and not overshared
+    manifold = closed and oriented and _single_vertex_links(mesh)
     faces = _FaceRecord(mesh)
     areas = faces.area
     angles = _face_corner_angles(faces.corners)
     return MeshQualityReport(
         is_closed=closed,
         is_oriented=oriented,
+        is_vertex_manifold=manifold,
         min_face_area=float(areas.min()) if len(areas) else 0.0,
         min_angle=float(angles.min()) if len(angles) else 0.0,
         boundary_edge_count=boundary,
@@ -289,7 +362,8 @@ def load_mesh(path, fmt=None):
     MeshParseError
         Malformed file.
     MeshTopologyError
-        Open, non-manifold, inconsistently oriented or inward-oriented mesh.
+        Open, non-manifold (at an edge or a vertex), inconsistently oriented
+        or inward-oriented mesh.
     """
     fmt = (fmt or os.path.splitext(str(path))[1].lstrip(".")).lower()
     if fmt == "off":
@@ -311,6 +385,8 @@ def load_mesh(path, fmt=None):
         raise MeshTopologyError(f"{report.boundary_edge_count} boundary edges")
     if not report.is_oriented:
         raise MeshTopologyError("inconsistent face orientation")
+    if not report.is_vertex_manifold:
+        raise MeshTopologyError("non-manifold vertex (one-ring is not a single cycle)")
     if _FaceRecord(mesh).volume <= 0:
         raise MeshTopologyError("inward orientation (negative enclosed volume)")
     return mesh

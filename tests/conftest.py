@@ -4,18 +4,44 @@ import pytest
 from sapflow import TriMesh, gen_icosphere
 
 
-def fail_on_call(monkeypatch, module, name, k, error):
-    """Make ``module.name`` raise ``error`` on its k-th call only."""
+def replace_on_call(monkeypatch, module, name, k, substitute):
+    """Make the k-th call of ``module.name`` return ``substitute(*args, **kwargs)``."""
     real = getattr(module, name)
     calls = []
 
     def wrapped(*args, **kwargs):
         calls.append(None)
-        if len(calls) == k:
-            raise error("injected")
-        return real(*args, **kwargs)
+        return (substitute if len(calls) == k else real)(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapped)
+
+
+def fail_on_call(monkeypatch, module, name, k, error):
+    """Make ``module.name`` raise ``error`` on its k-th call only."""
+
+    def fail(*args, **kwargs):
+        raise error("injected")
+
+    replace_on_call(monkeypatch, module, name, k, fail)
+
+
+def cg_not_converged(A, b, **kwargs):
+    """A ``scipy.sparse.linalg.cg`` stand-in that reports non-convergence."""
+    return np.zeros_like(b), 1
+
+
+@pytest.fixture(scope="session")
+def bowtie():
+    """Two tetrahedra sharing vertex 0: closed and oriented, but the one-ring
+    of vertex 0 is two cycles (not a manifold there)."""
+    verts = np.array(
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1],
+         [-1, 0, 0], [0, -1, 0], [0, 0, -1]],
+        dtype=float,
+    )
+    faces = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2],
+             [0, 4, 5], [0, 6, 4], [4, 6, 5], [0, 5, 6]]
+    return TriMesh(verts, faces)
 
 
 @pytest.fixture(scope="session")

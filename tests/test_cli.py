@@ -6,10 +6,10 @@ import sys
 import numpy as np
 import pytest
 
-from sapflow import DegenerateGeometryError, geometry, load_mesh
+from sapflow import DegenerateGeometryError, flow, geometry, load_mesh
 from sapflow.cli import main
 from sapflow.diagnostics import RECORD_FIELDS, DiagnosticsRecord, TimeSeries
-from conftest import fail_on_call
+from conftest import cg_not_converged, fail_on_call, replace_on_call
 
 
 def run_cli(*argv):
@@ -94,6 +94,20 @@ def test_run_midrun_geometry_error_keeps_artifacts(tmp_path, monkeypatch):
     assert os.path.exists(os.path.join(outdir, "meshes", "final.off"))
     with open(os.path.join(outdir, "summary.json")) as fh:
         assert json.load(fh)["termination"] == "blow_up(degenerate_geometry)"
+
+
+def test_run_unconverged_solve_keeps_artifacts(tmp_path, monkeypatch):
+    replace_on_call(monkeypatch, flow.spla, "cg", 4, cg_not_converged)
+    manifest_path, manifest = run_manifest(
+        tmp_path, stepping="semi-implicit", dt_max=0.01, snapshot_every=1
+    )
+    assert run_cli("run", "--manifest", str(manifest_path)) == 2
+    outdir = manifest["output_dir"]
+    series = TimeSeries.from_csv(os.path.join(outdir, "series.csv"))
+    assert len(series) == 2
+    assert os.path.exists(os.path.join(outdir, "meshes", "final.off"))
+    with open(os.path.join(outdir, "summary.json")) as fh:
+        assert json.load(fh)["termination"] == "blow_up(linear_solve)"
 
 
 def test_flag_overrides_win(tmp_path):

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sapflow import (
+    BlowUpError,
     DegenerateGeometryError,
     DegenerateMeanCurvatureError,
     FlowConfig,
@@ -16,6 +17,9 @@ from sapflow import (
     flow_velocity,
     gen_ellipsoid,
     gen_circle,
+    gen_icosphere,
+    gen_perturbed_sphere,
+    GaussianDentBump,
     run_flow,
     select_timestep,
     surface_integral,
@@ -23,7 +27,8 @@ from sapflow import (
 )
 from sapflow import diagnostics, flow, geometry
 from sapflow.diagnostics import area_identity_residuals, best_fit_sphere, series_to_csv_bytes
-from conftest import fail_on_call
+from sapflow.mesh import _min_angle
+from conftest import cg_not_converged, fail_on_call, replace_on_call
 
 
 def synthetic_cache(mesh, H_value, normals=None):
@@ -320,3 +325,56 @@ def test_curve_semi_implicit_step():
     result = run_flow(c, config)
     assert result.termination.kind == "time_limit"
     assert result.series.records[-1].h == pytest.approx(1.0, abs=2e-3)
+
+
+# -- the semi-implicit step's linear algebra ------------------------------------------
+
+
+def sliver_sphere():
+    """Icosphere (V = 642) with one vertex pulled almost onto the opposite
+    edge of an incident face: min angle about 3e-3, above the 1e-3 guard."""
+    mesh = gen_icosphere(1.0, subdivisions=3)
+    v = mesh.vertices.copy()
+    i, a, b = mesh.faces[0]
+    v[i] += (1.0 - 1.7e-3) * (0.5 * (v[a] + v[b]) - v[i])
+    return mesh.with_vertices(v)
+
+
+STEP_MESHES = {
+    "icosphere": lambda: gen_icosphere(1.0, subdivisions=2),
+    "dented": lambda: gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 2),
+    "circle": lambda: gen_circle(1.0, 64),
+    "sliver": sliver_sphere,
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEP_MESHES))
+def test_semi_implicit_step_solves_the_system(name):
+    mesh = STEP_MESHES[name]()
+    if name == "sliver":
+        assert 1e-3 < _min_angle(mesh) < 1e-2
+    cache = compute_cache(mesh)
+    h, dt = compute_h(mesh, cache), 0.05
+    x = flow._semi_implicit_step(mesh, cache, h, dt)
+    A = np.diag(cache.vertex_area) + dt * h * geometry.cotangent_stiffness(mesh).toarray()
+    rhs = cache.vertex_area[:, None] * (mesh.vertices + dt * cache.normal)
+    residual = np.linalg.norm(A @ x - rhs, axis=0)
+    assert (residual <= 1e-11 * np.linalg.norm(rhs, axis=0)).all()
+    assert np.abs(x - np.linalg.solve(A, rhs)).max() <= 1e-10
+
+
+def test_unconverged_solve_is_blowup(monkeypatch):
+    # three solves per step: the 4th call is the first coordinate of step 2
+    replace_on_call(monkeypatch, flow.spla, "cg", 4, cg_not_converged)
+    config = FlowConfig(stepping="semi-implicit", dt_max=0.01, t_max=5.0)
+    result = run_flow(gen_ellipsoid(1.2, 1.0, 0.85, 2), config)
+    assert str(result.termination) == "blow_up(linear_solve)"
+    assert len(result.series) == 2
+    assert len(result.snapshot_meshes) == 2
+    assert result.final_state.step_index == 1
+
+
+def test_bowtie_is_invalid_input(bowtie):
+    with pytest.raises(BlowUpError) as info:
+        run_flow(bowtie, FlowConfig())
+    assert info.value.kind == "invalid_input"

@@ -12,6 +12,7 @@ from sapflow import (
     TriMesh,
     gen_circle,
     gen_ellipsoid,
+    gen_icosphere,
     gen_perturbed_sphere,
     compute_cache,
     diameter_estimate,
@@ -23,7 +24,7 @@ from sapflow import (
     vertex_area_weights,
     vertex_normals,
 )
-from sapflow.geometry import mean_curvature_vector
+from sapflow.geometry import cotangent_stiffness, mean_curvature_vector
 from conftest import make_cylinder_patch
 
 
@@ -305,6 +306,8 @@ CACHE_MESHES = {
     "circle": lambda: gen_circle(1.0, 48),
 }
 CACHE_FIELDS = [f.name for f in fields(GeometryCache)]
+# every field but the per-face-corner (per-segment) stiffness weights
+VERTEX_FIELDS = [name for name in CACHE_FIELDS if name != "stiffness_weight"]
 
 
 def standalone_fields(mesh):
@@ -328,9 +331,12 @@ def test_cache_equals_standalone_operations(name):
     mesh = CACHE_MESHES[name]()
     cache = compute_cache(mesh)
     expected = standalone_fields(mesh)
-    assert sorted(expected) == sorted(CACHE_FIELDS)
-    for field in CACHE_FIELDS:
+    assert sorted(expected) == sorted(VERTEX_FIELDS)
+    for field in VERTEX_FIELDS:
         assert np.array_equal(getattr(cache, field), expected[field]), field
+    # the stiffness weights have no standalone operation but the assembler
+    L = cotangent_stiffness(mesh, cache.stiffness_weight)
+    assert np.array_equal(L.data, cotangent_stiffness(mesh).data)
 
 
 @settings(max_examples=20, deadline=None)
@@ -343,7 +349,50 @@ def test_cache_relabelling_property(name, seed):
     new_label[perm] = np.arange(len(perm))
     relabelled = TriMesh(mesh.vertices[perm], new_label[mesh.faces])
     c1, c2 = compute_cache(mesh), compute_cache(relabelled)
-    for field in CACHE_FIELDS:
+    for field in VERTEX_FIELDS:
         assert np.allclose(
             getattr(c2, field), getattr(c1, field)[perm], rtol=0, atol=1e-10
         ), field
+    # faces keep their order, so the per-corner weights do not move
+    assert np.array_equal(c2.stiffness_weight, c1.stiffness_weight)
+
+
+# -- cotangent stiffness ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_MESHES))
+def test_stiffness_reproduces_mean_curvature_vector(name):
+    mesh = CACHE_MESHES[name]()
+    L = cotangent_stiffness(mesh)
+    assert np.allclose(
+        L @ mesh.vertices, mean_curvature_vector(mesh), rtol=0, atol=1e-13
+    )
+
+
+@pytest.mark.parametrize("name", sorted(CACHE_MESHES))
+def test_stiffness_symmetric_with_zero_row_sums(name):
+    L = cotangent_stiffness(CACHE_MESHES[name]())
+    assert abs(L - L.T).max() == 0
+    assert np.abs(L.sum(axis=1)).max() <= 1e-13 * abs(L).max()
+
+
+def test_stiffness_pattern_shared_by_derived_meshes():
+    mesh = CACHE_MESHES["dented"]()
+    L = cotangent_stiffness(mesh)
+    moved = mesh.with_vertices(1.5 * mesh.vertices)
+    assert moved._stiffness_pattern is mesh._stiffness_pattern
+    # a uniform scale leaves every cotangent unchanged
+    assert np.allclose(cotangent_stiffness(moved).data, L.data, rtol=1e-13, atol=0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), amplitude=st.floats(0.0, 0.3))
+def test_stiffness_positive_semidefinite_property(seed, amplitude):
+    # the premise of the semi-implicit step's CG: M + dt h L is SPD for h > 0
+    rng = np.random.default_rng(seed)
+    base = gen_icosphere(1.0, subdivisions=2)
+    noise = amplitude * rng.uniform(-1.0, 1.0, size=base.vertices.shape)
+    mesh = base.with_vertices(base.vertices + noise)
+    L = cotangent_stiffness(mesh)
+    for f in rng.normal(size=(5, mesh.n_vertices)):
+        assert f @ (L @ f) >= -1e-12 * (f @ f)

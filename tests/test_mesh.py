@@ -123,6 +123,27 @@ def test_validate_missing_face(icosphere):
     assert report.boundary_edge_count == 3
 
 
+def test_validate_bowtie(bowtie, icosphere):
+    report = validate(bowtie)
+    assert report.is_closed and report.is_oriented
+    assert not report.is_vertex_manifold
+    assert validate(icosphere(1.0, 2)).is_vertex_manifold
+
+
+def test_validate_unreferenced_vertex(icosphere):
+    m = icosphere(1.0, 0)
+    report = validate(TriMesh(np.vstack([m.vertices, [[0.0, 0.0, 0.0]]]), m.faces))
+    assert report.is_closed and report.is_oriented
+    assert not report.is_vertex_manifold
+
+
+def test_load_bowtie_rejected(bowtie, tmp_path):
+    path = tmp_path / "bowtie.off"
+    save_mesh(bowtie, path)
+    with pytest.raises(MeshTopologyError, match="non-manifold vertex"):
+        load_mesh(path)
+
+
 def test_validate_flipped_face(icosphere):
     m = icosphere(1.0, 0)
     faces = m.faces.copy()
