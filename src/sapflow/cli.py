@@ -39,7 +39,6 @@ MANIFEST_DEFAULTS = {
     "min_angle_limit": 1e-3,
     "output_dir": "sapflow_out",
     "mesh_cadence": 1,
-    "seed": 0,
 }
 
 
@@ -146,7 +145,6 @@ def cmd_run(args):
         "mesh_cadence": args.mesh_cadence,
         "subdivisions": args.subdiv,
         "blowup_max_A": args.blowup_max_a,
-        "seed": args.seed,
     }
     if args.axes:
         overrides["axes"] = [float(x) for x in args.axes.split(",")]
@@ -156,9 +154,7 @@ def cmd_run(args):
     input_mesh = build_input_mesh(manifest)
     config = flow_config(manifest)
 
-    result = flow.run_flow(
-        input_mesh, config, keep_meshes=True, diameter_seed=int(manifest["seed"])
-    )
+    result = flow.run_flow(input_mesh, config, keep_meshes=True)
     series = result.series
     series.metadata["manifest"] = manifest
 
@@ -171,13 +167,14 @@ def cmd_run(args):
     last = len(series) - 1
     if mesh_rows[-1] != last:
         mesh_rows.append(last)
+    ext = "csv" if input_mesh.mode == "curve" else "off"
     for row in mesh_rows:
         meshmod.save_mesh(
             result.snapshot_meshes[row],
-            os.path.join(outdir, "meshes", f"step_{row:06d}.off"),
+            os.path.join(outdir, "meshes", f"step_{row:06d}.{ext}"),
         )
     meshmod.save_mesh(
-        result.snapshot_meshes[last], os.path.join(outdir, "meshes", "final.off")
+        result.snapshot_meshes[last], os.path.join(outdir, "meshes", f"final.{ext}")
     )
 
     summary = diagnostics.make_summary(
@@ -201,24 +198,24 @@ def cmd_run(args):
 
 
 def cmd_analyze(args):
-    series = diagnostics.TimeSeries.from_csv(args.series)
     rundir = os.path.dirname(os.path.abspath(args.series))
-    termination = None
+    meta = {}
     meta_path = os.path.join(rundir, "run_meta.json")
     if os.path.exists(meta_path):
         with open(meta_path, encoding="ascii") as fh:
-            termination = json.load(fh).get("termination")
+            meta = json.load(fh)
+    series = diagnostics.TimeSeries.from_csv(args.series, meta.get("metadata"))
     mesh_dir = os.path.join(rundir, "meshes")
     mesh_rows, meshes = [], []
     if os.path.isdir(mesh_dir):
         for name in sorted(os.listdir(mesh_dir)):
-            if name.startswith("step_") and name.endswith(".off"):
+            if name.startswith("step_") and name.endswith((".off", ".csv")):
                 row = int(name[5:-4])
                 if row < len(series):
                     mesh_rows.append(row)
                     meshes.append(meshmod.load_mesh(os.path.join(mesh_dir, name)))
     summary = diagnostics.make_summary(
-        series, meshes, termination=termination, rows=mesh_rows
+        series, meshes, termination=meta.get("termination"), rows=mesh_rows
     )
     out = args.output or os.path.join(rundir, "summary.json")
     diagnostics.write_summary(summary, out)
@@ -260,7 +257,6 @@ def main(argv=None):
     r.add_argument("--blowup-max-a", type=float, dest="blowup_max_a")
     r.add_argument("--snapshot-every", type=int, dest="snapshot_every")
     r.add_argument("--mesh-cadence", type=int, dest="mesh_cadence")
-    r.add_argument("--seed", type=int)
     r.add_argument("--projection", dest="projection", action="store_true", default=None)
     r.add_argument("--no-projection", dest="projection", action="store_false")
     r.add_argument("-o", "--output-dir", dest="output_dir")

@@ -21,7 +21,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from . import geometry
-from .flow import area_centroid, intrinsic_dimension
+from .flow import intrinsic_dimension
 from .mesh import _min_angle
 
 FLOAT_FMT = "%.17g"
@@ -95,7 +95,7 @@ class TimeSeries:
         return cls(records=records, metadata=metadata or {})
 
 
-def record_snapshot(state, cache, diameter_seed=0):
+def record_snapshot(state, cache):
     """Assemble one diagnostics row from a state and its geometry cache."""
     mesh = state.mesh
     n = intrinsic_dimension(mesh)
@@ -116,7 +116,7 @@ def record_snapshot(state, cache, diameter_seed=0):
         int_traceless_sq=geometry.surface_integral(mesh, va, cache.traceless_norm**2),
         max_grad_H=float(cache.grad_H_norm.max()),
         sup_one_minus_hH=float(np.abs(one_minus).max()),
-        diameter_est=geometry.diameter_estimate(mesh, seed=diameter_seed),
+        diameter_est=geometry.diameter_estimate(mesh),
         int_Hpow=geometry.surface_integral(mesh, va, np.abs(H) ** (n - 1)),
         min_angle=_min_angle(mesh),
         area_scale_applied=state.last_projection_scale,
@@ -146,21 +146,11 @@ def area_identity_residuals(series):
     return np.abs(int_H - h * int_H2) / (1.0 + np.abs(int_H2))
 
 
-def _unproject(mesh, scale):
-    # invert the area-projection rescaling recorded at a snapshot
-    if scale == 1.0:
-        return mesh
-    c = area_centroid(mesh)
-    return mesh.with_vertices(c + (mesh.vertices - c) / scale)
-
-
-def _ode_rhs_terms(mesh):
+def _ode_rhs(mesh, h, int_H2):
+    # evolution-law right-hand sides of h and int H^2 dmu at one snapshot
     cache = geometry.compute_cache(mesh)
     va = cache.vertex_area
     H = cache.mean_curvature
-    int_H = geometry.surface_integral(mesh, va, H)
-    int_H2 = geometry.surface_integral(mesh, va, H**2)
-    h = int_H / int_H2
     one = 1.0 - h * H
     A2 = cache.second_form_norm**2
     g2 = geometry.surface_integral(mesh, va, cache.grad_H_norm**2)
@@ -174,7 +164,7 @@ def _ode_rhs_terms(mesh):
         geometry.surface_integral(mesh, va, H**3 * one - 2.0 * one * H * A2)
         - 2.0 * h * g2
     )
-    return h, int_H2, rhs_h, rhs_H2
+    return rhs_h, rhs_H2
 
 
 def identity_residuals(series, meshes):
@@ -182,8 +172,11 @@ def identity_residuals(series, meshes):
 
     The ODE residuals compare the finite difference across each snapshot
     interval with the evolution-law right-hand side evaluated at the left
-    snapshot. Projection scale factors are compensated: the right endpoint of
-    every interval is un-scaled back to its pre-projection state, so the
+    snapshot. Both endpoints take ``h`` and ``int_H2`` from their rows; the
+    right-hand sides need one geometry pass per interval, on the left mesh.
+    Projection scale factors are compensated exactly by homogeneity: a
+    rescaling by ``s`` maps h to s h and int H^2 dmu to s^(n-2) int H^2 dmu,
+    so the right endpoint is taken back to its pre-projection state and the
     constraint repair cannot mask scheme error.
 
     Parameters
@@ -194,25 +187,18 @@ def identity_residuals(series, meshes):
     """
     if len(meshes) != len(series.records):
         raise ValueError("need one mesh per snapshot record")
-    r_area = area_identity_residuals(series)
     r_h, r_H2 = [], []
-    if len(meshes) >= 2:
-        left = _ode_rhs_terms(meshes[0])
-        for k in range(len(meshes) - 1):
-            rec_l, rec_r = series.records[k], series.records[k + 1]
-            dt = rec_r.t - rec_l.t
-            h_l, int_H2_l, rhs_h_l, rhs_H2_l = left
-            nxt = _ode_rhs_terms(meshes[k + 1])
-            if rec_r.area_scale_applied == 1.0:
-                h_pre, int_H2_pre = nxt[0], nxt[1]
-            else:
-                pre = _unproject(meshes[k + 1], rec_r.area_scale_applied)
-                h_pre, int_H2_pre, _, _ = _ode_rhs_terms(pre)
-            r_h.append(abs((h_pre - h_l) / dt - rhs_h_l))
-            r_H2.append(abs((int_H2_pre - int_H2_l) / dt - rhs_H2_l))
-            left = nxt
+    for k in range(len(meshes) - 1):
+        rec_l, rec_r = series.records[k], series.records[k + 1]
+        rhs_h, rhs_H2 = _ode_rhs(meshes[k], rec_l.h, rec_l.int_H2)
+        s = rec_r.area_scale_applied
+        h_pre = rec_r.h / s
+        int_H2_pre = rec_r.int_H2 * s ** (2 - intrinsic_dimension(meshes[k + 1]))
+        dt = rec_r.t - rec_l.t
+        r_h.append(abs((h_pre - rec_l.h) / dt - rhs_h))
+        r_H2.append(abs((int_H2_pre - rec_l.int_H2) / dt - rhs_H2))
     return ResidualReport(
-        area=r_area, h_ode=np.array(r_h), H2_ode=np.array(r_H2)
+        area=area_identity_residuals(series), h_ode=np.array(r_h), H2_ode=np.array(r_H2)
     )
 
 
@@ -351,8 +337,7 @@ def mean_convexity_onset(series):
     return float(series.records[start].t)
 
 
-def make_summary(series, meshes=None, termination=None, fit_field="int_traceless_sq",
-                 n=None, rows=None):
+def make_summary(series, meshes=None, termination=None, rows=None):
     """Build the run summary dict (termination, decay fit, bound, sphere fit).
 
     ``meshes`` are snapshot meshes of the series rows ``rows`` (default: one
@@ -362,8 +347,7 @@ def make_summary(series, meshes=None, termination=None, fit_field="int_traceless
     Fields that cannot be computed (e.g. a decay fit on a non-positive
     series) are null rather than errors, so summaries exist for every run.
     """
-    if n is None:
-        n = 1 if series.metadata.get("mode") == "curve" else 2
+    n = 1 if series.metadata.get("mode") == "curve" else 2
     out = {
         "termination": str(termination) if termination is not None else None,
         "fitted_rate": None,
@@ -378,7 +362,7 @@ def make_summary(series, meshes=None, termination=None, fit_field="int_traceless
         },
     }
     try:
-        fit = fit_exponential_rate(series, fit_field)
+        fit = fit_exponential_rate(series, "int_traceless_sq")
         out["fitted_rate"] = fit.rate
         out["R2"] = fit.r_squared
     except (NonPositiveSamplesError, WindowTooSmallError):

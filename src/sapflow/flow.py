@@ -177,23 +177,17 @@ def advance(state, cache, config, dt=None):
     )
 
 
-def area_centroid(mesh):
-    """Surface-measure centroid (fixed point of the projection rescaling)."""
-    return geometry._area_centroid(mesh, geometry._configuration(mesh))
-
-
 def enforce_area_constraint(state):
     """Rescale uniformly about the area centroid so area equals initial_area.
 
-    The scale exponent is 1/2 for surfaces (area ~ scale^2) and 1 for curves
-    (length ~ scale). The applied factor is recorded on the state for the
+    The scale exponent is 1/n with n the intrinsic dimension (area ~ scale^2,
+    length ~ scale). The applied factor is recorded on the state for the
     diagnostics to compensate.
     """
     mesh = state.mesh
     conf = geometry._configuration(mesh)
     current = float(geometry._weights(mesh, conf).sum())
-    exponent = 0.5 if mesh.mode == "surface" else 1.0
-    scale = (state.initial_area / current) ** exponent
+    scale = (state.initial_area / current) ** (1 / intrinsic_dimension(mesh))
     if scale == 1.0:
         return replace(state, last_projection_scale=1.0)
     c = geometry._area_centroid(mesh, conf)
@@ -205,7 +199,7 @@ def enforce_area_constraint(state):
     )
 
 
-def run_flow(mesh, config, keep_meshes=True, diameter_seed=0):
+def run_flow(mesh, config, keep_meshes=True):
     """Evolve a mesh until convergence, the time limit, or blow-up.
 
     Loop: h -> snapshot (at cadence, and always on the final state) -> dt
@@ -236,7 +230,7 @@ def run_flow(mesh, config, keep_meshes=True, diameter_seed=0):
     termination = None
 
     def take_snapshot(state, cache):
-        row = diagnostics.record_snapshot(state, cache, diameter_seed=diameter_seed)
+        row = diagnostics.record_snapshot(state, cache)
         records.append(row)
         if keep_meshes:
             meshes.append(state.mesh)

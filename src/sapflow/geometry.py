@@ -316,11 +316,13 @@ def osculating_sphere_normals(mesh, reference_normals):
     rhs[:, :dim] = 2.0 * s4
     rhs[:, dim] = s3
 
-    ok = np.abs(np.linalg.det(G)) > 0
-    sol = np.zeros((n, m))
-    if ok.all():
+    ok = np.ones(n, dtype=bool)
+    try:
         sol = np.linalg.solve(G, rhs[:, :, None])[:, :, 0]
-    elif ok.any():
+    except np.linalg.LinAlgError:
+        # some fit is exactly singular (e.g. a flat 1-ring): solve the others
+        ok = np.abs(np.linalg.det(G)) > 0
+        sol = np.zeros((n, m))
         sol[ok] = np.linalg.solve(G[ok], rhs[ok, :, None])[:, :, 0]
     centre = sol[:, :dim]  # relative to each vertex
     dist = np.linalg.norm(centre, axis=1)
@@ -360,9 +362,10 @@ def _shape_operator_eigen(mesh, normals, H):
     G[:, 2, 2] = s22
     R = _scatter(i, np.column_stack([u1 * w1, u2 * w1 + u1 * w2, u2 * w2]), n)
 
-    if (np.abs(np.linalg.det(G)) <= 0).any():
-        raise DegenerateGeometryError("rank-deficient 1-ring shape operator fit")
-    sol = np.linalg.solve(G, R[:, :, None])[:, :, 0]
+    try:
+        sol = np.linalg.solve(G, R[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        raise DegenerateGeometryError("rank-deficient 1-ring shape operator fit") from None
     a, b, c = sol[:, 0], sol[:, 1], sol[:, 2]
     trace = a + c
     disc = np.sqrt(0.25 * (a - c) ** 2 + b**2)
@@ -422,13 +425,13 @@ def enclosed_volume(mesh):
     return _configuration(mesh).volume
 
 
-def diameter_estimate(mesh, n_sources=32, seed=0):
+def diameter_estimate(mesh):
     """Upper-bias intrinsic diameter estimate from graph geodesics.
 
-    Runs Dijkstra along mesh edges from farthest-point-seeded sources (the
-    first source is chosen by ``seed``) and returns the largest distance
-    found. Edge paths overestimate true geodesics, so the estimate carries a
-    lattice-dependent upward bias of a few percent on icospheres.
+    Runs Dijkstra along mesh edges from 32 farthest-point-seeded sources (the
+    first drawn by ``np.random.default_rng(0)``) and returns the largest
+    distance found. Edge paths overestimate true geodesics, so the estimate
+    carries a lattice-dependent upward bias of a few percent on icospheres.
     """
     from scipy.sparse.csgraph import dijkstra
 
@@ -444,15 +447,12 @@ def diameter_estimate(mesh, n_sources=32, seed=0):
     w = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
     g = sparse.csr_matrix((w, (e[:, 0], e[:, 1])), shape=(n, n))
     g = g.maximum(g.T)
-    n_sources = min(int(n_sources), n)
-    start = int(np.random.default_rng(seed).integers(n))
-    sources = [start]
+    start = int(np.random.default_rng(0).integers(n))
     dist = dijkstra(g, indices=[start]).ravel()
     best = float(dist.max())
     min_to_sources = dist
-    for _ in range(n_sources - 1):
+    for _ in range(min(32, n) - 1):
         nxt = int(np.argmax(min_to_sources))
-        sources.append(nxt)
         dist = dijkstra(g, indices=[nxt]).ravel()
         best = max(best, float(dist.max()))
         min_to_sources = np.minimum(min_to_sources, dist)

@@ -1,11 +1,30 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
+import sapflow
 from sapflow import TriMesh, gen_icosphere
 
 
+def run_sapflow(*args):
+    """``python -m sapflow.cli *args`` in a subprocess importing this sapflow."""
+    src = os.path.dirname(os.path.dirname(sapflow.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "sapflow.cli", *args],
+        capture_output=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 def replace_on_call(monkeypatch, module, name, k, substitute):
-    """Make the k-th call of ``module.name`` return ``substitute(*args, **kwargs)``."""
+    """Make the k-th call of ``module.name`` return ``substitute(*args, **kwargs)``.
+
+    Returns the list that grows by one entry per call.
+    """
     real = getattr(module, name)
     calls = []
 
@@ -14,6 +33,12 @@ def replace_on_call(monkeypatch, module, name, k, substitute):
         return (substitute if len(calls) == k else real)(*args, **kwargs)
 
     monkeypatch.setattr(module, name, wrapped)
+    return calls
+
+
+def count_calls(monkeypatch, module, name):
+    """Count the calls of ``module.name``; returns the list of calls."""
+    return replace_on_call(monkeypatch, module, name, 0, None)
 
 
 def fail_on_call(monkeypatch, module, name, k, error):

@@ -6,8 +6,6 @@ fixtures; the whole module targets desk-scale hardware (subdivision 3 is
 1280 faces).
 """
 
-import subprocess
-import sys
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +32,7 @@ from sapflow import (
     run_flow,
 )
 from sapflow.diagnostics import area_identity_residuals
+from conftest import run_sapflow
 
 
 def ok(criterion, message):
@@ -242,14 +241,10 @@ def test_criterion_11_determinism(tmp_path):
     blobs = []
     for tag in ("a", "b"):
         outdir = tmp_path / tag
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "sapflow.cli", "run",
-                "--generator", "ellipsoid", "--axes", "1.2,1,0.85",
-                "--subdiv", "2", "--t-max", "0.15", "--snapshot-every", "2",
-                "-o", str(outdir),
-            ],
-            capture_output=True,
+        proc = run_sapflow(
+            "run", "--generator", "ellipsoid", "--axes", "1.2,1,0.85",
+            "--subdiv", "2", "--t-max", "0.15", "--snapshot-every", "2",
+            "-o", str(outdir),
         )
         assert proc.returncode == 0, proc.stderr
         blobs.append((outdir / "series.csv").read_bytes())

@@ -1,7 +1,5 @@
 import json
 import os
-import subprocess
-import sys
 
 import numpy as np
 import pytest
@@ -9,7 +7,7 @@ import pytest
 from sapflow import DegenerateGeometryError, flow, geometry, load_mesh
 from sapflow.cli import main
 from sapflow.diagnostics import RECORD_FIELDS, DiagnosticsRecord, TimeSeries
-from conftest import cg_not_converged, fail_on_call, replace_on_call
+from conftest import cg_not_converged, fail_on_call, replace_on_call, run_sapflow
 
 
 def run_cli(*argv):
@@ -178,7 +176,7 @@ def test_manifest_roundtrip_through_run_meta(tmp_path):
 
 def test_manifest_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "m.json"
-    for key in ("bogus_key", "deterministic"):
+    for key in ("bogus_key", "deterministic", "seed"):
         path.write_text(json.dumps({"generator": "icosphere", key: 1}))
         assert run_cli("run", "--manifest", str(path)) == 1
         assert "unknown manifest keys" in capsys.readouterr().err
@@ -190,14 +188,24 @@ def test_manifest_requires_exactly_one_source(tmp_path):
     assert run_cli("run", "--manifest", str(path)) == 1
 
 
+def test_curve_run_then_analyze(tmp_path):
+    th = 2 * np.pi * np.arange(64) / 64
+    curve = tmp_path / "ellipse.csv"
+    np.savetxt(curve, np.column_stack([1.3 * np.cos(th), 0.8 * np.sin(th)]),
+               fmt="%.17g", delimiter=",")
+    out = tmp_path / "out"
+    assert run_cli("run", "--mesh", str(curve), "--t-max", "0.5", "-o", str(out)) == 0
+    names = sorted(os.listdir(out / "meshes"))
+    assert names[0] == "final.csv" and all(n.endswith(".csv") for n in names)
+    analyzed = tmp_path / "analyzed.json"
+    assert run_cli("analyze", str(out / "series.csv"), "-o", str(analyzed)) == 0
+    assert analyzed.read_bytes() == (out / "summary.json").read_bytes()
+    assert json.loads(analyzed.read_text())["max_residuals"]["h_ode"] is not None
+
+
 def test_console_entry_point(tmp_path):
     out = tmp_path / "s.off"
-    proc = subprocess.run(
-        [sys.executable, "-m", "sapflow.cli", "generate", "icosphere",
-         "--subdiv", "1", "-o", str(out)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_sapflow("generate", "icosphere", "--subdiv", "1", "-o", str(out))
     assert proc.returncode == 0
     assert out.exists()
 
@@ -206,14 +214,10 @@ def test_deterministic_env_runs_byte_identical(tmp_path):
     csvs = []
     for tag in ("a", "b"):
         outdir = tmp_path / tag
-        proc = subprocess.run(
-            [
-                sys.executable, "-m", "sapflow.cli", "run",
-                "--generator", "ellipsoid", "--axes", "1.2,1,0.85",
-                "--subdiv", "2", "--t-max", "0.1", "--snapshot-every", "2",
-                "-o", str(outdir),
-            ],
-            capture_output=True,
+        proc = run_sapflow(
+            "run", "--generator", "ellipsoid", "--axes", "1.2,1,0.85",
+            "--subdiv", "2", "--t-max", "0.1", "--snapshot-every", "2",
+            "-o", str(outdir),
         )
         assert proc.returncode == 0, proc.stderr
         csvs.append((outdir / "series.csv").read_bytes())

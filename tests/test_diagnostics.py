@@ -30,7 +30,9 @@ from sapflow.diagnostics import (
     area_identity_residuals,
     make_summary,
 )
+from sapflow import TriMesh, geometry
 from sapflow.flow import FlowState
+from conftest import count_calls
 
 
 def series_from_columns(t, **overrides):
@@ -105,6 +107,71 @@ def test_ode_residuals_projection_compensated(small_run):
 def test_residuals_require_aligned_meshes(small_run):
     with pytest.raises(ValueError):
         identity_residuals(small_run.series, small_run.snapshot_meshes[:-1])
+
+
+def ellipse(a, b, n):
+    th = 2 * np.pi * np.arange(n) / n
+    return TriMesh(np.column_stack([a * np.cos(th), b * np.sin(th)]), mode="curve")
+
+
+def unprojected_residuals(series, meshes):
+    """Reference: undo each right endpoint's rescaling on its mesh, then
+    recompute h and int H^2 dmu from the geometry of every mesh."""
+
+    def terms(mesh):
+        cache = compute_cache(mesh)
+        va, H = cache.vertex_area, cache.mean_curvature
+        int_H2 = float(np.dot(H**2, va))
+        h = float(np.dot(H, va)) / int_H2
+        one = 1.0 - h * H
+        A2 = cache.second_form_norm**2
+        g2 = float(np.dot(cache.grad_H_norm**2, va))
+        rhs_h = (float(np.dot(-(1 - 2 * h * H) * one * A2 + H**2 * one**2, va))
+                 + 2 * h**2 * g2) / int_H2
+        rhs_H2 = float(np.dot(H**3 * one - 2 * one * H * A2, va)) - 2 * h * g2
+        return h, int_H2, rhs_h, rhs_H2
+
+    r_h, r_H2 = [], []
+    for k in range(len(meshes) - 1):
+        left, right = series.records[k], series.records[k + 1]
+        h_l, int_H2_l, rhs_h, rhs_H2 = terms(meshes[k])
+        # the centre of the rescaling does not matter: h and int H^2 are
+        # invariant under translations
+        pre = meshes[k + 1].with_vertices(
+            meshes[k + 1].vertices / right.area_scale_applied
+        )
+        h_pre, int_H2_pre, _, _ = terms(pre)
+        dt = right.t - left.t
+        r_h.append(abs((h_pre - h_l) / dt - rhs_h))
+        r_H2.append(abs((int_H2_pre - int_H2_l) / dt - rhs_H2))
+    return np.array(r_h), np.array(r_H2)
+
+
+@pytest.fixture(scope="module")
+def projected_runs(small_run):
+    semi = run_flow(
+        gen_ellipsoid(1.2, 1.0, 0.85, 2),
+        FlowConfig(stepping="semi-implicit", dt_max=0.01, t_max=0.2),
+    )
+    curve = run_flow(ellipse(1.3, 0.8, 64), FlowConfig(stepping="explicit", t_max=0.1))
+    return {"explicit": small_run, "semi-implicit": semi, "curve": curve}
+
+
+@pytest.mark.parametrize("kind", ["explicit", "semi-implicit", "curve"])
+def test_ode_residuals_match_unprojected_recompute(projected_runs, kind, monkeypatch):
+    run = projected_runs[kind]
+    meshes = run.snapshot_meshes
+    assert any(r.area_scale_applied != 1.0 for r in run.series.records[1:])
+    ref_h, ref_H2 = unprojected_residuals(run.series, meshes)
+    calls = count_calls(monkeypatch, geometry, "compute_cache")
+    res = identity_residuals(run.series, meshes)
+    # one geometry pass per interval, on its left mesh
+    assert len(calls) == len(meshes) - 1
+    # relative to the run's largest residual: both sides divide a rounding
+    # level difference of h or int H^2 by dt, which is smallest on the last,
+    # t_max-clamped interval
+    for got, want in ((res.h_ode, ref_h), (res.H2_ode, ref_H2)):
+        assert np.abs(got - want).max() <= 1e-10 * want.max()
 
 
 def test_ode_residuals_shrink_under_joint_refinement():

@@ -15,16 +15,22 @@ from sapflow import (
     gen_icosphere,
     gen_perturbed_sphere,
     compute_cache,
+    compute_h,
     diameter_estimate,
     enclosed_volume,
     gradient_norm_field,
     mean_curvature_field,
     surface_integral,
     traceless_second_form_field,
+    validate,
     vertex_area_weights,
     vertex_normals,
 )
-from sapflow.geometry import cotangent_stiffness, mean_curvature_vector
+from sapflow.geometry import (
+    cotangent_stiffness,
+    mean_curvature_vector,
+    osculating_sphere_normals,
+)
 from conftest import make_cylinder_patch
 
 
@@ -236,7 +242,7 @@ def test_diameter_scales_with_radius(icosphere):
 
 def test_diameter_two_source_lower_bound(icosphere):
     m = icosphere(1.0, 2)
-    est = diameter_estimate(m, n_sources=2)
+    est = diameter_estimate(m)
     # graph distances dominate Euclidean ones; the farthest pair spans 2r
     assert est >= 2.0 - 1e-9
 
@@ -265,6 +271,56 @@ def test_scale_covariance(icosphere):
     d1, d2 = compute_cache(e), compute_cache(se)
     assert np.allclose(d2.traceless_norm, 0.5 * d1.traceless_norm, atol=1e-10)
     assert np.allclose(d2.second_form_norm, 0.5 * d1.second_form_norm, atol=1e-10)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    amplitude=st.floats(0.0, 0.2),
+    s=st.floats(0.1, 10.0),
+    curve=st.booleans(),
+)
+def test_scaling_homogeneity_property(seed, amplitude, s, curve):
+    # the premise of the projection compensation in identity_residuals:
+    # x -> s x maps H to H/s, area to s^n area, h to s h and int H^2 dmu to
+    # s^(n-2) int H^2 dmu
+    rng = np.random.default_rng(seed)
+    base = gen_circle(1.0, 64) if curve else gen_icosphere(1.0, subdivisions=2)
+    n = 1 if curve else 2
+    radial = 1.0 + amplitude * rng.uniform(-1.0, 1.0, size=base.n_vertices)
+    mesh = base.with_vertices(radial[:, None] * base.vertices)
+    scaled = mesh.with_vertices(s * mesh.vertices)
+    c1, c2 = compute_cache(mesh), compute_cache(scaled)
+    H1 = c1.mean_curvature / s
+    assert np.abs(c2.mean_curvature - H1).max() <= 1e-12 * np.abs(H1).max()
+    assert c2.total_area == pytest.approx(s**n * c1.total_area, rel=1e-12, abs=0)
+    assert compute_h(scaled, c2) == pytest.approx(
+        s * compute_h(mesh, c1), rel=1e-12, abs=0
+    )
+    int_H2 = [surface_integral(m, c.vertex_area, c.mean_curvature**2)
+              for m, c in ((mesh, c1), (scaled, c2))]
+    assert int_H2[1] == pytest.approx(s ** (n - 2) * int_H2[0], rel=1e-12, abs=0)
+
+
+def test_flat_ring_sphere_fit_falls_back_to_vertex_normal(unit_cube):
+    # a vertex at each face centre of the cube: its 1-ring is flat, so the
+    # 4x4 osculating-sphere fit there is exactly singular
+    corners = unit_cube.vertices
+    quads = [[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4],
+             [2, 3, 7, 6], [1, 2, 6, 5], [0, 4, 7, 3]]
+    centres = corners[quads].mean(axis=1)
+    faces = [[q[k], q[(k + 1) % 4], 8 + i] for i, q in enumerate(quads) for k in range(4)]
+    mesh = TriMesh(np.vstack([corners, centres]), faces)
+    report = validate(mesh)
+    assert (mesh.n_vertices, mesh.n_faces) == (14, 24)
+    assert report.is_closed and report.is_oriented and report.is_vertex_manifold
+    cache = compute_cache(mesh)
+    assert all(np.isfinite(getattr(cache, f)).all() for f in CACHE_FIELDS)
+    reference = vertex_normals(mesh)
+    fitted = osculating_sphere_normals(mesh, reference)
+    assert np.array_equal(fitted[8:], reference[8:])
+    assert np.allclose(reference[8:], [[0, 0, -1], [0, 0, 1], [0, -1, 0],
+                                       [0, 1, 0], [1, 0, 0], [-1, 0, 0]])
 
 
 def test_rigid_motion_invariance():
