@@ -214,6 +214,9 @@ def cmd_analyze(args):
                 if row < len(series):
                     mesh_rows.append(row)
                     meshes.append(meshmod.load_mesh(os.path.join(mesh_dir, name)))
+    if "metadata" not in meta and meshes:
+        # without run_meta.json the snapshots tell the mode (step_*.csv: curve)
+        series.metadata["mode"] = meshes[0].mode
     summary = diagnostics.make_summary(
         series, meshes, termination=meta.get("termination"), rows=mesh_rows
     )

@@ -106,14 +106,19 @@ class TriMesh:
         de = np.vstack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
         de.setflags(write=False)
         self.directed_edges = de
-        und = np.sort(de, axis=1)
-        edges, counts = np.unique(und, axis=0, return_counts=True)
+        # undirected edge (a, b), a < b, as the key a * n + b: sorted keys are
+        # the edges in lexicographic order
+        n = len(self.vertices)
+        keys, counts = np.unique(
+            de.min(axis=1) * n + de.max(axis=1), return_counts=True
+        )
+        edges = np.column_stack([keys // n, keys % n])
         edges.setflags(write=False)
         self.edges = edges
         self._edge_counts = counts
         # orientation balance: a consistently oriented interior edge appears
         # once in each direction
-        key = de[:, 0].astype(np.int64) * len(self.vertices) + de[:, 1]
+        key = de[:, 0] * n + de[:, 1]
         self._has_duplicate_directed = len(np.unique(key)) != len(key)
 
     @property
@@ -399,64 +404,71 @@ def save_mesh(mesh, path, fmt=None):
     identically. Raises ``OSError`` on I/O failure.
     """
     fmt = (fmt or os.path.splitext(str(path))[1].lstrip(".")).lower()
+    v, f = mesh.vertices, mesh.faces
+    xyz = " ".join([FLOAT_FMT] * 3) + "\n"
     if mesh.mode == "curve":
         if fmt != "csv":
             raise ValueError("curve meshes serialize to CSV only")
-        lines = [
-            ",".join(FLOAT_FMT % c for c in row) for row in mesh.vertices
-        ]
-        _write_text(path, "\n".join(lines) + "\n")
-        return
-    if fmt == "off":
-        out = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} 0"]
-        out += [" ".join(FLOAT_FMT % c for c in row) for row in mesh.vertices]
-        out += ["3 %d %d %d" % tuple(f) for f in mesh.faces]
+        text = _format_rows(f"{FLOAT_FMT},{FLOAT_FMT}\n", v)
+    elif fmt == "off":
+        text = f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n"
+        text += _format_rows(xyz, v) + _format_rows("3 %d %d %d\n", f)
     elif fmt == "obj":
-        out = ["v " + " ".join(FLOAT_FMT % c for c in row) for row in mesh.vertices]
-        out += ["f %d %d %d" % tuple(f + 1) for f in mesh.faces]
+        text = _format_rows("v " + xyz, v) + _format_rows("f %d %d %d\n", f + 1)
     else:
         raise ValueError(f"unsupported mesh format {fmt!r}")
-    _write_text(path, "\n".join(out) + "\n")
-
-
-def _write_text(path, text):
     with open(path, "w", encoding="ascii") as fh:
         fh.write(text)
 
 
+def _format_rows(template, rows):
+    """One ``template`` line per row of ``rows``, formatted by a single ``%``."""
+    return (template * len(rows)) % tuple(rows.ravel().tolist())
+
+
 def _data_lines(path):
-    with open(path, encoding="ascii") as fh:
-        for line in fh:
-            line = line.split("#", 1)[0].strip()
-            if line:
-                yield line
+    """The lines of a text file without ``#`` comments, stripped, blanks dropped."""
+    try:
+        with open(path, encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise MeshParseError(f"not an ASCII file: {exc}") from exc
+    lines = (line.split("#", 1)[0].strip() for line in text.split("\n"))
+    return [line for line in lines if line]
 
 
 def _read_off(path):
     lines = _data_lines(path)
-    try:
-        header = next(lines)
-    except StopIteration:
-        raise MeshParseError("empty OFF file") from None
-    if header.startswith("OFF"):
-        rest = header[3:].split()
-        counts = rest if rest else next(lines, "").split()
-    else:
+    if not lines:
+        raise MeshParseError("empty OFF file")
+    if not lines[0].startswith("OFF"):
         raise MeshParseError("missing OFF header")
+    counts, start = lines[0][3:].split(), 1
+    if not counts:  # counts on their own line
+        counts, start = (lines[1].split() if len(lines) > 1 else []), 2
     try:
         nv, nf = int(counts[0]), int(counts[1])
-        verts = np.array(
-            [[float(x) for x in next(lines).split()[:3]] for _ in range(nv)]
+    except (ValueError, IndexError) as exc:
+        raise MeshParseError(f"malformed OFF file: counts {counts}") from exc
+    if nv <= 0 or nf <= 0:
+        raise MeshParseError("OFF file without vertices or faces")
+    mid, end = start + nv, start + nv + nf
+    if len(lines) < end:
+        raise MeshParseError(
+            f"malformed OFF file: {len(lines) - start} data lines, counts need {nv + nf}"
         )
-        faces = []
-        for _ in range(nf):
-            parts = next(lines).split()
-            if int(parts[0]) != 3:
-                raise MeshParseError("OFF loader accepts triangles only")
-            faces.append([int(x) for x in parts[1:4]])
-    except (StopIteration, ValueError, IndexError) as exc:
+    # extra columns (colours, normals) are ignored
+    try:
+        verts = np.loadtxt(lines[start:mid], usecols=(0, 1, 2), ndmin=2)
+        faces = np.loadtxt(
+            lines[mid:end], dtype=np.int64, usecols=(0, 1, 2, 3), ndmin=2
+        )
+    except ValueError as exc:
         raise MeshParseError(f"malformed OFF file: {exc}") from exc
-    return verts, np.array(faces, dtype=np.int64)
+    if (faces[:, 0] != 3).any():
+        raise MeshParseError("OFF loader accepts triangles only")
+    # a copy, so that the (m, 4) parse buffer is not kept alive by the mesh
+    return verts, faces[:, 1:].copy()
 
 
 def _read_obj(path):
@@ -465,6 +477,8 @@ def _read_obj(path):
         for line in _data_lines(path):
             parts = line.split()
             if parts[0] == "v":
+                if len(parts) < 4:
+                    raise MeshParseError("malformed OBJ file: short vertex row")
                 verts.append([float(x) for x in parts[1:4]])
             elif parts[0] == "f":
                 if len(parts) != 4:
@@ -478,15 +492,13 @@ def _read_obj(path):
 
 
 def _read_curve_csv(path):
+    lines = _data_lines(path)
+    if len(lines) < 3:
+        raise MeshParseError("curve CSV needs at least 3 points")
     try:
-        rows = [
-            [float(x) for x in line.split(",")[:2]] for line in _data_lines(path)
-        ]
+        return np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2)
     except ValueError as exc:
         raise MeshParseError(f"malformed curve CSV: {exc}") from exc
-    if len(rows) < 3:
-        raise MeshParseError("curve CSV needs at least 3 points")
-    return np.array(rows)
 
 
 # -- generators -------------------------------------------------------------

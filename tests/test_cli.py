@@ -188,19 +188,37 @@ def test_manifest_requires_exactly_one_source(tmp_path):
     assert run_cli("run", "--manifest", str(path)) == 1
 
 
-def test_curve_run_then_analyze(tmp_path):
+def run_ellipse_curve(tmp_path):
+    """``sapflow run`` on a 64-vertex 1.3 x 0.8 ellipse to t = 0.5; returns the run dir."""
     th = 2 * np.pi * np.arange(64) / 64
     curve = tmp_path / "ellipse.csv"
     np.savetxt(curve, np.column_stack([1.3 * np.cos(th), 0.8 * np.sin(th)]),
                fmt="%.17g", delimiter=",")
     out = tmp_path / "out"
     assert run_cli("run", "--mesh", str(curve), "--t-max", "0.5", "-o", str(out)) == 0
+    return out
+
+
+def test_curve_run_then_analyze(tmp_path):
+    out = run_ellipse_curve(tmp_path)
     names = sorted(os.listdir(out / "meshes"))
     assert names[0] == "final.csv" and all(n.endswith(".csv") for n in names)
     analyzed = tmp_path / "analyzed.json"
     assert run_cli("analyze", str(out / "series.csv"), "-o", str(analyzed)) == 0
     assert analyzed.read_bytes() == (out / "summary.json").read_bytes()
     assert json.loads(analyzed.read_text())["max_residuals"]["h_ode"] is not None
+
+
+def test_curve_analyze_without_run_meta(tmp_path):
+    # the mode comes from the step_*.csv snapshots: the decay bound uses n = 1
+    out = run_ellipse_curve(tmp_path)
+    run_summary = json.loads((out / "summary.json").read_text())
+    os.remove(out / "run_meta.json")
+    analyzed = tmp_path / "analyzed.json"
+    assert run_cli("analyze", str(out / "series.csv"), "-o", str(analyzed)) == 0
+    summary = json.loads(analyzed.read_text())
+    assert summary["delta_paper"] == run_summary["delta_paper"]
+    assert summary == {**run_summary, "termination": None}
 
 
 def test_console_entry_point(tmp_path):

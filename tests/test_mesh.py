@@ -1,5 +1,10 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapflow import (
     GaussianDentBump,
@@ -16,6 +21,7 @@ from sapflow import (
     validate,
 )
 from sapflow import geometry
+from sapflow import mesh as meshmod
 
 
 def test_trimesh_rejects_bad_faces():
@@ -151,6 +157,219 @@ def test_validate_flipped_face(icosphere):
     report = validate(TriMesh(m.vertices, faces))
     assert not report.is_oriented
     assert report.is_closed  # every edge still shared by two faces
+
+
+# -- edge table ----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("name", ["icosphere", "open", "flipped", "bowtie"])
+def test_edge_table_equals_sorted_row_unique(name, icosphere, bowtie):
+    m = icosphere(1.0, 2)
+    flipped = m.faces.copy()
+    flipped[0] = flipped[0][::-1]
+    mesh = {
+        "icosphere": m,
+        "open": TriMesh(m.vertices, m.faces[:-1]),
+        "flipped": TriMesh(m.vertices, flipped),
+        "bowtie": bowtie,
+    }[name]
+    edges, counts = np.unique(
+        np.sort(mesh.directed_edges, axis=1), axis=0, return_counts=True
+    )
+    assert mesh.edges.dtype == edges.dtype
+    assert np.array_equal(mesh.edges, edges)
+    assert np.array_equal(mesh._edge_counts, counts)
+    reference = mesh.with_vertices(mesh.vertices)
+    reference.edges, reference._edge_counts = edges, counts
+    assert validate(mesh) == validate(reference)
+
+
+# -- file formats --------------------------------------------------------------
+
+TET_OFF_LINES = [
+    "OFF", "4 4 0",
+    "0 0 0", "1 0 0", "0 1 0", "0 0 1",
+    "3 0 2 1", "3 0 1 3", "3 1 2 3", "3 0 3 2",
+]
+
+
+def _load_text(tmp_path, lines, name="m.off"):
+    path = tmp_path / name
+    path.write_text("\n".join(lines) + "\n")
+    return load_mesh(path)
+
+
+def test_off_comments_and_blank_lines(tmp_path, tetrahedron):
+    lines = ["# leading comment", "", *TET_OFF_LINES[:3], "   ", "1 0 0  # inline",
+             *TET_OFF_LINES[4:], "# trailing comment", ""]
+    lines[2] += "\t# after the header"
+    assert _load_text(tmp_path, lines) == tetrahedron
+
+
+def test_off_extra_columns_ignored(tmp_path, tetrahedron):
+    lines = TET_OFF_LINES[:2] + [
+        line + " 0.5 0.25 1" if len(line.split()) == 3 else line + " 255 0 0"
+        for line in TET_OFF_LINES[2:]
+    ]
+    assert _load_text(tmp_path, lines) == tetrahedron
+
+
+@pytest.mark.parametrize("face", ["4 0 1 2 3", "5 0 1 2 3 0"])
+def test_off_non_triangle_face(tmp_path, face):
+    lines = TET_OFF_LINES[:-1] + [face]
+    with pytest.raises(MeshParseError, match="OFF loader accepts triangles only"):
+        _load_text(tmp_path, lines)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        TET_OFF_LINES[:3] + ["1 0"] + TET_OFF_LINES[4:],  # short vertex row
+        TET_OFF_LINES[:3] + ["1 x 0"] + TET_OFF_LINES[4:],  # non-numeric token
+        TET_OFF_LINES[:-1] + ["3 0 three 2"],  # non-numeric face index
+        TET_OFF_LINES[:-1] + ["3 0 3.0 2"],  # non-integer face index
+        TET_OFF_LINES[:-1] + ["3 0 3"],  # short face row
+        TET_OFF_LINES[:-1],  # fewer lines than the counts
+        TET_OFF_LINES[:1] + TET_OFF_LINES[2:],  # missing counts line
+        ["OFF"],  # nothing after the header
+        ["OFF", "0 0 0"],  # no vertices, no faces
+        ["# only a comment"],
+        TET_OFF_LINES[1:],  # missing header
+    ],
+    ids=["short-vertex", "non-numeric", "non-numeric-face", "float-face",
+         "short-face", "too-few-lines", "no-counts", "header-only", "empty-counts",
+         "empty", "no-header"],
+)
+def test_off_malformed_is_parse_error(tmp_path, lines):
+    with pytest.raises(MeshParseError):
+        _load_text(tmp_path, lines)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [["v 0 0 0", "v 1 0", "v 0 1 0", "f 1 2 3"],  # short vertex row
+     ["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 2 3 1"],  # a quad
+     ["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 x 3"],  # non-numeric index
+     ["v 0 0 0", "v 1 0 0", "v 0 1 0"]],  # no faces
+)
+def test_obj_malformed_is_parse_error(tmp_path, lines):
+    with pytest.raises(MeshParseError):
+        _load_text(tmp_path, lines, "m.obj")
+
+
+def test_non_ascii_file_is_parse_error(tmp_path):
+    path = tmp_path / "m.off"
+    path.write_bytes(("\n".join(TET_OFF_LINES) + "\n# é\n").encode("utf-8"))
+    with pytest.raises(MeshParseError, match="ASCII"):
+        load_mesh(path)
+
+
+def test_curve_csv_comments_and_extra_columns(tmp_path):
+    lines = ["# x,y", "1,0,7", "", "0, 1  # inline", "-1,-1,0,0"]
+    loaded = _load_text(tmp_path, lines, "c.csv")
+    assert np.array_equal(loaded.vertices, [[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]])
+
+
+@pytest.mark.parametrize(
+    "lines", [["1,0", "0,1", "-1"], ["1,0", "0,y", "-1,-1"], ["1", "0", "-1"], ["1,0", "0,1"]]
+)
+def test_curve_csv_malformed_is_parse_error(tmp_path, lines):
+    with pytest.raises(MeshParseError):
+        _load_text(tmp_path, lines, "c.csv")
+
+
+def _per_element_text(mesh, fmt):
+    """The file text built one ``FLOAT_FMT % c`` per coordinate and one line per row."""
+    sep = "," if fmt == "csv" else " "
+    rows = [sep.join(meshmod.FLOAT_FMT % c for c in row) for row in mesh.vertices]
+    if fmt == "csv":
+        lines = rows
+    elif fmt == "off":
+        lines = ["OFF", f"{mesh.n_vertices} {mesh.n_faces} 0"] + rows
+        lines += ["3 %d %d %d" % tuple(f) for f in mesh.faces]
+    else:
+        lines = ["v " + row for row in rows]
+        lines += ["f %d %d %d" % tuple(f + 1) for f in mesh.faces]
+    return "\n".join(lines) + "\n"
+
+
+def _save_and_read(mesh, fmt, load):
+    """Save ``mesh`` to a fresh file; returns the file's text and ``load(path)``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, f"m.{fmt}")
+        save_mesh(mesh, path)
+        with open(path, encoding="ascii") as fh:
+            return fh.read(), load(path)
+
+
+def _parse_only(path):
+    """The parsed mesh without load_mesh's closed-manifold checks."""
+    if path.endswith(".csv"):
+        return load_mesh(path)  # curves are not validated on load
+    read = meshmod._read_off if path.endswith(".off") else meshmod._read_obj
+    return TriMesh(*read(path))
+
+
+def _assert_same_mesh(loaded, mesh):
+    assert loaded.vertices.shape == mesh.vertices.shape
+    assert np.array_equal(loaded.vertices.view(np.int64), mesh.vertices.view(np.int64))
+    if mesh.faces is not None:
+        assert loaded.faces.dtype == np.int64 and np.array_equal(loaded.faces, mesh.faces)
+        assert loaded.faces.base is None  # not a view of a wider parse buffer
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    subdiv=st.integers(0, 2),
+    exponent=st.integers(-60, 60),
+    fmt=st.sampled_from(["off", "obj", "csv"]),
+)
+def test_save_load_roundtrip_property(seed, subdiv, exponent, fmt):
+    # perturbed and relabelled spheres (circles for csv) at scales 1e+-60, where
+    # squared face areas neither overflow nor underflow
+    rng = np.random.default_rng(seed)
+    if fmt == "csv":
+        base = gen_circle(1.0, 3 + 8 * subdiv)
+        mesh = base.with_vertices(base.vertices[rng.permutation(base.n_vertices)])
+    else:
+        base = gen_icosphere(1.0, subdivisions=subdiv)
+        perm = rng.permutation(base.n_vertices)
+        new_label = np.empty_like(perm)
+        new_label[perm] = np.arange(len(perm))
+        mesh = TriMesh(base.vertices[perm], new_label[base.faces])
+    radial = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, size=mesh.n_vertices)
+    mesh = mesh.with_vertices(radial[:, None] * mesh.vertices * 10.0**exponent)
+    text, loaded = _save_and_read(mesh, fmt, load_mesh)
+    assert text == _per_element_text(mesh, fmt)
+    _assert_same_mesh(loaded, mesh)
+
+
+EXTREME_FLOATS = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=1e290, max_value=1.7976931348623157e308),
+    st.floats(min_value=1e-310, max_value=1e-290),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308,
+                     2.2250738585072014e-308, 1.7976931348623157e308]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), fmt=st.sampled_from(["off", "obj", "csv"]))
+def test_roundtrip_extreme_values_property(data, fmt):
+    # magnitudes near 1e+-300, subnormals and -0.0, through the parsers
+    dim = 2 if fmt == "csv" else 3
+    n = data.draw(st.integers(4, 10))
+    values = data.draw(st.lists(EXTREME_FLOATS, min_size=n * dim, max_size=n * dim))
+    vertices = np.array(values).reshape(n, dim)
+    if fmt == "csv":
+        mesh = TriMesh(vertices, mode="curve")
+    else:
+        a, b, c, d = data.draw(st.permutations(range(n)))[:4]
+        mesh = TriMesh(vertices, [[a, b, c], [d, c, b]])
+    text, loaded = _save_and_read(mesh, fmt, _parse_only)
+    assert text == _per_element_text(mesh, fmt)
+    _assert_same_mesh(loaded, mesh)
 
 
 # -- generators ----------------------------------------------------------------
