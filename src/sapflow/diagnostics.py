@@ -22,7 +22,6 @@ from .errors import (
 )
 from . import geometry
 from .flow import intrinsic_dimension
-from .mesh import _min_angle
 
 FLOAT_FMT = "%.17g"
 
@@ -105,7 +104,7 @@ def record_snapshot(state, cache):
     return DiagnosticsRecord(
         t=state.t,
         area=cache.total_area,
-        volume=geometry.enclosed_volume(mesh),
+        volume=cache.volume,
         h=state.h,
         int_H=geometry.surface_integral(mesh, va, H),
         int_H2=geometry.surface_integral(mesh, va, H**2),
@@ -118,7 +117,7 @@ def record_snapshot(state, cache):
         sup_one_minus_hH=float(np.abs(one_minus).max()),
         diameter_est=geometry.diameter_estimate(mesh),
         int_Hpow=geometry.surface_integral(mesh, va, np.abs(H) ** (n - 1)),
-        min_angle=_min_angle(mesh),
+        min_angle=cache.min_angle,
         area_scale_applied=state.last_projection_scale,
     )
 

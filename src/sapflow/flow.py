@@ -22,7 +22,7 @@ from .errors import (
     OrientationError,
 )
 from . import geometry
-from .mesh import TriMesh, _min_angle, validate
+from .mesh import TriMesh, validate
 
 
 @dataclass(frozen=True)
@@ -180,17 +180,16 @@ def advance(state, cache, config, dt=None):
 def enforce_area_constraint(state):
     """Rescale uniformly about the area centroid so area equals initial_area.
 
-    The scale exponent is 1/n with n the intrinsic dimension (area ~ scale^2,
-    length ~ scale). The applied factor is recorded on the state for the
-    diagnostics to compensate.
+    The area is the sum of the face areas (segment lengths of a curve), which
+    the mixed-Voronoi vertex weights partition. The scale exponent is 1/n with
+    n the intrinsic dimension (area ~ scale^2, length ~ scale). The applied
+    factor is recorded on the state for the diagnostics to compensate.
     """
     mesh = state.mesh
-    conf = geometry._configuration(mesh)
-    current = float(geometry._weights(mesh, conf).sum())
+    current, c = geometry._area_centroid(mesh, geometry._configuration(mesh))
     scale = (state.initial_area / current) ** (1 / intrinsic_dimension(mesh))
     if scale == 1.0:
         return replace(state, last_projection_scale=1.0)
-    c = geometry._area_centroid(mesh, conf)
     new_v = c + scale * (mesh.vertices - c)
     return replace(
         state,
@@ -230,11 +229,9 @@ def run_flow(mesh, config, keep_meshes=True):
     termination = None
 
     def take_snapshot(state, cache):
-        row = diagnostics.record_snapshot(state, cache)
-        records.append(row)
+        records.append(diagnostics.record_snapshot(state, cache))
         if keep_meshes:
             meshes.append(state.mesh)
-        return row
 
     cache = geometry.compute_cache(state.mesh)
     while True:
@@ -247,13 +244,10 @@ def run_flow(mesh, config, keep_meshes=True):
 
         recorded = state.step_index % config.snapshot_every == 0
         if recorded:
-            row = take_snapshot(state, cache)
-            int_ts, min_angle = row.int_traceless_sq, row.min_angle
-        else:
-            int_ts = geometry.surface_integral(
-                state.mesh, cache.vertex_area, cache.traceless_norm**2
-            )
-            min_angle = _min_angle(state.mesh)
+            take_snapshot(state, cache)
+        int_ts = geometry.surface_integral(
+            state.mesh, cache.vertex_area, cache.traceless_norm**2
+        )
         if state.step_index == 0:
             state = replace(
                 state,
@@ -267,7 +261,7 @@ def run_flow(mesh, config, keep_meshes=True):
             termination = Termination("blow_up", "nonpositive_h")
         elif float(cache.second_form_norm.max()) > blowup_limit:
             termination = Termination("blow_up", "max_A_exceeded")
-        elif min_angle < config.min_angle_limit:
+        elif cache.min_angle < config.min_angle_limit:
             termination = Termination("blow_up", "mesh_degeneracy")
         elif (
             state.initial_traceless_l2 > 0

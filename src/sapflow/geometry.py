@@ -14,12 +14,13 @@ enclosed area.
 """
 
 from dataclasses import dataclass
+from math import pi
 
 import numpy as np
 import scipy.sparse as sparse
 
 from .errors import DegenerateGeometryError, OrientationError
-from .mesh import _FaceRecord, _shoelace_area
+from .mesh import _FaceRecord, _shoelace_area, _turning_angles
 
 
 @dataclass
@@ -35,8 +36,6 @@ class GeometryCache:
         Outward unit vertex normals (area-weighted face-normal average).
     mean_curvature : (n,) float
         Discrete H; turning-angle curvature in curve mode.
-    mean_curvature_vector : (n, d) float
-        Gradient of total area with respect to the vertex position.
     second_form_norm : (n,) float
         |A| = sqrt(k1^2 + k2^2) from the trace-reconciled shape operator fit.
     traceless_norm : (n,) float
@@ -46,16 +45,20 @@ class GeometryCache:
     stiffness_weight : (3m,) or (n,) float
         Edge weights of the cotangent stiffness: half the cotangent of each
         face corner, corner-major, or 1/length of each curve segment.
+    volume, min_angle : float
+        Signed enclosed volume and smallest face corner angle; enclosed area
+        and smallest interior vertex angle in curve mode.
     """
 
     vertex_area: np.ndarray
     normal: np.ndarray
     mean_curvature: np.ndarray
-    mean_curvature_vector: np.ndarray
     second_form_norm: np.ndarray
     traceless_norm: np.ndarray
     grad_H_norm: np.ndarray
     stiffness_weight: np.ndarray
+    volume: float
+    min_angle: float
 
     @property
     def total_area(self):
@@ -165,10 +168,7 @@ def _area_gradient(mesh, conf):
 def _mean_curvature(mesh, conf, weights, normals, mcv):
     if mesh.mode == "curve":
         t, _ = conf
-        tp = np.roll(t, 1, axis=0)
-        cross = tp[:, 0] * t[:, 1] - tp[:, 1] * t[:, 0]
-        turning = np.arctan2(cross, np.einsum("ij,ij->i", tp, t))
-        return turning / weights
+        return _turning_angles(t) / weights
     return np.einsum("ij,ij->i", mcv, normals) / weights
 
 
@@ -206,12 +206,22 @@ def _stiffness_weight(mesh, conf):
     return 0.5 * conf.cot.T.ravel()
 
 
+def _min_angle(mesh, conf):
+    if mesh.mode == "curve":
+        t, _ = conf
+        return float(pi - np.abs(_turning_angles(t)).max())
+    # the corner angle in (0, pi) decreases as its cotangent grows
+    return float(np.arctan2(1.0, conf.cot.max()))
+
+
 def _area_centroid(mesh, conf):
     if mesh.mode == "curve":
         v = mesh.vertices
         _, ln = conf
-        return ((v + np.roll(v, -1, axis=0)) / 2 * ln[:, None]).sum(0) / ln.sum()
-    return (conf.centroid * conf.area[:, None]).sum(0) / conf.area.sum()
+        total = float(ln.sum())
+        return total, ((v + np.roll(v, -1, axis=0)) / 2 * ln[:, None]).sum(0) / total
+    total = float(conf.area.sum())
+    return total, (conf.centroid * conf.area[:, None]).sum(0) / total
 
 
 # -- per-vertex field operations ----------------------------------------------
@@ -415,14 +425,15 @@ def surface_integral(mesh, weights, f):
     return float(np.dot(np.asarray(f, dtype=np.float64), weights))
 
 
-def enclosed_volume(mesh):
+def enclosed_volume(mesh, conf=None):
     """Signed enclosed volume (divergence theorem, exact for polyhedra).
 
-    Curve mode: shoelace area of the polygon.
+    Curve mode: shoelace area of the polygon. ``conf`` is the face record of
+    this configuration, built when omitted.
     """
     if mesh.mode == "curve":
         return _shoelace_area(mesh.vertices)
-    return _configuration(mesh).volume
+    return (conf or _configuration(mesh)).volume
 
 
 def diameter_estimate(mesh):
@@ -468,16 +479,16 @@ def compute_cache(mesh):
     conf = _configuration(mesh)
     weights = _weights(mesh, conf)
     normals = _normals(mesh, conf)
-    mcv = _area_gradient(mesh, conf)
-    H = _mean_curvature(mesh, conf, weights, normals, mcv)
+    H = _mean_curvature(mesh, conf, weights, normals, _area_gradient(mesh, conf))
     second, traceless = _second_form(mesh, normals, H)
     return GeometryCache(
         vertex_area=weights,
         normal=normals,
         mean_curvature=H,
-        mean_curvature_vector=mcv,
         second_form_norm=second,
         traceless_norm=traceless,
         grad_H_norm=_gradient_norm(mesh, conf, H),
         stiffness_weight=_stiffness_weight(mesh, conf),
+        volume=enclosed_volume(mesh, conf),
+        min_angle=_min_angle(mesh, conf),
     )

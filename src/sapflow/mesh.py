@@ -29,6 +29,7 @@ class MeshQualityReport:
     min_face_area: float
     min_angle: float
     boundary_edge_count: int
+    volume: float  # signed enclosed volume; enclosed area of a curve
 
 
 class TriMesh:
@@ -106,20 +107,26 @@ class TriMesh:
         de = np.vstack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
         de.setflags(write=False)
         self.directed_edges = de
-        # undirected edge (a, b), a < b, as the key a * n + b: sorted keys are
-        # the edges in lexicographic order
+        # one sort for every table: the half-edge a -> b has the key
+        # 2 (min n + max) + (a > b), so sorted keys run through the undirected
+        # edges in lexicographic order with both directions of an edge adjacent
         n = len(self.vertices)
-        keys, counts = np.unique(
-            de.min(axis=1) * n + de.max(axis=1), return_counts=True
-        )
-        edges = np.column_stack([keys // n, keys % n])
+        key = 2 * (de.min(axis=1) * n + de.max(axis=1)) + (de[:, 0] > de[:, 1])
+        order = np.argsort(key)
+        key = key[order]
+        undirected = key >> 1
+        first = np.flatnonzero(np.diff(undirected, prepend=-1))
+        edges = np.column_stack([undirected[first] // n, undirected[first] % n])
         edges.setflags(write=False)
         self.edges = edges
-        self._edge_counts = counts
+        self._edge_counts = np.diff(np.append(first, len(key)))
         # orientation balance: a consistently oriented interior edge appears
         # once in each direction
-        key = de[:, 0] * n + de[:, 1]
-        self._has_duplicate_directed = len(np.unique(key)) != len(key)
+        self._has_duplicate_directed = bool((key[1:] == key[:-1]).any())
+        self._is_vertex_manifold = (
+            self.is_closed and not self._has_duplicate_directed
+            and _single_vertex_links(self, order)
+        )
 
     @property
     def n_vertices(self):
@@ -177,10 +184,10 @@ class _FaceRecord:
     """Per-face data of one surface configuration, built once and shared.
 
     ``corners`` (m, 3, 3), ``cross`` = (p1 - p0) x (p2 - p0), ``area`` and
-    ``centroid`` are computed on construction; the unit ``normal`` and the
-    corner cotangents ``cot`` (m, 3) on first use, since validation must not
-    raise on degenerate faces. Not kept on the mesh: a run holding its
-    snapshot meshes would hold their face data too.
+    ``centroid`` are computed on construction; the unit ``normal``, the
+    corner cotangents ``cot`` (m, 3) and the signed ``volume`` on first use,
+    since validation must not raise on degenerate faces. Not kept on the
+    mesh: a run holding its snapshot meshes would hold their face data too.
     """
 
     def __init__(self, mesh):
@@ -207,7 +214,7 @@ class _FaceRecord:
             cots[:, k] = np.einsum("ij,ij->i", u, v) / cr
         return cots
 
-    @property
+    @cached_property
     def volume(self):
         """Signed enclosed volume (divergence theorem, exact for polyhedra)."""
         return float(np.einsum("ij,ij->i", self.centroid, self.cross).sum() / 6.0)
@@ -242,22 +249,21 @@ class _StiffnessPattern:
         self.diagonal = np.searchsorted(keys, np.arange(n) * (n + 1))
 
 
-def _single_vertex_links(mesh):
+def _single_vertex_links(mesh, order):
     """True iff every vertex has faces and its one-ring is a single cycle.
 
-    Needs a closed oriented mesh. Around vertex v, the corner of face
-    (v, a, b) is followed by the corner whose outgoing half-edge v -> b is the
-    twin of this face's incoming b -> v; each cycle of that successor map is
-    one fan of faces, so the links are single cycles iff there is one cycle
-    per vertex.
+    Needs a closed oriented mesh and ``order``, the half-edges sorted by
+    undirected edge: each edge is then two adjacent half-edges, each other's
+    twins. Around vertex v, the corner of face (v, a, b) is followed by the
+    corner whose outgoing half-edge v -> b is the twin of this face's incoming
+    b -> v; each cycle of that successor map is one fan of faces, so the links
+    are single cycles iff there is one cycle per vertex.
     """
     n, m = mesh.n_vertices, mesh.n_faces
     if (np.bincount(mesh.faces.ravel(), minlength=n) == 0).any():
         return False
-    de = mesh.directed_edges  # row k * m + i: corner k of face i, outgoing
-    # on a closed mesh each undirected edge is two adjacent half-edges in
-    # this order, and they are each other's twins
-    pairs = np.argsort(de.min(axis=1) * n + de.max(axis=1)).reshape(-1, 2)
+    # half-edge row k * m + i: corner k of face i, outgoing
+    pairs = order.reshape(-1, 2)
     twin = np.empty(3 * m, dtype=np.int64)
     twin[pairs[:, 0]], twin[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
     succ = np.roll(twin, m)  # the incoming half-edge of row r is row r - m
@@ -274,25 +280,12 @@ def _single_vertex_links(mesh):
     return np.count_nonzero(label == corner) == n
 
 
-def _face_corner_angles(p):
-    """(m, 3) corner angles of faces with corner positions ``p``."""
-    ang = np.empty((len(p), 3))
-    for k in range(3):
-        u = p[:, (k + 1) % 3] - p[:, k]
-        v = p[:, (k + 2) % 3] - p[:, k]
-        nu = np.linalg.norm(u, axis=1)
-        nv = np.linalg.norm(v, axis=1)
-        denom = np.where(nu * nv == 0, 1.0, nu * nv)
-        c = np.clip(np.einsum("ij,ij->i", u, v) / denom, -1.0, 1.0)
-        ang[:, k] = np.arccos(c)
-    return ang
-
-
-def _min_angle(mesh):
-    """Smallest face corner angle; smallest interior vertex angle of a curve."""
-    if mesh.mode == "curve":
-        return validate(mesh).min_angle
-    return float(_face_corner_angles(mesh.vertices[mesh.faces]).min())
+def _turning_angles(t):
+    """Signed (counter-clockwise) turning angle at each vertex of a closed
+    polyline, from the unit tangents ``t`` of its segments i -> i + 1."""
+    tp = np.roll(t, 1, axis=0)
+    cross = tp[:, 0] * t[:, 1] - tp[:, 1] * t[:, 0]
+    return np.arctan2(cross, np.einsum("ij,ij->i", tp, t))
 
 
 def validate(mesh):
@@ -304,38 +297,38 @@ def validate(mesh):
     the two half-edges of every interior edge run in opposite directions. A
     closed oriented mesh is vertex-manifold iff every vertex lies on a face
     and its one-ring is a single cycle (two tetrahedra sharing a vertex are
-    not).
+    not). A corner angle is ``arctan2(|u x v|, u . v)`` of its two edge
+    vectors, accurate down to slivers; a degenerate face has a zero angle.
     """
     if mesh.mode == "curve":
-        seg = mesh.edge_lengths()
         t = np.diff(np.vstack([mesh.vertices, mesh.vertices[:1]]), axis=0)
         t = t / np.linalg.norm(t, axis=1)[:, None]
-        c = np.clip(np.einsum("ij,ij->i", np.roll(t, 1, axis=0), t), -1, 1)
-        turning = np.arccos(c)
+        area = _shoelace_area(mesh.vertices)
         return MeshQualityReport(
             is_closed=True,
-            is_oriented=bool(_shoelace_area(mesh.vertices) > 0),
+            is_oriented=bool(area > 0),
             is_vertex_manifold=True,
-            min_face_area=float(seg.min()),
-            min_angle=float((pi - turning).min()),
+            min_face_area=float(mesh.edge_lengths().min()),
+            min_angle=float(pi - np.abs(_turning_angles(t)).max()),
             boundary_edge_count=0,
+            volume=area,
         )
     counts = mesh._edge_counts
     boundary = int((counts == 1).sum())
     overshared = bool((counts > 2).any())
-    closed = boundary == 0 and not overshared
-    oriented = not mesh._has_duplicate_directed and not overshared
-    manifold = closed and oriented and _single_vertex_links(mesh)
     faces = _FaceRecord(mesh)
-    areas = faces.area
-    angles = _face_corner_angles(faces.corners)
+    p = faces.corners
+    u, v = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
+    # at every corner |u x v| is twice the face area
+    angles = np.arctan2(2.0 * faces.area[:, None], np.einsum("ijk,ijk->ij", u, v))
     return MeshQualityReport(
-        is_closed=closed,
-        is_oriented=oriented,
-        is_vertex_manifold=manifold,
-        min_face_area=float(areas.min()) if len(areas) else 0.0,
-        min_angle=float(angles.min()) if len(angles) else 0.0,
+        is_closed=boundary == 0 and not overshared,
+        is_oriented=not mesh._has_duplicate_directed and not overshared,
+        is_vertex_manifold=mesh._is_vertex_manifold,
+        min_face_area=float(faces.area.min()) if mesh.n_faces else 0.0,
+        min_angle=float(angles.min()) if mesh.n_faces else 0.0,
         boundary_edge_count=boundary,
+        volume=faces.volume,
     )
 
 
@@ -392,7 +385,7 @@ def load_mesh(path, fmt=None):
         raise MeshTopologyError("inconsistent face orientation")
     if not report.is_vertex_manifold:
         raise MeshTopologyError("non-manifold vertex (one-ring is not a single cycle)")
-    if _FaceRecord(mesh).volume <= 0:
+    if report.volume <= 0:
         raise MeshTopologyError("inward orientation (negative enclosed volume)")
     return mesh
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sapflow import (
     BlowUpError,
@@ -20,14 +22,15 @@ from sapflow import (
     gen_icosphere,
     gen_perturbed_sphere,
     GaussianDentBump,
+    SphericalHarmonicBump,
     run_flow,
     select_timestep,
     surface_integral,
+    validate,
     vertex_area_weights,
 )
 from sapflow import diagnostics, flow, geometry
 from sapflow.diagnostics import area_identity_residuals, best_fit_sphere, series_to_csv_bytes
-from sapflow.mesh import _min_angle
 from conftest import cg_not_converged, fail_on_call, replace_on_call
 
 
@@ -37,6 +40,24 @@ def synthetic_cache(mesh, H_value, normals=None):
     if normals is not None:
         cache.normal = normals
     return cache
+
+
+def sliver_sphere():
+    """Icosphere (V = 642) with one vertex pulled almost onto the opposite
+    edge of an incident face: min angle about 3e-3, above the 1e-3 guard."""
+    mesh = gen_icosphere(1.0, subdivisions=3)
+    v = mesh.vertices.copy()
+    i, a, b = mesh.faces[0]
+    v[i] += (1.0 - 1.7e-3) * (0.5 * (v[a] + v[b]) - v[i])
+    return mesh.with_vertices(v)
+
+
+STEP_MESHES = {
+    "icosphere": lambda: gen_icosphere(1.0, subdivisions=2),
+    "dented": lambda: gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 2),
+    "circle": lambda: gen_circle(1.0, 64),
+    "sliver": sliver_sphere,
+}
 
 
 # -- compute_h -------------------------------------------------------------------
@@ -53,6 +74,31 @@ def test_h_degenerate_guard(icosphere):
     cache = synthetic_cache(m, 0.0)
     with pytest.raises(DegenerateMeanCurvatureError):
         compute_h(m, cache)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    shape=st.sampled_from(["harmonic", "dent", "ellipsoid"]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_area_identity_property(shape, seed):
+    # H is the area gradient projected on the velocity's normal and h is built
+    # from the same fields, so int H (1 - h H) dmu vanishes up to rounding
+    rng = np.random.default_rng(seed)
+    if shape == "ellipsoid":
+        mesh = gen_ellipsoid(*rng.uniform(0.6, 1.5, size=3), subdivisions=2)
+    else:
+        if shape == "harmonic":
+            degree = int(rng.integers(2, 6))
+            bump = SphericalHarmonicBump(degree, int(rng.integers(-degree, degree + 1)))
+        else:
+            bump = GaussianDentBump(tuple(rng.normal(size=3)), rng.uniform(0.2, 0.6))
+        mesh = gen_perturbed_sphere(1.0, rng.uniform(-0.3, 0.3), bump, 2)
+    cache = compute_cache(mesh)
+    h = compute_h(mesh, cache)
+    H, w = cache.mean_curvature, cache.vertex_area
+    scale = surface_integral(mesh, w, np.abs(H)) + h * surface_integral(mesh, w, H**2)
+    assert abs(surface_integral(mesh, w, H * (1.0 - h * H))) <= 1e-13 * scale
 
 
 # -- velocity -----------------------------------------------------------------------
@@ -174,6 +220,17 @@ def test_projection_inverts_uniform_scaling(icosphere):
     assert out.last_projection_scale == pytest.approx(1 / 1.1, rel=1e-12)
     restored = vertex_area_weights(out.mesh).sum()
     assert abs(restored - area) < 1e-12 * area
+
+
+@pytest.mark.parametrize("name", sorted(STEP_MESHES))
+def test_projection_restores_face_area_sum(name):
+    # the projection measures the face areas (segment lengths of a curve)
+    mesh = STEP_MESHES[name]()
+    area = geometry._area_centroid(mesh, geometry._configuration(mesh))[0]
+    moved = mesh.with_vertices(1.3 * mesh.vertices + 0.2)
+    out = enforce_area_constraint(FlowState(mesh=moved, initial_area=area))
+    restored = geometry._area_centroid(out.mesh, geometry._configuration(out.mesh))[0]
+    assert abs(restored - area) <= 1e-12 * area
 
 
 def test_projection_curve_mode_exponent():
@@ -330,30 +387,12 @@ def test_curve_semi_implicit_step():
 # -- the semi-implicit step's linear algebra ------------------------------------------
 
 
-def sliver_sphere():
-    """Icosphere (V = 642) with one vertex pulled almost onto the opposite
-    edge of an incident face: min angle about 3e-3, above the 1e-3 guard."""
-    mesh = gen_icosphere(1.0, subdivisions=3)
-    v = mesh.vertices.copy()
-    i, a, b = mesh.faces[0]
-    v[i] += (1.0 - 1.7e-3) * (0.5 * (v[a] + v[b]) - v[i])
-    return mesh.with_vertices(v)
-
-
-STEP_MESHES = {
-    "icosphere": lambda: gen_icosphere(1.0, subdivisions=2),
-    "dented": lambda: gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 2),
-    "circle": lambda: gen_circle(1.0, 64),
-    "sliver": sliver_sphere,
-}
-
-
 @pytest.mark.parametrize("name", sorted(STEP_MESHES))
 def test_semi_implicit_step_solves_the_system(name):
     mesh = STEP_MESHES[name]()
-    if name == "sliver":
-        assert 1e-3 < _min_angle(mesh) < 1e-2
     cache = compute_cache(mesh)
+    if name == "sliver":
+        assert 1e-3 < cache.min_angle < 1e-2
     h, dt = compute_h(mesh, cache), 0.05
     x = flow._semi_implicit_step(mesh, cache, h, dt)
     A = np.diag(cache.vertex_area) + dt * h * geometry.cotangent_stiffness(mesh).toarray()
@@ -361,6 +400,14 @@ def test_semi_implicit_step_solves_the_system(name):
     residual = np.linalg.norm(A @ x - rhs, axis=0)
     assert (residual <= 1e-11 * np.linalg.norm(rhs, axis=0)).all()
     assert np.abs(x - np.linalg.solve(A, rhs)).max() <= 1e-10
+
+
+@pytest.mark.parametrize("name", sorted(STEP_MESHES))
+def test_cache_min_angle_matches_validate(name):
+    # the cache takes arctan2(1, max cot), validate arctan2(|u x v|, u . v)
+    mesh = STEP_MESHES[name]()
+    expected = validate(mesh).min_angle
+    assert abs(compute_cache(mesh).min_angle - expected) <= 1e-14 * expected
 
 
 def test_unconverged_solve_is_blowup(monkeypatch):

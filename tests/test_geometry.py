@@ -362,8 +362,12 @@ CACHE_MESHES = {
     "circle": lambda: gen_circle(1.0, 48),
 }
 CACHE_FIELDS = [f.name for f in fields(GeometryCache)]
-# every field but the per-face-corner (per-segment) stiffness weights
-VERTEX_FIELDS = [name for name in CACHE_FIELDS if name != "stiffness_weight"]
+# every field but the per-face-corner (per-segment) stiffness weights and the
+# scalars volume and min_angle
+VERTEX_FIELDS = [
+    name for name in CACHE_FIELDS
+    if name not in ("stiffness_weight", "volume", "min_angle")
+]
 
 
 def standalone_fields(mesh):
@@ -375,7 +379,6 @@ def standalone_fields(mesh):
         "vertex_area": w,
         "normal": n,
         "mean_curvature": H,
-        "mean_curvature_vector": mean_curvature_vector(mesh),
         "second_form_norm": second,
         "traceless_norm": traceless,
         "grad_H_norm": gradient_norm_field(mesh, H, w),
@@ -393,6 +396,8 @@ def test_cache_equals_standalone_operations(name):
     # the stiffness weights have no standalone operation but the assembler
     L = cotangent_stiffness(mesh, cache.stiffness_weight)
     assert np.array_equal(L.data, cotangent_stiffness(mesh).data)
+    # one volume formula
+    assert cache.volume == enclosed_volume(mesh)
 
 
 @settings(max_examples=20, deadline=None)
@@ -409,8 +414,10 @@ def test_cache_relabelling_property(name, seed):
         assert np.allclose(
             getattr(c2, field), getattr(c1, field)[perm], rtol=0, atol=1e-10
         ), field
-    # faces keep their order, so the per-corner weights do not move
+    # faces keep their order, so the per-corner weights and the scalars over
+    # faces do not move
     assert np.array_equal(c2.stiffness_weight, c1.stiffness_weight)
+    assert (c2.volume, c2.min_angle) == (c1.volume, c1.min_angle)
 
 
 # -- cotangent stiffness ----------------------------------------------------------------
