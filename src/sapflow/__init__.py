@@ -31,11 +31,8 @@ from .geometry import (
     diameter_estimate,
     enclosed_volume,
     gradient_norm_field,
-    mean_curvature_field,
     surface_integral,
-    traceless_second_form_field,
     vertex_area_weights,
-    vertex_normals,
 )
 from .flow import (
     FlowConfig,

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from .errors import SapflowError
-from . import diagnostics, flow, mesh as meshmod
+from . import diagnostics, flow, geometry, mesh as meshmod
 
 
 MANIFEST_DEFAULTS = {
@@ -36,7 +36,6 @@ MANIFEST_DEFAULTS = {
     "roundness_tol": 1e-6,
     "blowup_max_A": None,
     "snapshot_every": 1,
-    "min_angle_limit": 1e-3,
     "output_dir": "sapflow_out",
     "mesh_cadence": 1,
 }
@@ -95,7 +94,6 @@ def flow_config(manifest):
         roundness_tol=manifest["roundness_tol"],
         blowup_max_A=manifest["blowup_max_A"],
         snapshot_every=int(manifest["snapshot_every"]),
-        min_angle_limit=manifest["min_angle_limit"],
     )
 
 
@@ -121,11 +119,7 @@ def cmd_generate(args):
     out_mesh = build_input_mesh(manifest)
     meshmod.save_mesh(out_mesh, args.output)
     if args.shape == "perturbed":
-        from . import geometry
-
-        va = geometry.vertex_area_weights(out_mesh)
-        nrm = geometry.vertex_normals(out_mesh)
-        H = geometry.mean_curvature_field(out_mesh, va, nrm)
+        H = geometry.compute_cache(out_mesh).mean_curvature
         print(f"min discrete H = {H.min():.6g}", file=sys.stderr)
     print(args.output)
     return 0

@@ -106,17 +106,17 @@ def record_snapshot(state, cache):
         area=cache.total_area,
         volume=cache.volume,
         h=state.h,
-        int_H=geometry.surface_integral(mesh, va, H),
-        int_H2=geometry.surface_integral(mesh, va, H**2),
+        int_H=geometry.surface_integral(va, H),
+        int_H2=geometry.surface_integral(va, H**2),
         min_H=float(H.min()),
         max_H=float(H.max()),
         max_abs_A=float(cache.second_form_norm.max()),
         max_traceless=float(cache.traceless_norm.max()),
-        int_traceless_sq=geometry.surface_integral(mesh, va, cache.traceless_norm**2),
+        int_traceless_sq=geometry.surface_integral(va, cache.traceless_norm**2),
         max_grad_H=float(cache.grad_H_norm.max()),
         sup_one_minus_hH=float(np.abs(one_minus).max()),
         diameter_est=geometry.diameter_estimate(mesh),
-        int_Hpow=geometry.surface_integral(mesh, va, np.abs(H) ** (n - 1)),
+        int_Hpow=geometry.surface_integral(va, np.abs(H) ** (n - 1)),
         min_angle=cache.min_angle,
         area_scale_applied=state.last_projection_scale,
     )
@@ -152,15 +152,13 @@ def _ode_rhs(mesh, h, int_H2):
     H = cache.mean_curvature
     one = 1.0 - h * H
     A2 = cache.second_form_norm**2
-    g2 = geometry.surface_integral(mesh, va, cache.grad_H_norm**2)
+    g2 = geometry.surface_integral(va, cache.grad_H_norm**2)
     rhs_h = (
-        geometry.surface_integral(
-            mesh, va, -(1.0 - 2.0 * h * H) * one * A2 + H**2 * one**2
-        )
+        geometry.surface_integral(va, -(1.0 - 2.0 * h * H) * one * A2 + H**2 * one**2)
         + 2.0 * h**2 * g2
     ) / int_H2
     rhs_H2 = (
-        geometry.surface_integral(mesh, va, H**3 * one - 2.0 * one * H * A2)
+        geometry.surface_integral(va, H**3 * one - 2.0 * one * H * A2)
         - 2.0 * h * g2
     )
     return rhs_h, rhs_H2

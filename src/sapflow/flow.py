@@ -9,7 +9,7 @@ the surviving area drift is O(dt) over a run and can be removed entirely by
 the optional projection step (uniform rescaling about the area centroid).
 """
 
-from dataclasses import dataclass, replace, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sparse
@@ -24,6 +24,10 @@ from .errors import (
 from . import geometry
 from .mesh import TriMesh, validate
 
+# smallest face corner (curve vertex) angle, in radians, before a run ends as
+# blow_up(mesh_degeneracy)
+MIN_ANGLE_LIMIT = 1e-3
+
 
 @dataclass(frozen=True)
 class FlowConfig:
@@ -35,7 +39,6 @@ class FlowConfig:
     roundness_tol: float = 1e-6
     blowup_max_A: float | None = None  # None: 1e3 * initial max |A|
     snapshot_every: int = 1
-    min_angle_limit: float = 1e-3  # radians; mesh-degeneracy guard
 
     def __post_init__(self):
         if self.stepping not in ("explicit", "semi-implicit"):
@@ -80,7 +83,7 @@ def intrinsic_dimension(mesh):
     return 1 if mesh.mode == "curve" else 2
 
 
-def compute_h(mesh, cache):
+def compute_h(cache):
     """Nonlocal coefficient int H dmu / int H^2 dmu.
 
     Raises
@@ -88,10 +91,8 @@ def compute_h(mesh, cache):
     DegenerateMeanCurvatureError
         int H^2 dmu below 1e-14 times the total area; the flow is undefined.
     """
-    int_H = geometry.surface_integral(mesh, cache.vertex_area, cache.mean_curvature)
-    int_H2 = geometry.surface_integral(
-        mesh, cache.vertex_area, cache.mean_curvature**2
-    )
+    int_H = geometry.surface_integral(cache.vertex_area, cache.mean_curvature)
+    int_H2 = geometry.surface_integral(cache.vertex_area, cache.mean_curvature**2)
     if int_H2 < 1e-14 * cache.total_area:
         raise DegenerateMeanCurvatureError(
             f"int H^2 dmu = {int_H2:.3e} is numerically zero"
@@ -99,7 +100,12 @@ def compute_h(mesh, cache):
     return int_H / int_H2
 
 
-def flow_velocity(mesh, cache, h):
+def _traceless_l2(cache):
+    """int |Adev|^2 dmu, the roundness deficit."""
+    return geometry.surface_integral(cache.vertex_area, cache.traceless_norm**2)
+
+
+def flow_velocity(cache, h):
     """Per-vertex velocity (1 - h H) nu."""
     return (1.0 - h * cache.mean_curvature)[:, None] * cache.normal
 
@@ -138,7 +144,7 @@ def _semi_implicit_step(mesh, cache, h, dt):
     A.data[diagonal] += cache.vertex_area
     jacobi = sparse.diags(1.0 / A.data[diagonal])
     rhs = cache.vertex_area[:, None] * (mesh.vertices + dt * cache.normal)
-    guess = mesh.vertices + dt * flow_velocity(mesh, cache, h)
+    guess = mesh.vertices + dt * flow_velocity(cache, h)
     out = np.empty_like(rhs)
     for k in range(rhs.shape[1]):
         out[:, k], info = spla.cg(
@@ -151,19 +157,14 @@ def _semi_implicit_step(mesh, cache, h, dt):
     return out
 
 
-def advance(state, cache, config, dt=None):
-    """One time step from a state whose cache is current.
+def advance(state, cache, config, dt):
+    """One time step of size ``dt`` from a state whose cache is current.
 
-    ``dt=None`` selects the step size via :func:`select_timestep`; ``dt=0``
-    returns the state unchanged. ``h`` is frozen within the step and must be
-    recomputed by the caller afterwards (run_flow does).
+    ``h`` is frozen within the step; the caller recomputes it from the new
+    configuration (run_flow does).
     """
-    if dt is None:
-        dt = select_timestep(state.mesh, cache, state.h, config)
-    if dt == 0.0:
-        return state
     if config.stepping == "explicit":
-        new_v = state.mesh.vertices + dt * flow_velocity(state.mesh, cache, state.h)
+        new_v = state.mesh.vertices + dt * flow_velocity(cache, state.h)
     else:
         new_v = _semi_implicit_step(state.mesh, cache, state.h, dt)
     if not np.isfinite(new_v).all():
@@ -201,14 +202,16 @@ def enforce_area_constraint(state):
 def run_flow(mesh, config, keep_meshes=True):
     """Evolve a mesh until convergence, the time limit, or blow-up.
 
-    Loop: h -> snapshot (at cadence, and always on the final state) -> dt
-    -> advance -> optional area projection -> fields of the new state. The
-    roundness stopping rule compares int |Adev|^2 dmu at snapshots against
-    ``roundness_tol`` times its initial value. A ``DegenerateGeometryError``
-    or ``OrientationError`` in the step, the projection or the new fields
-    ends the run as ``blow_up(degenerate_geometry)`` or
-    ``blow_up(orientation)`` at the last valid state; on the input mesh it
-    propagates.
+    Loop: snapshot (at cadence, and always on the final state) -> guards ->
+    dt -> advance -> optional area projection -> fields and h of the new
+    state. The roundness stopping rule compares int |Adev|^2 dmu against
+    ``roundness_tol`` times its initial value. An error in the step, the
+    projection, or the new fields and h ends the run as ``blow_up`` at the
+    last state that has an h, and that state has a row: a
+    ``DegenerateGeometryError`` as ``degenerate_geometry``, an
+    ``OrientationError`` as ``orientation``, a
+    ``DegenerateMeanCurvatureError`` as ``degenerate_H``. On the input mesh
+    these errors propagate.
 
     Returns
     -------
@@ -222,10 +225,18 @@ def run_flow(mesh, config, keep_meshes=True):
     if not (report.is_closed and report.is_oriented and report.is_vertex_manifold):
         raise BlowUpError("invalid_input", "mesh is not a closed oriented manifold")
 
+    cache = geometry.compute_cache(mesh)
+    state = FlowState(
+        mesh=mesh,
+        h=compute_h(cache),
+        initial_area=cache.total_area,
+        initial_traceless_l2=_traceless_l2(cache),
+    )
+    blowup_limit = config.blowup_max_A
+    if blowup_limit is None:
+        blowup_limit = 1e3 * max(float(cache.second_form_norm.max()), 1e-300)
     records = []
     meshes = []
-    state = FlowState(mesh=mesh)
-    blowup_limit = config.blowup_max_A
     termination = None
 
     def take_snapshot(state, cache):
@@ -233,58 +244,41 @@ def run_flow(mesh, config, keep_meshes=True):
         if keep_meshes:
             meshes.append(state.mesh)
 
-    cache = geometry.compute_cache(state.mesh)
     while True:
-        try:
-            h = compute_h(state.mesh, cache)
-        except DegenerateMeanCurvatureError as exc:
-            termination = Termination("blow_up", f"degenerate_H: {exc}")
-            break
-        state = replace(state, h=h)
-
         recorded = state.step_index % config.snapshot_every == 0
         if recorded:
             take_snapshot(state, cache)
-        int_ts = geometry.surface_integral(
-            state.mesh, cache.vertex_area, cache.traceless_norm**2
-        )
-        if state.step_index == 0:
-            state = replace(
-                state,
-                initial_area=cache.total_area,
-                initial_traceless_l2=int_ts,
-            )
-            if blowup_limit is None:
-                blowup_limit = 1e3 * max(float(cache.second_form_norm.max()), 1e-300)
-
-        if h <= 0:
+        if state.h <= 0:
             termination = Termination("blow_up", "nonpositive_h")
         elif float(cache.second_form_norm.max()) > blowup_limit:
             termination = Termination("blow_up", "max_A_exceeded")
-        elif cache.min_angle < config.min_angle_limit:
+        elif cache.min_angle < MIN_ANGLE_LIMIT:
             termination = Termination("blow_up", "mesh_degeneracy")
         elif (
             state.initial_traceless_l2 > 0
-            and int_ts < config.roundness_tol * state.initial_traceless_l2
+            and _traceless_l2(cache) < config.roundness_tol * state.initial_traceless_l2
         ):
             termination = Termination("converged")
         elif state.t >= config.t_max:
             termination = Termination("time_limit")
         else:
             try:
-                dt = select_timestep(state.mesh, cache, h, config)
+                dt = select_timestep(state.mesh, cache, state.h, config)
                 if state.t + dt > config.t_max:
                     dt = config.t_max - state.t
                 nxt = advance(state, cache, config, dt)
                 if config.area_projection:
                     nxt = enforce_area_constraint(nxt)
                 nxt_cache = geometry.compute_cache(nxt.mesh)
+                nxt = replace(nxt, h=compute_h(nxt_cache))
             except BlowUpError as exc:
                 termination = Termination("blow_up", exc.kind)
             except OrientationError:
                 termination = Termination("blow_up", "orientation")
             except DegenerateGeometryError:
                 termination = Termination("blow_up", "degenerate_geometry")
+            except DegenerateMeanCurvatureError as exc:
+                termination = Termination("blow_up", f"degenerate_H: {exc}")
         if termination is not None:
             if not recorded:
                 take_snapshot(state, cache)
@@ -297,16 +291,7 @@ def run_flow(mesh, config, keep_meshes=True):
             "mode": mesh.mode,
             "n_vertices": mesh.n_vertices,
             "n_faces": mesh.n_faces,
-            "config": {
-                "stepping": config.stepping,
-                "cfl_safety": config.cfl_safety,
-                "dt_max": config.dt_max,
-                "area_projection": config.area_projection,
-                "t_max": config.t_max,
-                "roundness_tol": config.roundness_tol,
-                "blowup_max_A": blowup_limit,
-                "snapshot_every": config.snapshot_every,
-            },
+            "config": {**asdict(config), "blowup_max_A": blowup_limit},
         },
     )
     return FlowRunResult(

@@ -69,8 +69,10 @@ class GeometryCache:
 #
 # Every field is built from one per-configuration record: the face record of
 # a surface, or the unit tangents and segment lengths of a curve. Each helper
-# below holds the one formula for its field and the one curve/surface branch;
-# compute_cache and the standalone field functions both call them.
+# below holds the one formula for its field and the one curve/surface branch.
+# compute_cache is the one source of a configuration's per-vertex fields; the
+# standalone operations further down reuse the helpers for the area weights,
+# the area gradient and the gradient of an arbitrary field.
 
 
 def _scatter(index, values, n):
@@ -173,7 +175,12 @@ def _mean_curvature(mesh, conf, weights, normals, mcv):
 
 
 def _second_form(mesh, normals, H):
-    """(|A|, |Adev|) with |Adev| = sqrt(max(|A|^2 - H^2/2, 0))."""
+    """(|A|, |Adev|) with |Adev| = sqrt(max(|A|^2 - H^2/2, 0)).
+
+    The shape operator is fit per vertex from the derivatives of the
+    osculating-sphere normals along the 1-ring edges and rescaled so that its
+    trace is the H that drives the flow. Curve mode: |A| = |H|, |Adev| = 0.
+    """
     if mesh.mode == "curve":
         return np.abs(H), np.zeros_like(H)
     k1, k2 = _shape_operator_eigen(mesh, normals, H)
@@ -237,19 +244,6 @@ def vertex_area_weights(mesh):
     return _weights(mesh, _configuration(mesh))
 
 
-def vertex_normals(mesh):
-    """Outward unit vertex normals (area-weighted incident face normals).
-
-    Raises
-    ------
-    OrientationError
-        Closed mesh with negative enclosed volume (inward orientation).
-    DegenerateGeometryError
-        Zero-length averaged normal.
-    """
-    return _normals(mesh, _configuration(mesh))
-
-
 def mean_curvature_vector(mesh):
     """Gradient of total area w.r.t. vertex positions (cotangent formula).
 
@@ -257,17 +251,6 @@ def mean_curvature_vector(mesh):
     the sign of the outward mean curvature normal times vertex area.
     """
     return _area_gradient(mesh, _configuration(mesh))
-
-
-def mean_curvature_field(mesh, weights, normals):
-    """Per-vertex mean curvature H (sum of principal curvatures).
-
-    Surfaces: projection of the area gradient onto the vertex normal divided
-    by the vertex area weight, so a sphere of radius r gives H = 2/r > 0.
-    Curves: turning angle divided by the vertex length weight.
-    """
-    conf = _configuration(mesh)
-    return _mean_curvature(mesh, conf, weights, normals, _area_gradient(mesh, conf))
 
 
 def cotangent_stiffness(mesh, weight=None):
@@ -389,27 +372,7 @@ def _shape_operator_eigen(mesh, normals, H):
     return (0.5 * trace - disc) * scale, (0.5 * trace + disc) * scale
 
 
-def traceless_second_form_field(mesh, weights, normals):
-    """Per-vertex (|A|, |Adev|) from a 1-ring shape operator fit.
-
-    The symmetric shape operator is fit per vertex by least squares from
-    directional derivatives of the osculating-sphere normal field along the
-    1-ring edges, projected into the tangent plane. The fitted operator is
-    rescaled so its trace matches the cotangent mean curvature whenever the
-    fitted trace is nonzero, which enforces |Adev|^2 = |A|^2 - H^2/2
-    pointwise against the same H that drives the flow.
-
-    Curve mode: |A| = |H| and |Adev| = 0 identically (n = 1).
-
-    Raises
-    ------
-    DegenerateGeometryError
-        Rank-deficient 1-ring fit.
-    """
-    return _second_form(mesh, normals, mean_curvature_field(mesh, weights, normals))
-
-
-def gradient_norm_field(mesh, f, weights):
+def gradient_norm_field(mesh, f):
     """Intrinsic per-vertex |grad f| from per-face affine gradients.
 
     The gradient of the piecewise-linear interpolant is constant per face and
@@ -420,7 +383,7 @@ def gradient_norm_field(mesh, f, weights):
     return _gradient_norm(mesh, _configuration(mesh), np.asarray(f, dtype=np.float64))
 
 
-def surface_integral(mesh, weights, f):
+def surface_integral(weights, f):
     """Integral of a per-vertex field against the discrete surface measure."""
     return float(np.dot(np.asarray(f, dtype=np.float64), weights))
 
@@ -473,8 +436,16 @@ def diameter_estimate(mesh):
 def compute_cache(mesh):
     """Compute all per-vertex geometry fields for one mesh configuration.
 
-    Builds the per-configuration data once and runs the same field helpers as
-    the individual operations, so the values are identical to theirs.
+    The one entry point for the normals, H, |A|, |Adev| and |grad H|. Builds
+    the per-configuration data once and runs every field helper on it.
+
+    Raises
+    ------
+    OrientationError
+        Closed mesh with negative enclosed volume, or clockwise curve.
+    DegenerateGeometryError
+        Zero-area face, zero-length segment or normal, non-positive area
+        weight, or rank-deficient 1-ring shape operator fit.
     """
     conf = _configuration(mesh)
     weights = _weights(mesh, conf)

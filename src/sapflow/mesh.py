@@ -301,15 +301,20 @@ def validate(mesh):
     vectors, accurate down to slivers; a degenerate face has a zero angle.
     """
     if mesh.mode == "curve":
-        t = np.diff(np.vstack([mesh.vertices, mesh.vertices[:1]]), axis=0)
-        t = t / np.linalg.norm(t, axis=1)[:, None]
+        e = np.diff(np.vstack([mesh.vertices, mesh.vertices[:1]]), axis=0)
+        ln = np.linalg.norm(e, axis=1)
         area = _shoelace_area(mesh.vertices)
+        # a zero-length segment has no tangent: its vertex angles are 0
+        if (ln == 0).any():
+            min_angle = 0.0
+        else:
+            min_angle = float(pi - np.abs(_turning_angles(e / ln[:, None])).max())
         return MeshQualityReport(
             is_closed=True,
             is_oriented=bool(area > 0),
             is_vertex_manifold=True,
-            min_face_area=float(mesh.edge_lengths().min()),
-            min_angle=float(pi - np.abs(_turning_angles(t)).max()),
+            min_face_area=float(ln.min()),
+            min_angle=min_angle,
             boundary_edge_count=0,
             volume=area,
         )
@@ -361,7 +366,7 @@ def load_mesh(path, fmt=None):
         Malformed file.
     MeshTopologyError
         Open, non-manifold (at an edge or a vertex), inconsistently oriented
-        or inward-oriented mesh.
+        or inward-oriented mesh; clockwise curve.
     """
     fmt = (fmt or os.path.splitext(str(path))[1].lstrip(".")).lower()
     if fmt == "off":
@@ -369,8 +374,10 @@ def load_mesh(path, fmt=None):
     elif fmt == "obj":
         verts, faces = _read_obj(path)
     elif fmt == "csv":
-        pts = _read_curve_csv(path)
-        return TriMesh(pts, mode="curve")
+        mesh = TriMesh(_read_curve_csv(path), mode="curve")
+        if validate(mesh).volume <= 0:
+            raise MeshTopologyError("clockwise curve (negative enclosed area)")
+        return mesh
     else:
         raise MeshParseError(f"unsupported mesh format {fmt!r}")
 

@@ -7,7 +7,6 @@ oracle for the exponential-decay claims).
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import pi
 
 import numpy as np
@@ -27,11 +26,6 @@ class SphereReference:
     h_exact: float
     area_exact: float
     volume_exact: float
-
-    def stationarity_defect(self):
-        """1 - h H as exact rational arithmetic; zero on every round sphere."""
-        r = Fraction(self.radius).limit_denominator(10**12)
-        return 1 - (r / self.n) * (self.n / r)
 
 
 def sphere_reference(radius, n=2):
@@ -93,39 +87,26 @@ class ConvergenceStudy:
         return {"rows": rows, "orders": self.orders}
 
 
-def refinement_study(levels, radius=1.0, generator=None, reference=None):
+def refinement_study(levels):
     """Per-level errors and estimated orders for the discrete operators.
 
-    By default studies icospheres of the given radius against the analytic
-    sphere reference; a custom ``generator(level) -> TriMesh`` plus
-    ``reference`` dict (keys ``area``, ``volume``, ``H``) can substitute
-    other shapes. Quantities: total area, enclosed volume, max |H - H_exact|,
-    max |Adev|. Orders are log2 ratios of successive errors and are reported
-    only when at least 3 levels are given.
+    Studies unit icospheres at the given subdivision levels against the
+    analytic sphere reference. Quantities: total area, enclosed volume,
+    max |H - H_exact|, max |Adev|. Orders are log2 ratios of successive
+    errors; at least 3 levels are required.
     """
     levels = list(levels)
     if len(levels) < 3:
         raise ValueError("need at least 3 refinement levels")
-    if generator is None:
-        generator = lambda lvl: gen_icosphere(radius, (0.0, 0.0, 0.0), lvl)
-    if reference is None:
-        ref = sphere_reference(radius)
-        reference = {
-            "area": ref.area_exact,
-            "volume": ref.volume_exact,
-            "H": ref.H_exact,
-        }
+    ref = sphere_reference(1.0)
     errors = {"area": [], "volume": [], "max_H_err": [], "max_traceless": []}
     for lvl in levels:
-        mesh = generator(lvl)
-        va = geometry.vertex_area_weights(mesh)
-        nrm = geometry.vertex_normals(mesh)
-        H = geometry.mean_curvature_field(mesh, va, nrm)
-        _, traceless = geometry.traceless_second_form_field(mesh, va, nrm)
-        errors["area"].append(abs(float(va.sum()) - reference["area"]))
-        errors["volume"].append(abs(geometry.enclosed_volume(mesh) - reference["volume"]))
-        errors["max_H_err"].append(float(np.abs(H - reference["H"]).max()))
-        errors["max_traceless"].append(float(traceless.max()))
+        cache = geometry.compute_cache(gen_icosphere(1.0, (0.0, 0.0, 0.0), lvl))
+        errors["area"].append(abs(cache.total_area - ref.area_exact))
+        errors["volume"].append(abs(cache.volume - ref.volume_exact))
+        H_err = np.abs(cache.mean_curvature - ref.H_exact)
+        errors["max_H_err"].append(float(H_err.max()))
+        errors["max_traceless"].append(float(cache.traceless_norm.max()))
     orders = {
         q: [
             float(np.log2(errs[i] / errs[i + 1])) if errs[i + 1] > 0 else float("inf")
@@ -144,8 +125,7 @@ class ModeRate:
     r_squared: float
 
 
-def linearized_mode_rates(radius, degree, amplitude, subdivisions, config=None,
-                          window=None):
+def linearized_mode_rates(radius, degree, amplitude, subdivisions, config=None):
     """Measured decay rate of int |Adev|^2 dmu for one harmonic mode.
 
     Runs the full flow from a sphere perturbed by the (degree, 0) spherical
@@ -175,7 +155,7 @@ def linearized_mode_rates(radius, degree, amplitude, subdivisions, config=None,
         radius, amplitude, SphericalHarmonicBump(degree, 0), subdivisions
     )
     result = flow.run_flow(mesh, config, keep_meshes=False)
-    fit = diagnostics.fit_exponential_rate(result.series, "int_traceless_sq", window)
+    fit = diagnostics.fit_exponential_rate(result.series, "int_traceless_sq")
     return ModeRate(
         degree=degree,
         amplitude=amplitude,

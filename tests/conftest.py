@@ -50,6 +50,17 @@ def fail_on_call(monkeypatch, module, name, k, error):
     replace_on_call(monkeypatch, module, name, k, fail)
 
 
+def sliver_sphere(gap=1.7e-3):
+    """Icosphere (V = 642) with one vertex pulled onto the opposite edge of an
+    incident face up to ``gap`` of its distance: the default leaves a min
+    angle of about 3e-3, above the 1e-3 mesh-degeneracy guard."""
+    mesh = gen_icosphere(1.0, subdivisions=3)
+    v = mesh.vertices.copy()
+    i, a, b = mesh.faces[0]
+    v[i] += (1.0 - gap) * (0.5 * (v[a] + v[b]) - v[i])
+    return mesh.with_vertices(v)
+
+
 def cg_not_converged(A, b, **kwargs):
     """A ``scipy.sparse.linalg.cg`` stand-in that reports non-convergence."""
     return np.zeros_like(b), 1

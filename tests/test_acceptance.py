@@ -30,6 +30,7 @@ from sapflow import (
     decay_rate_lower_bound,
     refinement_study,
     run_flow,
+    select_timestep,
 )
 from sapflow.diagnostics import area_identity_residuals
 from conftest import run_sapflow
@@ -118,8 +119,9 @@ def stationarity_displacements():
         state = FlowState(mesh=mesh)
         for _ in range(100):
             cache = compute_cache(state.mesh)
-            state = replace(state, h=compute_h(state.mesh, cache))
-            state = advance(state, cache, config)
+            state = replace(state, h=compute_h(cache))
+            dt = select_timestep(state.mesh, cache, state.h, config)
+            state = advance(state, cache, config, dt)
         out[sub] = float(
             np.linalg.norm(state.mesh.vertices - mesh.vertices, axis=1).max()
         )

@@ -4,10 +4,23 @@ import os
 import numpy as np
 import pytest
 
-from sapflow import DegenerateGeometryError, flow, geometry, load_mesh
+from sapflow import (
+    DegenerateGeometryError,
+    DegenerateMeanCurvatureError,
+    flow,
+    geometry,
+    load_mesh,
+    save_mesh,
+)
 from sapflow.cli import main
 from sapflow.diagnostics import RECORD_FIELDS, DiagnosticsRecord, TimeSeries
-from conftest import cg_not_converged, fail_on_call, replace_on_call, run_sapflow
+from conftest import (
+    cg_not_converged,
+    fail_on_call,
+    replace_on_call,
+    run_sapflow,
+    sliver_sphere,
+)
 
 
 def run_cli(*argv):
@@ -108,6 +121,25 @@ def test_run_unconverged_solve_keeps_artifacts(tmp_path, monkeypatch):
         assert json.load(fh)["termination"] == "blow_up(linear_solve)"
 
 
+def test_run_mesh_degeneracy_keeps_artifacts(tmp_path):
+    mesh_path = tmp_path / "sliver.off"
+    save_mesh(sliver_sphere(gap=5e-4), mesh_path)
+    outdir = tmp_path / "out"
+    assert run_cli("run", "--mesh", str(mesh_path), "-o", str(outdir)) == 2
+    assert len(TimeSeries.from_csv(outdir / "series.csv")) == 1
+    assert (outdir / "meshes" / "final.off").exists()
+    summary = json.loads((outdir / "summary.json").read_text())
+    assert summary["termination"] == "blow_up(mesh_degeneracy)"
+
+
+def test_run_degenerate_H_on_input_is_input_error(tmp_path, monkeypatch, capsys):
+    fail_on_call(monkeypatch, flow, "compute_h", 1, DegenerateMeanCurvatureError)
+    manifest_path, manifest = run_manifest(tmp_path)
+    assert run_cli("run", "--manifest", str(manifest_path)) == 1
+    assert "error: injected" in capsys.readouterr().err
+    assert not os.path.exists(manifest["output_dir"])
+
+
 def test_flag_overrides_win(tmp_path):
     manifest_path, manifest = run_manifest(tmp_path, t_max=50.0)
     outdir = manifest["output_dir"]
@@ -176,7 +208,7 @@ def test_manifest_roundtrip_through_run_meta(tmp_path):
 
 def test_manifest_rejects_unknown_keys(tmp_path, capsys):
     path = tmp_path / "m.json"
-    for key in ("bogus_key", "deterministic", "seed"):
+    for key in ("bogus_key", "deterministic", "seed", "min_angle_limit"):
         path.write_text(json.dumps({"generator": "icosphere", key: 1}))
         assert run_cli("run", "--manifest", str(path)) == 1
         assert "unknown manifest keys" in capsys.readouterr().err

@@ -51,7 +51,7 @@ def series_from_columns(t, **overrides):
 def sphere_snapshot(icosphere):
     m = icosphere(1.0, 3)
     cache = compute_cache(m)
-    state = FlowState(mesh=m, h=compute_h(m, cache), initial_area=cache.total_area)
+    state = FlowState(mesh=m, h=compute_h(cache), initial_area=cache.total_area)
     return record_snapshot(state, cache)
 
 
@@ -68,7 +68,7 @@ def test_sphere_snapshot_values(sphere_snapshot):
 def test_snapshot_fields_finite_on_ellipsoid():
     m = gen_ellipsoid(1.0, 1.0, 2.0, 2)
     cache = compute_cache(m)
-    state = FlowState(mesh=m, h=compute_h(m, cache), initial_area=cache.total_area)
+    state = FlowState(mesh=m, h=compute_h(cache), initial_area=cache.total_area)
     r = record_snapshot(state, cache)
     assert all(np.isfinite(getattr(r, name)) for name in RECORD_FIELDS)
     assert r.min_H < r.max_H
@@ -453,7 +453,7 @@ def relabel(mesh, rng):
 
 def snapshot_row(mesh):
     cache = compute_cache(mesh)
-    h = compute_h(mesh, cache)
+    h = compute_h(cache)
     state = FlowState(mesh=mesh, t=0.25, h=h, last_projection_scale=0.99)
     return record_snapshot(state, cache)
 

@@ -31,7 +31,7 @@ from sapflow import (
 )
 from sapflow import diagnostics, flow, geometry
 from sapflow.diagnostics import area_identity_residuals, best_fit_sphere, series_to_csv_bytes
-from conftest import cg_not_converged, fail_on_call, replace_on_call
+from conftest import cg_not_converged, fail_on_call, replace_on_call, sliver_sphere
 
 
 def synthetic_cache(mesh, H_value, normals=None):
@@ -40,16 +40,6 @@ def synthetic_cache(mesh, H_value, normals=None):
     if normals is not None:
         cache.normal = normals
     return cache
-
-
-def sliver_sphere():
-    """Icosphere (V = 642) with one vertex pulled almost onto the opposite
-    edge of an incident face: min angle about 3e-3, above the 1e-3 guard."""
-    mesh = gen_icosphere(1.0, subdivisions=3)
-    v = mesh.vertices.copy()
-    i, a, b = mesh.faces[0]
-    v[i] += (1.0 - 1.7e-3) * (0.5 * (v[a] + v[b]) - v[i])
-    return mesh.with_vertices(v)
 
 
 STEP_MESHES = {
@@ -66,14 +56,14 @@ STEP_MESHES = {
 @pytest.mark.parametrize("radius,expected", [(1.0, 0.5), (2.0, 1.0)])
 def test_h_on_spheres(icosphere, radius, expected):
     m = icosphere(radius, 3)
-    assert compute_h(m, compute_cache(m)) == pytest.approx(expected, rel=1e-4)
+    assert compute_h(compute_cache(m)) == pytest.approx(expected, rel=1e-4)
 
 
 def test_h_degenerate_guard(icosphere):
     m = icosphere(1.0, 1)
     cache = synthetic_cache(m, 0.0)
     with pytest.raises(DegenerateMeanCurvatureError):
-        compute_h(m, cache)
+        compute_h(cache)
 
 
 @settings(max_examples=25, deadline=None)
@@ -95,10 +85,10 @@ def test_area_identity_property(shape, seed):
             bump = GaussianDentBump(tuple(rng.normal(size=3)), rng.uniform(0.2, 0.6))
         mesh = gen_perturbed_sphere(1.0, rng.uniform(-0.3, 0.3), bump, 2)
     cache = compute_cache(mesh)
-    h = compute_h(mesh, cache)
+    h = compute_h(cache)
     H, w = cache.mean_curvature, cache.vertex_area
-    scale = surface_integral(mesh, w, np.abs(H)) + h * surface_integral(mesh, w, H**2)
-    assert abs(surface_integral(mesh, w, H * (1.0 - h * H))) <= 1e-13 * scale
+    scale = surface_integral(w, np.abs(H)) + h * surface_integral(w, H**2)
+    assert abs(surface_integral(w, H * (1.0 - h * H))) <= 1e-13 * scale
 
 
 # -- velocity -----------------------------------------------------------------------
@@ -107,14 +97,14 @@ def test_area_identity_property(shape, seed):
 def test_velocity_vanishes_on_exact_sphere_values(icosphere):
     m = icosphere(1.0, 2)
     cache = synthetic_cache(m, 2.0)
-    v = flow_velocity(m, cache, h=0.5)
+    v = flow_velocity(cache, h=0.5)
     assert np.abs(v).max() == 0.0
 
 
 def test_velocity_h_zero_is_unit_normal(icosphere):
     m = icosphere(1.0, 2)
     cache = compute_cache(m)
-    v = flow_velocity(m, cache, h=0.0)
+    v = flow_velocity(cache, h=0.0)
     assert np.allclose(v, cache.normal)
 
 
@@ -122,7 +112,7 @@ def test_velocity_sign_flips_where_H_exceeds_1_over_h(icosphere):
     m = icosphere(1.0, 2)
     cache = compute_cache(m)
     h = 1.0  # 1/h = 1 < H ~ 2 everywhere
-    v = flow_velocity(m, cache, h)
+    v = flow_velocity(cache, h)
     inward = np.einsum("ij,ij->i", v, cache.normal)
     assert (inward < 0).all()
 
@@ -133,7 +123,7 @@ def test_velocity_sign_flips_where_H_exceeds_1_over_h(icosphere):
 def test_explicit_timestep_formula(icosphere):
     m = icosphere(1.0, 3)
     cache = compute_cache(m)
-    h = compute_h(m, cache)
+    h = compute_h(cache)
     config = FlowConfig(stepping="explicit", cfl_safety=0.5, dt_max=1e9)
     expected = 0.5 * m.edge_lengths().min() ** 2 / (4.0 * h)
     assert select_timestep(m, cache, h, config) == expected
@@ -142,7 +132,7 @@ def test_explicit_timestep_formula(icosphere):
 def test_timestep_linear_in_cfl(icosphere):
     m = icosphere(1.0, 2)
     cache = compute_cache(m)
-    h = compute_h(m, cache)
+    h = compute_h(cache)
     one = select_timestep(m, cache, h, FlowConfig(cfl_safety=0.4, dt_max=1e9))
     two = select_timestep(m, cache, h, FlowConfig(cfl_safety=0.8, dt_max=1e9))
     assert two == pytest.approx(2 * one, rel=1e-14)
@@ -151,7 +141,7 @@ def test_timestep_linear_in_cfl(icosphere):
 def test_semi_implicit_near_stationary_hits_dt_max(icosphere):
     m = icosphere(1.0, 3)
     cache = compute_cache(m)
-    h = compute_h(m, cache)
+    h = compute_h(cache)
     config = FlowConfig(stepping="semi-implicit", dt_max=0.05)
     assert select_timestep(m, cache, h, config) == 0.05
 
@@ -159,25 +149,16 @@ def test_semi_implicit_near_stationary_hits_dt_max(icosphere):
 # -- advance ------------------------------------------------------------------------
 
 
-def test_advance_zero_dt_is_identity(icosphere):
-    m = icosphere(1.0, 2)
-    cache = compute_cache(m)
-    state = FlowState(mesh=m, h=compute_h(m, cache), initial_area=cache.total_area)
-    out = advance(state, cache, FlowConfig(), dt=0.0)
-    assert out.t == state.t and out.mesh is state.mesh
-
-
 def test_one_step_decreases_roundness_deficit():
     m = gen_ellipsoid(1.2, 1.0, 0.85, 2)
     cache = compute_cache(m)
-    h = compute_h(m, cache)
+    h = compute_h(cache)
     state = FlowState(mesh=m, h=h, initial_area=cache.total_area)
-    out = advance(state, cache, FlowConfig(stepping="explicit"))
+    config = FlowConfig(stepping="explicit")
+    out = advance(state, cache, config, select_timestep(m, cache, h, config))
     new_cache = compute_cache(out.mesh)
-    before = surface_integral(m, cache.vertex_area, cache.traceless_norm**2)
-    after = surface_integral(
-        out.mesh, new_cache.vertex_area, new_cache.traceless_norm**2
-    )
+    before = surface_integral(cache.vertex_area, cache.traceless_norm**2)
+    after = surface_integral(new_cache.vertex_area, new_cache.traceless_norm**2)
     assert after < before
 
 
@@ -191,8 +172,9 @@ def test_sphere_stationarity_displacement_shrinks(icosphere):
         state = FlowState(mesh=m)
         for _ in range(50):
             cache = compute_cache(state.mesh)
-            state = replace(state, h=compute_h(state.mesh, cache))
-            state = advance(state, cache, config)
+            state = replace(state, h=compute_h(cache))
+            dt = select_timestep(state.mesh, cache, state.h, config)
+            state = advance(state, cache, config, dt)
         displacements.append(
             np.linalg.norm(state.mesh.vertices - m.vertices, axis=1).max()
         )
@@ -393,7 +375,7 @@ def test_semi_implicit_step_solves_the_system(name):
     cache = compute_cache(mesh)
     if name == "sliver":
         assert 1e-3 < cache.min_angle < 1e-2
-    h, dt = compute_h(mesh, cache), 0.05
+    h, dt = compute_h(cache), 0.05
     x = flow._semi_implicit_step(mesh, cache, h, dt)
     A = np.diag(cache.vertex_area) + dt * h * geometry.cotangent_stiffness(mesh).toarray()
     rhs = cache.vertex_area[:, None] * (mesh.vertices + dt * cache.normal)
@@ -419,6 +401,56 @@ def test_unconverged_solve_is_blowup(monkeypatch):
     assert len(result.series) == 2
     assert len(result.snapshot_meshes) == 2
     assert result.final_state.step_index == 1
+
+
+# -- every blow-up kind ends at a state that has a row ------------------------------
+
+
+def assert_ends_at_last_row(result, termination, rows):
+    assert str(result.termination) == termination
+    assert len(result.series) == rows
+    assert result.series.records[-1].t == result.final_state.t
+    assert result.snapshot_meshes[-1] is result.final_state.mesh
+
+
+def test_mesh_degeneracy_is_blowup():
+    sliver = sliver_sphere(gap=5e-4)
+    assert compute_cache(sliver).min_angle < flow.MIN_ANGLE_LIMIT
+    result = run_flow(sliver, FlowConfig(t_max=5.0))
+    assert_ends_at_last_row(result, "blow_up(mesh_degeneracy)", rows=1)
+    assert result.final_state.step_index == 0
+
+
+def _raise_degenerate_H(cache):
+    raise DegenerateMeanCurvatureError("injected")
+
+
+# kind -> (flow function, the call that is replaced, substitute): the k-th
+# compute_h call gives the h of step k - 1 and the k-th flow_velocity call
+# makes step k, so each run ends at step 3
+INJECTED_BLOWUPS = {
+    "nonpositive_h": ("compute_h", 4, lambda cache: -0.5),
+    "dt_underflow": ("compute_h", 4, lambda cache: 1e20),
+    "nan": ("flow_velocity", 4, lambda cache, h: np.full_like(cache.normal, np.nan)),
+    "degenerate_H: injected": ("compute_h", 5, _raise_degenerate_H),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INJECTED_BLOWUPS))
+def test_injected_blowup_ends_at_last_row(monkeypatch, kind):
+    name, k, substitute = INJECTED_BLOWUPS[kind]
+    replace_on_call(monkeypatch, flow, name, k, substitute)
+    config = FlowConfig(stepping="explicit", t_max=5.0, snapshot_every=2)
+    result = run_flow(gen_ellipsoid(1.2, 1.0, 0.85, 2), config)
+    # rows at steps 0 and 2 on the cadence, then step 3, the final state
+    assert_ends_at_last_row(result, f"blow_up({kind})", rows=3)
+    assert result.final_state.step_index == 3
+
+
+def test_degenerate_H_on_input_propagates(monkeypatch):
+    replace_on_call(monkeypatch, flow, "compute_h", 1, _raise_degenerate_H)
+    with pytest.raises(DegenerateMeanCurvatureError):
+        run_flow(gen_ellipsoid(1.2, 1.0, 0.85, 2), FlowConfig(t_max=5.0))
 
 
 def test_bowtie_is_invalid_input(bowtie):

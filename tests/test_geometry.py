@@ -19,12 +19,9 @@ from sapflow import (
     diameter_estimate,
     enclosed_volume,
     gradient_norm_field,
-    mean_curvature_field,
     surface_integral,
-    traceless_second_form_field,
     validate,
     vertex_area_weights,
-    vertex_normals,
 )
 from sapflow.geometry import (
     cotangent_stiffness,
@@ -77,7 +74,7 @@ def test_obtuse_fallback_partition():
 
 
 def test_cube_corner_normal_symmetry(unit_cube):
-    n = vertex_normals(unit_cube)
+    n = compute_cache(unit_cube).normal
     expect = np.ones(3) / np.sqrt(3.0)
     assert np.allclose(n[6], expect, atol=1e-14)
     assert np.allclose(n[0], -expect, atol=1e-14)
@@ -87,7 +84,7 @@ def test_icosphere_normal_error_decreases(icosphere):
     tilts = []
     for sub in (2, 3, 4):
         m = icosphere(1.0, sub)
-        n = vertex_normals(m)
+        n = compute_cache(m).normal
         radial = m.vertices / np.linalg.norm(m.vertices, axis=1)[:, None]
         tilts.append(np.linalg.norm(n - radial, axis=1).max())
     assert tilts[0] / tilts[1] > 1.8
@@ -97,7 +94,7 @@ def test_icosphere_normal_error_decreases(icosphere):
 def test_inward_mesh_raises(tetrahedron):
     flipped = TriMesh(tetrahedron.vertices, tetrahedron.faces[:, ::-1])
     with pytest.raises(OrientationError):
-        vertex_normals(flipped)
+        compute_cache(flipped)
 
 
 # -- mean curvature ----------------------------------------------------------------
@@ -106,7 +103,7 @@ def test_inward_mesh_raises(tetrahedron):
 @pytest.mark.parametrize("radius,expected", [(1.0, 2.0), (2.0, 1.0)])
 def test_sphere_mean_curvature(icosphere, radius, expected):
     m = icosphere(radius, 3)
-    H = mean_curvature_field(m, vertex_area_weights(m), vertex_normals(m))
+    H = compute_cache(m).mean_curvature
     assert np.abs(H - expected).max() < 2e-4 * expected
 
 
@@ -116,7 +113,7 @@ def test_mean_curvature_refinement(icosphere):
     errs = {}
     for sub in (1, 2, 3, 4):
         m = icosphere(1.0, sub)
-        H = mean_curvature_field(m, vertex_area_weights(m), vertex_normals(m))
+        H = compute_cache(m).mean_curvature
         errs[sub] = np.abs(H - 2.0).max()
     assert errs[1] < 1e-12
     assert errs[2] > errs[3] > errs[4]
@@ -126,7 +123,7 @@ def test_polygon_curvature_approaches_circle():
     errs = []
     for sides in (16, 32, 64):
         c = gen_circle(1.0, sides)
-        k = mean_curvature_field(c, vertex_area_weights(c), vertex_normals(c))
+        k = compute_cache(c).mean_curvature
         errs.append(np.abs(k - 1.0).max())
     assert all(a > b for a, b in zip(errs, errs[1:]))
     assert errs[-1] < 2e-3
@@ -137,17 +134,14 @@ def test_polygon_curvature_approaches_circle():
 
 def test_sphere_traceless_floor_and_second_form(icosphere):
     for sub in (2, 3):
-        m = icosphere(1.0, sub)
-        w = vertex_area_weights(m)
-        second, traceless = traceless_second_form_field(m, w, vertex_normals(m))
-        assert traceless.max() < 1e-6
-        assert np.abs(second - np.sqrt(2.0)).max() < 1e-3
+        cache = compute_cache(icosphere(1.0, sub))
+        assert cache.traceless_norm.max() < 1e-6
+        assert np.abs(cache.second_form_norm - np.sqrt(2.0)).max() < 1e-3
 
 
 def test_ellipsoid_anisotropy_detected():
     m = gen_ellipsoid(1.0, 1.0, 2.0, 3)
-    w = vertex_area_weights(m)
-    _, traceless = traceless_second_form_field(m, w, vertex_normals(m))
+    traceless = compute_cache(m).traceless_norm
     # equator vertices (z ~ 0) have k1 != k2
     eq = np.abs(m.vertices[:, 2]) < 0.2
     assert traceless[eq].min() > 0.05
@@ -158,20 +152,14 @@ def test_cylinder_patch_traceless():
     # so |Adev|^2 = 1/2 holds to rounding there
     for n_theta, n_z in ((24, 9), (48, 17)):
         m, interior = make_cylinder_patch(n_theta, n_z)
-        w = vertex_area_weights(m)
-        _, traceless = traceless_second_form_field(m, w, vertex_normals(m))
-        sq = traceless[interior] ** 2
+        sq = compute_cache(m).traceless_norm[interior] ** 2
         assert np.abs(sq - 0.5).max() < 1e-10
 
 
 def test_pointwise_traceless_identity(icosphere):
-    m = gen_ellipsoid(1.2, 1.0, 0.85, 2)
-    w = vertex_area_weights(m)
-    n = vertex_normals(m)
-    H = mean_curvature_field(m, w, n)
-    second, traceless = traceless_second_form_field(m, w, n)
-    lhs = traceless**2
-    rhs = second**2 - H**2 / 2.0
+    c = compute_cache(gen_ellipsoid(1.2, 1.0, 0.85, 2))
+    lhs = c.traceless_norm**2
+    rhs = c.second_form_norm**2 - c.mean_curvature**2 / 2.0
     assert np.abs(lhs - rhs).max() < 1e-10
 
 
@@ -180,14 +168,12 @@ def test_pointwise_traceless_identity(icosphere):
 
 def test_gradient_constant_field(icosphere):
     m = icosphere(1.0, 2)
-    g = gradient_norm_field(m, np.full(m.n_vertices, 3.7), vertex_area_weights(m))
+    g = gradient_norm_field(m, np.full(m.n_vertices, 3.7))
     assert np.abs(g).max() < 1e-12
 
 
 def test_gradient_affine_exactness(flat_patch):
-    g = gradient_norm_field(
-        flat_patch, flat_patch.vertices[:, 0], vertex_area_weights(flat_patch)
-    )
+    g = gradient_norm_field(flat_patch, flat_patch.vertices[:, 0])
     assert np.abs(g - 1.0).max() < 1e-12
 
 
@@ -195,9 +181,7 @@ def test_gradient_of_H_vanishes_under_refinement(icosphere):
     maxima = []
     for sub in (2, 3, 4):
         m = icosphere(1.0, sub)
-        w = vertex_area_weights(m)
-        H = mean_curvature_field(m, w, vertex_normals(m))
-        maxima.append(gradient_norm_field(m, H, w).max())
+        maxima.append(gradient_norm_field(m, compute_cache(m).mean_curvature).max())
     assert all(a > b for a, b in zip(maxima, maxima[1:]))
 
 
@@ -206,15 +190,14 @@ def test_gradient_of_H_vanishes_under_refinement(icosphere):
 
 def test_surface_integral_constants(unit_cube):
     w = vertex_area_weights(unit_cube)
-    assert surface_integral(unit_cube, w, np.ones(8)) == pytest.approx(6.0, abs=1e-13)
+    assert surface_integral(w, np.ones(8)) == pytest.approx(6.0, abs=1e-13)
 
 
 def test_sphere_curvature_integrals(icosphere):
-    m = icosphere(1.0, 3)
-    w = vertex_area_weights(m)
-    H = mean_curvature_field(m, w, vertex_normals(m))
-    assert surface_integral(m, w, H) == pytest.approx(8 * np.pi, rel=5e-3)
-    assert surface_integral(m, w, H**2) == pytest.approx(16 * np.pi, rel=5e-3)
+    c = compute_cache(icosphere(1.0, 3))
+    w, H = c.vertex_area, c.mean_curvature
+    assert surface_integral(w, H) == pytest.approx(8 * np.pi, rel=5e-3)
+    assert surface_integral(w, H**2) == pytest.approx(16 * np.pi, rel=5e-3)
 
 
 def test_enclosed_volume_exact_polyhedra(unit_cube, tetrahedron):
@@ -294,11 +277,8 @@ def test_scaling_homogeneity_property(seed, amplitude, s, curve):
     H1 = c1.mean_curvature / s
     assert np.abs(c2.mean_curvature - H1).max() <= 1e-12 * np.abs(H1).max()
     assert c2.total_area == pytest.approx(s**n * c1.total_area, rel=1e-12, abs=0)
-    assert compute_h(scaled, c2) == pytest.approx(
-        s * compute_h(mesh, c1), rel=1e-12, abs=0
-    )
-    int_H2 = [surface_integral(m, c.vertex_area, c.mean_curvature**2)
-              for m, c in ((mesh, c1), (scaled, c2))]
+    assert compute_h(c2) == pytest.approx(s * compute_h(c1), rel=1e-12, abs=0)
+    int_H2 = [surface_integral(c.vertex_area, c.mean_curvature**2) for c in (c1, c2)]
     assert int_H2[1] == pytest.approx(s ** (n - 2) * int_H2[0], rel=1e-12, abs=0)
 
 
@@ -316,7 +296,7 @@ def test_flat_ring_sphere_fit_falls_back_to_vertex_normal(unit_cube):
     assert report.is_closed and report.is_oriented and report.is_vertex_manifold
     cache = compute_cache(mesh)
     assert all(np.isfinite(getattr(cache, f)).all() for f in CACHE_FIELDS)
-    reference = vertex_normals(mesh)
+    reference = cache.normal
     fitted = osculating_sphere_normals(mesh, reference)
     assert np.array_equal(fitted[8:], reference[8:])
     assert np.allclose(reference[8:], [[0, 0, -1], [0, 0, 1], [0, -1, 0],
@@ -370,33 +350,17 @@ VERTEX_FIELDS = [
 ]
 
 
-def standalone_fields(mesh):
-    w = vertex_area_weights(mesh)
-    n = vertex_normals(mesh)
-    H = mean_curvature_field(mesh, w, n)
-    second, traceless = traceless_second_form_field(mesh, w, n)
-    return {
-        "vertex_area": w,
-        "normal": n,
-        "mean_curvature": H,
-        "second_form_norm": second,
-        "traceless_norm": traceless,
-        "grad_H_norm": gradient_norm_field(mesh, H, w),
-    }
-
-
 @pytest.mark.parametrize("name", sorted(CACHE_MESHES))
 def test_cache_equals_standalone_operations(name):
+    # the operations kept beside the cache share its field helpers
     mesh = CACHE_MESHES[name]()
     cache = compute_cache(mesh)
-    expected = standalone_fields(mesh)
-    assert sorted(expected) == sorted(VERTEX_FIELDS)
-    for field in VERTEX_FIELDS:
-        assert np.array_equal(getattr(cache, field), expected[field]), field
-    # the stiffness weights have no standalone operation but the assembler
+    assert np.array_equal(cache.vertex_area, vertex_area_weights(mesh))
+    assert np.array_equal(
+        cache.grad_H_norm, gradient_norm_field(mesh, cache.mean_curvature)
+    )
     L = cotangent_stiffness(mesh, cache.stiffness_weight)
     assert np.array_equal(L.data, cotangent_stiffness(mesh).data)
-    # one volume formula
     assert cache.volume == enclosed_volume(mesh)
 
 

@@ -110,6 +110,23 @@ def test_save_curve_roundtrip(tmp_path):
     assert np.array_equal(loaded.vertices, curve.vertices)
 
 
+def test_load_clockwise_curve_rejected(tmp_path):
+    path = tmp_path / "c.csv"
+    save_mesh(TriMesh(gen_circle(1.0, 16).vertices[::-1], mode="curve"), path)
+    with pytest.raises(MeshTopologyError, match="clockwise"):
+        load_mesh(path)
+
+
+def test_validate_curve_repeated_point():
+    # a zero-length segment is a degenerate element: length 0, angle 0, and
+    # no division by its length
+    v = gen_circle(1.0, 16).vertices
+    report = validate(TriMesh(np.insert(v, 5, v[5], axis=0), mode="curve"))
+    assert report.min_face_area == 0.0
+    assert report.min_angle == 0.0
+    assert report.is_oriented
+
+
 def test_save_unwritable_path(tetrahedron):
     with pytest.raises(OSError):
         save_mesh(tetrahedron, "/nonexistent_dir_xyzzy/out.off")
@@ -303,9 +320,9 @@ def _save_and_read(mesh, fmt, load):
 
 
 def _parse_only(path):
-    """The parsed mesh without load_mesh's closed-manifold checks."""
+    """The parsed mesh without load_mesh's closed-manifold and orientation checks."""
     if path.endswith(".csv"):
-        return load_mesh(path)  # curves are not validated on load
+        return TriMesh(meshmod._read_curve_csv(path), mode="curve")
     read = meshmod._read_off if path.endswith(".off") else meshmod._read_obj
     return TriMesh(*read(path))
 
@@ -327,11 +344,14 @@ def _assert_same_mesh(loaded, mesh):
 )
 def test_save_load_roundtrip_property(seed, subdiv, exponent, fmt):
     # perturbed and relabelled spheres (circles for csv) at scales 1e+-60, where
-    # squared face areas neither overflow nor underflow
+    # squared face areas neither overflow nor underflow; the vertex order is
+    # the curve, so a circle is relabelled by a cyclic shift and stays
+    # counter-clockwise, as load_mesh requires
     rng = np.random.default_rng(seed)
     if fmt == "csv":
         base = gen_circle(1.0, 3 + 8 * subdiv)
-        mesh = base.with_vertices(base.vertices[rng.permutation(base.n_vertices)])
+        shift = int(rng.integers(base.n_vertices))
+        mesh = base.with_vertices(np.roll(base.vertices, shift, axis=0))
     else:
         base = gen_icosphere(1.0, subdivisions=subdiv)
         perm = rng.permutation(base.n_vertices)
@@ -441,11 +461,8 @@ def test_ellipsoid_volume_convergence():
 
 
 def test_ellipsoid_nonround_has_traceless_energy():
-    m = gen_ellipsoid(1.2, 1.0, 0.85, 3)
-    va = geometry.vertex_area_weights(m)
-    nrm = geometry.vertex_normals(m)
-    _, traceless = geometry.traceless_second_form_field(m, va, nrm)
-    assert geometry.surface_integral(m, va, traceless**2) > 0.1
+    c = geometry.compute_cache(gen_ellipsoid(1.2, 1.0, 0.85, 3))
+    assert geometry.surface_integral(c.vertex_area, c.traceless_norm**2) > 0.1
 
 
 def test_perturbed_sphere_zero_amplitude(icosphere):
@@ -460,20 +477,15 @@ def test_perturbed_sphere_amplitude_cap():
 
 def test_gaussian_dent_creates_concavity():
     m = gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 3)
-    va = geometry.vertex_area_weights(m)
-    nrm = geometry.vertex_normals(m)
-    H = geometry.mean_curvature_field(m, va, nrm)
-    assert H.min() < 0
+    assert geometry.compute_cache(m).mean_curvature.min() < 0
 
 
 def test_harmonic_amplitude_quadratic_scaling():
     energies = []
     for amp in (0.05, 0.025):
         m = gen_perturbed_sphere(1.0, amp, SphericalHarmonicBump(2, 0), 3)
-        va = geometry.vertex_area_weights(m)
-        nrm = geometry.vertex_normals(m)
-        _, traceless = geometry.traceless_second_form_field(m, va, nrm)
-        energies.append(geometry.surface_integral(m, va, traceless**2))
+        c = geometry.compute_cache(m)
+        energies.append(geometry.surface_integral(c.vertex_area, c.traceless_norm**2))
     assert 3.5 < energies[0] / energies[1] < 4.5
 
 

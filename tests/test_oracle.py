@@ -27,12 +27,6 @@ def test_sphere_reference_circle():
     assert ref.volume_exact == pytest.approx(np.pi)
 
 
-def test_stationarity_defect_exact_rational():
-    for radius in (1.0, 2.0, 0.375):
-        for n in (1, 2):
-            assert sphere_reference(radius, n).stationarity_defect() == 0
-
-
 def test_sphere_reference_rejects_bad_inputs():
     with pytest.raises(ValueError):
         sphere_reference(-1.0)
