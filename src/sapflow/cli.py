@@ -10,13 +10,14 @@ import argparse
 import json
 import os
 import sys
-
-import numpy as np
+from dataclasses import asdict, fields
 
 from .errors import SapflowError
 from . import diagnostics, flow, geometry, mesh as meshmod
+from .flow import FlowConfig
 
 
+# the flow keys and their defaults are FlowConfig's; flags share the key names
 MANIFEST_DEFAULTS = {
     "mesh": None,
     "generator": None,
@@ -28,20 +29,15 @@ MANIFEST_DEFAULTS = {
     "harmonic": [2, 0],
     "width": 0.3,
     "direction": [0.0, 0.0, 1.0],
-    "stepping": "explicit",
-    "cfl_safety": 0.5,
-    "dt_max": 0.05,
-    "area_projection": True,
-    "t_max": 10.0,
-    "roundness_tol": 1e-6,
-    "blowup_max_A": None,
-    "snapshot_every": 1,
+    **asdict(FlowConfig()),
     "output_dir": "sapflow_out",
     "mesh_cadence": 1,
 }
 
 
 def load_manifest(path=None, overrides=None):
+    """Defaults, then the manifest file, then the overrides that are not None;
+    a comma-list override of a list key (``--axes 1.2,1,0.85``) is parsed."""
     manifest = dict(MANIFEST_DEFAULTS)
     if path is not None:
         with open(path, encoding="ascii") as fh:
@@ -51,6 +47,9 @@ def load_manifest(path=None, overrides=None):
             raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
         manifest.update(data)
     for key, value in (overrides or {}).items():
+        default = MANIFEST_DEFAULTS.get(key)
+        if isinstance(value, str) and isinstance(default, list):
+            value = [type(default[0])(x) for x in value.split(",")]
         if value is not None:
             manifest[key] = value
     if (manifest["mesh"] is None) == (manifest["generator"] is None):
@@ -85,40 +84,21 @@ def build_input_mesh(manifest):
 
 
 def flow_config(manifest):
-    return flow.FlowConfig(
-        stepping=manifest["stepping"],
-        cfl_safety=manifest["cfl_safety"],
-        dt_max=manifest["dt_max"],
-        area_projection=manifest["area_projection"],
-        t_max=manifest["t_max"],
-        roundness_tol=manifest["roundness_tol"],
-        blowup_max_A=manifest["blowup_max_A"],
-        snapshot_every=int(manifest["snapshot_every"]),
-    )
+    return FlowConfig(**{f.name: manifest[f.name] for f in fields(FlowConfig)})
+
+
+def _overrides(args):
+    """The parsed flags that name a manifest key."""
+    return {k: v for k, v in vars(args).items() if k in MANIFEST_DEFAULTS}
 
 
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_generate(args):
-    manifest = {
-        **MANIFEST_DEFAULTS,
-        "generator": args.shape,
-        "radius": args.radius,
-        "subdivisions": args.subdiv,
-        "amplitude": args.amplitude,
-        "bump": "dent" if args.dent else "harmonic",
-        "width": args.width,
-    }
-    if args.axes:
-        manifest["axes"] = [float(x) for x in args.axes.split(",")]
-    if args.harmonic:
-        manifest["harmonic"] = [int(x) for x in args.harmonic.split(",")]
-    if args.direction:
-        manifest["direction"] = [float(x) for x in args.direction.split(",")]
-    out_mesh = build_input_mesh(manifest)
+    out_mesh = build_input_mesh(load_manifest(overrides=_overrides(args)))
     meshmod.save_mesh(out_mesh, args.output)
-    if args.shape == "perturbed":
+    if args.generator == "perturbed":
         H = geometry.compute_cache(out_mesh).mean_curvature
         print(f"min discrete H = {H.min():.6g}", file=sys.stderr)
     print(args.output)
@@ -126,27 +106,9 @@ def cmd_generate(args):
 
 
 def cmd_run(args):
-    overrides = {
-        "mesh": args.mesh,
-        "generator": args.generator,
-        "output_dir": args.output_dir,
-        "stepping": args.stepping,
-        "cfl_safety": args.cfl_safety,
-        "dt_max": args.dt_max,
-        "t_max": args.t_max,
-        "roundness_tol": args.roundness_tol,
-        "snapshot_every": args.snapshot_every,
-        "mesh_cadence": args.mesh_cadence,
-        "subdivisions": args.subdiv,
-        "blowup_max_A": args.blowup_max_a,
-    }
-    if args.axes:
-        overrides["axes"] = [float(x) for x in args.axes.split(",")]
-    if args.projection is not None:
-        overrides["area_projection"] = args.projection
-    manifest = load_manifest(args.manifest, overrides)
-    input_mesh = build_input_mesh(manifest)
+    manifest = load_manifest(args.manifest, _overrides(args))
     config = flow_config(manifest)
+    input_mesh = build_input_mesh(manifest)
 
     result = flow.run_flow(input_mesh, config, keep_meshes=True)
     series = result.series
@@ -178,14 +140,10 @@ def cmd_run(args):
         rows=mesh_rows,
     )
     diagnostics.write_summary(summary, os.path.join(outdir, "summary.json"))
-    with open(os.path.join(outdir, "run_meta.json"), "w", encoding="ascii") as fh:
-        json.dump(
-            {"termination": str(result.termination), "metadata": series.metadata},
-            fh,
-            indent=2,
-            sort_keys=True,
-        )
-        fh.write("\n")
+    diagnostics.write_summary(
+        {"termination": str(result.termination), "metadata": series.metadata},
+        os.path.join(outdir, "run_meta.json"),
+    )
     print(json.dumps(summary["max_residuals"]))
     print(f"termination: {result.termination}")
     return 0 if result.termination.kind in ("converged", "time_limit") else 2
@@ -228,13 +186,16 @@ def main(argv=None):
     sub = parser.add_subparsers(dest="command", required=True)
 
     g = sub.add_parser("generate", help="write a generator mesh to OFF/OBJ")
-    g.add_argument("shape", choices=["icosphere", "ellipsoid", "perturbed"])
-    g.add_argument("--radius", type=float, default=1.0)
-    g.add_argument("--subdiv", type=int, default=3)
+    g.add_argument(
+        "generator", metavar="shape", choices=["icosphere", "ellipsoid", "perturbed"]
+    )
+    g.add_argument("--radius", type=float)
+    g.add_argument("--subdiv", type=int, dest="subdivisions")
     g.add_argument("--axes", help="a,b,c semi-axes (ellipsoid)")
-    g.add_argument("--amplitude", type=float, default=0.0)
-    g.add_argument("--dent", action="store_true", help="Gaussian dent bump")
-    g.add_argument("--width", type=float, default=0.3, help="dent width (radians)")
+    g.add_argument("--amplitude", type=float)
+    g.add_argument("--dent", action="store_const", const="dent", dest="bump",
+                   help="Gaussian dent bump")
+    g.add_argument("--width", type=float, help="dent width (radians)")
     g.add_argument("--direction", help="x,y,z dent direction")
     g.add_argument("--harmonic", help="l,m spherical harmonic bump")
     g.add_argument("-o", "--output", required=True)
@@ -245,18 +206,19 @@ def main(argv=None):
     r.add_argument("--mesh", help="input mesh file (OFF/OBJ/CSV)")
     r.add_argument("--generator", choices=["icosphere", "ellipsoid", "perturbed"])
     r.add_argument("--axes")
-    r.add_argument("--subdiv", type=int)
+    r.add_argument("--subdiv", type=int, dest="subdivisions")
     r.add_argument("--stepping", choices=["explicit", "semi-implicit"])
-    r.add_argument("--cfl-safety", type=float, dest="cfl_safety")
-    r.add_argument("--dt-max", type=float, dest="dt_max")
-    r.add_argument("--t-max", type=float, dest="t_max")
-    r.add_argument("--roundness-tol", type=float, dest="roundness_tol")
-    r.add_argument("--blowup-max-a", type=float, dest="blowup_max_a")
-    r.add_argument("--snapshot-every", type=int, dest="snapshot_every")
-    r.add_argument("--mesh-cadence", type=int, dest="mesh_cadence")
-    r.add_argument("--projection", dest="projection", action="store_true", default=None)
-    r.add_argument("--no-projection", dest="projection", action="store_false")
-    r.add_argument("-o", "--output-dir", dest="output_dir")
+    r.add_argument("--cfl-safety", type=float)
+    r.add_argument("--dt-max", type=float)
+    r.add_argument("--t-max", type=float)
+    r.add_argument("--roundness-tol", type=float)
+    r.add_argument("--blowup-max-a", type=float, dest="blowup_max_A")
+    r.add_argument("--snapshot-every", type=int)
+    r.add_argument("--mesh-cadence", type=int)
+    r.add_argument("--projection", dest="area_projection", action="store_true",
+                   default=None)
+    r.add_argument("--no-projection", dest="area_projection", action="store_false")
+    r.add_argument("-o", "--output-dir")
     r.set_defaults(func=cmd_run)
 
     a = sub.add_parser("analyze", help="recompute the summary from run artifacts")

@@ -21,7 +21,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from . import geometry
-from .flow import intrinsic_dimension
+from .mesh import intrinsic_dimension
 
 FLOAT_FMT = "%.17g"
 
@@ -97,7 +97,7 @@ class TimeSeries:
 def record_snapshot(state, cache):
     """Assemble one diagnostics row from a state and its geometry cache."""
     mesh = state.mesh
-    n = intrinsic_dimension(mesh)
+    n = intrinsic_dimension(mesh.mode)
     va = cache.vertex_area
     H = cache.mean_curvature
     one_minus = 1.0 - state.h * H
@@ -190,7 +190,7 @@ def identity_residuals(series, meshes):
         rhs_h, rhs_H2 = _ode_rhs(meshes[k], rec_l.h, rec_l.int_H2)
         s = rec_r.area_scale_applied
         h_pre = rec_r.h / s
-        int_H2_pre = rec_r.int_H2 * s ** (2 - intrinsic_dimension(meshes[k + 1]))
+        int_H2_pre = rec_r.int_H2 * s ** (2 - intrinsic_dimension(meshes[k + 1].mode))
         dt = rec_r.t - rec_l.t
         r_h.append(abs((h_pre - rec_l.h) / dt - rhs_h))
         r_H2.append(abs((int_H2_pre - rec_l.int_H2) / dt - rhs_H2))
@@ -247,11 +247,12 @@ def fit_exponential_rate(series, field, window=None):
     return RateFit(rate=-float(slope), intercept=float(intercept), r_squared=r2)
 
 
-def decay_rate_lower_bound(series, n=2):
+def decay_rate_lower_bound(series):
     """Conservative exponential decay-rate lower bound from measured constants.
 
     Lambda1 is the largest of max |A|, h, 1/h, int H^2 dmu and its inverse
-    over all snapshots; the bound is 1 / (4 n Lambda1^2 area(0)).
+    over all snapshots; the bound is 1 / (4 n Lambda1^2 area(0)), with n = 1
+    when ``series.metadata["mode"]`` is ``"curve"`` and 2 otherwise.
     """
     if not series.records:
         raise ValueError("empty series")
@@ -265,6 +266,7 @@ def decay_rate_lower_bound(series, n=2):
         ]
     )
     lam1 = float(candidates.max())
+    n = intrinsic_dimension(series.metadata.get("mode"))
     return 1.0 / (4.0 * n * lam1**2 * series.records[0].area)
 
 
@@ -344,12 +346,11 @@ def make_summary(series, meshes=None, termination=None, rows=None):
     Fields that cannot be computed (e.g. a decay fit on a non-positive
     series) are null rather than errors, so summaries exist for every run.
     """
-    n = 1 if series.metadata.get("mode") == "curve" else 2
     out = {
         "termination": str(termination) if termination is not None else None,
         "fitted_rate": None,
         "R2": None,
-        "delta_paper": decay_rate_lower_bound(series, n=n),
+        "delta_paper": decay_rate_lower_bound(series),
         "final_sphere": None,
         "mean_convexity_onset": mean_convexity_onset(series),
         "max_residuals": {

@@ -9,6 +9,7 @@ the surviving area drift is O(dt) over a run and can be removed entirely by
 the optional projection step (uniform rescaling about the area centroid).
 """
 
+import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -21,12 +22,30 @@ from .errors import (
     DegenerateMeanCurvatureError,
     OrientationError,
 )
-from . import geometry
-from .mesh import TriMesh, validate
+from . import diagnostics, geometry
+from .mesh import TriMesh, intrinsic_dimension, validate
 
 # smallest face corner (curve vertex) angle, in radians, before a run ends as
 # blow_up(mesh_degeneracy)
 MIN_ANGLE_LIMIT = 1e-3
+
+
+def _number(x, kind=numbers.Real):
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
+# the one check of each run setting, for the library and the manifest:
+# field -> (what it must be, test of its value)
+_SETTING_CHECKS = {
+    "stepping": ("explicit or semi-implicit", lambda x: x in ("explicit", "semi-implicit")),
+    "cfl_safety": ("a number in (0, 1]", lambda x: _number(x) and 0 < x <= 1),
+    "dt_max": ("a positive number", lambda x: _number(x) and x > 0),
+    "area_projection": ("a bool", lambda x: isinstance(x, bool)),
+    "t_max": ("a positive number", lambda x: _number(x) and x > 0),
+    "roundness_tol": ("a number in (0, 1)", lambda x: _number(x) and 0 < x < 1),
+    "blowup_max_A": ("a number or None", lambda x: x is None or _number(x)),
+    "snapshot_every": ("an integer >= 1", lambda x: _number(x, numbers.Integral) and x >= 1),
+}
 
 
 @dataclass(frozen=True)
@@ -41,14 +60,10 @@ class FlowConfig:
     snapshot_every: int = 1
 
     def __post_init__(self):
-        if self.stepping not in ("explicit", "semi-implicit"):
-            raise ValueError(f"unknown stepping mode {self.stepping!r}")
-        if not (0.0 < self.cfl_safety <= 1.0):
-            raise ValueError("cfl_safety must lie in (0, 1]")
-        if self.dt_max <= 0 or self.t_max <= 0 or self.snapshot_every < 1:
-            raise ValueError("dt_max, t_max and snapshot_every must be positive")
-        if not (0.0 < self.roundness_tol < 1.0):
-            raise ValueError("roundness_tol must lie in (0, 1)")
+        for name, (expected, ok) in _SETTING_CHECKS.items():
+            value = getattr(self, name)
+            if not ok(value):
+                raise ValueError(f"{name} must be {expected}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -77,10 +92,6 @@ class FlowRunResult:
     final_state: FlowState
     termination: Termination
     snapshot_meshes: list = field(default_factory=list)
-
-
-def intrinsic_dimension(mesh):
-    return 1 if mesh.mode == "curve" else 2
 
 
 def compute_h(cache):
@@ -188,7 +199,7 @@ def enforce_area_constraint(state):
     """
     mesh = state.mesh
     current, c = geometry._area_centroid(mesh, geometry._configuration(mesh))
-    scale = (state.initial_area / current) ** (1 / intrinsic_dimension(mesh))
+    scale = (state.initial_area / current) ** (1 / intrinsic_dimension(mesh.mode))
     if scale == 1.0:
         return replace(state, last_projection_scale=1.0)
     new_v = c + scale * (mesh.vertices - c)
@@ -219,8 +230,6 @@ def run_flow(mesh, config, keep_meshes=True):
         Time series, final state, termination reason, and (optionally) the
         snapshot meshes aligned with the series records.
     """
-    from . import diagnostics
-
     report = validate(mesh)
     if not (report.is_closed and report.is_oriented and report.is_vertex_manifold):
         raise BlowUpError("invalid_input", "mesh is not a closed oriented manifold")

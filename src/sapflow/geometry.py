@@ -414,9 +414,12 @@ def diameter_estimate(mesh):
         _, ln = _configuration(mesh)
         cum = np.concatenate([[0.0], np.cumsum(ln)])
         total = cum[-1]
-        arc = np.abs(cum[:, None] - cum[None, :-1])
-        d = np.minimum(arc, total - arc)
-        return float(d.max())
+        # the arc distance from a vertex peaks at its antipode, so the farthest
+        # vertex is one of the two around it (cum[n] is vertex 0 again)
+        pos, half = cum[:-1], 0.5 * total
+        k = np.searchsorted(cum, np.where(pos < half, pos + half, pos - half))
+        arc = np.abs(pos - cum[np.stack([k - 1, k])])
+        return float(np.minimum(arc, total - arc).max())
     e = mesh.edges
     w = np.linalg.norm(mesh.vertices[e[:, 0]] - mesh.vertices[e[:, 1]], axis=1)
     g = sparse.csr_matrix((w, (e[:, 0], e[:, 1])), shape=(n, n))

@@ -288,6 +288,11 @@ def _turning_angles(t):
     return np.arctan2(cross, np.einsum("ij,ij->i", tp, t))
 
 
+def intrinsic_dimension(mode):
+    """n of a mesh mode: 1 for a curve, 2 for a surface."""
+    return 1 if mode == "curve" else 2
+
+
 def validate(mesh):
     """Compute a :class:`MeshQualityReport` from connectivity and positions.
 

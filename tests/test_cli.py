@@ -7,12 +7,15 @@ import pytest
 from sapflow import (
     DegenerateGeometryError,
     DegenerateMeanCurvatureError,
+    GaussianDentBump,
+    SphericalHarmonicBump,
     flow,
+    gen_perturbed_sphere,
     geometry,
     load_mesh,
     save_mesh,
 )
-from sapflow.cli import main
+from sapflow.cli import MANIFEST_DEFAULTS, main
 from sapflow.diagnostics import RECORD_FIELDS, DiagnosticsRecord, TimeSeries
 from conftest import (
     cg_not_converged,
@@ -52,6 +55,38 @@ def test_generate_dented_reports_min_H(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "min discrete H" in err
     assert float(err.split("=")[1]) < 0
+
+
+@pytest.mark.parametrize(
+    "flags, bump",
+    [
+        (("--dent", "--direction", "1,0,0", "--width", "0.4"),
+         GaussianDentBump(direction=(1.0, 0.0, 0.0), width=0.4)),
+        (("--harmonic", "3,1"), SphericalHarmonicBump(3, 1)),
+    ],
+)
+def test_generate_bump_flags(tmp_path, flags, bump):
+    out = tmp_path / "p.off"
+    assert run_cli("generate", "perturbed", "--amplitude", "-0.3", "--subdiv", "2",
+                   *flags, "-o", str(out)) == 0
+    want = gen_perturbed_sphere(1.0, -0.3, bump, 2)
+    assert np.array_equal(load_mesh(out).vertices, want.vertices)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "ellipsoid", "--axes", "1,x"),
+        ("generate", "perturbed", "--amplitude", "0.1", "--harmonic", "2,x"),
+        ("generate", "perturbed", "--amplitude", "-0.3", "--dent", "--direction", "1,0,x"),
+        ("run", "--generator", "ellipsoid", "--axes", "1,x"),
+    ],
+)
+def test_malformed_list_is_input_error(tmp_path, capsys, argv):
+    # exit 2 is a blow-up, so a bad flag value is an input error like a bad manifest
+    assert run_cli(*argv, "-o", str(tmp_path / "out")) == 1
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (tmp_path / "out").exists()
 
 
 def run_manifest(tmp_path, **kw):
@@ -204,6 +239,55 @@ def test_manifest_roundtrip_through_run_meta(tmp_path):
     assert reparsed == echoed
     for key, value in manifest.items():
         assert echoed[key] == value
+
+
+@pytest.mark.parametrize("projection", ["--projection", "--no-projection"])
+def test_every_run_flag_reaches_the_manifest(tmp_path, projection):
+    path = tmp_path / "manifest.json"
+    base = {"generator": "icosphere", "area_projection": projection == "--no-projection"}
+    path.write_text(json.dumps(base))
+    outdir = tmp_path / "out"
+    argv = [
+        "--generator", "ellipsoid", "--axes", "1.3,1,0.8", "--subdiv", "1",
+        "--stepping", "semi-implicit", "--cfl-safety", "0.4", "--dt-max", "0.02",
+        "--t-max", "0.1", "--roundness-tol", "1e-3", "--blowup-max-a", "1e6",
+        "--snapshot-every", "2", "--mesh-cadence", "2", projection, "-o", str(outdir),
+    ]
+    expected = {
+        "generator": "ellipsoid",
+        "axes": [1.3, 1.0, 0.8],
+        "subdivisions": 1,
+        "stepping": "semi-implicit",
+        "cfl_safety": 0.4,
+        "dt_max": 0.02,
+        "t_max": 0.1,
+        "roundness_tol": 1e-3,
+        "blowup_max_A": 1e6,
+        "snapshot_every": 2,
+        "mesh_cadence": 2,
+        "area_projection": projection == "--projection",
+        "output_dir": str(outdir),
+    }
+    # every flag moves its key away from the manifest's value or the default
+    assert all({**MANIFEST_DEFAULTS, **base}[k] != v for k, v in expected.items())
+    assert run_cli("run", "--manifest", str(path), *argv) == 0
+    meta = json.loads((outdir / "run_meta.json").read_text())["metadata"]
+    assert {k: meta["manifest"][k] for k in expected} == expected
+    for key, value in meta["config"].items():
+        assert value == expected[key]
+
+
+@pytest.mark.parametrize(
+    "key, value", [("t_max", "0.1"), ("area_projection", "false"), ("snapshot_every", 2.5)]
+)
+def test_manifest_value_of_wrong_type_is_input_error(tmp_path, capsys, key, value):
+    path = tmp_path / "m.json"
+    outdir = tmp_path / "out"
+    path.write_text(json.dumps({"generator": "icosphere", key: value,
+                                "output_dir": str(outdir)}))
+    assert run_cli("run", "--manifest", str(path)) == 1
+    assert f"error: {key} must be" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_manifest_rejects_unknown_keys(tmp_path, capsys):

@@ -280,6 +280,15 @@ def test_decay_bound_positive_and_quarter_scaling(small_run):
     )
 
 
+def test_decay_bound_of_curve_run_uses_n_1():
+    # the bound reads the mode from the series: n = 1 for a curve, as in the summary
+    run = run_flow(ellipse(1.3, 0.8, 64), FlowConfig(stepping="explicit", t_max=0.5))
+    delta = decay_rate_lower_bound(run.series)
+    assert delta == make_summary(run.series)["delta_paper"]
+    surface = TimeSeries(records=run.series.records, metadata={"mode": "surface"})
+    assert delta == 2.0 * decay_rate_lower_bound(surface)
+
+
 # -- sphere fit ----------------------------------------------------------------------
 
 

@@ -50,6 +50,38 @@ STEP_MESHES = {
 }
 
 
+# -- config ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "name, value",
+    [
+        ("stepping", "implicit"),
+        ("cfl_safety", 1.5),
+        ("cfl_safety", "0.5"),
+        ("dt_max", 0.0),
+        ("dt_max", True),
+        ("area_projection", 1),
+        ("t_max", "0.1"),
+        ("t_max", float("nan")),
+        ("roundness_tol", 1.0),
+        ("blowup_max_A", "1e3"),
+        ("snapshot_every", 0),
+        ("snapshot_every", 2.0),
+        ("snapshot_every", True),
+    ],
+)
+def test_config_rejects_invalid_setting(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        FlowConfig(**{name: value})
+
+
+def test_config_accepts_numpy_numbers():
+    config = FlowConfig(t_max=np.float64(0.5), blowup_max_A=np.float32(1e3),
+                        snapshot_every=np.int64(2))
+    assert config.snapshot_every == 2
+
+
 # -- compute_h -------------------------------------------------------------------
 
 

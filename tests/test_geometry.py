@@ -235,6 +235,26 @@ def test_diameter_curve():
     assert diameter_estimate(c) == pytest.approx(np.pi, rel=1e-3)
 
 
+def test_diameter_curve_matches_all_pairs():
+    # the antipode search against the maximum arc distance over all vertex
+    # pairs, on polygons inscribed in ellipses and radially perturbed ones
+    rng = np.random.default_rng(0)
+    for k in range(200):
+        n = int(rng.integers(3, 400))
+        th = np.sort(rng.uniform(0.0, 2 * np.pi, n))
+        if k % 2:
+            a = b = 1.0 + 0.3 * rng.uniform(-1.0, 1.0, n)
+        else:
+            a, b = rng.uniform(0.5, 2.0, 2)
+        v = np.column_stack([a * np.cos(th), b * np.sin(th)])
+        ln = np.linalg.norm(np.diff(np.vstack([v, v[:1]]), axis=0), axis=1)
+        cum = np.concatenate([[0.0], np.cumsum(ln)])
+        arc = np.abs(cum[:, None] - cum[None, :-1])
+        brute = np.minimum(arc, cum[-1] - arc).max()
+        got = diameter_estimate(TriMesh(v, mode="curve"))
+        assert got == pytest.approx(brute, rel=1e-15, abs=0.0)
+
+
 # -- cache-level invariants ------------------------------------------------------------
 
 
