@@ -8,13 +8,14 @@ summary of a finished run from its artifacts alone.
 
 import argparse
 import json
+import numbers
 import os
 import sys
 from dataclasses import asdict, fields
 
 from .errors import SapflowError
 from . import diagnostics, flow, geometry, mesh as meshmod
-from .flow import FlowConfig
+from .flow import FlowConfig, _number
 
 
 # the flow keys and their defaults are FlowConfig's; flags share the key names
@@ -32,6 +33,30 @@ MANIFEST_DEFAULTS = {
     **asdict(FlowConfig()),
     "output_dir": "sapflow_out",
     "mesh_cadence": 1,
+}
+
+
+def _numbers(x, count, kind=numbers.Real):
+    return isinstance(x, (list, tuple)) and len(x) == count and all(
+        _number(v, kind) for v in x
+    )
+
+
+# the one check of each key outside FlowConfig, as FlowConfig checks the flow
+# keys, made at load time so that no bad value surfaces after a run:
+# key -> (what it must be, test of its value)
+_MANIFEST_CHECKS = {
+    "mesh": ("a path or null", lambda x: x is None or isinstance(x, str)),
+    "radius": ("a positive number", lambda x: _number(x) and x > 0),
+    "axes": ("a list of 3 positive numbers", lambda x: _numbers(x, 3) and min(x) > 0),
+    "subdivisions": ("an integer >= 0", lambda x: _number(x, numbers.Integral) and x >= 0),
+    "amplitude": ("a number", _number),
+    "bump": ("harmonic or dent", lambda x: x in ("harmonic", "dent")),
+    "harmonic": ("a list of 2 integers", lambda x: _numbers(x, 2, numbers.Integral)),
+    "width": ("a positive number", lambda x: _number(x) and x > 0),
+    "direction": ("a list of 3 numbers, not all 0", lambda x: _numbers(x, 3) and any(x)),
+    "output_dir": ("a path", lambda x: isinstance(x, str)),
+    "mesh_cadence": ("an integer >= 1", lambda x: _number(x, numbers.Integral) and x >= 1),
 }
 
 
@@ -54,6 +79,9 @@ def load_manifest(path=None, overrides=None):
             manifest[key] = value
     if (manifest["mesh"] is None) == (manifest["generator"] is None):
         raise ValueError("exactly one of 'mesh' and 'generator' must be set")
+    for key, (expected, ok) in _MANIFEST_CHECKS.items():
+        if not ok(manifest[key]):
+            raise ValueError(f"{key} must be {expected}, not {manifest[key]!r}")
     return manifest
 
 
@@ -62,15 +90,14 @@ def _bump_from(manifest):
         return meshmod.GaussianDentBump(
             direction=tuple(manifest["direction"]), width=manifest["width"]
         )
-    l, m = manifest["harmonic"]
-    return meshmod.SphericalHarmonicBump(int(l), int(m))
+    return meshmod.SphericalHarmonicBump(*manifest["harmonic"])
 
 
 def build_input_mesh(manifest):
     if manifest["mesh"] is not None:
         return meshmod.load_mesh(manifest["mesh"])
     kind = manifest["generator"]
-    sub = int(manifest["subdivisions"])
+    sub = manifest["subdivisions"]
     if kind == "icosphere":
         return meshmod.gen_icosphere(manifest["radius"], (0.0, 0.0, 0.0), sub)
     if kind == "ellipsoid":
@@ -118,8 +145,7 @@ def cmd_run(args):
     os.makedirs(os.path.join(outdir, "meshes"), exist_ok=True)
     series.to_csv(os.path.join(outdir, "series.csv"))
 
-    cadence = max(int(manifest["mesh_cadence"]), 1)
-    mesh_rows = list(range(0, len(series), cadence))
+    mesh_rows = list(range(0, len(series), manifest["mesh_cadence"]))
     last = len(series) - 1
     if mesh_rows[-1] != last:
         mesh_rows.append(last)
@@ -178,8 +204,16 @@ def cmd_analyze(args):
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1, the input-error code (argparse's 2 is a blow-up here)."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None):
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sapflow",
         description="Surface-area-preserving curvature flow simulator",
     )

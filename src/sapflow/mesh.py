@@ -18,6 +18,9 @@ from .errors import DegenerateGeometryError, MeshParseError, MeshTopologyError
 
 FLOAT_FMT = "%.17g"  # lossless double round-trip
 
+# sources of the graph-geodesic diameter estimate (geometry.diameter_estimate)
+DIAMETER_SOURCES = 8
+
 
 @dataclass(frozen=True)
 class MeshQualityReport:
@@ -163,6 +166,11 @@ class TriMesh:
         # built on first use; with_vertices hands it to every later derived mesh
         return _StiffnessPattern(self)
 
+    @cached_property
+    def _diameter_graph(self):
+        # built on first use; with_vertices hands it to every later derived mesh
+        return _DiameterGraph(self)
+
     def edge_lengths(self):
         v = self.vertices
         e = self.directed_edges if self.mode == "curve" else self.edges
@@ -218,6 +226,44 @@ class _FaceRecord:
     def volume(self):
         """Signed enclosed volume (divergence theorem, exact for polyhedra)."""
         return float(np.einsum("ij,ij->i", self.centroid, self.cross).sum() / 6.0)
+
+
+class _DiameterGraph:
+    """Symmetric edge graph of one surface connectivity and its diameter sources.
+
+    ``indptr`` / ``indices`` are the CSR pattern of the vertex adjacency and
+    ``slot`` maps each CSR entry to its row of ``mesh.edges``, so
+    ``mesh.edge_lengths()[slot]`` is the CSR data of the edge-length graph.
+    ``sources`` are ``DIAMETER_SOURCES`` vertices spread by hop count: the
+    first drawn by ``np.random.default_rng(0)``, each next one the vertex
+    farthest in hops from those chosen (lowest index on ties). They depend on
+    the connectivity alone, never on the positions.
+    """
+
+    def __init__(self, mesh):
+        from scipy.sparse import csr_matrix
+        from scipy.sparse.csgraph import dijkstra
+
+        n = mesh.n_vertices
+        e = mesh.edges
+        rows = np.concatenate([e[:, 0], e[:, 1]])
+        cols = np.concatenate([e[:, 1], e[:, 0]])
+        # the edge table holds each pair once, so the row-major keys are distinct
+        order = np.argsort(rows * n + cols)
+        self.slot = np.tile(np.arange(len(e)), 2)[order]
+        self.indices = cols[order].astype(np.int32)
+        self.indptr = np.searchsorted(rows[order], np.arange(n + 1)).astype(np.int32)
+        pattern = csr_matrix(
+            (np.ones(len(order)), self.indices, self.indptr), shape=(n, n)
+        )
+        sources = [int(np.random.default_rng(0).integers(n))]
+        hops = np.full(n, np.inf)
+        for _ in range(min(DIAMETER_SOURCES, n) - 1):
+            hops = np.minimum(
+                hops, dijkstra(pattern, unweighted=True, indices=sources[-1])
+            )
+            sources.append(int(np.argmax(hops)))
+        self.sources = np.array(sources)
 
 
 class _StiffnessPattern:

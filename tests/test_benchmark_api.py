@@ -15,8 +15,10 @@ import os
 import sys
 
 import pytest
+from scipy.sparse import csgraph
 
-from sapflow import FlowConfig, cli, diagnostics, flow, mesh
+from sapflow import FlowConfig, cli, diagnostics, flow, gen_icosphere, geometry, mesh
+from conftest import count_calls
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -54,6 +56,17 @@ TRACED_ARGUMENTS = [
 @pytest.mark.parametrize("fn,pos,name", TRACED_ARGUMENTS)
 def test_traced_argument_positions(fn, pos, name):
     assert list(inspect.signature(fn).parameters)[pos] == name
+
+
+def test_diameter_sweeps_visible_to_tracer(monkeypatch):
+    # the tracer replaces csgraph.dijkstra after sapflow is imported and counts
+    # the sweeps of diameter_estimate; a module-level import would hide them
+    # all and fail the traced run with "no Dijkstra sweep counted"
+    sphere = gen_icosphere(1.0, subdivisions=1)
+    geometry.diameter_estimate(sphere)  # the one-time source selection
+    calls = count_calls(monkeypatch, csgraph, "dijkstra")
+    geometry.diameter_estimate(sphere)
+    assert calls
 
 
 def test_run_flow_accepts_keep_meshes():

@@ -278,16 +278,57 @@ def test_every_run_flag_reaches_the_manifest(tmp_path, projection):
 
 
 @pytest.mark.parametrize(
-    "key, value", [("t_max", "0.1"), ("area_projection", "false"), ("snapshot_every", 2.5)]
+    "key, value",
+    [
+        ("t_max", "0.1"),
+        ("area_projection", "false"),
+        ("snapshot_every", 2.5),
+        # the keys outside FlowConfig, checked when the manifest is loaded
+        ("radius", "1"),
+        ("radius", -1.0),
+        ("amplitude", "0.1"),
+        ("width", 0),
+        ("subdivisions", 1.5),
+        ("subdivisions", True),
+        ("axes", [1.2, 1.0]),
+        ("axes", [1.2, "1", 0.85]),
+        ("harmonic", [2.0, 0]),
+        ("direction", [0, 0, 0]),
+        ("bump", "bogus"),
+        ("mesh_cadence", 2.5),
+        ("mesh_cadence", "x"),
+        ("output_dir", 5),
+    ],
 )
 def test_manifest_value_of_wrong_type_is_input_error(tmp_path, capsys, key, value):
     path = tmp_path / "m.json"
     outdir = tmp_path / "out"
-    path.write_text(json.dumps({"generator": "icosphere", key: value,
-                                "output_dir": str(outdir)}))
+    path.write_text(json.dumps({"generator": "icosphere", "output_dir": str(outdir),
+                                key: value}))
     assert run_cli("run", "--manifest", str(path)) == 1
     assert f"error: {key} must be" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+@pytest.mark.parametrize(
+    "argv", [("--t-max", "abc"), ("--stepping", "bogus"), ("--subdiv", "1.5")]
+)
+def test_usage_error_is_input_error(tmp_path, capsys, argv):
+    # argparse's own exit code 2 would read as a blow-up
+    outdir = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--generator", "icosphere", *argv, "-o", str(outdir))
+    assert exc.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: sapflow run") and "error: argument" in err
+    assert not outdir.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli("run", "--help")
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: sapflow run")
 
 
 def test_manifest_rejects_unknown_keys(tmp_path, capsys):
