@@ -13,6 +13,8 @@ import os
 import sys
 from dataclasses import asdict, fields
 
+import numpy as np
+
 from .errors import SapflowError
 from . import diagnostics, flow, geometry, mesh as meshmod
 from .flow import FlowConfig, _number
@@ -175,6 +177,16 @@ def cmd_run(args):
     return 0 if result.termination.kind in ("converged", "time_limit") else 2
 
 
+def _rebased(first, loaded):
+    """``loaded`` on the connectivity tables of ``first`` when they have equal
+    connectivity (as the snapshots of one run do), so that the tables and
+    incidence operators of the geometry pass are built once for all."""
+    same = first.mode == loaded.mode and first.vertices.shape == loaded.vertices.shape
+    if same and loaded.faces is not None:
+        same = np.array_equal(first.faces, loaded.faces)
+    return first.with_vertices(loaded.vertices) if same else loaded
+
+
 def cmd_analyze(args):
     rundir = os.path.dirname(os.path.abspath(args.series))
     meta = {}
@@ -191,7 +203,8 @@ def cmd_analyze(args):
                 row = int(name[5:-4])
                 if row < len(series):
                     mesh_rows.append(row)
-                    meshes.append(meshmod.load_mesh(os.path.join(mesh_dir, name)))
+                    loaded = meshmod.load_mesh(os.path.join(mesh_dir, name))
+                    meshes.append(_rebased(meshes[0], loaded) if meshes else loaded)
     if "metadata" not in meta and meshes:
         # without run_meta.json the snapshots tell the mode (step_*.csv: curve)
         series.metadata["mode"] = meshes[0].mode

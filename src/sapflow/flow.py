@@ -126,9 +126,10 @@ def select_timestep(mesh, cache, h, config):
 
     Explicit: parabolic bound cfl * min_edge^2 / (4 h), capped at dt_max.
     Semi-implicit: displacement bound cfl * min_edge / max |1 - h H|, capped
-    at dt_max (the stiff part is unconditionally stable).
+    at dt_max (the stiff part is unconditionally stable). min_edge is the
+    cache's, taken from the geometry pass of ``mesh``.
     """
-    e_min = float(mesh.edge_lengths().min())
+    e_min = cache.min_edge
     if config.stepping == "explicit":
         dt = config.cfl_safety * e_min**2 / (4.0 * abs(h))
     else:
@@ -150,7 +151,7 @@ def _semi_implicit_step(mesh, cache, h, dt):
     # L is PSD, so A is SPD: each coordinate is solved by Jacobi-preconditioned
     # CG, warm-started from the explicit step.
     A = geometry.cotangent_stiffness(mesh, cache.stiffness_weight)
-    diagonal = mesh._stiffness_pattern.diagonal
+    diagonal = mesh._connectivity.stiffness_pattern.diagonal
     A.data *= dt * h
     A.data[diagonal] += cache.vertex_area
     jacobi = sparse.diags(1.0 / A.data[diagonal])

@@ -48,6 +48,8 @@ class GeometryCache:
     volume, min_angle : float
         Signed enclosed volume and smallest face corner angle; enclosed area
         and smallest interior vertex angle in curve mode.
+    min_edge : float
+        Shortest edge (curve segment); equals ``mesh.edge_lengths().min()``.
     """
 
     vertex_area: np.ndarray
@@ -59,6 +61,7 @@ class GeometryCache:
     stiffness_weight: np.ndarray
     volume: float
     min_angle: float
+    min_edge: float
 
     @property
     def total_area(self):
@@ -72,21 +75,30 @@ class GeometryCache:
 # below holds the one formula for its field and the one curve/surface branch.
 # compute_cache is the one source of a configuration's per-vertex fields; the
 # standalone operations further down reuse the helpers for the area weights,
-# the area gradient and the gradient of an arbitrary field.
+# the area gradient and the gradient of an arbitrary field. Sums over faces,
+# corners and half-edges are products with the incidence operators of the
+# mesh's connectivity (mesh._Connectivity); the half-edge vectors are the face
+# record's edges, one gather that both curvature fits share. On (n, 3) arrays
+# the vector arithmetic is written out per component.
 
 
-def _scatter(index, values, n):
-    """Sum the rows of ``values`` into ``n`` bins by ``index``, in input order.
+def _dot(a, b):
+    """Row-wise dot product of two (n, 3) arrays, summed left to right."""
+    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
 
-    ``np.bincount`` accumulates sequentially, so the sums are bit-identical to
-    ``np.add.at`` over the same index order.
-    """
-    if values.ndim == 1:
-        return np.bincount(index, weights=values, minlength=n)
-    return np.column_stack(
-        [np.bincount(index, weights=values[:, c], minlength=n)
-         for c in range(values.shape[1])]
-    )
+
+def _cross(a, b):
+    """Row-wise cross product of two (n, 3) arrays, as ``np.cross`` forms it."""
+    c = np.empty_like(a)
+    np.subtract(a[:, 1] * b[:, 2], a[:, 2] * b[:, 1], out=c[:, 0])
+    np.subtract(a[:, 2] * b[:, 0], a[:, 0] * b[:, 2], out=c[:, 1])
+    np.subtract(a[:, 0] * b[:, 1], a[:, 1] * b[:, 0], out=c[:, 2])
+    return c
+
+
+def _norm(a):
+    """Row-wise length of an (n, 3) array, summed as ``np.linalg.norm`` does."""
+    return np.sqrt(_dot(a, a))
 
 
 def _configuration(mesh):
@@ -108,23 +120,13 @@ def _weights(mesh, conf):
     if mesh.mode == "curve":
         _, ln = conf
         return 0.5 * (ln + np.roll(ln, 1))
-    p, areas, cots = conf.corners, conf.area, conf.cot
-    opp2 = np.empty((len(p), 3))
-    for k in range(3):
-        d = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
-        opp2[:, k] = np.einsum("ij,ij->i", d, d)
-    w = np.empty((len(p), 3))
-    for i in range(3):
-        j, k = (i + 1) % 3, (i + 2) % 3
-        w[:, i] = (opp2[:, j] * cots[:, j] + opp2[:, k] * cots[:, k]) / 8.0
-    obtuse = cots < 0
-    any_obtuse = obtuse.any(axis=1)
-    for i in range(3):
-        at_i = any_obtuse & obtuse[:, i]
-        w[at_i, i] = areas[at_i] / 2.0
-        for d in (1, 2):
-            w[at_i, (i + d) % 3] = areas[at_i] / 4.0
-    va = _scatter(mesh.faces.ravel(), w.ravel(), mesh.n_vertices)
+    cot, area = conf.cot, conf.area
+    # |edge opposite corner k|^2 cot_k; the edge opposite corner k is edge k + 1
+    t = conf.length2[[1, 2, 0]] * cot
+    w = (t[[1, 2, 0]] + t[[2, 0, 1]]) / 8.0
+    obtuse = cot < 0
+    w = np.where(obtuse.any(axis=0), np.where(obtuse, area / 2.0, area / 4.0), w)
+    va = mesh._connectivity.ring @ w.ravel()
     if (va <= 0).any():
         raise DegenerateGeometryError("non-positive vertex area weight")
     return va
@@ -145,9 +147,10 @@ def _normals(mesh, conf):
     # the volume sign check only means anything on closed meshes
     if mesh.is_closed and conf.volume <= 0:
         raise OrientationError("inward orientation (negative enclosed volume)")
-    contrib = conf.normal * conf.area[:, None]
-    n = _scatter(mesh.faces.T.ravel(), np.tile(contrib, (3, 1)), mesh.n_vertices)
-    ln = np.linalg.norm(n, axis=1)
+    # the face cross product is twice the area-weighted face normal; the
+    # factor 2 drops out of the unit vertex normal
+    n = mesh._connectivity.face @ conf.cross
+    ln = _norm(n)
     if (ln == 0).any():
         raise DegenerateGeometryError("zero-length vertex normal")
     return n / ln[:, None]
@@ -157,24 +160,19 @@ def _area_gradient(mesh, conf):
     if mesh.mode == "curve":
         t, _ = conf
         return np.roll(t, 1, axis=0) - t  # gradient of total length
-    f, p, cots = mesh.faces, conf.corners, conf.cot
-    index, values = [], []
-    for k in range(3):
-        i, j = (k + 1) % 3, (k + 2) % 3
-        c = 0.5 * cots[:, k][:, None] * (p[:, i] - p[:, j])
-        index += [f[:, i], f[:, j]]
-        values += [c, -c]
-    return _scatter(np.concatenate(index), np.concatenate(values), mesh.n_vertices)
+    # the half-edge opposite corner k carries half of cot_k times its vector
+    x = (0.5 * conf.cot[[2, 0, 1]])[:, :, None] * conf.edge
+    return mesh._connectivity.area_gradient @ x.reshape(-1, 3)
 
 
 def _mean_curvature(mesh, conf, weights, normals, mcv):
     if mesh.mode == "curve":
         t, _ = conf
         return _turning_angles(t) / weights
-    return np.einsum("ij,ij->i", mcv, normals) / weights
+    return _dot(mcv, normals) / weights
 
 
-def _second_form(mesh, normals, H):
+def _second_form(mesh, conf, normals, H):
     """(|A|, |Adev|) with |Adev| = sqrt(max(|A|^2 - H^2/2, 0)).
 
     The shape operator is fit per vertex from the derivatives of the
@@ -183,7 +181,7 @@ def _second_form(mesh, normals, H):
     """
     if mesh.mode == "curve":
         return np.abs(H), np.zeros_like(H)
-    k1, k2 = _shape_operator_eigen(mesh, normals, H)
+    k1, k2 = _shape_operator_eigen(mesh, conf, normals, H)
     second = np.sqrt(k1**2 + k2**2)
     return second, np.sqrt(np.maximum(second**2 - H**2 / 2.0, 0.0))
 
@@ -193,24 +191,23 @@ def _gradient_norm(mesh, conf, f):
         _, ln = conf
         df = np.roll(f, -1) - np.roll(f, 1)
         return np.abs(df) / (ln + np.roll(ln, 1))
-    p, areas, fn = conf.corners, conf.area, conf.normal
-    F = mesh.faces
-    g = np.zeros((len(F), 3))
-    for k in range(3):
-        opp = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
-        g += f[F[:, k]][:, None] * np.cross(fn, opp) / (2.0 * areas)[:, None]
-    corner = F.T.ravel()
-    n = mesh.n_vertices
-    vg = _scatter(corner, np.tile(g * areas[:, None], (3, 1)), n)
-    vg /= _scatter(corner, np.tile(areas, 3), n)[:, None]
-    return np.linalg.norm(vg, axis=1)
+    # the face gradient is n_f x sum_k f_k E_k / 2A, E_k the edge opposite
+    # corner k (edge k + 1) and n_f = cross / 2A; vertices average it by area
+    fk = f[mesh.faces.T][:, :, None]
+    e = conf.edge
+    s = fk[0] * e[1] + fk[1] * e[2] + fk[2] * e[0]
+    area_times_grad = _cross(conf.cross, s) / (4.0 * conf.area)[:, None]
+    op = mesh._connectivity.face
+    vg = op @ area_times_grad
+    vg /= (op @ conf.area)[:, None]
+    return _norm(vg)
 
 
 def _stiffness_weight(mesh, conf):
     if mesh.mode == "curve":
         _, ln = conf
         return 1.0 / ln
-    return 0.5 * conf.cot.T.ravel()
+    return 0.5 * conf.cot.ravel()
 
 
 def _min_angle(mesh, conf):
@@ -219,6 +216,14 @@ def _min_angle(mesh, conf):
         return float(pi - np.abs(_turning_angles(t)).max())
     # the corner angle in (0, pi) decreases as its cotangent grows
     return float(np.arctan2(1.0, conf.cot.max()))
+
+
+def _min_edge(mesh, conf):
+    if mesh.mode == "curve":
+        _, ln = conf
+        return float(ln.min())
+    # every edge is a half-edge of some face; sqrt is monotone
+    return float(np.sqrt(conf.length2.min()))
 
 
 def _area_centroid(mesh, conf):
@@ -260,16 +265,12 @@ def cotangent_stiffness(mesh, weight=None):
     ``f @ (L @ f)`` is the discrete Dirichlet energy of a vertex field.
     ``weight`` is the ``stiffness_weight`` of this configuration's cache,
     computed when omitted. The sparsity pattern is built once per
-    connectivity; each call is one scatter into its slots.
+    connectivity; each call is one product with its assembly operator.
     """
     if weight is None:
         weight = _stiffness_weight(mesh, _configuration(mesh))
-    pattern = mesh._stiffness_pattern
-    data = _scatter(
-        pattern.slot,
-        np.concatenate([-weight, -weight, weight, weight]),
-        len(pattern.indices),
-    )
+    pattern = mesh._connectivity.stiffness_pattern
+    data = pattern.assemble @ weight
     n = mesh.n_vertices
     return sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
@@ -282,32 +283,46 @@ def osculating_sphere_normals(mesh, reference_normals):
     radial direction at the vertex, sign-matched to ``reference_normals``.
     Exact on meshes inscribed in a common sphere, which gives the traceless
     second-form estimate the dynamic range the roundness diagnostics need.
-    Degenerate fits fall back to the reference normal.
+    Degenerate fits fall back to the reference normal. Surface meshes only.
     """
-    v = mesh.vertices
+    return _sphere_fit_normals(mesh, _FaceRecord(mesh), reference_normals)
+
+
+# (n, 10) columns 4 s_xx, 4 s_xy, 4 s_xz, 4 s_yy, 4 s_yz, 4 s_zz, 2 s_x, 2 s_y,
+# 2 s_z, valence + 1 -> the symmetric (4, 4) sphere-fit matrix, row-major
+_SPHERE_MATRIX = [0, 1, 2, 6, 1, 3, 4, 7, 2, 4, 5, 8, 6, 7, 8, 9]
+
+
+def _sphere_fit_normals(mesh, conf, reference_normals):
     n = mesh.n_vertices
-    e = mesh.directed_edges
-    src, dst = e[:, 1], e[:, 0]
-    d = v[src] - v[dst]  # ring points centred at the ring owner
-    q = np.einsum("ij,ij->i", d, d)
+    ring = mesh._connectivity.ring
+    d = conf.edge.reshape(-1, 3)  # ring points centred at the ring owner
+    q = conf.length2.ravel()
 
-    dim = v.shape[1]
-    s1 = _scatter(dst, d, n)
-    s2 = _scatter(dst, (d[:, :, None] * d[:, None, :]).reshape(len(d), -1), n)
-    s2 = s2.reshape(n, dim, dim)
-    s3 = _scatter(dst, q, n)
-    s4 = _scatter(dst, q[:, None] * d, n)
-    cnt = np.bincount(dst, minlength=n)
+    # the moments in two products, each stack freed before the next (one
+    # 13-column stack would double the transient peak): sum d d^T (its 6
+    # distinct entries) and sum q, then sum d and sum q d
+    x = np.empty((len(d), 7))
+    np.multiply(d, d[:, 0:1], out=x[:, 0:3])
+    np.multiply(d[:, 1:], d[:, 1:2], out=x[:, 3:5])
+    np.multiply(d[:, 2], d[:, 2], out=x[:, 5])
+    x[:, 6] = q
+    quadratic = ring @ x
+    del x
+    x = np.empty((len(d), 6))
+    x[:, :3] = d
+    np.multiply(d, q[:, None], out=x[:, 3:])
+    linear = ring @ x
+    del x
 
-    m = dim + 1
-    G = np.zeros((n, m, m))
-    G[:, :dim, :dim] = 4.0 * s2
-    G[:, :dim, dim] = 2.0 * s1
-    G[:, dim, :dim] = 2.0 * s1
-    G[:, dim, dim] = cnt + 1.0  # the centred vertex contributes a zero row
-    rhs = np.zeros((n, m))
-    rhs[:, :dim] = 2.0 * s4
-    rhs[:, dim] = s3
+    entries = np.empty((n, 10))
+    np.multiply(quadratic[:, :6], 4.0, out=entries[:, :6])
+    np.multiply(linear[:, :3], 2.0, out=entries[:, 6:9])
+    entries[:, 9] = np.diff(ring.indptr) + 1.0  # the centred vertex adds a zero row
+    G = entries[:, _SPHERE_MATRIX].reshape(n, 4, 4)
+    rhs = np.empty((n, 4))
+    np.multiply(linear[:, 3:], 2.0, out=rhs[:, :3])
+    rhs[:, 3] = quadratic[:, 6]
 
     ok = np.ones(n, dtype=bool)
     try:
@@ -315,48 +330,60 @@ def osculating_sphere_normals(mesh, reference_normals):
     except np.linalg.LinAlgError:
         # some fit is exactly singular (e.g. a flat 1-ring): solve the others
         ok = np.abs(np.linalg.det(G)) > 0
-        sol = np.zeros((n, m))
+        sol = np.zeros((n, 4))
         sol[ok] = np.linalg.solve(G[ok], rhs[ok, :, None])[:, :, 0]
-    centre = sol[:, :dim]  # relative to each vertex
-    dist = np.linalg.norm(centre, axis=1)
+    centre = sol[:, :3]  # relative to each vertex
+    dist = _norm(centre)
     usable = ok & (dist > 1e-300)
     out = reference_normals.copy()
     out[usable] = -centre[usable] / dist[usable, None]
-    flip = np.einsum("ij,ij->i", out, reference_normals) < 0
+    flip = _dot(out, reference_normals) < 0
     out[flip] = -out[flip]
     return out
 
 
-def _shape_operator_eigen(mesh, normals, H):
+def _shape_operator_eigen(mesh, conf, normals, H):
     """(k1, k2) of the trace-reconciled 1-ring shape operator fit."""
-    nsf = osculating_sphere_normals(mesh, normals)
+    nsf = _sphere_fit_normals(mesh, conf, normals)
     n = mesh.n_vertices
-    seed = np.where(np.abs(nsf[:, 0:1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
-    t1 = np.cross(nsf, seed)
-    t1 /= np.linalg.norm(t1, axis=1)[:, None]
-    t2 = np.cross(nsf, t1)
+    # t1 = nsf x e_x where |nsf_x| < 0.9, else nsf x e_y; t2 = nsf x t1
+    nx, ny, nz = nsf.T
+    seed_x = np.abs(nx) < 0.9
+    t1 = np.empty((n, 3))
+    t1[:, 0] = np.where(seed_x, 0.0, -nz)
+    t1[:, 1] = np.where(seed_x, nz, 0.0)
+    t1[:, 2] = np.where(seed_x, -ny, nx)
+    t1 /= _norm(t1)[:, None]
+    t2 = _cross(nsf, t1)
 
     e = mesh.directed_edges
     i, j = e[:, 0], e[:, 1]
-    ev = mesh.vertices[j] - mesh.vertices[i]
+    ev = conf.edge.reshape(-1, 3)
     dn = nsf[j] - nsf[i]
-    u1 = np.einsum("ij,ij->i", t1[i], ev)
-    u2 = np.einsum("ij,ij->i", t2[i], ev)
-    w1 = np.einsum("ij,ij->i", t1[i], dn)
-    w2 = np.einsum("ij,ij->i", t2[i], dn)
+    t = t1[i]
+    u1, w1 = _dot(t, ev), _dot(t, dn)
+    t = t2[i]
+    u2, w2 = _dot(t, ev), _dot(t, dn)
+    del t, dn
 
     # normal equations for symmetric S = [[a, b], [b, c]]
-    g11, g12, g22 = u1 * u1, u1 * u2, u2 * u2
-    s11, s12, s22 = _scatter(i, np.column_stack([g11, g12, g22]), n).T
+    x = np.empty((len(ev), 7))
+    np.multiply(u1, u1, out=x[:, 0])
+    np.multiply(u1, u2, out=x[:, 1])
+    np.multiply(u2, u2, out=x[:, 2])
+    np.add(x[:, 0], x[:, 2], out=x[:, 3])
+    np.multiply(u1, w1, out=x[:, 4])
+    x[:, 5] = u2 * w1 + u1 * w2
+    np.multiply(u2, w2, out=x[:, 6])
+    s = mesh._connectivity.ring @ x
     G = np.zeros((n, 3, 3))
-    G[:, 0, 0] = s11
-    G[:, 0, 1] = G[:, 1, 0] = G[:, 1, 2] = G[:, 2, 1] = s12
-    G[:, 1, 1] = _scatter(i, g11 + g22, n)
-    G[:, 2, 2] = s22
-    R = _scatter(i, np.column_stack([u1 * w1, u2 * w1 + u1 * w2, u2 * w2]), n)
+    G[:, 0, 0] = s[:, 0]
+    G[:, 0, 1] = G[:, 1, 0] = G[:, 1, 2] = G[:, 2, 1] = s[:, 1]
+    G[:, 1, 1] = s[:, 3]
+    G[:, 2, 2] = s[:, 2]
 
     try:
-        sol = np.linalg.solve(G, R[:, :, None])[:, :, 0]
+        sol = np.linalg.solve(G, s[:, 4:7, None])[:, :, 0]
     except np.linalg.LinAlgError:
         raise DegenerateGeometryError("rank-deficient 1-ring shape operator fit") from None
     a, b, c = sol[:, 0], sol[:, 1], sol[:, 2]
@@ -384,8 +411,12 @@ def gradient_norm_field(mesh, f):
 
 
 def surface_integral(weights, f):
-    """Integral of a per-vertex field against the discrete surface measure."""
-    return float(np.dot(np.asarray(f, dtype=np.float64), weights))
+    """Integral of a per-vertex field against the discrete surface measure.
+
+    Summed by numpy's own pairwise sum, not a BLAS dot product, so the value
+    does not depend on the number of BLAS threads.
+    """
+    return float((np.asarray(f, dtype=np.float64) * weights).sum())
 
 
 def enclosed_volume(mesh, conf=None):
@@ -403,13 +434,14 @@ def diameter_estimate(mesh):
     """Upper-bias intrinsic diameter estimate from graph geodesics.
 
     The largest eccentricity, in edge-length graph distance, of the
-    ``sapflow.mesh.DIAMETER_SOURCES`` = 8 sources that ``mesh._diameter_graph``
-    spreads by hop count: the first drawn by ``np.random.default_rng(0)``, each
-    next one farthest in hops from those before. The graph and the sources are
-    built once per connectivity; each call is one edge-length pass and one
-    Dijkstra call from all sources, so the estimate is a continuous function of
-    the vertex positions. Edge paths overestimate true geodesics: on unit
-    icospheres at subdivisions 1-5 the estimate lies 4.4 % to 6.2 % above pi.
+    ``sapflow.mesh.DIAMETER_SOURCES`` = 8 sources that the connectivity's
+    ``diameter_graph`` spreads by hop count: the first drawn by
+    ``np.random.default_rng(0)``, each next one farthest in hops from those
+    before. The graph and the sources are built once per connectivity; each
+    call is one edge-length pass and one Dijkstra call from all sources, so the
+    estimate is a continuous function of the vertex positions. Edge paths
+    overestimate true geodesics: on unit icospheres at subdivisions 1-5 the
+    estimate lies 4.4 % to 6.2 % above pi.
     Hop-spread sources can miss the tips of a long axis: on static 2/1/0.5 and
     3/1/1 ellipsoids at subdivision 4 the value is 3.2 % and 3.7 % below that
     of 32 length-weighted farthest-point sources. Along the benchmark's flow
@@ -427,7 +459,7 @@ def diameter_estimate(mesh):
         k = np.searchsorted(cum, np.where(pos < half, pos + half, pos - half))
         arc = np.abs(pos - cum[np.stack([k - 1, k])])
         return float(np.minimum(arc, total - arc).max())
-    graph = mesh._diameter_graph
+    graph = mesh._connectivity.diameter_graph
     n = mesh.n_vertices
     g = sparse.csr_matrix(
         (mesh.edge_lengths()[graph.slot], graph.indices, graph.indptr), shape=(n, n)
@@ -453,7 +485,7 @@ def compute_cache(mesh):
     weights = _weights(mesh, conf)
     normals = _normals(mesh, conf)
     H = _mean_curvature(mesh, conf, weights, normals, _area_gradient(mesh, conf))
-    second, traceless = _second_form(mesh, normals, H)
+    second, traceless = _second_form(mesh, conf, normals, H)
     return GeometryCache(
         vertex_area=weights,
         normal=normals,
@@ -464,4 +496,5 @@ def compute_cache(mesh):
         stiffness_weight=_stiffness_weight(mesh, conf),
         volume=enclosed_volume(mesh, conf),
         min_angle=_min_angle(mesh, conf),
+        min_edge=_min_edge(mesh, conf),
     )

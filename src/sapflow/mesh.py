@@ -13,8 +13,9 @@ from math import pi, sqrt
 import os
 
 import numpy as np
+import scipy.sparse as sparse
 
-from .errors import DegenerateGeometryError, MeshParseError, MeshTopologyError
+from .errors import MeshParseError, MeshTopologyError
 
 FLOAT_FMT = "%.17g"  # lossless double round-trip
 
@@ -102,6 +103,7 @@ class TriMesh:
             e = np.column_stack([np.arange(n), np.roll(np.arange(n), -1)])
             e.setflags(write=False)
             self.directed_edges = e
+        self._connectivity = _Connectivity(self)
 
     # -- connectivity -------------------------------------------------------
 
@@ -148,8 +150,9 @@ class TriMesh:
     def with_vertices(self, vertices):
         """Return a mesh with the same connectivity and new vertex positions.
 
-        Shares all derived connectivity tables with the source mesh; only the
-        positions are replaced (and frozen).
+        Shares all derived connectivity tables with the source mesh, by
+        reference, including those built after this call; only the positions
+        are replaced (and frozen).
         """
         vertices = np.asarray(vertices, dtype=np.float64)
         if vertices.shape != self.vertices.shape:
@@ -160,16 +163,6 @@ class TriMesh:
         vertices.setflags(write=False)
         clone.vertices = vertices
         return clone
-
-    @cached_property
-    def _stiffness_pattern(self):
-        # built on first use; with_vertices hands it to every later derived mesh
-        return _StiffnessPattern(self)
-
-    @cached_property
-    def _diameter_graph(self):
-        # built on first use; with_vertices hands it to every later derived mesh
-        return _DiameterGraph(self)
 
     def edge_lengths(self):
         v = self.vertices
@@ -191,41 +184,133 @@ class TriMesh:
 class _FaceRecord:
     """Per-face data of one surface configuration, built once and shared.
 
-    ``corners`` (m, 3, 3), ``cross`` = (p1 - p0) x (p2 - p0), ``area`` and
-    ``centroid`` are computed on construction; the unit ``normal``, the
-    corner cotangents ``cot`` (m, 3) and the signed ``volume`` on first use,
-    since validation must not raise on degenerate faces. Not kept on the
-    mesh: a run holding its snapshot meshes would hold their face data too.
+    Corner-major: ``edge`` (3, m, 3) holds in row k the half-edge
+    p_{k+1} - p_k leaving corner k of every face, so ``edge.reshape(-1, 3)``
+    is row-aligned with ``mesh.directed_edges``; the edge opposite corner k
+    is ``edge[k + 1]``. ``edge``, ``cross`` = (p1 - p0) x (p2 - p0), ``area``
+    and ``centroid`` are computed on construction; the squared half-edge
+    lengths ``length2``, the corner cotangents ``cot`` (both (3, m)) and the
+    signed ``volume`` on first use, since validation must not raise on
+    degenerate faces. ``corner_dot`` (3, m) is the dot product of the two
+    edges leaving each corner. Not kept on the mesh: a run holding its
+    snapshot meshes would hold their face data too.
     """
 
     def __init__(self, mesh):
-        p = mesh.vertices[mesh.faces]
-        self.corners = p
-        self.cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
-        self.area = 0.5 * np.linalg.norm(self.cross, axis=1)
-        self.centroid = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
+        p = mesh.vertices[mesh.faces.T]
+        e = np.empty_like(p)
+        np.subtract(p[1], p[0], out=e[0])
+        np.subtract(p[2], p[1], out=e[1])
+        np.subtract(p[0], p[2], out=e[2])
+        self.edge = e
+        # (p1 - p0) x (p2 - p0) = e2 x e0, one component at a time
+        (x2, y2, z2), (x0, y0, z0) = e[2].T, e[0].T
+        c = np.empty((len(mesh.faces), 3))
+        np.subtract(y2 * z0, z2 * y0, out=c[:, 0])
+        np.subtract(z2 * x0, x2 * z0, out=c[:, 1])
+        np.subtract(x2 * y0, y2 * x0, out=c[:, 2])
+        self.cross = c
+        x, y, z = c.T
+        self.area = 0.5 * np.sqrt(x * x + y * y + z * z)
+        self.centroid = (p[0] + p[1] + p[2]) / 3.0
 
     @cached_property
-    def normal(self):
-        return self.cross / (2.0 * self.area)[:, None]
+    def length2(self):
+        x, y, z = self.edge[..., 0], self.edge[..., 1], self.edge[..., 2]
+        return x * x + y * y + z * z
+
+    @property
+    def corner_dot(self):
+        # corner k: (p_{k+1} - p_k) . (p_{k+2} - p_k) = -edge[k] . edge[k - 1]
+        (x, y, z), (xp, yp, zp) = self.edge.T, self.edge[[2, 0, 1]].T
+        return -(x * xp + y * yp + z * zp).T
 
     @cached_property
     def cot(self):
-        p = self.corners
-        cots = np.empty((len(p), 3))
-        for k in range(3):
-            u = p[:, (k + 1) % 3] - p[:, k]
-            v = p[:, (k + 2) % 3] - p[:, k]
-            cr = np.linalg.norm(np.cross(u, v), axis=1)
-            if (cr == 0).any():
-                raise DegenerateGeometryError("zero-area face in cotangent weights")
-            cots[:, k] = np.einsum("ij,ij->i", u, v) / cr
-        return cots
+        # |u x v| is twice the face area at every corner
+        return self.corner_dot / (2.0 * self.area)
 
     @cached_property
     def volume(self):
         """Signed enclosed volume (divergence theorem, exact for polyhedra)."""
         return float(np.einsum("ij,ij->i", self.centroid, self.cross).sum() / 6.0)
+
+
+def _incidence(rows, cols, shape, sign=None):
+    """CSR operator adding ``sign[e] * x[cols[e]]`` into row ``rows[e]``.
+
+    Each row lists its entries in increasing ``e``, and the entries are
+    +-1, so ``op @ x`` adds up each row in the order ``np.bincount`` does
+    over ``rows``: the sums are bit-identical to a bincount of the gathered,
+    signed values.
+    """
+    order = np.argsort(rows, kind="stable")
+    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
+    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
+    data = np.ones(len(rows)) if sign is None else sign[order]
+    return sparse.csr_matrix((data, cols[order].astype(np.int32), indptr), shape=shape)
+
+
+class _Connectivity:
+    """The tables of one connectivity that every configuration on it reuses.
+
+    Each table is built on first use. A mesh makes one of these objects at
+    construction and :meth:`TriMesh.with_vertices` hands the same object on,
+    so a table is built once per connectivity, also for meshes derived
+    before its first use.
+
+    The incidence operators sum per-face, per-corner and per-half-edge values
+    into the vertices (:func:`_incidence`; ``k * m + f`` is corner k of face
+    f and the half-edge leaving it, the order of ``mesh.directed_edges``):
+
+    - ``ring`` (n, 3m): each half-edge into its source vertex, the 1-ring sum,
+      = ``np.bincount(faces.T.ravel(), x)``;
+    - ``face`` (n, m): each face into its three vertices,
+      = ``np.bincount(faces.T.ravel(), np.tile(x, 3))``;
+    - ``area_gradient`` (n, 3m): half-edge value x into its target vertex
+      and -x into its source, corner by corner: for corner k = 0, 1, 2 the
+      source, then the target, of the half-edge opposite it.
+    """
+
+    def __init__(self, mesh):
+        self.mode = mesh.mode
+        self.n_vertices = mesh.n_vertices
+        self.faces = mesh.faces
+        self.edges = mesh.edges if mesh.mode == "surface" else None
+
+    @cached_property
+    def ring(self):
+        src = self.faces.T.ravel()
+        return _incidence(src, np.arange(len(src)), (self.n_vertices, len(src)))
+
+    @cached_property
+    def face(self):
+        m = len(self.faces)
+        return _incidence(
+            self.faces.T.ravel(), np.tile(np.arange(m), 3), (self.n_vertices, m)
+        )
+
+    @cached_property
+    def area_gradient(self):
+        f = self.faces
+        m = len(f)
+        rows, cols = [], []
+        for k in range(3):
+            h = (k + 1) % 3  # the half-edge f[h] -> f[h + 1] opposite corner k
+            rows += [f[:, h], f[:, (h + 1) % 3]]
+            cols += [h * m + np.arange(m)] * 2
+        sign = np.tile(np.repeat([-1.0, 1.0], m), 3)
+        return _incidence(
+            np.concatenate(rows), np.concatenate(cols), (self.n_vertices, 3 * m), sign
+        )
+
+    @cached_property
+    def stiffness_pattern(self):
+        return _StiffnessPattern(self)
+
+    @cached_property
+    def diameter_graph(self):
+        return _DiameterGraph(self)
 
 
 class _DiameterGraph:
@@ -240,12 +325,11 @@ class _DiameterGraph:
     the connectivity alone, never on the positions.
     """
 
-    def __init__(self, mesh):
-        from scipy.sparse import csr_matrix
+    def __init__(self, conn):
         from scipy.sparse.csgraph import dijkstra
 
-        n = mesh.n_vertices
-        e = mesh.edges
+        n = conn.n_vertices
+        e = conn.edges
         rows = np.concatenate([e[:, 0], e[:, 1]])
         cols = np.concatenate([e[:, 1], e[:, 0]])
         # the edge table holds each pair once, so the row-major keys are distinct
@@ -253,7 +337,7 @@ class _DiameterGraph:
         self.slot = np.tile(np.arange(len(e)), 2)[order]
         self.indices = cols[order].astype(np.int32)
         self.indptr = np.searchsorted(rows[order], np.arange(n + 1)).astype(np.int32)
-        pattern = csr_matrix(
+        pattern = sparse.csr_matrix(
             (np.ones(len(order)), self.indices, self.indptr), shape=(n, n)
         )
         sources = [int(np.random.default_rng(0).integers(n))]
@@ -271,28 +355,36 @@ class _StiffnessPattern:
 
     The stiffness is a sum of w (e_a - e_b)(e_a - e_b)^T over weighted vertex
     pairs (a, b): for surfaces the edge opposite each face corner, pair
-    ``k * m + f`` for corner k of face f (the order of ``_FaceRecord.cot.T``);
-    for curves the segments i -> i + 1. ``slot`` maps the entries (a, b),
-    (b, a), (a, a), (b, b) of every pair, in that block order, to their
-    place in the CSR arrays ``indptr`` / ``indices``; ``diagonal`` holds the
-    slot of each diagonal entry.
+    ``k * m + f`` for corner k of face f (the order of ``_FaceRecord.cot``
+    raveled); for curves the segments i -> i + 1. ``assemble`` is the
+    incidence operator (:func:`_incidence`) that takes the pair weights to
+    the CSR data ``indptr`` / ``indices``: -w into the entries (a, b) and
+    (b, a), w into (a, a) and (b, b), in that block order. ``diagonal``
+    holds the slot of each diagonal entry.
     """
 
-    def __init__(self, mesh):
-        n = mesh.n_vertices
-        if mesh.mode == "curve":
+    def __init__(self, conn):
+        n = conn.n_vertices
+        if conn.mode == "curve":
             a = np.arange(n)
             b = np.roll(a, -1)
         else:
-            a = mesh.faces[:, [1, 2, 0]].T.ravel()
-            b = mesh.faces[:, [2, 0, 1]].T.ravel()
+            a = conn.faces[:, [1, 2, 0]].T.ravel()
+            b = conn.faces[:, [2, 0, 1]].T.ravel()
         rows = np.concatenate([a, b, a, b])
         cols = np.concatenate([b, a, a, b])
         # sorted row-major keys are the CSR order
-        keys, self.slot = np.unique(rows * n + cols, return_inverse=True)
+        keys, slot = np.unique(rows * n + cols, return_inverse=True)
         self.indices = (keys % n).astype(np.int32)
         self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
         self.diagonal = np.searchsorted(keys, np.arange(n) * (n + 1))
+        pairs = len(a)
+        self.assemble = _incidence(
+            slot,
+            np.tile(np.arange(pairs), 4),
+            (len(keys), pairs),
+            np.repeat([-1.0, -1.0, 1.0, 1.0], pairs),
+        )
 
 
 def _single_vertex_links(mesh, order):
@@ -373,10 +465,8 @@ def validate(mesh):
     boundary = int((counts == 1).sum())
     overshared = bool((counts > 2).any())
     faces = _FaceRecord(mesh)
-    p = faces.corners
-    u, v = np.roll(p, -1, axis=1) - p, np.roll(p, -2, axis=1) - p
     # at every corner |u x v| is twice the face area
-    angles = np.arctan2(2.0 * faces.area[:, None], np.einsum("ijk,ijk->ij", u, v))
+    angles = np.arctan2(2.0 * faces.area, faces.corner_dot)
     return MeshQualityReport(
         is_closed=boundary == 0 and not overshared,
         is_oriented=not mesh._has_duplicate_directed and not overshared,

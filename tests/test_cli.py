@@ -15,10 +15,12 @@ from sapflow import (
     load_mesh,
     save_mesh,
 )
+from sapflow import mesh as meshmod
 from sapflow.cli import MANIFEST_DEFAULTS, main
 from sapflow.diagnostics import RECORD_FIELDS, DiagnosticsRecord, TimeSeries
 from conftest import (
     cg_not_converged,
+    count_calls,
     fail_on_call,
     replace_on_call,
     run_sapflow,
@@ -195,6 +197,21 @@ def test_analyze_idempotent(tmp_path, mesh_cadence):
     assert run_cli("analyze", os.path.join(outdir, "series.csv"),
                    "-o", str(redone)) == 0
     assert redone.read_bytes() == original
+
+
+def test_analyze_builds_one_connectivity(tmp_path, monkeypatch):
+    # the loaded snapshots share the first one's connectivity, so the three
+    # incidence operators (ring, face, area gradient) are built once in all
+    manifest_path, manifest = run_manifest(tmp_path)
+    builds = count_calls(monkeypatch, meshmod, "_incidence")
+    assert run_cli("run", "--manifest", str(manifest_path)) == 0
+    assert len(builds) == 3
+    builds.clear()
+    loads = count_calls(monkeypatch, meshmod, "load_mesh")
+    series = os.path.join(manifest["output_dir"], "series.csv")
+    assert run_cli("analyze", series, "-o", str(tmp_path / "summary2.json")) == 0
+    assert len(loads) > 2
+    assert len(builds) == 3
 
 
 def test_analyze_synthetic_decay_csv(tmp_path):

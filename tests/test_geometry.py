@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -7,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse import csgraph
 
+import sapflow
 from sapflow import (
     FlowConfig,
     GaussianDentBump,
@@ -27,6 +32,7 @@ from sapflow import (
     validate,
     vertex_area_weights,
 )
+from sapflow import mesh as meshmod
 from sapflow.geometry import (
     cotangent_stiffness,
     mean_curvature_vector,
@@ -287,7 +293,7 @@ def test_diameter_graph_shared_by_derived_meshes():
     mesh = gen_perturbed_sphere(1.0, 0.2, GaussianDentBump(), 2)
     d = diameter_estimate(mesh)
     moved = mesh.with_vertices(1.5 * mesh.vertices)
-    assert moved._diameter_graph is mesh._diameter_graph
+    assert moved._connectivity.diameter_graph is mesh._connectivity.diameter_graph
     assert diameter_estimate(moved) == pytest.approx(1.5 * d, rel=1e-13)
 
 
@@ -397,15 +403,20 @@ def test_scaling_homogeneity_property(seed, amplitude, s, curve):
     assert int_H2[1] == pytest.approx(s ** (n - 2) * int_H2[0], rel=1e-12, abs=0)
 
 
-def test_flat_ring_sphere_fit_falls_back_to_vertex_normal(unit_cube):
-    # a vertex at each face centre of the cube: its 1-ring is flat, so the
-    # 4x4 osculating-sphere fit there is exactly singular
+def cube_with_face_centres(unit_cube):
+    """The unit cube with a vertex at each face centre (valences 3 to 6)."""
     corners = unit_cube.vertices
     quads = [[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4],
              [2, 3, 7, 6], [1, 2, 6, 5], [0, 4, 7, 3]]
     centres = corners[quads].mean(axis=1)
     faces = [[q[k], q[(k + 1) % 4], 8 + i] for i, q in enumerate(quads) for k in range(4)]
-    mesh = TriMesh(np.vstack([corners, centres]), faces)
+    return TriMesh(np.vstack([corners, centres]), faces)
+
+
+def test_flat_ring_sphere_fit_falls_back_to_vertex_normal(unit_cube):
+    # a vertex at each face centre of the cube: its 1-ring is flat, so the
+    # 4x4 osculating-sphere fit there is exactly singular
+    mesh = cube_with_face_centres(unit_cube)
     report = validate(mesh)
     assert (mesh.n_vertices, mesh.n_faces) == (14, 24)
     assert report.is_closed and report.is_oriented and report.is_vertex_manifold
@@ -458,10 +469,10 @@ CACHE_MESHES = {
 }
 CACHE_FIELDS = [f.name for f in fields(GeometryCache)]
 # every field but the per-face-corner (per-segment) stiffness weights and the
-# scalars volume and min_angle
+# scalars volume, min_angle and min_edge
 VERTEX_FIELDS = [
     name for name in CACHE_FIELDS
-    if name not in ("stiffness_weight", "volume", "min_angle")
+    if name not in ("stiffness_weight", "volume", "min_angle", "min_edge")
 ]
 
 
@@ -496,7 +507,8 @@ def test_cache_relabelling_property(name, seed):
     # faces keep their order, so the per-corner weights and the scalars over
     # faces do not move
     assert np.array_equal(c2.stiffness_weight, c1.stiffness_weight)
-    assert (c2.volume, c2.min_angle) == (c1.volume, c1.min_angle)
+    scalars = ("volume", "min_angle", "min_edge")
+    assert [getattr(c2, k) for k in scalars] == [getattr(c1, k) for k in scalars]
 
 
 # -- cotangent stiffness ----------------------------------------------------------------
@@ -522,7 +534,7 @@ def test_stiffness_pattern_shared_by_derived_meshes():
     mesh = CACHE_MESHES["dented"]()
     L = cotangent_stiffness(mesh)
     moved = mesh.with_vertices(1.5 * mesh.vertices)
-    assert moved._stiffness_pattern is mesh._stiffness_pattern
+    assert moved._connectivity.stiffness_pattern is mesh._connectivity.stiffness_pattern
     # a uniform scale leaves every cotangent unchanged
     assert np.allclose(cotangent_stiffness(moved).data, L.data, rtol=1e-13, atol=0)
 
@@ -538,3 +550,278 @@ def test_stiffness_positive_semidefinite_property(seed, amplitude):
     L = cotangent_stiffness(mesh)
     for f in rng.normal(size=(5, mesh.n_vertices)):
         assert f @ (L @ f) >= -1e-12 * (f @ f)
+
+
+# -- the incidence operators and the previous bincount geometry pass -------------
+
+
+def bincount_sum(index, values, n):
+    """Sum the rows of ``values`` into ``n`` bins by ``index``, in input order:
+    the scatter the incidence operators replace, column by column."""
+    if values.ndim == 1:
+        return np.bincount(index, weights=values, minlength=n)
+    return np.column_stack(
+        [np.bincount(index, weights=values[:, c], minlength=n)
+         for c in range(values.shape[1])]
+    )
+
+
+def relabelled_dent():
+    mesh = CACHE_MESHES["dented"]()
+    perm = np.random.default_rng(0).permutation(mesh.n_vertices)
+    new_label = np.empty_like(perm)
+    new_label[perm] = np.arange(len(perm))
+    return TriMesh(mesh.vertices[perm], new_label[mesh.faces])
+
+
+OPERATOR_MESHES = {
+    "icosphere": lambda cube: gen_icosphere(1.0, subdivisions=2),
+    "dented": lambda cube: CACHE_MESHES["dented"](),
+    "relabelled": lambda cube: relabelled_dent(),
+    "cube-face-centres": cube_with_face_centres,
+}
+
+
+def spread_values(rng, *shape):
+    # magnitudes over 16 decades, so that another summation order rounds
+    # differently
+    return rng.normal(size=shape) * 10.0 ** rng.uniform(-8.0, 8.0, size=shape)
+
+
+@pytest.mark.parametrize("name", sorted(OPERATOR_MESHES))
+def test_incidence_operators_match_bincount(name, unit_cube):
+    mesh = OPERATOR_MESHES[name](unit_cube)
+    conn = mesh._connectivity
+    f, n, m = mesh.faces, mesh.n_vertices, mesh.n_faces
+    rng = np.random.default_rng(1)
+    corner = f.T.ravel()  # the source of each half-edge, corner-major
+    for shape in ((3 * m,), (3 * m, 3), (3 * m, 7)):
+        x = spread_values(rng, *shape)
+        assert np.array_equal(conn.ring @ x, bincount_sum(corner, x, n))
+    for shape in ((m,), (m, 3)):
+        y = spread_values(rng, *shape)
+        tiled = np.tile(y, (3,) + (1,) * (y.ndim - 1))
+        assert np.array_equal(conn.face @ y, bincount_sum(corner, tiled, n))
+    # the area-gradient scatter: for each corner k, c_k into f[k + 1] and -c_k
+    # into f[k + 2], where c_k is minus the value of the half-edge opposite k
+    x = spread_values(rng, 3 * m, 3)
+    per_edge = x.reshape(3, m, 3)
+    index = np.concatenate([f[:, (k + d) % 3] for k in range(3) for d in (1, 2)])
+    values = np.concatenate(
+        [sign * per_edge[(k + 1) % 3] for k in range(3) for sign in (-1.0, 1.0)]
+    )
+    assert np.array_equal(conn.area_gradient @ x, bincount_sum(index, values, n))
+    # the stiffness slot scatter: -w into (a, b) and (b, a), w into (a, a) and
+    # (b, b) for the pair opposite each corner
+    a, b = f[:, [1, 2, 0]].T.ravel(), f[:, [2, 0, 1]].T.ravel()
+    keys = np.concatenate([a, b, a, b]) * n + np.concatenate([b, a, a, b])
+    _, slot = np.unique(keys, return_inverse=True)
+    w = spread_values(rng, 3 * m)
+    pattern = conn.stiffness_pattern
+    expected = bincount_sum(slot, np.concatenate([-w, -w, w, w]), len(pattern.indices))
+    assert np.array_equal(pattern.assemble @ w, expected)
+
+
+def previous_cache(mesh):
+    """(vertex_area, normal, H, |A|, |Adev|, |grad H|) by the formulas of the
+    bincount geometry pass: cotangents from per-corner cross products, area
+    weights scattered face by face, all nine second moments of the sphere fit
+    and one half-edge gather per curvature fit."""
+    v, F, n = mesh.vertices, mesh.faces, mesh.n_vertices
+    p = v[F]
+    cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
+    area = 0.5 * np.linalg.norm(cross, axis=1)
+    face_normal = cross / (2.0 * area)[:, None]
+    cot = np.empty((len(p), 3))
+    opp2 = np.empty((len(p), 3))
+    for k in range(3):
+        u = p[:, (k + 1) % 3] - p[:, k]
+        w = p[:, (k + 2) % 3] - p[:, k]
+        cot[:, k] = np.einsum("ij,ij->i", u, w) / np.linalg.norm(np.cross(u, w), axis=1)
+        opp = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
+        opp2[:, k] = np.einsum("ij,ij->i", opp, opp)
+
+    w = np.empty((len(p), 3))
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        w[:, i] = (opp2[:, j] * cot[:, j] + opp2[:, k] * cot[:, k]) / 8.0
+    obtuse = cot < 0
+    for i in range(3):
+        at_i = obtuse.any(axis=1) & obtuse[:, i]
+        w[at_i, i] = area[at_i] / 2.0
+        for d in (1, 2):
+            w[at_i, (i + d) % 3] = area[at_i] / 4.0
+    weights = bincount_sum(F.ravel(), w.ravel(), n)
+
+    corner = F.T.ravel()
+    normal = bincount_sum(corner, np.tile(face_normal * area[:, None], (3, 1)), n)
+    normal /= np.linalg.norm(normal, axis=1)[:, None]
+
+    index, values = [], []
+    for k in range(3):
+        i, j = (k + 1) % 3, (k + 2) % 3
+        c = 0.5 * cot[:, k][:, None] * (p[:, i] - p[:, j])
+        index += [F[:, i], F[:, j]]
+        values += [c, -c]
+    mcv = bincount_sum(np.concatenate(index), np.concatenate(values), n)
+    H = np.einsum("ij,ij->i", mcv, normal) / weights
+
+    # osculating-sphere normals
+    e = mesh.directed_edges
+    src, dst = e[:, 1], e[:, 0]
+    d = v[src] - v[dst]
+    q = np.einsum("ij,ij->i", d, d)
+    s2 = bincount_sum(dst, (d[:, :, None] * d[:, None, :]).reshape(len(d), -1), n)
+    G = np.zeros((n, 4, 4))
+    G[:, :3, :3] = 4.0 * s2.reshape(n, 3, 3)
+    G[:, :3, 3] = G[:, 3, :3] = 2.0 * bincount_sum(dst, d, n)
+    G[:, 3, 3] = np.bincount(dst, minlength=n) + 1.0
+    rhs = np.zeros((n, 4))
+    rhs[:, :3] = 2.0 * bincount_sum(dst, q[:, None] * d, n)
+    rhs[:, 3] = bincount_sum(dst, q, n)
+    ok = np.abs(np.linalg.det(G)) > 0
+    sol = np.zeros((n, 4))
+    sol[ok] = np.linalg.solve(G[ok], rhs[ok, :, None])[:, :, 0]
+    centre = sol[:, :3]
+    dist = np.linalg.norm(centre, axis=1)
+    usable = ok & (dist > 1e-300)
+    nsf = normal.copy()
+    nsf[usable] = -centre[usable] / dist[usable, None]
+    flip = np.einsum("ij,ij->i", nsf, normal) < 0
+    nsf[flip] = -nsf[flip]
+
+    # shape-operator fit
+    seed = np.where(np.abs(nsf[:, 0:1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    t1 = np.cross(nsf, seed)
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    t2 = np.cross(nsf, t1)
+    i, j = e[:, 0], e[:, 1]
+    ev = v[j] - v[i]
+    dn = nsf[j] - nsf[i]
+    u1 = np.einsum("ij,ij->i", t1[i], ev)
+    u2 = np.einsum("ij,ij->i", t2[i], ev)
+    w1 = np.einsum("ij,ij->i", t1[i], dn)
+    w2 = np.einsum("ij,ij->i", t2[i], dn)
+    s11, s12, s22 = bincount_sum(i, np.column_stack([u1 * u1, u1 * u2, u2 * u2]), n).T
+    G = np.zeros((n, 3, 3))
+    G[:, 0, 0] = s11
+    G[:, 0, 1] = G[:, 1, 0] = G[:, 1, 2] = G[:, 2, 1] = s12
+    G[:, 1, 1] = bincount_sum(i, u1 * u1 + u2 * u2, n)
+    G[:, 2, 2] = s22
+    R = bincount_sum(i, np.column_stack([u1 * w1, u2 * w1 + u1 * w2, u2 * w2]), n)
+    a, b, c = np.linalg.solve(G, R[:, :, None])[:, :, 0].T
+    trace = a + c
+    disc = np.sqrt(0.25 * (a - c) ** 2 + b**2)
+    scale = np.ones(n)
+    nonzero = np.abs(trace) > 0.05 * np.maximum(np.abs(a) + np.abs(c) + 2 * np.abs(b), 1e-300)
+    scale[nonzero] = H[nonzero] / trace[nonzero]
+    k1, k2 = (0.5 * trace - disc) * scale, (0.5 * trace + disc) * scale
+    second = np.sqrt(k1**2 + k2**2)
+    traceless = np.sqrt(np.maximum(second**2 - H**2 / 2.0, 0.0))
+
+    # area-averaged face gradients of H
+    g = np.zeros((len(F), 3))
+    for k in range(3):
+        opp = p[:, (k + 2) % 3] - p[:, (k + 1) % 3]
+        g += H[F[:, k]][:, None] * np.cross(face_normal, opp) / (2.0 * area)[:, None]
+    vg = bincount_sum(corner, np.tile(g * area[:, None], (3, 1)), n)
+    vg /= bincount_sum(corner, np.tile(area, 3), n)[:, None]
+    return weights, normal, H, second, traceless, np.linalg.norm(vg, axis=1)
+
+
+PREVIOUS_PASS_MESHES = {
+    **OPERATOR_MESHES,
+    "ellipsoid-s3": lambda cube: gen_ellipsoid(1.2, 1.0, 0.85, 3),
+    "dented-s5": lambda cube: gen_perturbed_sphere(
+        1.0, -0.35, GaussianDentBump(width=0.3), 5
+    ),
+    "cylinder-patch": lambda cube: make_cylinder_patch(24, 9),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PREVIOUS_PASS_MESHES))
+def test_cache_matches_previous_bincount_pass(name, unit_cube):
+    # the summation order changed, so the fields agree to a tolerance fixed
+    # relative to each field's scale, not bit for bit
+    mesh = PREVIOUS_PASS_MESHES[name](unit_cube)
+    # on the open cylinder the sphere fits of the boundary rings are so
+    # ill-conditioned that rounding moves them: compare its interior only
+    mesh, keep = mesh if isinstance(mesh, tuple) else (mesh, slice(None))
+    cache = compute_cache(mesh)
+    ref = [f[keep] for f in previous_cache(mesh)]
+    area, normal, H, second, traceless, grad_H = ref
+    for got, want in zip(
+        (cache.vertex_area, cache.normal, cache.mean_curvature, cache.second_form_norm),
+        (area, normal, H, second),
+    ):
+        assert np.abs(got[keep] - want).max() <= 1e-12 * np.abs(want).max()
+    h_scale = np.abs(H).max() / mesh.edge_lengths().min()
+    assert np.abs(cache.grad_H_norm[keep] - grad_H).max() <= 1e-12 * h_scale
+    assert np.abs(cache.traceless_norm[keep] ** 2 - traceless**2).max() <= (
+        1e-12 * (second**2).max()
+    )
+
+
+@pytest.mark.parametrize("name", ["ellipsoid", "dented", "circle"])
+def test_min_edge_equals_edge_lengths(name):
+    mesh = CACHE_MESHES[name]()
+    assert compute_cache(mesh).min_edge == mesh.edge_lengths().min()
+
+
+def test_operators_built_once_for_meshes_derived_before_first_use(monkeypatch):
+    mesh = gen_icosphere(1.0, subdivisions=2)
+    derived = [mesh.with_vertices(s * mesh.vertices) for s in (1.1, 0.9)]
+    builds = count_calls(monkeypatch, meshmod, "_incidence")
+    for m in (*derived, mesh):
+        compute_cache(m)
+        cotangent_stiffness(m)
+    # ring, face, area gradient and stiffness assembly, once for all three
+    assert len(builds) == 4
+    for m in derived:
+        assert m._connectivity is mesh._connectivity
+    pattern = mesh._connectivity.stiffness_pattern
+    assert derived[0]._connectivity.stiffness_pattern is pattern
+
+
+def test_compute_cache_peak_memory():
+    # V = 10242; the bincount pass peaked at about 15.3 MB
+    mesh = gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 5)
+    compute_cache(mesh)  # builds the connectivity's operators
+    tracemalloc.start()
+    try:
+        compute_cache(mesh)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 15e6
+
+
+INTEGRALS_SCRIPT = """
+from sapflow import FlowState, GaussianDentBump, compute_cache, compute_h
+from sapflow import gen_perturbed_sphere
+from sapflow.diagnostics import record_snapshot
+mesh = gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 5)
+cache = compute_cache(mesh)
+row = record_snapshot(FlowState(mesh=mesh, h=compute_h(cache)), cache)
+for name in ("h", "int_H", "int_H2", "int_traceless_sq", "int_Hpow"):
+    print(name, float.hex(getattr(row, name)))
+"""
+
+
+def test_surface_integrals_independent_of_blas_threads():
+    src = os.path.dirname(os.path.dirname(sapflow.__file__))
+    outputs = []
+    for threads in ("1", "2"):
+        env = {
+            **os.environ,
+            "PYTHONPATH": src,
+            "OPENBLAS_NUM_THREADS": threads,
+            "OMP_NUM_THREADS": threads,
+        }
+        done = subprocess.run(
+            [sys.executable, "-c", INTEGRALS_SCRIPT],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert done.returncode == 0, done.stderr
+        outputs.append(done.stdout)
+    assert outputs[0] == outputs[1]
