@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import DegenerateGeometryError, OrientationError
-from .mesh import _FaceRecord, _shoelace_area, _turning_angles
+from .mesh import _FaceRecord, _cross, _dot, _norm, _shoelace_area, _turning_angles
 
 
 @dataclass
@@ -78,27 +78,8 @@ class GeometryCache:
 # the area gradient and the gradient of an arbitrary field. Sums over faces,
 # corners and half-edges are products with the incidence operators of the
 # mesh's connectivity (mesh._Connectivity); the half-edge vectors are the face
-# record's edges, one gather that both curvature fits share. On (n, 3) arrays
-# the vector arithmetic is written out per component.
-
-
-def _dot(a, b):
-    """Row-wise dot product of two (n, 3) arrays, summed left to right."""
-    return a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1] + a[:, 2] * b[:, 2]
-
-
-def _cross(a, b):
-    """Row-wise cross product of two (n, 3) arrays, as ``np.cross`` forms it."""
-    c = np.empty_like(a)
-    np.subtract(a[:, 1] * b[:, 2], a[:, 2] * b[:, 1], out=c[:, 0])
-    np.subtract(a[:, 2] * b[:, 0], a[:, 0] * b[:, 2], out=c[:, 1])
-    np.subtract(a[:, 0] * b[:, 1], a[:, 1] * b[:, 0], out=c[:, 2])
-    return c
-
-
-def _norm(a):
-    """Row-wise length of an (n, 3) array, summed as ``np.linalg.norm`` does."""
-    return np.sqrt(_dot(a, a))
+# record's edges, one gather that both curvature fits share. The vector
+# arithmetic is written out per component, once, in mesh._dot / _cross / _norm.
 
 
 def _configuration(mesh):
@@ -347,12 +328,8 @@ def _shape_operator_eigen(mesh, conf, normals, H):
     nsf = _sphere_fit_normals(mesh, conf, normals)
     n = mesh.n_vertices
     # t1 = nsf x e_x where |nsf_x| < 0.9, else nsf x e_y; t2 = nsf x t1
-    nx, ny, nz = nsf.T
-    seed_x = np.abs(nx) < 0.9
-    t1 = np.empty((n, 3))
-    t1[:, 0] = np.where(seed_x, 0.0, -nz)
-    t1[:, 1] = np.where(seed_x, nz, 0.0)
-    t1[:, 2] = np.where(seed_x, -ny, nx)
+    seed_x = (np.abs(nsf[:, 0]) < 0.9)[:, None]
+    t1 = _cross(nsf, np.where(seed_x, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
     t1 /= _norm(t1)[:, None]
     t2 = _cross(nsf, t1)
 

@@ -181,6 +181,25 @@ class TriMesh:
         return f"TriMesh(mode={self.mode!r}, |V|={self.n_vertices}, |F|={self.n_faces})"
 
 
+def _dot(a, b):
+    """Dot product over the last axis (length 3), summed left to right."""
+    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+
+
+def _cross(a, b):
+    """Cross product over the last axis (length 3), as ``np.cross`` forms it."""
+    c = np.empty(np.broadcast_shapes(a.shape, b.shape))
+    np.subtract(a[..., 1] * b[..., 2], a[..., 2] * b[..., 1], out=c[..., 0])
+    np.subtract(a[..., 2] * b[..., 0], a[..., 0] * b[..., 2], out=c[..., 1])
+    np.subtract(a[..., 0] * b[..., 1], a[..., 1] * b[..., 0], out=c[..., 2])
+    return c
+
+
+def _norm(a):
+    """Length over the last axis, summed as ``np.linalg.norm`` does."""
+    return np.sqrt(_dot(a, a))
+
+
 class _FaceRecord:
     """Per-face data of one surface configuration, built once and shared.
 
@@ -203,27 +222,18 @@ class _FaceRecord:
         np.subtract(p[2], p[1], out=e[1])
         np.subtract(p[0], p[2], out=e[2])
         self.edge = e
-        # (p1 - p0) x (p2 - p0) = e2 x e0, one component at a time
-        (x2, y2, z2), (x0, y0, z0) = e[2].T, e[0].T
-        c = np.empty((len(mesh.faces), 3))
-        np.subtract(y2 * z0, z2 * y0, out=c[:, 0])
-        np.subtract(z2 * x0, x2 * z0, out=c[:, 1])
-        np.subtract(x2 * y0, y2 * x0, out=c[:, 2])
-        self.cross = c
-        x, y, z = c.T
-        self.area = 0.5 * np.sqrt(x * x + y * y + z * z)
+        self.cross = _cross(e[2], e[0])  # (p1 - p0) x (p2 - p0) = e2 x e0
+        self.area = 0.5 * _norm(self.cross)
         self.centroid = (p[0] + p[1] + p[2]) / 3.0
 
     @cached_property
     def length2(self):
-        x, y, z = self.edge[..., 0], self.edge[..., 1], self.edge[..., 2]
-        return x * x + y * y + z * z
+        return _dot(self.edge, self.edge)
 
     @property
     def corner_dot(self):
         # corner k: (p_{k+1} - p_k) . (p_{k+2} - p_k) = -edge[k] . edge[k - 1]
-        (x, y, z), (xp, yp, zp) = self.edge.T, self.edge[[2, 0, 1]].T
-        return -(x * xp + y * yp + z * zp).T
+        return -_dot(self.edge, self.edge[[2, 0, 1]])
 
     @cached_property
     def cot(self):
