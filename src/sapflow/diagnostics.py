@@ -115,7 +115,7 @@ def record_snapshot(state, cache):
         int_traceless_sq=geometry.surface_integral(va, cache.traceless_norm**2),
         max_grad_H=float(cache.grad_H_norm.max()),
         sup_one_minus_hH=float(np.abs(one_minus).max()),
-        diameter_est=geometry.diameter_estimate(mesh),
+        diameter_est=geometry.diameter_estimate(mesh, cache.edge_length),
         int_Hpow=geometry.surface_integral(va, np.abs(H) ** (n - 1)),
         min_angle=cache.min_angle,
         area_scale_applied=state.last_projection_scale,

@@ -45,11 +45,13 @@ class GeometryCache:
     stiffness_weight : (3m,) or (n,) float
         Edge weights of the cotangent stiffness: half the cotangent of each
         face corner, corner-major, or 1/length of each curve segment.
+    edge_length : (3m,) or (n,) float
+        Length of each half-edge, corner-major (row-aligned with
+        ``mesh.directed_edges``), or of each curve segment: the edge weights
+        of :func:`diameter_estimate`.
     volume, min_angle : float
         Signed enclosed volume and smallest face corner angle; enclosed area
         and smallest interior vertex angle in curve mode.
-    min_edge : float
-        Shortest edge (curve segment); equals ``mesh.edge_lengths().min()``.
     """
 
     vertex_area: np.ndarray
@@ -59,13 +61,18 @@ class GeometryCache:
     traceless_norm: np.ndarray
     grad_H_norm: np.ndarray
     stiffness_weight: np.ndarray
+    edge_length: np.ndarray
     volume: float
     min_angle: float
-    min_edge: float
 
     @property
     def total_area(self):
         return float(self.vertex_area.sum())
+
+    @property
+    def min_edge(self):
+        """Shortest edge (curve segment); equals ``mesh.edge_lengths().min()``."""
+        return float(self.edge_length.min())
 
 
 # -- per-configuration data and the field formulas ----------------------------
@@ -162,7 +169,8 @@ def _second_form(mesh, conf, normals, H):
     """
     if mesh.mode == "curve":
         return np.abs(H), np.zeros_like(H)
-    k1, k2 = _shape_operator_eigen(mesh, conf, normals, H)
+    nsf = _sphere_fit_normals(mesh, conf, normals)
+    k1, k2 = _shape_operator_eigen(mesh, conf, nsf, H)
     second = np.sqrt(k1**2 + k2**2)
     return second, np.sqrt(np.maximum(second**2 - H**2 / 2.0, 0.0))
 
@@ -199,12 +207,13 @@ def _min_angle(mesh, conf):
     return float(np.arctan2(1.0, conf.cot.max()))
 
 
-def _min_edge(mesh, conf):
+def _edge_length(mesh, conf):
     if mesh.mode == "curve":
         _, ln = conf
-        return float(ln.min())
-    # every edge is a half-edge of some face; sqrt is monotone
-    return float(np.sqrt(conf.length2.min()))
+        return ln
+    # every edge is a half-edge of some face; |p - q| squares each component
+    # as mesh.edge_lengths() does, so both give the same bits
+    return np.sqrt(conf.length2).ravel()
 
 
 def _area_centroid(mesh, conf):
@@ -264,68 +273,86 @@ def osculating_sphere_normals(mesh, reference_normals):
     radial direction at the vertex, sign-matched to ``reference_normals``.
     Exact on meshes inscribed in a common sphere, which gives the traceless
     second-form estimate the dynamic range the roundness diagnostics need.
-    Degenerate fits fall back to the reference normal. Surface meshes only.
+    Exactly singular fits (e.g. a flat 1-ring) keep the reference normal.
+    Surface meshes only.
     """
     return _sphere_fit_normals(mesh, _FaceRecord(mesh), reference_normals)
 
 
-# (n, 10) columns 4 s_xx, 4 s_xy, 4 s_xz, 4 s_yy, 4 s_yz, 4 s_zz, 2 s_x, 2 s_y,
-# 2 s_z, valence + 1 -> the symmetric (4, 4) sphere-fit matrix, row-major
-_SPHERE_MATRIX = [0, 1, 2, 6, 1, 3, 4, 7, 2, 4, 5, 8, 6, 7, 8, 9]
+def _adjugate_solve(xx, xy, xz, yy, yz, zz, r):
+    """(adj(S) r, det S) of the symmetric 3x3 systems S given by their entries.
+
+    Each entry is an (n,) array or a scalar, ``r`` is (n, 3); S^-1 r is
+    ``adj(S) r / det S`` wherever ``det S != 0``.
+    """
+    a_xx = yy * zz - yz * yz
+    a_xy = xz * yz - xy * zz
+    a_xz = xy * yz - xz * yy
+    a_yy = xx * zz - xz * xz
+    a_yz = xy * xz - xx * yz
+    a_zz = xx * yy - xy * xy
+    r0, r1, r2 = r[:, 0], r[:, 1], r[:, 2]
+    y = np.empty_like(r)
+    y[:, 0] = a_xx * r0 + a_xy * r1 + a_xz * r2
+    y[:, 1] = a_xy * r0 + a_yy * r1 + a_yz * r2
+    y[:, 2] = a_xz * r0 + a_yz * r1 + a_zz * r2
+    return y, xx * a_xx + xy * a_xy + xz * a_xz
 
 
 def _sphere_fit_normals(mesh, conf, reference_normals):
-    n = mesh.n_vertices
     ring = mesh._connectivity.ring
     d = conf.edge.reshape(-1, 3)  # ring points centred at the ring owner
     q = conf.length2.ravel()
 
     # the moments in two products, each stack freed before the next (one
-    # 13-column stack would double the transient peak): sum d d^T (its 6
-    # distinct entries) and sum q, then sum d and sum q d
+    # 13-column stack would double the transient peak): Q = sum d d^T (its 6
+    # distinct entries) and sum q, then s = sum d and sum q d. Each column is
+    # one product along the half-edges: a broadcast over the rows of d would
+    # run numpy's inner loop over 3 components
+    dx, dy, dz = d.T
     x = np.empty((len(d), 7))
-    np.multiply(d, d[:, 0:1], out=x[:, 0:3])
-    np.multiply(d[:, 1:], d[:, 1:2], out=x[:, 3:5])
-    np.multiply(d[:, 2], d[:, 2], out=x[:, 5])
+    for k, (a, b) in enumerate([(dx, dx), (dx, dy), (dx, dz), (dy, dy), (dy, dz), (dz, dz)]):
+        np.multiply(a, b, out=x[:, k])
     x[:, 6] = q
     quadratic = ring @ x
     del x
     x = np.empty((len(d), 6))
     x[:, :3] = d
-    np.multiply(d, q[:, None], out=x[:, 3:])
+    for k, a in enumerate((dx, dy, dz)):
+        np.multiply(a, q, out=x[:, 3 + k])
     linear = ring @ x
     del x
 
-    entries = np.empty((n, 10))
-    np.multiply(quadratic[:, :6], 4.0, out=entries[:, :6])
-    np.multiply(linear[:, :3], 2.0, out=entries[:, 6:9])
-    entries[:, 9] = np.diff(ring.indptr) + 1.0  # the centred vertex adds a zero row
-    G = entries[:, _SPHERE_MATRIX].reshape(n, 4, 4)
-    rhs = np.empty((n, 4))
-    np.multiply(linear[:, 3:], 2.0, out=rhs[:, :3])
-    rhs[:, 3] = quadratic[:, 6]
-
-    ok = np.ones(n, dtype=bool)
-    try:
-        sol = np.linalg.solve(G, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        # some fit is exactly singular (e.g. a flat 1-ring): solve the others
-        ok = np.abs(np.linalg.det(G)) > 0
-        sol = np.zeros((n, 4))
-        sol[ok] = np.linalg.solve(G[ok], rhs[ok, :, None])[:, :, 0]
-    centre = sol[:, :3]  # relative to each vertex
-    dist = _norm(centre)
-    usable = ok & (dist > 1e-300)
-    out = reference_normals.copy()
-    out[usable] = -centre[usable] / dist[usable, None]
-    flip = _dot(out, reference_normals) < 0
-    out[flip] = -out[flip]
+    # the normal equations of the fit in (c, rho),
+    #   4 Q c + 2 s rho = 2 sum q d,   2 s.c + k rho = sum q,
+    # with k the valence + 1 (the centred vertex adds a zero row); eliminating
+    # rho leaves the Schur complement
+    #   (Q - s s^T / k) c = (sum q d - s sum q / k) / 2.
+    # Only the direction of c is used, and it is sign-matched below, so
+    # neither 1/2 nor 1/det is applied; det = 0 marks an exactly singular
+    # fit (e.g. a flat 1-ring)
+    s = linear[:, :3]
+    s_k = s / (np.diff(ring.indptr) + 1.0)[:, None]
+    m = quadratic[:, :6] - s[:, [0, 0, 0, 1, 1, 2]] * s_k[:, [0, 1, 2, 1, 2, 2]]
+    direction, det = _adjugate_solve(*m.T, linear[:, 3:] - s_k * quadratic[:, 6:7])
+    length = _norm(direction)
+    usable = (det != 0) & (length > 0)
+    out = np.where(
+        usable[:, None], direction / np.where(usable, length, 1.0)[:, None], reference_normals
+    )
+    out *= np.where(_dot(out, reference_normals) < 0, -1.0, 1.0)[:, None]
     return out
 
 
-def _shape_operator_eigen(mesh, conf, normals, H):
-    """(k1, k2) of the trace-reconciled 1-ring shape operator fit."""
-    nsf = _sphere_fit_normals(mesh, conf, normals)
+def _shape_operator_eigen(mesh, conf, nsf, H):
+    """(k1, k2) of the trace-reconciled 1-ring shape operator fit.
+
+    ``nsf`` are the sphere-fit normals. An exactly rank-deficient fit raises
+    on a closed mesh. On an open mesh it is not an error: the fits of
+    boundary rings there are rounding noise (nearly singular sphere fits can
+    make them exactly singular), and such a vertex takes the umbilic
+    k1 = k2 = H/2. The flow runs on closed meshes only.
+    """
     n = mesh.n_vertices
     # t1 = nsf x e_x where |nsf_x| < 0.9, else nsf x e_y; t2 = nsf x t1
     seed_x = (np.abs(nsf[:, 0]) < 0.9)[:, None]
@@ -336,14 +363,17 @@ def _shape_operator_eigen(mesh, conf, normals, H):
     e = mesh.directed_edges
     i, j = e[:, 0], e[:, 1]
     ev = conf.edge.reshape(-1, 3)
-    dn = nsf[j] - nsf[i]
-    t = t1[i]
+    # np.take gathers rows several times faster than fancy indexing
+    dn = np.take(nsf, j, axis=0) - np.take(nsf, i, axis=0)
+    t = np.take(t1, i, axis=0)
     u1, w1 = _dot(t, ev), _dot(t, dn)
-    t = t2[i]
+    t = np.take(t2, i, axis=0)
     u2, w2 = _dot(t, ev), _dot(t, dn)
     del t, dn
 
-    # normal equations for symmetric S = [[a, b], [b, c]]
+    # normal equations for symmetric S = [[a, b], [b, c]]: the symmetric
+    # system [[s11, s12, 0], [s12, s11 + s22, s12], [0, s12, s22]] (a, b, c)
+    # = (sum u1 w1, sum u2 w1 + u1 w2, sum u2 w2), s_kl = sum uk ul
     x = np.empty((len(ev), 7))
     np.multiply(u1, u1, out=x[:, 0])
     np.multiply(u1, u2, out=x[:, 1])
@@ -353,16 +383,14 @@ def _shape_operator_eigen(mesh, conf, normals, H):
     x[:, 5] = u2 * w1 + u1 * w2
     np.multiply(u2, w2, out=x[:, 6])
     s = mesh._connectivity.ring @ x
-    G = np.zeros((n, 3, 3))
-    G[:, 0, 0] = s[:, 0]
-    G[:, 0, 1] = G[:, 1, 0] = G[:, 1, 2] = G[:, 2, 1] = s[:, 1]
-    G[:, 1, 1] = s[:, 3]
-    G[:, 2, 2] = s[:, 2]
-
-    try:
-        sol = np.linalg.solve(G, s[:, 4:7, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        raise DegenerateGeometryError("rank-deficient 1-ring shape operator fit") from None
+    sol, det = _adjugate_solve(s[:, 0], s[:, 1], 0.0, s[:, 3], s[:, 1], s[:, 2], s[:, 4:7])
+    singular = det == 0
+    if singular.any():
+        if mesh.is_closed:
+            raise DegenerateGeometryError("rank-deficient 1-ring shape operator fit")
+        sol[singular] = np.outer(0.5 * H[singular], (1.0, 0.0, 1.0))  # a = c = H/2
+        det[singular] = 1.0
+    sol /= det[:, None]
     a, b, c = sol[:, 0], sol[:, 1], sol[:, 2]
     trace = a + c
     disc = np.sqrt(0.25 * (a - c) ** 2 + b**2)
@@ -407,7 +435,7 @@ def enclosed_volume(mesh, conf=None):
     return (conf or _configuration(mesh)).volume
 
 
-def diameter_estimate(mesh):
+def diameter_estimate(mesh, edge_length=None):
     """Upper-bias intrinsic diameter estimate from graph geodesics.
 
     The largest eccentricity, in edge-length graph distance, of the
@@ -415,10 +443,12 @@ def diameter_estimate(mesh):
     ``diameter_graph`` spreads by hop count: the first drawn by
     ``np.random.default_rng(0)``, each next one farthest in hops from those
     before. The graph and the sources are built once per connectivity; each
-    call is one edge-length pass and one Dijkstra call from all sources, so the
-    estimate is a continuous function of the vertex positions. Edge paths
-    overestimate true geodesics: on unit icospheres at subdivisions 1-5 the
-    estimate lies 4.4 % to 6.2 % above pi.
+    call is one Dijkstra call from all sources, so the estimate is a
+    continuous function of the vertex positions. ``edge_length`` is the
+    ``edge_length`` of this configuration's cache, computed when omitted.
+    The graph's edges are the half-edges, so it is symmetric on a closed
+    mesh. Edge paths overestimate true geodesics: on unit icospheres at
+    subdivisions 1-5 the estimate lies 4.4 % to 6.2 % above pi.
     Hop-spread sources can miss the tips of a long axis: on static 2/1/0.5 and
     3/1/1 ellipsoids at subdivision 4 the value is 3.2 % and 3.7 % below that
     of 32 length-weighted farthest-point sources. Along the benchmark's flow
@@ -426,9 +456,10 @@ def diameter_estimate(mesh):
     """
     from scipy.sparse.csgraph import dijkstra
 
+    if edge_length is None:
+        edge_length = _edge_length(mesh, _configuration(mesh))
     if mesh.mode == "curve":
-        _, ln = _configuration(mesh)
-        cum = np.concatenate([[0.0], np.cumsum(ln)])
+        cum = np.concatenate([[0.0], np.cumsum(edge_length)])
         total = cum[-1]
         # the arc distance from a vertex peaks at its antipode, so the farthest
         # vertex is one of the two around it (cum[n] is vertex 0 again)
@@ -439,7 +470,7 @@ def diameter_estimate(mesh):
     graph = mesh._connectivity.diameter_graph
     n = mesh.n_vertices
     g = sparse.csr_matrix(
-        (mesh.edge_lengths()[graph.slot], graph.indices, graph.indptr), shape=(n, n)
+        (edge_length[graph.slot], graph.indices, graph.indptr), shape=(n, n)
     )
     return float(dijkstra(g, indices=graph.sources).max())
 
@@ -456,7 +487,7 @@ def compute_cache(mesh):
         Closed mesh with negative enclosed volume, or clockwise curve.
     DegenerateGeometryError
         Zero-area face, zero-length segment or normal, non-positive area
-        weight, or rank-deficient 1-ring shape operator fit.
+        weight, or rank-deficient 1-ring shape operator fit on a closed mesh.
     """
     conf = _configuration(mesh)
     weights = _weights(mesh, conf)
@@ -471,7 +502,7 @@ def compute_cache(mesh):
         traceless_norm=traceless,
         grad_H_norm=_gradient_norm(mesh, conf, H),
         stiffness_weight=_stiffness_weight(mesh, conf),
+        edge_length=_edge_length(mesh, conf),
         volume=enclosed_volume(mesh, conf),
         min_angle=_min_angle(mesh, conf),
-        min_edge=_min_edge(mesh, conf),
     )

@@ -13,6 +13,7 @@ from scipy.sparse import csgraph
 
 import sapflow
 from sapflow import (
+    DegenerateGeometryError,
     FlowConfig,
     GaussianDentBump,
     GeometryCache,
@@ -32,7 +33,7 @@ from sapflow import (
     validate,
     vertex_area_weights,
 )
-from sapflow import mesh as meshmod
+from sapflow import geometry, mesh as meshmod
 from sapflow.geometry import (
     cotangent_stiffness,
     mean_curvature_vector,
@@ -289,6 +290,28 @@ def graph_diameter(mesh):
     return float(csgraph.dijkstra(g, directed=False).max())
 
 
+@pytest.mark.parametrize("subdivisions", [2, 3])
+def test_diameter_graph_weights_from_cache_lengths(subdivisions):
+    # keyed by half-edge and weighted by the cache's half-edge lengths, the
+    # graph is bit for bit the symmetric edge graph of mesh.edge_lengths()
+    base = gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), subdivisions)
+    rng = np.random.default_rng(subdivisions)
+    mesh = base.with_vertices(base.vertices + 0.01 * rng.normal(size=base.vertices.shape))
+    cache = compute_cache(mesh)
+    graph = mesh._connectivity.diameter_graph
+    n, e = mesh.n_vertices, mesh.edges
+    g = sparse.csr_matrix(
+        (np.tile(mesh.edge_lengths(), 2),
+         (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]))),
+        shape=(n, n),
+    )
+    g.sort_indices()
+    assert np.array_equal(g.indptr, graph.indptr)
+    assert np.array_equal(g.indices, graph.indices)
+    assert np.array_equal(g.data, cache.edge_length[graph.slot])
+    assert diameter_estimate(mesh, cache.edge_length) == diameter_estimate(mesh)
+
+
 def test_diameter_graph_shared_by_derived_meshes():
     mesh = gen_perturbed_sphere(1.0, 0.2, GaussianDentBump(), 2)
     d = diameter_estimate(mesh)
@@ -468,11 +491,11 @@ CACHE_MESHES = {
     "circle": lambda: gen_circle(1.0, 48),
 }
 CACHE_FIELDS = [f.name for f in fields(GeometryCache)]
-# every field but the per-face-corner (per-segment) stiffness weights and the
-# scalars volume, min_angle and min_edge
+# every field but the per-face-corner (per-segment) stiffness weights and
+# edge lengths and the scalars volume and min_angle
 VERTEX_FIELDS = [
     name for name in CACHE_FIELDS
-    if name not in ("stiffness_weight", "volume", "min_angle", "min_edge")
+    if name not in ("stiffness_weight", "edge_length", "volume", "min_angle")
 ]
 
 
@@ -504,9 +527,10 @@ def test_cache_relabelling_property(name, seed):
         assert np.allclose(
             getattr(c2, field), getattr(c1, field)[perm], rtol=0, atol=1e-10
         ), field
-    # faces keep their order, so the per-corner weights and the scalars over
-    # faces do not move
+    # faces keep their order, so the per-corner weights and edge lengths and
+    # the scalars over faces do not move
     assert np.array_equal(c2.stiffness_weight, c1.stiffness_weight)
+    assert np.array_equal(c2.edge_length, c1.edge_length)
     scalars = ("volume", "min_angle", "min_edge")
     assert [getattr(c2, k) for k in scalars] == [getattr(c1, k) for k in scalars]
 
@@ -682,6 +706,11 @@ def previous_cache(mesh):
     ok = np.abs(np.linalg.det(G)) > 0
     sol = np.zeros((n, 4))
     sol[ok] = np.linalg.solve(G[ok], rhs[ok, :, None])[:, :, 0]
+    # one step of iterative refinement: these fits are ill-conditioned (cond
+    # up to 4e6 on dented-s5), and the rounding of the solve alone moves the
+    # normals there by 5e-13 and |A| by 4e-11
+    residual = rhs[ok] - np.einsum("nij,nj->ni", G[ok], sol[ok])
+    sol[ok] += np.linalg.solve(G[ok], residual[:, :, None])[:, :, 0]
     centre = sol[:, :3]
     dist = np.linalg.norm(centre, axis=1)
     usable = ok & (dist > 1e-300)
@@ -760,6 +789,112 @@ def test_cache_matches_previous_bincount_pass(name, unit_cube):
     assert np.abs(cache.traceless_norm[keep] ** 2 - traceless**2).max() <= (
         1e-12 * (second**2).max()
     )
+
+
+# -- the closed-form 1-ring fits and the previous batched solves ------------------
+
+# (n, 10) columns 4 s_xx, 4 s_xy, 4 s_xz, 4 s_yy, 4 s_yz, 4 s_zz, 2 s_x, 2 s_y,
+# 2 s_z, valence + 1 -> the symmetric (4, 4) sphere-fit matrix, row-major
+SPHERE_MATRIX = [0, 1, 2, 6, 1, 3, 4, 7, 2, 4, 5, 8, 6, 7, 8, 9]
+
+
+def lapack_sphere_fit_normals(mesh, conf, reference):
+    """The sphere fit before the closed form: the (n, 4, 4) normal equations
+    [[4 Q, 2 s], [2 s^T, k]] (c, rho) = (2 sum q d, sum q) by np.linalg.solve,
+    exactly singular fits (det 0) keeping the reference normal."""
+    n, ring = mesh.n_vertices, mesh._connectivity.ring
+    d = conf.edge.reshape(-1, 3)
+    q = conf.length2.ravel()
+    quadratic = ring @ np.column_stack([d[:, [0, 0, 0, 1, 1, 2]] * d[:, [0, 1, 2, 1, 2, 2]], q])
+    linear = ring @ np.column_stack([d, d * q[:, None]])
+    entries = np.column_stack(
+        [4.0 * quadratic[:, :6], 2.0 * linear[:, :3], np.diff(ring.indptr) + 1.0]
+    )
+    G = entries[:, SPHERE_MATRIX].reshape(n, 4, 4)
+    rhs = np.column_stack([2.0 * linear[:, 3:], quadratic[:, 6]])
+    ok = np.abs(np.linalg.det(G)) > 0
+    sol = np.zeros((n, 4))
+    sol[ok] = np.linalg.solve(G[ok], rhs[ok, :, None])[:, :, 0]
+    dist = np.linalg.norm(sol[:, :3], axis=1)
+    usable = ok & (dist > 1e-300)
+    out = reference.copy()
+    out[usable] = -sol[usable, :3] / dist[usable, None]
+    out[np.einsum("ij,ij->i", out, reference) < 0] *= -1.0
+    return out
+
+
+def lapack_shape_operator_eigen(mesh, conf, nsf, H):
+    """The shape fit before the closed form: the (n, 3, 3) normal equations of
+    S = [[a, b], [b, c]] by np.linalg.solve, then the trace reconciliation."""
+    n = mesh.n_vertices
+    seed = np.where(np.abs(nsf[:, 0:1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
+    t1 = np.cross(nsf, seed)
+    t1 /= np.linalg.norm(t1, axis=1)[:, None]
+    t2 = np.cross(nsf, t1)
+    i, j = mesh.directed_edges.T
+    ev = conf.edge.reshape(-1, 3)
+    dn = nsf[j] - nsf[i]
+    u1, u2 = (np.einsum("ij,ij->i", t[i], ev) for t in (t1, t2))
+    w1, w2 = (np.einsum("ij,ij->i", t[i], dn) for t in (t1, t2))
+    s = mesh._connectivity.ring @ np.column_stack(
+        [u1 * u1, u1 * u2, u2 * u2, u1 * w1, u2 * w1 + u1 * w2, u2 * w2]
+    )
+    G = np.zeros((n, 3, 3))
+    G[:, 0, 0] = s[:, 0]
+    G[:, 0, 1] = G[:, 1, 0] = G[:, 1, 2] = G[:, 2, 1] = s[:, 1]
+    G[:, 1, 1] = s[:, 0] + s[:, 2]
+    G[:, 2, 2] = s[:, 2]
+    # the boundary fits of an open mesh can be exactly singular: NaN there
+    ok = np.linalg.det(G) != 0
+    sol = np.full((n, 3), np.nan)
+    sol[ok] = np.linalg.solve(G[ok], s[ok, 3:, None])[:, :, 0]
+    a, b, c = sol.T
+    trace = a + c
+    disc = np.sqrt(0.25 * (a - c) ** 2 + b**2)
+    scale = np.ones(n)
+    nonzero = np.abs(trace) > 0.05 * np.maximum(np.abs(a) + np.abs(c) + 2 * np.abs(b), 1e-300)
+    scale[nonzero] = H[nonzero] / trace[nonzero]
+    return (0.5 * trace - disc) * scale, (0.5 * trace + disc) * scale
+
+
+@pytest.mark.parametrize("name", sorted(PREVIOUS_PASS_MESHES))
+def test_closed_form_fits_match_batched_solves(name, unit_cube):
+    # the same normal equations solved in closed form and by LAPACK: the
+    # sphere-fit normals differ by LAPACK's rounding of the ill-conditioned
+    # 4x4 fits (cond up to 4e6 on dented-s5, 3.7e-13 apart), the principal
+    # curvatures from the same normals by rounding (4e-16 of their scale); on
+    # the open cylinder only the interior is compared
+    mesh = PREVIOUS_PASS_MESHES[name](unit_cube)
+    mesh, keep = mesh if isinstance(mesh, tuple) else (mesh, slice(None))
+    cache = compute_cache(mesh)
+    conf = geometry._configuration(mesh)
+    nsf = geometry._sphere_fit_normals(mesh, conf, cache.normal)
+    want = lapack_sphere_fit_normals(mesh, conf, cache.normal)
+    assert np.abs(nsf - want)[keep].max() <= 1e-12
+    H = cache.mean_curvature
+    got = np.array(geometry._shape_operator_eigen(mesh, conf, nsf, H))[:, keep]
+    want = np.array(lapack_shape_operator_eigen(mesh, conf, nsf, H))[:, keep]
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def test_rank_deficient_shape_fit(unit_cube):
+    # a fit normal in the plane of a flat 1-ring projects its ring edges onto
+    # one line, so the shape fit there is exactly rank-deficient
+    mesh = cube_with_face_centres(unit_cube)
+    cache = compute_cache(mesh)
+    conf = geometry._configuration(mesh)
+    nsf = cache.normal.copy()
+    nsf[8] = np.roll(nsf[8], 1)
+    with pytest.raises(DegenerateGeometryError, match="rank-deficient"):
+        geometry._shape_operator_eigen(mesh, conf, nsf, cache.mean_curvature)
+    # on an open mesh that vertex takes the umbilic fit k1 = k2 = H/2
+    far = np.flatnonzero(~(mesh.faces == 8).any(axis=1) & (mesh.faces >= 9).any(axis=1))
+    opened = TriMesh(mesh.vertices, np.delete(mesh.faces, far[0], axis=0))
+    assert not opened.is_closed
+    conf = geometry._configuration(opened)
+    H = compute_cache(opened).mean_curvature
+    k1, k2 = geometry._shape_operator_eigen(opened, conf, nsf, H)
+    assert k1[8] == k2[8] == 0.5 * H[8]
 
 
 @pytest.mark.parametrize("name", ["ellipsoid", "dented", "circle"])
