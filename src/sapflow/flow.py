@@ -148,12 +148,11 @@ def select_timestep(mesh, cache, h, config):
 # loosest power of ten whose effect stays below the time step's own error.
 # On the dent-semi-s5 input (V = 10242, dt_max 0.05), against a solve to 1e-12,
 # every series.csv column but t and the projected area moves by at most 1 % of
-# its gap to a run at half the step (dt_max and cfl_safety halved, its rows
-# interpolated to the same t), both as the largest move over the rows and on
-# the converged row. Worst column, move / gap: 1e-11 0.005 %, 1e-10 0.08 %
-# (area_scale_applied, converged row), 1e-9 1.03 % (int_traceless_sq at
-# t = 0.009), 1e-8 21 %. tests/test_flow.py repeats the check at subdivision 2.
-_CG_RTOL = 1e-10
+# its gap to a run at dt_max / 2 (rows every step, interpolated to the same t),
+# both as the largest move over the rows and on the converged row. Worst
+# column, move / gap: 1e-11 0.90 % (max_abs_A at t = 0.009), 1e-10 23 %,
+# 1e-9 526 %. tests/test_flow.py repeats the check at subdivision 2.
+_CG_RTOL = 1e-11
 
 
 def _semi_implicit_step(mesh, cache, h, dt, guess):

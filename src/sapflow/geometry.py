@@ -273,33 +273,18 @@ def osculating_sphere_normals(mesh, reference_normals):
     radial direction at the vertex, sign-matched to ``reference_normals``.
     Exact on meshes inscribed in a common sphere, which gives the traceless
     second-form estimate the dynamic range the roundness diagnostics need.
-    Exactly singular fits (e.g. a flat 1-ring) keep the reference normal.
-    Surface meshes only.
+    Degenerate fits fall back to the reference normal. Surface meshes only.
     """
     return _sphere_fit_normals(mesh, _FaceRecord(mesh), reference_normals)
 
 
-def _adjugate_solve(xx, xy, xz, yy, yz, zz, r):
-    """(adj(S) r, det S) of the symmetric 3x3 systems S given by their entries.
-
-    Each entry is an (n,) array or a scalar, ``r`` is (n, 3); S^-1 r is
-    ``adj(S) r / det S`` wherever ``det S != 0``.
-    """
-    a_xx = yy * zz - yz * yz
-    a_xy = xz * yz - xy * zz
-    a_xz = xy * yz - xz * yy
-    a_yy = xx * zz - xz * xz
-    a_yz = xy * xz - xx * yz
-    a_zz = xx * yy - xy * xy
-    r0, r1, r2 = r[:, 0], r[:, 1], r[:, 2]
-    y = np.empty_like(r)
-    y[:, 0] = a_xx * r0 + a_xy * r1 + a_xz * r2
-    y[:, 1] = a_xy * r0 + a_yy * r1 + a_yz * r2
-    y[:, 2] = a_xz * r0 + a_yz * r1 + a_zz * r2
-    return y, xx * a_xx + xy * a_xy + xz * a_xz
+# (n, 10) columns 4 s_xx, 4 s_xy, 4 s_xz, 4 s_yy, 4 s_yz, 4 s_zz, 2 s_x, 2 s_y,
+# 2 s_z, valence + 1 -> the symmetric (4, 4) sphere-fit matrix, row-major
+_SPHERE_MATRIX = [0, 1, 2, 6, 1, 3, 4, 7, 2, 4, 5, 8, 6, 7, 8, 9]
 
 
 def _sphere_fit_normals(mesh, conf, reference_normals):
+    n = mesh.n_vertices
     ring = mesh._connectivity.ring
     d = conf.edge.reshape(-1, 3)  # ring points centred at the ring owner
     q = conf.length2.ravel()
@@ -323,24 +308,30 @@ def _sphere_fit_normals(mesh, conf, reference_normals):
     linear = ring @ x
     del x
 
-    # the normal equations of the fit in (c, rho),
-    #   4 Q c + 2 s rho = 2 sum q d,   2 s.c + k rho = sum q,
-    # with k the valence + 1 (the centred vertex adds a zero row); eliminating
-    # rho leaves the Schur complement
-    #   (Q - s s^T / k) c = (sum q d - s sum q / k) / 2.
-    # Only the direction of c is used, and it is sign-matched below, so
-    # neither 1/2 nor 1/det is applied; det = 0 marks an exactly singular
-    # fit (e.g. a flat 1-ring)
-    s = linear[:, :3]
-    s_k = s / (np.diff(ring.indptr) + 1.0)[:, None]
-    m = quadratic[:, :6] - s[:, [0, 0, 0, 1, 1, 2]] * s_k[:, [0, 1, 2, 1, 2, 2]]
-    direction, det = _adjugate_solve(*m.T, linear[:, 3:] - s_k * quadratic[:, 6:7])
-    length = _norm(direction)
-    usable = (det != 0) & (length > 0)
-    out = np.where(
-        usable[:, None], direction / np.where(usable, length, 1.0)[:, None], reference_normals
-    )
-    out *= np.where(_dot(out, reference_normals) < 0, -1.0, 1.0)[:, None]
+    entries = np.empty((n, 10))
+    np.multiply(quadratic[:, :6], 4.0, out=entries[:, :6])
+    np.multiply(linear[:, :3], 2.0, out=entries[:, 6:9])
+    entries[:, 9] = np.diff(ring.indptr) + 1.0  # the centred vertex adds a zero row
+    G = entries[:, _SPHERE_MATRIX].reshape(n, 4, 4)
+    rhs = np.empty((n, 4))
+    np.multiply(linear[:, 3:], 2.0, out=rhs[:, :3])
+    rhs[:, 3] = quadratic[:, 6]
+
+    ok = np.ones(n, dtype=bool)
+    try:
+        sol = np.linalg.solve(G, rhs[:, :, None])[:, :, 0]
+    except np.linalg.LinAlgError:
+        # some fit is exactly singular (e.g. a flat 1-ring): solve the others
+        ok = np.abs(np.linalg.det(G)) > 0
+        sol = np.zeros((n, 4))
+        sol[ok] = np.linalg.solve(G[ok], rhs[ok, :, None])[:, :, 0]
+    centre = sol[:, :3]  # relative to each vertex
+    dist = _norm(centre)
+    usable = ok & (dist > 1e-300)
+    out = reference_normals.copy()
+    out[usable] = -centre[usable] / dist[usable, None]
+    flip = _dot(out, reference_normals) < 0
+    out[flip] = -out[flip]
     return out
 
 
@@ -348,10 +339,9 @@ def _shape_operator_eigen(mesh, conf, nsf, H):
     """(k1, k2) of the trace-reconciled 1-ring shape operator fit.
 
     ``nsf`` are the sphere-fit normals. An exactly rank-deficient fit raises
-    on a closed mesh. On an open mesh it is not an error: the fits of
-    boundary rings there are rounding noise (nearly singular sphere fits can
-    make them exactly singular), and such a vertex takes the umbilic
-    k1 = k2 = H/2. The flow runs on closed meshes only.
+    :class:`DegenerateGeometryError`, on open meshes too. On an open mesh the
+    fits of the boundary rings are rounding noise, since their sphere fits
+    are nearly singular; the flow runs on closed meshes only.
     """
     n = mesh.n_vertices
     # t1 = nsf x e_x where |nsf_x| < 0.9, else nsf x e_y; t2 = nsf x t1
@@ -383,15 +373,18 @@ def _shape_operator_eigen(mesh, conf, nsf, H):
     x[:, 5] = u2 * w1 + u1 * w2
     np.multiply(u2, w2, out=x[:, 6])
     s = mesh._connectivity.ring @ x
-    sol, det = _adjugate_solve(s[:, 0], s[:, 1], 0.0, s[:, 3], s[:, 1], s[:, 2], s[:, 4:7])
-    singular = det == 0
-    if singular.any():
-        if mesh.is_closed:
-            raise DegenerateGeometryError("rank-deficient 1-ring shape operator fit")
-        sol[singular] = np.outer(0.5 * H[singular], (1.0, 0.0, 1.0))  # a = c = H/2
-        det[singular] = 1.0
-    sol /= det[:, None]
-    a, b, c = sol[:, 0], sol[:, 1], sol[:, 2]
+    # solved by the adjugate: (a, b, c) = adj(G) r / det G
+    s11, s12, s22, s_tr = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
+    r0, r1, r2 = s[:, 4], s[:, 5], s[:, 6]
+    p = s12 * s12
+    a_11, a_12, a_13 = s_tr * s22 - p, -s12 * s22, p
+    a_22, a_23, a_33 = s11 * s22, -s11 * s12, s11 * s_tr - p
+    det = s11 * a_11 + s12 * a_12
+    if (det == 0).any():
+        raise DegenerateGeometryError("rank-deficient 1-ring shape operator fit")
+    a = (a_11 * r0 + a_12 * r1 + a_13 * r2) / det
+    b = (a_12 * r0 + a_22 * r1 + a_23 * r2) / det
+    c = (a_13 * r0 + a_23 * r1 + a_33 * r2) / det
     trace = a + c
     disc = np.sqrt(0.25 * (a - c) ** 2 + b**2)
 
@@ -446,19 +439,25 @@ def diameter_estimate(mesh, edge_length=None):
     call is one Dijkstra call from all sources, so the estimate is a
     continuous function of the vertex positions. ``edge_length`` is the
     ``edge_length`` of this configuration's cache, computed when omitted.
-    The graph's edges are the half-edges, so it is symmetric on a closed
-    mesh. Edge paths overestimate true geodesics: on unit icospheres at
+    Edge paths overestimate true geodesics: on unit icospheres at
     subdivisions 1-5 the estimate lies 4.4 % to 6.2 % above pi.
     Hop-spread sources can miss the tips of a long axis: on static 2/1/0.5 and
     3/1/1 ellipsoids at subdivision 4 the value is 3.2 % and 3.7 % below that
     of 32 length-weighted farthest-point sources. Along the benchmark's flow
     runs (subdivisions 3-5) the two agree within 0.6 %.
+
+    Raises
+    ------
+    ValueError
+        Surface that is not closed and consistently oriented: the graph's
+        edges are the half-edges, which run both ways along every edge only
+        on such a surface.
     """
     from scipy.sparse.csgraph import dijkstra
 
-    if edge_length is None:
-        edge_length = _edge_length(mesh, _configuration(mesh))
     if mesh.mode == "curve":
+        if edge_length is None:
+            _, edge_length = _configuration(mesh)
         cum = np.concatenate([[0.0], np.cumsum(edge_length)])
         total = cum[-1]
         # the arc distance from a vertex peaks at its antipode, so the farthest
@@ -467,6 +466,12 @@ def diameter_estimate(mesh, edge_length=None):
         k = np.searchsorted(cum, np.where(pos < half, pos + half, pos - half))
         arc = np.abs(pos - cum[np.stack([k - 1, k])])
         return float(np.minimum(arc, total - arc).max())
+    if not mesh.is_closed or mesh._has_duplicate_directed:
+        raise ValueError("diameter_estimate needs a closed, consistently oriented surface")
+    if edge_length is None:
+        # the cache's half-edge lengths, without the rest of its face data
+        v, (a, b) = mesh.vertices, mesh.directed_edges.T
+        edge_length = _norm(np.take(v, b, axis=0) - np.take(v, a, axis=0))
     graph = mesh._connectivity.diameter_graph
     n = mesh.n_vertices
     g = sparse.csr_matrix(
@@ -487,7 +492,7 @@ def compute_cache(mesh):
         Closed mesh with negative enclosed volume, or clockwise curve.
     DegenerateGeometryError
         Zero-area face, zero-length segment or normal, non-positive area
-        weight, or rank-deficient 1-ring shape operator fit on a closed mesh.
+        weight, or rank-deficient 1-ring shape operator fit.
     """
     conf = _configuration(mesh)
     weights = _weights(mesh, conf)

@@ -449,13 +449,12 @@ def dent_run(monkeypatch, rtol, **config):
 def test_cg_tolerance_below_the_time_step_error(monkeypatch):
     # the derivation of flow._CG_RTOL, at subdivision 2: against a run solved
     # to 1e-12, a run at _CG_RTOL moves every column, over the rows and on the
-    # final (converged) row, by at most 1 % of the gap to a run at half the
-    # step (dt_max and cfl_safety halved, rows every step, interpolated to the
-    # same times)
+    # final (converged) row, by at most 1 % of the gap to a run at dt_max / 2
+    # (rows every step, interpolated to the same times)
     rtol = flow._CG_RTOL
     solved = dent_run(monkeypatch, 1e-12).series
     loose = dent_run(monkeypatch, rtol).series
-    half = dent_run(monkeypatch, 1e-12, dt_max=0.025, cfl_safety=0.25, snapshot_every=1).series
+    half = dent_run(monkeypatch, 1e-12, dt_max=0.025, snapshot_every=1).series
     assert len(loose) == len(solved)
     t, t_half = solved.column("t"), half.column("t")
     common = t <= t_half[-1]

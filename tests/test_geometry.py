@@ -312,6 +312,20 @@ def test_diameter_graph_weights_from_cache_lengths(subdivisions):
     assert diameter_estimate(mesh, cache.edge_length) == diameter_estimate(mesh)
 
 
+def test_diameter_needs_closed_oriented_surface(flat_patch, icosphere):
+    # the graph's edges are the half-edges: only on a closed, consistently
+    # oriented surface do they run both ways along every edge
+    with pytest.raises(ValueError, match="closed, consistently oriented"):
+        diameter_estimate(flat_patch)
+    sphere = icosphere(1.0, 2)
+    faces = sphere.faces.copy()
+    faces[0] = faces[0, ::-1]
+    flipped = TriMesh(sphere.vertices, faces)
+    assert flipped.is_closed
+    with pytest.raises(ValueError, match="closed, consistently oriented"):
+        diameter_estimate(flipped)
+
+
 def test_diameter_graph_shared_by_derived_meshes():
     mesh = gen_perturbed_sphere(1.0, 0.2, GaussianDentBump(), 2)
     d = diameter_estimate(mesh)
@@ -706,11 +720,6 @@ def previous_cache(mesh):
     ok = np.abs(np.linalg.det(G)) > 0
     sol = np.zeros((n, 4))
     sol[ok] = np.linalg.solve(G[ok], rhs[ok, :, None])[:, :, 0]
-    # one step of iterative refinement: these fits are ill-conditioned (cond
-    # up to 4e6 on dented-s5), and the rounding of the solve alone moves the
-    # normals there by 5e-13 and |A| by 4e-11
-    residual = rhs[ok] - np.einsum("nij,nj->ni", G[ok], sol[ok])
-    sol[ok] += np.linalg.solve(G[ok], residual[:, :, None])[:, :, 0]
     centre = sol[:, :3]
     dist = np.linalg.norm(centre, axis=1)
     usable = ok & (dist > 1e-300)
@@ -791,36 +800,7 @@ def test_cache_matches_previous_bincount_pass(name, unit_cube):
     )
 
 
-# -- the closed-form 1-ring fits and the previous batched solves ------------------
-
-# (n, 10) columns 4 s_xx, 4 s_xy, 4 s_xz, 4 s_yy, 4 s_yz, 4 s_zz, 2 s_x, 2 s_y,
-# 2 s_z, valence + 1 -> the symmetric (4, 4) sphere-fit matrix, row-major
-SPHERE_MATRIX = [0, 1, 2, 6, 1, 3, 4, 7, 2, 4, 5, 8, 6, 7, 8, 9]
-
-
-def lapack_sphere_fit_normals(mesh, conf, reference):
-    """The sphere fit before the closed form: the (n, 4, 4) normal equations
-    [[4 Q, 2 s], [2 s^T, k]] (c, rho) = (2 sum q d, sum q) by np.linalg.solve,
-    exactly singular fits (det 0) keeping the reference normal."""
-    n, ring = mesh.n_vertices, mesh._connectivity.ring
-    d = conf.edge.reshape(-1, 3)
-    q = conf.length2.ravel()
-    quadratic = ring @ np.column_stack([d[:, [0, 0, 0, 1, 1, 2]] * d[:, [0, 1, 2, 1, 2, 2]], q])
-    linear = ring @ np.column_stack([d, d * q[:, None]])
-    entries = np.column_stack(
-        [4.0 * quadratic[:, :6], 2.0 * linear[:, :3], np.diff(ring.indptr) + 1.0]
-    )
-    G = entries[:, SPHERE_MATRIX].reshape(n, 4, 4)
-    rhs = np.column_stack([2.0 * linear[:, 3:], quadratic[:, 6]])
-    ok = np.abs(np.linalg.det(G)) > 0
-    sol = np.zeros((n, 4))
-    sol[ok] = np.linalg.solve(G[ok], rhs[ok, :, None])[:, :, 0]
-    dist = np.linalg.norm(sol[:, :3], axis=1)
-    usable = ok & (dist > 1e-300)
-    out = reference.copy()
-    out[usable] = -sol[usable, :3] / dist[usable, None]
-    out[np.einsum("ij,ij->i", out, reference) < 0] *= -1.0
-    return out
+# -- the closed-form shape fit and the previous batched solve ---------------------
 
 
 def lapack_shape_operator_eigen(mesh, conf, nsf, H):
@@ -844,11 +824,7 @@ def lapack_shape_operator_eigen(mesh, conf, nsf, H):
     G[:, 0, 1] = G[:, 1, 0] = G[:, 1, 2] = G[:, 2, 1] = s[:, 1]
     G[:, 1, 1] = s[:, 0] + s[:, 2]
     G[:, 2, 2] = s[:, 2]
-    # the boundary fits of an open mesh can be exactly singular: NaN there
-    ok = np.linalg.det(G) != 0
-    sol = np.full((n, 3), np.nan)
-    sol[ok] = np.linalg.solve(G[ok], s[ok, 3:, None])[:, :, 0]
-    a, b, c = sol.T
+    a, b, c = np.linalg.solve(G, s[:, 3:, None])[:, :, 0].T
     trace = a + c
     disc = np.sqrt(0.25 * (a - c) ** 2 + b**2)
     scale = np.ones(n)
@@ -858,19 +834,15 @@ def lapack_shape_operator_eigen(mesh, conf, nsf, H):
 
 
 @pytest.mark.parametrize("name", sorted(PREVIOUS_PASS_MESHES))
-def test_closed_form_fits_match_batched_solves(name, unit_cube):
-    # the same normal equations solved in closed form and by LAPACK: the
-    # sphere-fit normals differ by LAPACK's rounding of the ill-conditioned
-    # 4x4 fits (cond up to 4e6 on dented-s5, 3.7e-13 apart), the principal
-    # curvatures from the same normals by rounding (4e-16 of their scale); on
-    # the open cylinder only the interior is compared
+def test_closed_form_shape_fit_matches_batched_solve(name, unit_cube):
+    # the same normal equations from the same sphere-fit normals, solved by
+    # the adjugate and by LAPACK: the principal curvatures agree to rounding
+    # of their scale; on the open cylinder only the interior is compared
     mesh = PREVIOUS_PASS_MESHES[name](unit_cube)
     mesh, keep = mesh if isinstance(mesh, tuple) else (mesh, slice(None))
     cache = compute_cache(mesh)
     conf = geometry._configuration(mesh)
     nsf = geometry._sphere_fit_normals(mesh, conf, cache.normal)
-    want = lapack_sphere_fit_normals(mesh, conf, cache.normal)
-    assert np.abs(nsf - want)[keep].max() <= 1e-12
     H = cache.mean_curvature
     got = np.array(geometry._shape_operator_eigen(mesh, conf, nsf, H))[:, keep]
     want = np.array(lapack_shape_operator_eigen(mesh, conf, nsf, H))[:, keep]
@@ -887,14 +859,6 @@ def test_rank_deficient_shape_fit(unit_cube):
     nsf[8] = np.roll(nsf[8], 1)
     with pytest.raises(DegenerateGeometryError, match="rank-deficient"):
         geometry._shape_operator_eigen(mesh, conf, nsf, cache.mean_curvature)
-    # on an open mesh that vertex takes the umbilic fit k1 = k2 = H/2
-    far = np.flatnonzero(~(mesh.faces == 8).any(axis=1) & (mesh.faces >= 9).any(axis=1))
-    opened = TriMesh(mesh.vertices, np.delete(mesh.faces, far[0], axis=0))
-    assert not opened.is_closed
-    conf = geometry._configuration(opened)
-    H = compute_cache(opened).mean_curvature
-    k1, k2 = geometry._shape_operator_eigen(opened, conf, nsf, H)
-    assert k1[8] == k2[8] == 0.5 * H[8]
 
 
 @pytest.mark.parametrize("name", ["ellipsoid", "dented", "circle"])
