@@ -10,13 +10,15 @@ import argparse
 import json
 import numbers
 import os
+import platform
 import sys
 from dataclasses import asdict, fields
 
 import numpy as np
+import scipy
 
 from .errors import SapflowError
-from . import diagnostics, flow, geometry, mesh as meshmod
+from . import __version__, diagnostics, flow, geometry, mesh as meshmod
 from .flow import FlowConfig, _number
 
 
@@ -134,42 +136,83 @@ def cmd_generate(args):
     return 0
 
 
+class _SnapshotWriter:
+    """The run observer of ``sapflow run``.
+
+    At every ``cadence``-th row it writes ``meshes/step_NNNNNN.<ext>`` as the
+    row is recorded, and keeps the row's ODE right-hand sides, taken from the
+    geometry cache the run built for it: the cache that ``analyze`` rebuilds
+    from the file, since the 17-digit save/load round trip is bit-exact. The
+    run holds no mesh but its current one. The meshes directory is made at
+    the first row, so an error on the input mesh writes nothing.
+    """
+
+    def __init__(self, outdir, cadence, ext):
+        self.mesh_dir = os.path.join(outdir, "meshes")
+        self.cadence = cadence
+        self.ext = ext
+        self.recorded = 0
+        self.rows = []  # the rows whose mesh is written
+        self.rhs = []  # their ODE right-hand sides
+
+    def path(self, name):
+        return os.path.join(self.mesh_dir, f"{name}.{self.ext}")
+
+    def write(self, mesh, row):
+        meshmod.save_mesh(mesh, self.path(f"step_{row:06d}"))
+        self.rows.append(row)
+
+    def __call__(self, state, cache, record):
+        row = self.recorded
+        self.recorded += 1
+        if row % self.cadence:
+            return
+        if row == 0:
+            os.makedirs(self.mesh_dir, exist_ok=True)
+        self.write(state.mesh, row)
+        self.rhs.append(diagnostics._ode_rhs(cache, record.h, record.int_H2))
+
+
 def cmd_run(args):
     manifest = load_manifest(args.manifest, _overrides(args))
     config = flow_config(manifest)
     input_mesh = build_input_mesh(manifest)
+    outdir = manifest["output_dir"]
+    ext = "csv" if input_mesh.mode == "curve" else "off"
+    writer = _SnapshotWriter(outdir, manifest["mesh_cadence"], ext)
 
-    result = flow.run_flow(input_mesh, config, keep_meshes=True)
+    result = flow.run_flow(input_mesh, config, keep_meshes=False, observer=writer)
     series = result.series
     series.metadata["manifest"] = manifest
-
-    outdir = manifest["output_dir"]
-    os.makedirs(os.path.join(outdir, "meshes"), exist_ok=True)
     series.to_csv(os.path.join(outdir, "series.csv"))
 
-    mesh_rows = list(range(0, len(series), manifest["mesh_cadence"]))
+    # the last row always has a mesh file; final.<ext> repeats it
     last = len(series) - 1
-    if mesh_rows[-1] != last:
-        mesh_rows.append(last)
-    ext = "csv" if input_mesh.mode == "curve" else "off"
-    for row in mesh_rows:
-        meshmod.save_mesh(
-            result.snapshot_meshes[row],
-            os.path.join(outdir, "meshes", f"step_{row:06d}.{ext}"),
-        )
-    meshmod.save_mesh(
-        result.snapshot_meshes[last], os.path.join(outdir, "meshes", f"final.{ext}")
-    )
+    final_mesh = result.final_state.mesh
+    if writer.rows[-1] != last:
+        writer.write(final_mesh, last)
+    meshmod.save_mesh(final_mesh, writer.path("final"))
 
+    # the right-hand sides of every persisted row but the last
+    residuals = diagnostics.ode_residuals(
+        series.subset(writer.rows), writer.rhs[: len(writer.rows) - 1]
+    )
     summary = diagnostics.make_summary(
-        series,
-        [result.snapshot_meshes[r] for r in mesh_rows],
-        termination=str(result.termination),
-        rows=mesh_rows,
+        series, final_mesh, termination=str(result.termination), residuals=residuals
     )
     diagnostics.write_summary(summary, os.path.join(outdir, "summary.json"))
+    versions = {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "sapflow": __version__,
+    }
     diagnostics.write_summary(
-        {"termination": str(result.termination), "metadata": series.metadata},
+        {
+            "termination": str(result.termination),
+            "metadata": series.metadata,
+            "versions": versions,
+        },
         os.path.join(outdir, "run_meta.json"),
     )
     print(json.dumps(summary["max_residuals"]))
@@ -205,11 +248,15 @@ def cmd_analyze(args):
                     mesh_rows.append(row)
                     loaded = meshmod.load_mesh(os.path.join(mesh_dir, name))
                     meshes.append(_rebased(meshes[0], loaded) if meshes else loaded)
-    if "metadata" not in meta and meshes:
-        # without run_meta.json the snapshots tell the mode (step_*.csv: curve)
-        series.metadata["mode"] = meshes[0].mode
+    final_mesh = residuals = None
+    if meshes:
+        if "metadata" not in meta:
+            # without run_meta.json the snapshots tell the mode (step_*.csv: curve)
+            series.metadata["mode"] = meshes[0].mode
+        final_mesh = meshes[-1]
+        residuals = diagnostics.identity_residuals(series.subset(mesh_rows), meshes)
     summary = diagnostics.make_summary(
-        series, meshes, termination=meta.get("termination"), rows=mesh_rows
+        series, final_mesh, termination=meta.get("termination"), residuals=residuals
     )
     out = args.output or os.path.join(rundir, "summary.json")
     diagnostics.write_summary(summary, out)

@@ -61,6 +61,10 @@ class TimeSeries:
     def column(self, name):
         return np.array([getattr(r, name) for r in self.records])
 
+    def subset(self, rows):
+        """The series of the rows ``rows``, in that order, on the same metadata."""
+        return TimeSeries(records=[self.records[r] for r in rows], metadata=self.metadata)
+
     def to_csv(self, path_or_buffer):
         """Write one header row plus one row per snapshot, 17 significant digits."""
         if hasattr(path_or_buffer, "write"):
@@ -145,9 +149,10 @@ def area_identity_residuals(series):
     return np.abs(int_H - h * int_H2) / (1.0 + np.abs(int_H2))
 
 
-def _ode_rhs(mesh, h, int_H2):
-    # evolution-law right-hand sides of h and int H^2 dmu at one snapshot
-    cache = geometry.compute_cache(mesh)
+def _ode_rhs(cache, h, int_H2):
+    """Evolution-law right-hand sides of h and int H^2 dmu at one snapshot,
+    from the geometry cache of its mesh and the ``h`` and ``int_H2`` of its
+    row."""
     va = cache.vertex_area
     H = cache.mean_curvature
     one = 1.0 - h * H
@@ -164,17 +169,39 @@ def _ode_rhs(mesh, h, int_H2):
     return rhs_h, rhs_H2
 
 
-def identity_residuals(series, meshes):
-    """Residual triple over the snapshots of a run.
+def ode_residuals(series, rhs):
+    """Residual triple over the snapshots of a run, from the right-hand sides.
 
     The ODE residuals compare the finite difference across each snapshot
     interval with the evolution-law right-hand side evaluated at the left
-    snapshot. Both endpoints take ``h`` and ``int_H2`` from their rows; the
-    right-hand sides need one geometry pass per interval, on the left mesh.
-    Projection scale factors are compensated exactly by homogeneity: a
+    snapshot: ``rhs[k]`` is the pair ``_ode_rhs`` gives at row k, for every
+    row but the last. Both endpoints take ``h`` and ``int_H2`` from their
+    rows. Projection scale factors are compensated exactly by homogeneity: a
     rescaling by ``s`` maps h to s h and int H^2 dmu to s^(n-2) int H^2 dmu,
-    so the right endpoint is taken back to its pre-projection state and the
-    constraint repair cannot mask scheme error.
+    with n from ``series.metadata["mode"]``, so the right endpoint is taken
+    back to its pre-projection state and the constraint repair cannot mask
+    scheme error.
+    """
+    records = series.records
+    if len(rhs) != max(len(records) - 1, 0):
+        raise ValueError("need one right-hand side per snapshot interval")
+    n = intrinsic_dimension(series.metadata.get("mode"))
+    r_h, r_H2 = [], []
+    for rec_l, rec_r, (rhs_h, rhs_H2) in zip(records, records[1:], rhs):
+        s = rec_r.area_scale_applied
+        h_pre = rec_r.h / s
+        int_H2_pre = rec_r.int_H2 * s ** (2 - n)
+        dt = rec_r.t - rec_l.t
+        r_h.append(abs((h_pre - rec_l.h) / dt - rhs_h))
+        r_H2.append(abs((int_H2_pre - rec_l.int_H2) / dt - rhs_H2))
+    return ResidualReport(
+        area=area_identity_residuals(series), h_ode=np.array(r_h), H2_ode=np.array(r_H2)
+    )
+
+
+def identity_residuals(series, meshes):
+    """:func:`ode_residuals` with the right-hand sides taken from the
+    snapshot meshes: one geometry pass per interval, on its left mesh.
 
     Parameters
     ----------
@@ -184,19 +211,11 @@ def identity_residuals(series, meshes):
     """
     if len(meshes) != len(series.records):
         raise ValueError("need one mesh per snapshot record")
-    r_h, r_H2 = [], []
-    for k in range(len(meshes) - 1):
-        rec_l, rec_r = series.records[k], series.records[k + 1]
-        rhs_h, rhs_H2 = _ode_rhs(meshes[k], rec_l.h, rec_l.int_H2)
-        s = rec_r.area_scale_applied
-        h_pre = rec_r.h / s
-        int_H2_pre = rec_r.int_H2 * s ** (2 - intrinsic_dimension(meshes[k + 1].mode))
-        dt = rec_r.t - rec_l.t
-        r_h.append(abs((h_pre - rec_l.h) / dt - rhs_h))
-        r_H2.append(abs((int_H2_pre - rec_l.int_H2) / dt - rhs_H2))
-    return ResidualReport(
-        area=area_identity_residuals(series), h_ode=np.array(r_h), H2_ode=np.array(r_H2)
-    )
+    rhs = [
+        _ode_rhs(geometry.compute_cache(mesh), rec.h, rec.int_H2)
+        for mesh, rec in zip(meshes[:-1], series.records)
+    ]
+    return ode_residuals(series, rhs)
 
 
 @dataclass(frozen=True)
@@ -336,15 +355,17 @@ def mean_convexity_onset(series):
     return float(series.records[start].t)
 
 
-def make_summary(series, meshes=None, termination=None, rows=None):
+def make_summary(series, final_mesh=None, termination=None, residuals=None):
     """Build the run summary dict (termination, decay fit, bound, sphere fit).
 
-    ``meshes`` are snapshot meshes of the series rows ``rows`` (default: one
-    mesh per row, in order). They enable the ODE residuals, taken between
-    consecutive meshes, and the best-fit sphere of the last mesh; without
-    them those entries are null. The area residual always covers every row.
-    Fields that cannot be computed (e.g. a decay fit on a non-positive
-    series) are null rather than errors, so summaries exist for every run.
+    ``residuals`` is the :class:`ResidualReport` of the persisted snapshot
+    rows (:func:`identity_residuals` from their meshes, or
+    :func:`ode_residuals` from the run's own right-hand sides); it gives the
+    maxima of the ODE residuals. ``final_mesh`` is the mesh of the last row,
+    whose best-fit sphere the summary reports. Without them those entries are
+    null. The area residual always covers every row of ``series``. Fields
+    that cannot be computed (e.g. a decay fit on a non-positive series) are
+    null rather than errors, so summaries exist for every run.
     """
     out = {
         "termination": str(termination) if termination is not None else None,
@@ -365,22 +386,16 @@ def make_summary(series, meshes=None, termination=None, rows=None):
         out["R2"] = fit.r_squared
     except (NonPositiveSamplesError, WindowTooSmallError):
         pass
-    if meshes:
-        if rows is not None:
-            series = TimeSeries(
-                records=[series.records[r] for r in rows], metadata=series.metadata
-            )
-        residuals = identity_residuals(series, meshes)
-        if len(residuals.h_ode):
-            out["max_residuals"]["h_ode"] = float(residuals.h_ode.max())
-            out["max_residuals"]["H2_ode"] = float(residuals.H2_ode.max())
-        if meshes[-1].mode == "surface":
-            sphere = best_fit_sphere(meshes[-1])
-            out["final_sphere"] = {
-                "center": [float(x) for x in sphere.center],
-                "radius": sphere.radius,
-                "residual": sphere.rms_residual,
-            }
+    if residuals is not None and len(residuals.h_ode):
+        out["max_residuals"]["h_ode"] = float(residuals.h_ode.max())
+        out["max_residuals"]["H2_ode"] = float(residuals.H2_ode.max())
+    if final_mesh is not None and final_mesh.mode == "surface":
+        sphere = best_fit_sphere(final_mesh)
+        out["final_sphere"] = {
+            "center": [float(x) for x in sphere.center],
+            "radius": sphere.radius,
+            "residual": sphere.rms_residual,
+        }
     return out
 
 

@@ -228,7 +228,7 @@ def enforce_area_constraint(state):
     )
 
 
-def run_flow(mesh, config, keep_meshes=True):
+def run_flow(mesh, config, keep_meshes=True, observer=None):
     """Evolve a mesh until convergence, the time limit, or blow-up.
 
     Loop: snapshot (at cadence, and always on the final state) -> guards ->
@@ -242,11 +242,16 @@ def run_flow(mesh, config, keep_meshes=True):
     ``DegenerateMeanCurvatureError`` as ``degenerate_H``. On the input mesh
     these errors propagate.
 
+    ``observer``, when given, is called as ``observer(state, cache, row)``
+    once per recorded row, as the row is recorded: ``row`` is its
+    :class:`DiagnosticsRecord` and ``cache`` the geometry pass of
+    ``state.mesh`` that the run took. What it raises propagates.
+
     Returns
     -------
     FlowRunResult
-        Time series, final state, termination reason, and (optionally) the
-        snapshot meshes aligned with the series records.
+        Time series, final state, termination reason, and (with
+        ``keep_meshes``) the snapshot meshes aligned with the series records.
     """
     report = validate(mesh)
     if not (report.is_closed and report.is_oriented and report.is_vertex_manifold):
@@ -270,6 +275,8 @@ def run_flow(mesh, config, keep_meshes=True):
         records.append(diagnostics.record_snapshot(state, cache))
         if keep_meshes:
             meshes.append(state.mesh)
+        if observer is not None:
+            observer(state, cache, records[-1])
 
     while True:
         recorded = state.step_index % config.snapshot_every == 0

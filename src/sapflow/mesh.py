@@ -320,6 +320,11 @@ class _Connectivity:
         return _StiffnessPattern(self)
 
     @cached_property
+    def off_faces(self):
+        """The face block of an OFF file, one ``3 i j k`` line per face."""
+        return _format_rows("3 %d %d %d\n", self.faces)
+
+    @cached_property
     def diameter_graph(self):
         return _DiameterGraph(self)
 
@@ -564,7 +569,7 @@ def save_mesh(mesh, path, fmt=None):
         text = _format_rows(f"{FLOAT_FMT},{FLOAT_FMT}\n", v)
     elif fmt == "off":
         text = f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n"
-        text += _format_rows(xyz, v) + _format_rows("3 %d %d %d\n", f)
+        text += _format_rows(xyz, v) + mesh._connectivity.off_faces
     elif fmt == "obj":
         text = _format_rows("v " + xyz, v) + _format_rows("f %d %d %d\n", f + 1)
     else:

@@ -73,6 +73,10 @@ def test_run_flow_accepts_keep_meshes():
     inspect.signature(flow.run_flow).bind("mesh", "config", keep_meshes=False)
 
 
+def test_make_summary_accepts_termination():
+    inspect.signature(diagnostics.make_summary).bind("series", termination="converged")
+
+
 def test_workload_configs_are_accepted(tmp_path):
     workloads = load_perfbench("workloads").WORKLOADS
     for spec in workloads.values():

@@ -1,9 +1,12 @@
 import json
 import os
+import platform
 
 import numpy as np
 import pytest
+import scipy
 
+import sapflow
 from sapflow import (
     DegenerateGeometryError,
     DegenerateMeanCurvatureError,
@@ -185,11 +188,27 @@ def test_flag_overrides_win(tmp_path):
     assert series.records[-1].t <= 0.1 + 1e-12
 
 
-@pytest.mark.parametrize("mesh_cadence", [1, 2])
-def test_analyze_idempotent(tmp_path, mesh_cadence):
-    manifest_path, manifest = run_manifest(tmp_path, mesh_cadence=mesh_cadence)
-    assert run_cli("run", "--manifest", str(manifest_path)) == 0
+@pytest.mark.parametrize(
+    "mesh_cadence,extra,fail_at,code",
+    [
+        pytest.param(1, {}, None, 0, id="1"),
+        pytest.param(2, {}, None, 0, id="2"),
+        # the last of 9 rows, 8, is off cadence
+        pytest.param(3, {}, None, 0, id="last-off-cadence"),
+        # the fields of step 11 fail: blow_up(degenerate_geometry) at row 10
+        pytest.param(3, {"snapshot_every": 1}, 12, 2, id="blow-up"),
+    ],
+)
+def test_analyze_idempotent(tmp_path, monkeypatch, mesh_cadence, extra, fail_at, code):
+    if fail_at is not None:
+        fail_on_call(monkeypatch, geometry, "compute_cache", fail_at, DegenerateGeometryError)
+    manifest_path, manifest = run_manifest(tmp_path, mesh_cadence=mesh_cadence, **extra)
+    assert run_cli("run", "--manifest", str(manifest_path)) == code
     outdir = manifest["output_dir"]
+    last = len(TimeSeries.from_csv(os.path.join(outdir, "series.csv"))) - 1
+    rows = sorted({*range(0, last + 1, mesh_cadence), last})
+    steps = sorted(n for n in os.listdir(os.path.join(outdir, "meshes")) if n != "final.off")
+    assert steps == [f"step_{row:06d}.off" for row in rows]
     summary_path = os.path.join(outdir, "summary.json")
     with open(summary_path, "rb") as fh:
         original = fh.read()
@@ -197,6 +216,34 @@ def test_analyze_idempotent(tmp_path, mesh_cadence):
     assert run_cli("analyze", os.path.join(outdir, "series.csv"),
                    "-o", str(redone)) == 0
     assert redone.read_bytes() == original
+
+
+@pytest.mark.parametrize("mesh_cadence", [1, 2])
+def test_run_takes_one_geometry_pass_per_row(tmp_path, monkeypatch, mesh_cadence):
+    # the summary's ODE right-hand sides come from the run's own caches
+    calls = count_calls(monkeypatch, geometry, "compute_cache")
+    manifest_path, manifest = run_manifest(
+        tmp_path, snapshot_every=1, mesh_cadence=mesh_cadence
+    )
+    assert run_cli("run", "--manifest", str(manifest_path)) == 0
+    series = TimeSeries.from_csv(os.path.join(manifest["output_dir"], "series.csv"))
+    assert len(calls) == len(series)
+
+
+def test_run_meta_records_versions(tmp_path):
+    manifest_path, manifest = run_manifest(tmp_path)
+    assert run_cli("run", "--manifest", str(manifest_path)) == 0
+    outdir = manifest["output_dir"]
+    with open(os.path.join(outdir, "run_meta.json")) as fh:
+        versions = json.load(fh)["versions"]
+    assert versions == {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "sapflow": sapflow.__version__,
+    }
+    with open(os.path.join(outdir, "summary.json")) as fh:
+        assert "versions" not in fh.read()
 
 
 def test_analyze_builds_one_connectivity(tmp_path, monkeypatch):

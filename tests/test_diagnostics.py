@@ -27,8 +27,10 @@ from sapflow.diagnostics import (
     RECORD_FIELDS,
     DiagnosticsRecord,
     TimeSeries,
+    _ode_rhs,
     area_identity_residuals,
     make_summary,
+    ode_residuals,
 )
 from sapflow import TriMesh, geometry
 from sapflow.flow import FlowState
@@ -107,6 +109,27 @@ def test_ode_residuals_projection_compensated(small_run):
 def test_residuals_require_aligned_meshes(small_run):
     with pytest.raises(ValueError):
         identity_residuals(small_run.series, small_run.snapshot_meshes[:-1])
+
+
+def test_ode_residuals_from_the_run_caches_equal_the_mesh_recompute():
+    # the observer sees each row as it is recorded, the final off-cadence row
+    # included, with the cache the run built for its mesh
+    seen = []
+
+    def observer(state, cache, row):
+        seen.append((state.mesh, row, _ode_rhs(cache, row.h, row.int_H2)))
+
+    config = FlowConfig(stepping="explicit", t_max=0.3, snapshot_every=4)
+    result = run_flow(gen_ellipsoid(1.2, 1.0, 0.85, 2), config, observer=observer)
+    assert [row for _, row, _ in seen] == result.series.records
+    assert all(a is b for (a, _, _), b in zip(seen, result.snapshot_meshes))
+    assert result.final_state.step_index % 4  # the last row is off the cadence
+    from_run = ode_residuals(result.series, [rhs for _, _, rhs in seen[:-1]])
+    from_meshes = identity_residuals(result.series, result.snapshot_meshes)
+    assert np.array_equal(from_run.h_ode, from_meshes.h_ode)
+    assert np.array_equal(from_run.H2_ode, from_meshes.H2_ode)
+    with pytest.raises(ValueError):
+        ode_residuals(result.series, [rhs for _, _, rhs in seen])
 
 
 def ellipse(a, b, n):
@@ -395,7 +418,10 @@ def test_series_rejects_wrong_header():
 
 def test_summary_structure(small_run):
     summary = make_summary(
-        small_run.series, small_run.snapshot_meshes, small_run.termination
+        small_run.series,
+        small_run.final_state.mesh,
+        small_run.termination,
+        identity_residuals(small_run.series, small_run.snapshot_meshes),
     )
     assert set(summary) == {
         "termination",

@@ -22,6 +22,7 @@ from sapflow import (
 )
 from sapflow import geometry
 from sapflow import mesh as meshmod
+from conftest import count_calls
 
 
 def test_trimesh_rejects_bad_faces():
@@ -99,6 +100,20 @@ def test_save_roundtrip_bitexact(tmp_path, icosphere):
         loaded = load_mesh(path)
         assert np.array_equal(loaded.vertices, m.vertices)
         assert np.array_equal(loaded.faces, m.faces)
+
+
+def test_off_face_block_formatted_once_per_connectivity(tmp_path, monkeypatch):
+    sphere = gen_icosphere(1.0, subdivisions=1)
+    save_mesh(sphere.with_vertices(1.5 * sphere.vertices), tmp_path / "clone.off")
+    formats = count_calls(monkeypatch, meshmod, "_format_rows")
+    save_mesh(sphere, tmp_path / "shared.off")
+    assert len(formats) == 1  # the vertices; the face block is the clone's
+    save_mesh(TriMesh(sphere.vertices, sphere.faces), tmp_path / "fresh.off")
+    assert (tmp_path / "shared.off").read_bytes() == (tmp_path / "fresh.off").read_bytes()
+    # the same vertices on other faces write their own block
+    relabelled = TriMesh(sphere.vertices, np.roll(sphere.faces, 1, axis=1))
+    save_mesh(relabelled, tmp_path / "relabelled.off")
+    assert np.array_equal(load_mesh(tmp_path / "relabelled.off").faces, relabelled.faces)
 
 
 def test_save_curve_roundtrip(tmp_path):
