@@ -259,7 +259,11 @@ def _incidence(rows, cols, shape, sign=None):
     indptr = np.zeros(shape[0] + 1, dtype=np.int32)
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
     data = np.ones(len(rows)) if sign is None else sign[order]
-    return sparse.csr_matrix((data, cols[order].astype(np.int32), indptr), shape=shape)
+    op = sparse.csr_matrix((data, cols[order].astype(np.int32), indptr), shape=shape)
+    # shared by every mesh on the connectivity: an in-place change would raise
+    for a in (op.data, op.indices, op.indptr):
+        a.setflags(write=False)
+    return op
 
 
 class _Connectivity:
@@ -277,7 +281,8 @@ class _Connectivity:
     - ``ring`` (n, 3m): each half-edge into its source vertex, the 1-ring sum,
       = ``np.bincount(faces.T.ravel(), x)``;
     - ``face`` (n, m): each face into its three vertices,
-      = ``np.bincount(faces.T.ravel(), np.tile(x, 3))``;
+      = ``np.bincount(faces.T.ravel(), np.tile(x, 3))``; a view of ``ring``'s
+      arrays with column ``k * m + f`` read as ``f``, so it takes no sort;
     - ``area_gradient`` (n, 3m): half-edge value x into its target vertex
       and -x into its source, corner by corner: for corner k = 0, 1, 2 the
       source, then the target, of the half-edge opposite it.
@@ -296,9 +301,10 @@ class _Connectivity:
 
     @cached_property
     def face(self):
-        m = len(self.faces)
-        return _incidence(
-            self.faces.T.ravel(), np.tile(np.arange(m), 3), (self.n_vertices, m)
+        # ring's column k * m + f is face f: the same rows in the same order
+        ring, m = self.ring, len(self.faces)
+        return sparse.csr_matrix(
+            (ring.data, ring.indices % m, ring.indptr), shape=(self.n_vertices, m)
         )
 
     @cached_property
@@ -333,10 +339,14 @@ class _DiameterGraph:
     """Half-edge graph of one surface connectivity and its diameter sources.
 
     ``indptr`` / ``indices`` are the CSR pattern of the half-edges, each
-    half-edge a -> b the entry (a, b), and ``slot`` maps each CSR entry to its
-    row of ``mesh.directed_edges``, so ``cache.edge_length[slot]`` is the CSR
-    data of the edge-length graph. On a closed oriented mesh every edge is a
-    half-edge in each direction, so the graph is the symmetric adjacency.
+    half-edge a -> b the entry (a, b), taken from the connectivity's ``ring``
+    operator without a sort of its own: ``slot`` and ``indptr`` are ``ring``'s
+    own ``indices`` and ``indptr``, so ``slot`` maps each CSR entry to its row
+    of ``mesh.directed_edges`` and ``cache.edge_length[slot]`` is the CSR data
+    of the edge-length graph. Each row lists its half-edges in ``ring`` order,
+    not by target. On a closed oriented mesh every edge is a half-edge in each
+    direction, so the graph is the symmetric adjacency. All arrays are
+    read-only: they are shared with ``ring`` and every later row.
     ``sources`` are ``DIAMETER_SOURCES`` vertices spread by hop count: the
     first drawn by ``np.random.default_rng(0)``, each next one the vertex
     farthest in hops from those chosen (lowest index on ties). They depend on
@@ -347,14 +357,12 @@ class _DiameterGraph:
         from scipy.sparse.csgraph import dijkstra
 
         n = conn.n_vertices
-        rows, cols = conn.directed_edges.T
-        # a mesh without repeated half-edges has distinct row-major keys
-        order = np.argsort(rows * n + cols)
-        self.slot = order
-        self.indices = cols[order].astype(np.int32)
-        self.indptr = np.searchsorted(rows[order], np.arange(n + 1)).astype(np.int32)
+        ring = conn.ring  # lists the half-edges of each vertex by their source
+        self.slot, self.indptr = ring.indices, ring.indptr
+        self.indices = np.take(conn.directed_edges[:, 1], self.slot).astype(np.int32)
+        self.indices.setflags(write=False)
         pattern = sparse.csr_matrix(
-            (np.ones(len(order)), self.indices, self.indptr), shape=(n, n)
+            (ring.data, self.indices, self.indptr), shape=(n, n)
         )
         sources = [int(np.random.default_rng(0).integers(n))]
         hops = np.full(n, np.inf)
@@ -364,6 +372,7 @@ class _DiameterGraph:
             )
             sources.append(int(np.argmax(hops)))
         self.sources = np.array(sources)
+        self.sources.setflags(write=False)
 
 
 class _StiffnessPattern:

@@ -293,23 +293,47 @@ def graph_diameter(mesh):
 @pytest.mark.parametrize("subdivisions", [2, 3])
 def test_diameter_graph_weights_from_cache_lengths(subdivisions):
     # keyed by half-edge and weighted by the cache's half-edge lengths, the
-    # graph is bit for bit the symmetric edge graph of mesh.edge_lengths()
+    # graph is bit for bit the symmetric edge graph of mesh.edge_lengths(); the
+    # graph lists each row in ring order, so the matrices are compared with
+    # sorted indices
     base = gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), subdivisions)
     rng = np.random.default_rng(subdivisions)
     mesh = base.with_vertices(base.vertices + 0.01 * rng.normal(size=base.vertices.shape))
     cache = compute_cache(mesh)
     graph = mesh._connectivity.diameter_graph
     n, e = mesh.n_vertices, mesh.edges
-    g = sparse.csr_matrix(
+    want = sparse.csr_matrix(
         (np.tile(mesh.edge_lengths(), 2),
          (np.concatenate([e[:, 0], e[:, 1]]), np.concatenate([e[:, 1], e[:, 0]]))),
         shape=(n, n),
     )
-    g.sort_indices()
-    assert np.array_equal(g.indptr, graph.indptr)
-    assert np.array_equal(g.indices, graph.indices)
-    assert np.array_equal(g.data, cache.edge_length[graph.slot])
+    want.sort_indices()
+    got = sparse.csr_matrix(
+        (cache.edge_length[graph.slot], graph.indices.copy(), graph.indptr.copy()),
+        shape=(n, n),
+    )
+    got.sort_indices()
+    assert np.array_equal(got.indptr, want.indptr)
+    assert np.array_equal(got.indices, want.indices)
+    assert np.array_equal(got.data, want.data)
     assert diameter_estimate(mesh, cache.edge_length) == diameter_estimate(mesh)
+
+
+def test_diameter_graph_read_only_and_unchanged_by_estimates():
+    # the graph's CSR arrays are the ring operator's own: an in-place sort
+    # (scipy's sort_indices) would reorder every later row's weights
+    mesh = gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 2)
+    graph = mesh._connectivity.diameter_graph
+    ring = mesh._connectivity.ring
+    assert graph.slot is ring.indices and graph.indptr is ring.indptr
+    arrays = (graph.slot, graph.indices, graph.indptr, graph.sources)
+    before = [a.copy() for a in arrays]
+    assert not any(a.flags.writeable for a in arrays)
+    moved = mesh.with_vertices(1.1 * mesh.vertices)
+    diameter_estimate(mesh)
+    diameter_estimate(moved, compute_cache(moved).edge_length)
+    for a, b in zip(arrays, before):
+        assert np.array_equal(a, b)
 
 
 def test_diameter_needs_closed_oriented_surface(flat_patch, icosphere):
@@ -874,8 +898,8 @@ def test_operators_built_once_for_meshes_derived_before_first_use(monkeypatch):
     for m in (*derived, mesh):
         compute_cache(m)
         cotangent_stiffness(m)
-    # ring, face, area gradient and stiffness assembly, once for all three
-    assert len(builds) == 4
+    # ring, area gradient and stiffness assembly, once for all three
+    assert len(builds) == 3
     for m in derived:
         assert m._connectivity is mesh._connectivity
     pattern = mesh._connectivity.stiffness_pattern
