@@ -43,8 +43,10 @@ class GeometryCache:
     grad_H_norm : (n,) float
         Intrinsic |grad H| from area-averaged per-face affine gradients.
     stiffness_weight : (3m,) or (n,) float
-        Edge weights of the cotangent stiffness: half the cotangent of each
-        face corner, corner-major, or 1/length of each curve segment.
+        The cotangent weight of each half-edge, half the cotangent of the
+        corner opposite it, row-aligned with ``mesh.directed_edges``; 1/length
+        of each curve segment. It weights both the area gradient and the
+        cotangent stiffness.
     edge_length : (3m,) or (n,) float
         Length of each half-edge, corner-major (row-aligned with
         ``mesh.directed_edges``), or of each curve segment: the edge weights
@@ -144,13 +146,14 @@ def _normals(mesh, conf):
     return n / ln[:, None]
 
 
-def _area_gradient(mesh, conf):
+def _area_gradient(mesh, conf, weight):
     if mesh.mode == "curve":
         t, _ = conf
         return np.roll(t, 1, axis=0) - t  # gradient of total length
-    # the half-edge opposite corner k carries half of cot_k times its vector
-    x = (0.5 * conf.cot[[2, 0, 1]])[:, :, None] * conf.edge
-    return mesh._connectivity.area_gradient @ x.reshape(-1, 3)
+    # each half-edge carries its weight times its vector x: -x into its source
+    # and x into its target, the source of the next half-edge of its face
+    x = weight.reshape(3, -1, 1) * conf.edge
+    return mesh._connectivity.ring @ (x[[2, 0, 1]] - x).reshape(-1, 3)
 
 
 def _mean_curvature(mesh, conf, weights, normals, mcv):
@@ -196,7 +199,8 @@ def _stiffness_weight(mesh, conf):
     if mesh.mode == "curve":
         _, ln = conf
         return 1.0 / ln
-    return 0.5 * conf.cot.ravel()
+    # the half-edge leaving corner k is opposite corner k - 1
+    return (0.5 * conf.cot[[2, 0, 1]]).ravel()
 
 
 def _min_angle(mesh, conf):
@@ -245,7 +249,8 @@ def mean_curvature_vector(mesh):
     Equals the (integrated) discrete Laplace-Beltrami of the embedding with
     the sign of the outward mean curvature normal times vertex area.
     """
-    return _area_gradient(mesh, _configuration(mesh))
+    conf = _configuration(mesh)
+    return _area_gradient(mesh, conf, _stiffness_weight(mesh, conf))
 
 
 def cotangent_stiffness(mesh, weight=None):
@@ -455,9 +460,13 @@ def diameter_estimate(mesh, edge_length=None):
     """
     from scipy.sparse.csgraph import dijkstra
 
+    if mesh.mode == "surface" and (not mesh.is_closed or mesh._has_duplicate_directed):
+        raise ValueError("diameter_estimate needs a closed, consistently oriented surface")
+    if edge_length is None:
+        # the cache's lengths; a surface's without checking its face areas
+        conf = _configuration(mesh) if mesh.mode == "curve" else _FaceRecord(mesh)
+        edge_length = _edge_length(mesh, conf)
     if mesh.mode == "curve":
-        if edge_length is None:
-            _, edge_length = _configuration(mesh)
         cum = np.concatenate([[0.0], np.cumsum(edge_length)])
         total = cum[-1]
         # the arc distance from a vertex peaks at its antipode, so the farthest
@@ -466,12 +475,6 @@ def diameter_estimate(mesh, edge_length=None):
         k = np.searchsorted(cum, np.where(pos < half, pos + half, pos - half))
         arc = np.abs(pos - cum[np.stack([k - 1, k])])
         return float(np.minimum(arc, total - arc).max())
-    if not mesh.is_closed or mesh._has_duplicate_directed:
-        raise ValueError("diameter_estimate needs a closed, consistently oriented surface")
-    if edge_length is None:
-        # the cache's half-edge lengths, without the rest of its face data
-        v, (a, b) = mesh.vertices, mesh.directed_edges.T
-        edge_length = _norm(np.take(v, b, axis=0) - np.take(v, a, axis=0))
     graph = mesh._connectivity.diameter_graph
     n = mesh.n_vertices
     g = sparse.csr_matrix(
@@ -497,7 +500,8 @@ def compute_cache(mesh):
     conf = _configuration(mesh)
     weights = _weights(mesh, conf)
     normals = _normals(mesh, conf)
-    H = _mean_curvature(mesh, conf, weights, normals, _area_gradient(mesh, conf))
+    stiffness = _stiffness_weight(mesh, conf)
+    H = _mean_curvature(mesh, conf, weights, normals, _area_gradient(mesh, conf, stiffness))
     second, traceless = _second_form(mesh, conf, normals, H)
     return GeometryCache(
         vertex_area=weights,
@@ -506,7 +510,7 @@ def compute_cache(mesh):
         second_form_norm=second,
         traceless_norm=traceless,
         grad_H_norm=_gradient_norm(mesh, conf, H),
-        stiffness_weight=_stiffness_weight(mesh, conf),
+        stiffness_weight=stiffness,
         edge_length=_edge_length(mesh, conf),
         volume=enclosed_volume(mesh, conf),
         min_angle=_min_angle(mesh, conf),

@@ -274,22 +274,20 @@ class _Connectivity:
     so a table is built once per connectivity, also for meshes derived
     before its first use.
 
-    The incidence operators sum per-face, per-corner and per-half-edge values
-    into the vertices (:func:`_incidence`; ``k * m + f`` is corner k of face
-    f and the half-edge leaving it, the order of ``mesh.directed_edges``):
-
-    - ``ring`` (n, 3m): each half-edge into its source vertex, the 1-ring sum,
-      = ``np.bincount(faces.T.ravel(), x)``;
-    - ``face`` (n, m): each face into its three vertices,
-      = ``np.bincount(faces.T.ravel(), np.tile(x, 3))``; a view of ``ring``'s
-      arrays with column ``k * m + f`` read as ``f``, so it takes no sort;
-    - ``area_gradient`` (n, 3m): half-edge value x into its target vertex
-      and -x into its source, corner by corner: for corner k = 0, 1, 2 the
-      source, then the target, of the half-edge opposite it.
+    ``ring`` is the one half-edge table: the incidence operator
+    (:func:`_incidence`, the connectivity's one sort of its half-edges) that
+    adds each half-edge into its source vertex. Half-edge ``k * m + f``
+    leaves corner k of face f, the order of ``mesh.directed_edges``, so
+    ``ring @ x`` = ``np.bincount(faces.T.ravel(), x)``. It gives the 1-ring
+    sums, and the area gradient as ``ring @ (x[[2, 0, 1]] - x)``: the
+    half-edge leaving corner k - 1 ends at corner k. ``face`` (n, m) adds
+    each face into its three vertices,
+    = ``np.bincount(faces.T.ravel(), np.tile(x, 3))``; it is a view of
+    ``ring``'s arrays with column ``k * m + f`` read as ``f``, so it takes no
+    sort. The diameter graph takes its CSR pattern from ``ring`` too.
     """
 
     def __init__(self, mesh):
-        self.mode = mesh.mode
         self.n_vertices = mesh.n_vertices
         self.faces = mesh.faces
         self.directed_edges = mesh.directed_edges
@@ -305,20 +303,6 @@ class _Connectivity:
         ring, m = self.ring, len(self.faces)
         return sparse.csr_matrix(
             (ring.data, ring.indices % m, ring.indptr), shape=(self.n_vertices, m)
-        )
-
-    @cached_property
-    def area_gradient(self):
-        f = self.faces
-        m = len(f)
-        rows, cols = [], []
-        for k in range(3):
-            h = (k + 1) % 3  # the half-edge f[h] -> f[h + 1] opposite corner k
-            rows += [f[:, h], f[:, (h + 1) % 3]]
-            cols += [h * m + np.arange(m)] * 2
-        sign = np.tile(np.repeat([-1.0, 1.0], m), 3)
-        return _incidence(
-            np.concatenate(rows), np.concatenate(cols), (self.n_vertices, 3 * m), sign
         )
 
     @cached_property
@@ -378,24 +362,18 @@ class _DiameterGraph:
 class _StiffnessPattern:
     """CSR sparsity pattern of the cotangent stiffness of one connectivity.
 
-    The stiffness is a sum of w (e_a - e_b)(e_a - e_b)^T over weighted vertex
-    pairs (a, b): for surfaces the edge opposite each face corner, pair
-    ``k * m + f`` for corner k of face f (the order of ``_FaceRecord.cot``
-    raveled); for curves the segments i -> i + 1. ``assemble`` is the
-    incidence operator (:func:`_incidence`) that takes the pair weights to
-    the CSR data ``indptr`` / ``indices``: -w into the entries (a, b) and
+    The stiffness is a sum of w (e_a - e_b)(e_a - e_b)^T over the half-edges
+    a -> b of ``mesh.directed_edges`` (a curve's segments i -> i + 1), each
+    weighted by the ``stiffness_weight`` of its row. ``assemble`` is the
+    incidence operator (:func:`_incidence`) that takes the half-edge weights
+    to the CSR data ``indptr`` / ``indices``: -w into the entries (a, b) and
     (b, a), w into (a, a) and (b, b), in that block order. ``diagonal``
     holds the slot of each diagonal entry.
     """
 
     def __init__(self, conn):
         n = conn.n_vertices
-        if conn.mode == "curve":
-            a = np.arange(n)
-            b = np.roll(a, -1)
-        else:
-            a = conn.faces[:, [1, 2, 0]].T.ravel()
-            b = conn.faces[:, [2, 0, 1]].T.ravel()
+        a, b = conn.directed_edges.T
         rows = np.concatenate([a, b, a, b])
         cols = np.concatenate([b, a, a, b])
         # sorted row-major keys are the CSR order

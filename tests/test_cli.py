@@ -247,18 +247,18 @@ def test_run_meta_records_versions(tmp_path):
 
 
 def test_analyze_builds_one_connectivity(tmp_path, monkeypatch):
-    # the loaded snapshots share the first one's connectivity, so the two
-    # incidence operators (ring, area gradient) are built once in all
+    # the loaded snapshots share the first one's connectivity, so its one
+    # incidence operator (ring; face is a view of it) is built once in all
     manifest_path, manifest = run_manifest(tmp_path)
     builds = count_calls(monkeypatch, meshmod, "_incidence")
     assert run_cli("run", "--manifest", str(manifest_path)) == 0
-    assert len(builds) == 2
+    assert len(builds) == 1
     builds.clear()
     loads = count_calls(monkeypatch, meshmod, "load_mesh")
     series = os.path.join(manifest["output_dir"], "series.csv")
     assert run_cli("analyze", series, "-o", str(tmp_path / "summary2.json")) == 0
     assert len(loads) > 2
-    assert len(builds) == 2
+    assert len(builds) == 1
 
 
 def test_analyze_synthetic_decay_csv(tmp_path):

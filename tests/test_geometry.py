@@ -664,18 +664,19 @@ def test_incidence_operators_match_bincount(name, unit_cube):
         y = spread_values(rng, *shape)
         tiled = np.tile(y, (3,) + (1,) * (y.ndim - 1))
         assert np.array_equal(conn.face @ y, bincount_sum(corner, tiled, n))
-    # the area-gradient scatter: for each corner k, c_k into f[k + 1] and -c_k
-    # into f[k + 2], where c_k is minus the value of the half-edge opposite k
-    x = spread_values(rng, 3 * m, 3)
-    per_edge = x.reshape(3, m, 3)
-    index = np.concatenate([f[:, (k + d) % 3] for k in range(3) for d in (1, 2)])
-    values = np.concatenate(
-        [sign * per_edge[(k + 1) % 3] for k in range(3) for sign in (-1.0, 1.0)]
-    )
-    assert np.array_equal(conn.area_gradient @ x, bincount_sum(index, values, n))
+    # the area gradient: each half-edge's weight times its vector x, -x into
+    # its source and x into its target, the source of the next half-edge of
+    # its face; the weight is half the cotangent of the corner opposite the
+    # half-edge, and the half-edge leaving corner k is opposite corner k - 1
+    conf = geometry._configuration(mesh)
+    weight = 0.5 * conf.cot[[2, 0, 1]]
+    assert np.array_equal(geometry._stiffness_weight(mesh, conf), weight.ravel())
+    x = weight[:, :, None] * conf.edge
+    expected = bincount_sum(corner, (x[[2, 0, 1]] - x).reshape(-1, 3), n)
+    assert np.array_equal(mean_curvature_vector(mesh), expected)
     # the stiffness slot scatter: -w into (a, b) and (b, a), w into (a, a) and
-    # (b, b) for the pair opposite each corner
-    a, b = f[:, [1, 2, 0]].T.ravel(), f[:, [2, 0, 1]].T.ravel()
+    # (b, b) for each half-edge a -> b
+    a, b = mesh.directed_edges.T
     keys = np.concatenate([a, b, a, b]) * n + np.concatenate([b, a, a, b])
     _, slot = np.unique(keys, return_inverse=True)
     w = spread_values(rng, 3 * m)
@@ -898,12 +899,25 @@ def test_operators_built_once_for_meshes_derived_before_first_use(monkeypatch):
     for m in (*derived, mesh):
         compute_cache(m)
         cotangent_stiffness(m)
-    # ring, area gradient and stiffness assembly, once for all three
-    assert len(builds) == 3
+    # ring (face is a view of it) and the stiffness assembly, once for all
+    # three
+    assert len(builds) == 2
     for m in derived:
         assert m._connectivity is mesh._connectivity
     pattern = mesh._connectivity.stiffness_pattern
     assert derived[0]._connectivity.stiffness_pattern is pattern
+
+
+@pytest.mark.parametrize("name", ["dented", "circle"])
+def test_stiffness_weight_once_per_cache(monkeypatch, name):
+    # one half-edge weight per configuration drives the area gradient and the
+    # stiffness of the semi-implicit step
+    mesh = CACHE_MESHES[name]()
+    calls = count_calls(monkeypatch, geometry, "_stiffness_weight")
+    cache = compute_cache(mesh)
+    assert len(calls) == 1
+    cotangent_stiffness(mesh, cache.stiffness_weight)
+    assert len(calls) == 1
 
 
 def test_compute_cache_peak_memory():
