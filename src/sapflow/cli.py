@@ -11,6 +11,7 @@ import json
 import numbers
 import os
 import platform
+import re
 import sys
 from dataclasses import asdict, fields
 
@@ -144,7 +145,9 @@ class _SnapshotWriter:
     geometry cache the run built for it: the cache that ``analyze`` rebuilds
     from the file, since the 17-digit save/load round trip is bit-exact. The
     run holds no mesh but its current one. The meshes directory is made at
-    the first row, so an error on the input mesh writes nothing.
+    the first row, so an error on the input mesh writes nothing; there the
+    ``step_*`` and ``final`` mesh files of an earlier run are removed, and
+    nothing else, so that ``analyze`` pairs no row with an earlier run's mesh.
     """
 
     def __init__(self, outdir, cadence, ext):
@@ -169,6 +172,9 @@ class _SnapshotWriter:
             return
         if row == 0:
             os.makedirs(self.mesh_dir, exist_ok=True)
+            for name in os.listdir(self.mesh_dir):
+                if re.fullmatch(r"(step_\d{6,}|final)\.(off|csv)", name):
+                    os.remove(os.path.join(self.mesh_dir, name))
         self.write(state.mesh, row)
         self.rhs.append(diagnostics._ode_rhs(cache, record.h, record.int_H2))
 

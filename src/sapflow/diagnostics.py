@@ -21,9 +21,7 @@ from .errors import (
     WindowTooSmallError,
 )
 from . import geometry
-from .mesh import intrinsic_dimension
-
-FLOAT_FMT = "%.17g"
+from .mesh import FLOAT_FMT, intrinsic_dimension
 
 
 @dataclass(frozen=True)
@@ -81,6 +79,8 @@ class TimeSeries:
 
     @classmethod
     def from_csv(cls, path_or_buffer, metadata=None):
+        """Read :meth:`to_csv` output; a row without one field per column, such
+        as the cut last row of a killed write, raises ``ValueError``."""
         if hasattr(path_or_buffer, "read"):
             rows = list(csv.reader(path_or_buffer))
         else:
@@ -88,10 +88,13 @@ class TimeSeries:
                 rows = list(csv.reader(fh))
         if not rows or rows[0] != RECORD_FIELDS:
             raise ValueError("CSV header does not match the diagnostics schema")
-        records = [
-            DiagnosticsRecord(**{k: float(v) for k, v in zip(RECORD_FIELDS, row)})
-            for row in rows[1:]
-        ]
+        records = []
+        for line, row in enumerate(rows[1:], start=2):
+            if len(row) != len(RECORD_FIELDS):
+                raise ValueError(
+                    f"series line {line} has {len(row)} fields, not {len(RECORD_FIELDS)}"
+                )
+            records.append(DiagnosticsRecord(*map(float, row)))
         t = np.array([r.t for r in records])
         if len(t) > 1 and not (np.diff(t) > 0).all():
             raise ValueError("snapshot times must be strictly increasing")
@@ -128,15 +131,14 @@ def record_snapshot(state, cache):
 
 @dataclass
 class ResidualReport:
-    """Finite-difference residuals of the flow's differential identities.
+    """Finite-difference residuals of the flow's evolution laws, per snapshot
+    interval (the area identity's residual is :func:`area_identity_residuals`,
+    from the rows alone).
 
-    area : per-snapshot residual of the exact identity int H (1 - h H) dmu = 0,
-        normalized by 1 + int H^2 dmu.
     h_ode : per-interval residual of the evolution law for h.
     H2_ode : per-interval residual of the evolution law for int H^2 dmu.
     """
 
-    area: np.ndarray
     h_ode: np.ndarray
     H2_ode: np.ndarray
 
@@ -170,7 +172,7 @@ def _ode_rhs(cache, h, int_H2):
 
 
 def ode_residuals(series, rhs):
-    """Residual triple over the snapshots of a run, from the right-hand sides.
+    """ODE residuals over the snapshots of a run, from the right-hand sides.
 
     The ODE residuals compare the finite difference across each snapshot
     interval with the evolution-law right-hand side evaluated at the left
@@ -194,9 +196,7 @@ def ode_residuals(series, rhs):
         dt = rec_r.t - rec_l.t
         r_h.append(abs((h_pre - rec_l.h) / dt - rhs_h))
         r_H2.append(abs((int_H2_pre - rec_l.int_H2) / dt - rhs_H2))
-    return ResidualReport(
-        area=area_identity_residuals(series), h_ode=np.array(r_h), H2_ode=np.array(r_H2)
-    )
+    return ResidualReport(h_ode=np.array(r_h), H2_ode=np.array(r_H2))
 
 
 def identity_residuals(series, meshes):

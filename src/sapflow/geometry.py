@@ -43,10 +43,9 @@ class GeometryCache:
     grad_H_norm : (n,) float
         Intrinsic |grad H| from area-averaged per-face affine gradients.
     stiffness_weight : (3m,) or (n,) float
-        The cotangent weight of each half-edge, half the cotangent of the
-        corner opposite it, row-aligned with ``mesh.directed_edges``; 1/length
-        of each curve segment. It weights both the area gradient and the
-        cotangent stiffness.
+        Half the cotangent of the corner opposite each half-edge (row-aligned
+        with ``mesh.directed_edges``), or 1/length of each curve segment: the
+        weights of both the area gradient and the cotangent stiffness.
     edge_length : (3m,) or (n,) float
         Length of each half-edge, corner-major (row-aligned with
         ``mesh.directed_edges``), or of each curve segment: the edge weights

@@ -260,8 +260,7 @@ def _incidence(rows, cols, shape, sign=None):
     np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
     data = np.ones(len(rows)) if sign is None else sign[order]
     op = sparse.csr_matrix((data, cols[order].astype(np.int32), indptr), shape=shape)
-    # shared by every mesh on the connectivity: an in-place change would raise
-    for a in (op.data, op.indices, op.indptr):
+    for a in (op.data, op.indices, op.indptr):  # shared: an in-place change raises
         a.setflags(write=False)
     return op
 
@@ -323,14 +322,11 @@ class _DiameterGraph:
     """Half-edge graph of one surface connectivity and its diameter sources.
 
     ``indptr`` / ``indices`` are the CSR pattern of the half-edges, each
-    half-edge a -> b the entry (a, b), taken from the connectivity's ``ring``
-    operator without a sort of its own: ``slot`` and ``indptr`` are ``ring``'s
-    own ``indices`` and ``indptr``, so ``slot`` maps each CSR entry to its row
-    of ``mesh.directed_edges`` and ``cache.edge_length[slot]`` is the CSR data
-    of the edge-length graph. Each row lists its half-edges in ``ring`` order,
-    not by target. On a closed oriented mesh every edge is a half-edge in each
-    direction, so the graph is the symmetric adjacency. All arrays are
-    read-only: they are shared with ``ring`` and every later row.
+    half-edge a -> b the entry (a, b), in ``ring`` order with no sort of its
+    own: ``slot`` and ``indptr`` are ``ring``'s read-only ``indices`` and
+    ``indptr``, so ``cache.edge_length[slot]`` is the CSR data of the
+    edge-length graph. On a closed oriented mesh every edge is a half-edge in
+    each direction, so the graph is the symmetric adjacency.
     ``sources`` are ``DIAMETER_SOURCES`` vertices spread by hop count: the
     first drawn by ``np.random.default_rng(0)``, each next one the vertex
     farthest in hops from those chosen (lowest index on ties). They depend on
@@ -345,9 +341,7 @@ class _DiameterGraph:
         self.slot, self.indptr = ring.indices, ring.indptr
         self.indices = np.take(conn.directed_edges[:, 1], self.slot).astype(np.int32)
         self.indices.setflags(write=False)
-        pattern = sparse.csr_matrix(
-            (ring.data, self.indices, self.indptr), shape=(n, n)
-        )
+        pattern = sparse.csr_matrix((ring.data, self.indices, self.indptr), shape=(n, n))
         sources = [int(np.random.default_rng(0).integers(n))]
         hops = np.full(n, np.inf)
         for _ in range(min(DIAMETER_SOURCES, n) - 1):

@@ -218,6 +218,27 @@ def test_analyze_idempotent(tmp_path, monkeypatch, mesh_cadence, extra, fail_at,
     assert redone.read_bytes() == original
 
 
+def test_run_into_an_earlier_runs_directory(tmp_path):
+    # the second run removes the first run's mesh files, and only those, so
+    # analyze pairs each row with this run's mesh
+    manifest_path, manifest = run_manifest(tmp_path, t_max=0.3)
+    assert run_cli("run", "--manifest", str(manifest_path)) == 0
+    outdir = manifest["output_dir"]
+    mesh_dir = os.path.join(outdir, "meshes")
+    (tmp_path / "out" / "meshes" / "notes.txt").write_text("kept\n")
+    assert run_cli("run", "--manifest", str(manifest_path),
+                   "--t-max", "0.1", "--mesh-cadence", "3") == 0
+    last = len(TimeSeries.from_csv(os.path.join(outdir, "series.csv"))) - 1
+    rows = sorted({*range(0, last + 1, 3), last})
+    steps = sorted(n for n in os.listdir(mesh_dir) if n.startswith("step_"))
+    assert steps == [f"step_{row:06d}.off" for row in rows]
+    assert os.path.exists(os.path.join(mesh_dir, "notes.txt"))
+    redone = tmp_path / "summary2.json"
+    assert run_cli("analyze", os.path.join(outdir, "series.csv"), "-o", str(redone)) == 0
+    with open(os.path.join(outdir, "summary.json"), "rb") as fh:
+        assert redone.read_bytes() == fh.read()
+
+
 @pytest.mark.parametrize("mesh_cadence", [1, 2])
 def test_run_takes_one_geometry_pass_per_row(tmp_path, monkeypatch, mesh_cadence):
     # the summary's ODE right-hand sides come from the run's own caches
@@ -290,6 +311,18 @@ def test_analyze_nonmonotone_time_fails(tmp_path, capsys):
     bad.write_text("\n".join(rows) + "\n")
     assert run_cli("analyze", str(bad)) == 1
     assert "strictly increasing" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("last_row", ["0.1,2.3", ",".join(["1"] * 19)], ids=["short", "long"])
+def test_analyze_rejects_a_row_of_the_wrong_length(tmp_path, capsys, last_row):
+    # a killed write leaves a cut last row; a long row must not be cut to fit
+    row = ",".join(["0"] + ["1"] * (len(RECORD_FIELDS) - 1))
+    bad = tmp_path / "series.csv"
+    bad.write_text("\n".join([",".join(RECORD_FIELDS), row, last_row]) + "\n")
+    assert run_cli("analyze", str(bad)) == 1
+    fields = last_row.count(",") + 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: series line 3 has {fields} fields, not {len(RECORD_FIELDS)}")
 
 
 def test_manifest_roundtrip_through_run_meta(tmp_path):
