@@ -236,6 +236,22 @@ def _rebased(first, loaded):
     return first.with_vertices(loaded.vertices) if same else loaded
 
 
+def _snapshot_files(mesh_dir):
+    """``(row, path)`` of each ``step_<row>`` mesh file in ``mesh_dir``, by row.
+
+    By row, not by name: ``step_1000000`` sorts between ``step_100000`` and
+    ``step_100001`` by name. Empty when ``mesh_dir`` does not exist.
+    """
+    if not os.path.isdir(mesh_dir):
+        return []
+    found = []
+    for name in os.listdir(mesh_dir):
+        match = re.fullmatch(r"step_(\d+)\.(off|csv)", name)
+        if match:
+            found.append((int(match[1]), os.path.join(mesh_dir, name)))
+    return sorted(found)
+
+
 def cmd_analyze(args):
     rundir = os.path.dirname(os.path.abspath(args.series))
     meta = {}
@@ -244,16 +260,12 @@ def cmd_analyze(args):
         with open(meta_path, encoding="ascii") as fh:
             meta = json.load(fh)
     series = diagnostics.TimeSeries.from_csv(args.series, meta.get("metadata"))
-    mesh_dir = os.path.join(rundir, "meshes")
     mesh_rows, meshes = [], []
-    if os.path.isdir(mesh_dir):
-        for name in sorted(os.listdir(mesh_dir)):
-            if name.startswith("step_") and name.endswith((".off", ".csv")):
-                row = int(name[5:-4])
-                if row < len(series):
-                    mesh_rows.append(row)
-                    loaded = meshmod.load_mesh(os.path.join(mesh_dir, name))
-                    meshes.append(_rebased(meshes[0], loaded) if meshes else loaded)
+    for row, path in _snapshot_files(os.path.join(rundir, "meshes")):
+        if row < len(series):
+            mesh_rows.append(row)
+            loaded = meshmod.load_mesh(path)
+            meshes.append(_rebased(meshes[0], loaded) if meshes else loaded)
     final_mesh = residuals = None
     if meshes:
         if "metadata" not in meta:

@@ -439,10 +439,15 @@ def diameter_estimate(mesh, edge_length=None):
     ``sapflow.mesh.DIAMETER_SOURCES`` = 8 sources that the connectivity's
     ``diameter_graph`` spreads by hop count: the first drawn by
     ``np.random.default_rng(0)``, each next one farthest in hops from those
-    before. The graph and the sources are built once per connectivity; each
-    call is one Dijkstra call from all sources, so the estimate is a
-    continuous function of the vertex positions. ``edge_length`` is the
-    ``edge_length`` of this configuration's cache, computed when omitted.
+    before. The graph and the sources are built once per connectivity, from
+    the connectivity alone, so the estimate is a continuous function of the
+    vertex positions. Each call is one Dijkstra call, from only the sources
+    that can set the maximum (see :func:`_diameter_sources`): about 2 of the
+    8 when the rows of a flow run are one step apart, all 8 on a
+    connectivity's first call. The value is the 8-source maximum bit for
+    bit, whatever the earlier calls were.
+    ``edge_length`` is the ``edge_length`` of this configuration's cache,
+    computed when omitted.
     Edge paths overestimate true geodesics: on unit icospheres at
     subdivisions 1-5 the estimate lies 4.4 % to 6.2 % above pi.
     Hop-spread sources can miss the tips of a long axis: on static 2/1/0.5 and
@@ -479,7 +484,43 @@ def diameter_estimate(mesh, edge_length=None):
     g = sparse.csr_matrix(
         (edge_length[graph.slot], graph.indices, graph.indptr), shape=(n, n)
     )
-    return float(dijkstra(g, indices=graph.sources).max())
+    run, upper = _diameter_sources(graph, edge_length, n)
+    ecc = dijkstra(g, indices=graph.sources[run]).max(axis=1)
+    upper[run] = ecc
+    graph.memo = (edge_length.copy(), upper, run)
+    return float(ecc.max())
+
+
+def _diameter_sources(graph, edge_length, n):
+    """(mask of the sources that can set the maximum, a fresh array of upper
+    bounds on every source's eccentricity) at ``edge_length``.
+
+    Between the configuration of ``graph.memo`` and this one, every path
+    length, so every eccentricity, changes by a factor in [lo, hi]: the
+    smallest and largest ratio of a half-edge's length to its memo length,
+    widened by 1 + 4 n eps to cover the rounding of the ratios, of the
+    products below and of Dijkstra's sums over at most n - 1 edges (the
+    eccentricity bounds of Takes & Kosters 2011, "Determining the diameter of
+    small world networks"). A source's eccentricity is thus at most its memo
+    bound times hi, and the largest one at least the largest one computed
+    last time times lo; a source whose bound stays below that cannot set the
+    maximum, and the source that set it always runs. All sources run on the
+    first call and when a ratio is not finite and positive, with bounds of
+    inf until the caller sets the computed ones.
+    """
+    memo = graph.memo
+    if memo is not None:
+        last, upper, exact = memo
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = edge_length / last
+        lo, hi = ratio.min(), ratio.max()
+        if 0.0 < lo and hi < np.inf:  # NaN fails both
+            widen = 1.0 + 4.0 * n * np.finfo(np.float64).eps
+            lower = upper[exact].max() * (lo / widen)
+            upper = upper * (hi * widen)
+            return upper >= lower, upper
+    k = len(graph.sources)
+    return np.ones(k, dtype=bool), np.full(k, np.inf)
 
 
 def compute_cache(mesh):

@@ -52,11 +52,12 @@ class TriMesh:
 
     Notes
     -----
-    Construction performs hard structural checks only (index range, no
-    degenerate faces). Closedness and orientation are reported by
-    :func:`validate` and enforced by :func:`load_mesh` and the geometry
-    operations that require them. Vertex and face arrays are frozen;
-    derived meshes are created with :meth:`with_vertices`.
+    Construction performs hard structural checks only (finite coordinates,
+    index range, no degenerate faces). Closedness and orientation are
+    reported by :func:`validate` and enforced by :func:`load_mesh` and the
+    geometry operations that require them. Vertex and face arrays are frozen;
+    derived meshes are created with :meth:`with_vertices`, which leaves the
+    coordinates unchecked (the flow checks each step's positions itself).
     """
 
     def __init__(self, vertices, faces=None, mode="surface"):
@@ -89,6 +90,11 @@ class TriMesh:
                 raise ValueError("curve mode takes no face list")
         else:
             raise ValueError(f"unknown mesh mode {mode!r}")
+        bad = ~np.isfinite(vertices).all(axis=1)
+        if bad.any():
+            raise ValueError(
+                f"non-finite coordinate in {int(bad.sum())} of {len(bad)} vertices"
+            )
 
         vertices.setflags(write=False)
         self.vertices = vertices
@@ -331,6 +337,15 @@ class _DiameterGraph:
     first drawn by ``np.random.default_rng(0)``, each next one the vertex
     farthest in hops from those chosen (lowest index on ties). They depend on
     the connectivity alone, never on the positions.
+
+    ``memo`` is ``None`` until the first estimate, then the last estimate's
+    ``(edge_length, upper, exact)``: a copy of its half-edge lengths, an
+    upper bound on each source's eccentricity at those lengths, and the mask
+    of the sources whose eccentricity it computed, for which the bound is that
+    eccentricity. :func:`sapflow.geometry.diameter_estimate` scales the
+    bounds by the range of the length ratios to skip the sources that cannot
+    set the maximum, so the memo decides which sources run, never the value.
+    It is replaced as a whole, never changed in place.
     """
 
     def __init__(self, conn):
@@ -351,6 +366,7 @@ class _DiameterGraph:
             sources.append(int(np.argmax(hops)))
         self.sources = np.array(sources)
         self.sources.setflags(write=False)
+        self.memo = None
 
 
 class _StiffnessPattern:
@@ -501,7 +517,7 @@ def load_mesh(path, fmt=None):
     Raises
     ------
     MeshParseError
-        Malformed file.
+        Malformed file, or a vertex with a non-finite coordinate.
     MeshTopologyError
         Open, non-manifold (at an edge or a vertex), inconsistently oriented
         or inward-oriented mesh; clockwise curve.
@@ -512,17 +528,18 @@ def load_mesh(path, fmt=None):
     elif fmt == "obj":
         verts, faces = _read_obj(path)
     elif fmt == "csv":
-        mesh = TriMesh(_read_curve_csv(path), mode="curve")
-        if validate(mesh).volume <= 0:
-            raise MeshTopologyError("clockwise curve (negative enclosed area)")
-        return mesh
+        verts, faces = _read_curve_csv(path), None
     else:
         raise MeshParseError(f"unsupported mesh format {fmt!r}")
 
     try:
-        mesh = TriMesh(verts, faces)
+        mesh = TriMesh(verts, faces, mode="surface" if faces is not None else "curve")
     except ValueError as exc:
         raise MeshParseError(str(exc)) from exc
+    if mesh.mode == "curve":
+        if validate(mesh).volume <= 0:
+            raise MeshTopologyError("clockwise curve (negative enclosed area)")
+        return mesh
     report = validate(mesh)
     if not report.is_closed:
         raise MeshTopologyError(f"{report.boundary_edge_count} boundary edges")
@@ -675,9 +692,11 @@ def _unit_icosphere(subdivisions):
     Midpoint indices are cached per sorted vertex pair in insertion order, so
     identical inputs produce bitwise-identical vertex arrays.
     """
+    if subdivisions < 0:
+        raise ValueError("subdivisions must be >= 0")
     verts = list(_icosahedron_vertices())
     faces = _ICO_FACES
-    for _ in range(subdivisions):
+    for _ in range(int(subdivisions)):
         cache = {}
 
         def midpoint(i, j):
@@ -707,9 +726,7 @@ def gen_icosphere(radius, center=(0.0, 0.0, 0.0), subdivisions=0):
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if subdivisions < 0:
-        raise ValueError("subdivisions must be >= 0")
-    u, faces = _unit_icosphere(int(subdivisions))
+    u, faces = _unit_icosphere(subdivisions)
     return TriMesh(np.asarray(center, dtype=np.float64) + radius * u, faces)
 
 
@@ -717,7 +734,7 @@ def gen_ellipsoid(a, b, c, subdivisions=0):
     """Generate an origin-centred ellipsoid by anisotropic scaling of an icosphere."""
     if min(a, b, c) <= 0:
         raise ValueError("semi-axes must be positive")
-    u, faces = _unit_icosphere(int(subdivisions))
+    u, faces = _unit_icosphere(subdivisions)
     return TriMesh(u * np.array([a, b, c], dtype=np.float64), faces)
 
 
@@ -778,7 +795,7 @@ def gen_perturbed_sphere(radius, amplitude, bump, subdivisions=0):
         raise ValueError("radius must be positive")
     if abs(amplitude) >= radius / 2:
         raise ValueError("amplitude must satisfy |amplitude| < radius/2")
-    u, faces = _unit_icosphere(int(subdivisions))
+    u, faces = _unit_icosphere(subdivisions)
     r = radius + amplitude * bump.evaluate(u)
     return TriMesh(r[:, None] * u, faces)
 

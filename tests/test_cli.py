@@ -19,6 +19,7 @@ from sapflow import (
     save_mesh,
 )
 from sapflow import mesh as meshmod
+from sapflow import cli
 from sapflow.cli import MANIFEST_DEFAULTS, main
 from sapflow.diagnostics import RECORD_FIELDS, DiagnosticsRecord, TimeSeries
 from conftest import (
@@ -128,6 +129,19 @@ def test_run_writes_artifacts(tmp_path):
 def test_run_missing_mesh_is_input_error(tmp_path, capsys):
     assert run_cli("run", "--mesh", str(tmp_path / "missing.off")) == 1
     assert "error:" in capsys.readouterr().err
+
+
+def test_run_non_finite_input_is_input_error(tmp_path, capsys):
+    # a NaN coordinate is refused at load, before the first row writes anything
+    mesh = tmp_path / "ico.off"
+    assert run_cli("generate", "icosphere", "--subdiv", "1", "-o", str(mesh)) == 0
+    lines = mesh.read_text().split("\n")
+    lines[2] = "nan " + lines[2].split(" ", 1)[1]
+    mesh.write_text("\n".join(lines))
+    out = tmp_path / "out"
+    assert run_cli("run", "--mesh", str(mesh), "--t-max", "0.1", "-o", str(out)) == 1
+    assert "non-finite coordinate" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_run_blowup_exit_code(tmp_path):
@@ -280,6 +294,18 @@ def test_analyze_builds_one_connectivity(tmp_path, monkeypatch):
     assert run_cli("analyze", series, "-o", str(tmp_path / "summary2.json")) == 0
     assert len(loads) > 2
     assert len(builds) == 1
+
+
+def test_snapshot_files_ordered_by_row(tmp_path):
+    # by name, step_1000000 would sort between step_100000 and step_100001
+    rows = [0, 5, 99999, 100000, 100001, 1000000, 1000001]
+    for row in rows:
+        (tmp_path / f"step_{row:06d}.off").touch()
+    for name in ("final.off", "step_000007.off.tmp", "notes.txt"):
+        (tmp_path / name).touch()
+    found = cli._snapshot_files(str(tmp_path))
+    assert found == [(row, str(tmp_path / f"step_{row:06d}.off")) for row in rows]
+    assert cli._snapshot_files(str(tmp_path / "missing")) == []
 
 
 def test_analyze_synthetic_decay_csv(tmp_path):

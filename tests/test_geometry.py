@@ -366,6 +366,96 @@ def test_diameter_one_sweep_per_row(monkeypatch):
     assert len(calls) == 1
 
 
+def full_diameter_estimate(mesh, edge_length):
+    """The estimate from every source of the diameter graph, in one Dijkstra call."""
+    graph = mesh._connectivity.diameter_graph
+    n = mesh.n_vertices
+    g = sparse.csr_matrix(
+        (edge_length[graph.slot], graph.indices, graph.indptr), shape=(n, n)
+    )
+    return float(csgraph.dijkstra(g, indices=graph.sources).max())
+
+
+def record_sources(monkeypatch):
+    """The number of sources of each later Dijkstra call, as a growing list."""
+    real, counts = csgraph.dijkstra, []
+
+    def counted(*args, **kwargs):
+        counts.append(len(np.atleast_1d(kwargs["indices"])))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(csgraph, "dijkstra", counted)
+    return counts
+
+
+def ellipsoid_run(observer):
+    run_flow(gen_ellipsoid(1.2, 1.0, 0.85, 2), FlowConfig(t_max=1.0),
+             keep_meshes=False, observer=observer)
+
+
+@pytest.fixture(scope="module")
+def ellipsoid_rows():
+    """(mesh, edge_length, diameter_est) of every row of a short explicit run."""
+    rows = []
+    ellipsoid_run(lambda state, cache, record: rows.append(
+        (state.mesh, cache.edge_length, record.diameter_est)))
+    return rows
+
+
+def test_diameter_rows_equal_full_estimate(ellipsoid_rows):
+    # the memo skips sources but never moves the value, by a single bit
+    assert len(ellipsoid_rows) > 50
+    for mesh, edge_length, got in ellipsoid_rows:
+        assert got == full_diameter_estimate(mesh, edge_length)
+
+
+def test_diameter_independent_of_history(ellipsoid_rows):
+    # the same configurations in reverse order: other memos, the same values
+    for mesh, edge_length, got in ellipsoid_rows[::-1]:
+        assert diameter_estimate(mesh, edge_length) == got
+
+
+def test_diameter_sources_per_row_below_all(monkeypatch):
+    counts = record_sources(monkeypatch)
+    ellipsoid_run(lambda state, cache, record: None)
+    # the source selection's 7 hop sweeps, then one call per row
+    rows = counts[meshmod.DIAMETER_SOURCES - 1:]
+    assert rows[0] == meshmod.DIAMETER_SOURCES  # nothing to bound on the first call
+    assert np.mean(rows) < meshmod.DIAMETER_SOURCES
+
+
+@pytest.mark.parametrize("move", ["scale-2", "one-vertex-far-out"])
+def test_diameter_after_a_large_move_equals_full_estimate(move):
+    base = gen_ellipsoid(1.2, 1.0, 0.85, 2)
+    rng = np.random.default_rng(1)
+    mesh = base.with_vertices(base.vertices + 0.01 * rng.normal(size=base.vertices.shape))
+    diameter_estimate(mesh)
+    v = mesh.vertices.copy()
+    if move == "scale-2":
+        v *= 2.0
+    else:
+        v[17] *= 6.0
+    moved = mesh.with_vertices(v)
+    edge_length = compute_cache(moved).edge_length
+    got = diameter_estimate(moved, edge_length)
+    assert got == full_diameter_estimate(moved, edge_length)
+    if move == "scale-2":
+        # every length doubles exactly, so the value does too
+        assert got == 2.0 * diameter_estimate(mesh)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
+def test_diameter_non_finite_ratio_takes_all_sources(monkeypatch, value):
+    mesh = gen_ellipsoid(1.2, 1.0, 0.85, 2)
+    diameter_estimate(mesh)
+    edge_length = compute_cache(mesh.with_vertices(0.9 * mesh.vertices)).edge_length
+    edge_length[5] = value  # a ratio of NaN, inf or 0
+    counts = record_sources(monkeypatch)
+    got = diameter_estimate(mesh, edge_length)
+    assert counts == [meshmod.DIAMETER_SOURCES]
+    assert got == full_diameter_estimate(mesh, edge_length)
+
+
 @pytest.mark.parametrize("subdivisions", [1, 2, 3, 4, 5])
 def test_diameter_close_to_32_source_estimate_icosphere(icosphere, subdivisions):
     mesh = icosphere(1.0, subdivisions)

@@ -33,6 +33,16 @@ def test_trimesh_rejects_bad_faces():
         TriMesh(verts, [[0, 1, 5]])
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_trimesh_rejects_non_finite_coordinates(tetrahedron, value):
+    verts = tetrahedron.vertices.copy()
+    verts[2, 1] = value
+    with pytest.raises(ValueError, match="non-finite coordinate in 1 of 4 vertices"):
+        TriMesh(verts, tetrahedron.faces)
+    with pytest.raises(ValueError, match="non-finite"):
+        TriMesh([[1.0, 0.0], [0.0, value], [-1.0, -1.0]], mode="curve")
+
+
 def test_vertices_are_frozen(tetrahedron):
     with pytest.raises(ValueError):
         tetrahedron.vertices[0, 0] = 9.9
@@ -289,6 +299,21 @@ def test_obj_malformed_is_parse_error(tmp_path, lines):
         _load_text(tmp_path, lines, "m.obj")
 
 
+@pytest.mark.parametrize(
+    "name, lines",
+    [
+        ("m.off", TET_OFF_LINES[:3] + ["1 nan 0"] + TET_OFF_LINES[4:]),
+        ("m.obj", ["v 0 0 0", "v 1 0 0", "v 0 inf 0", "v 0 0 1",
+                   "f 1 3 2", "f 1 2 4", "f 2 3 4", "f 1 4 3"]),
+        ("c.csv", ["1,0", "0,nan", "-1,-1"]),
+    ],
+    ids=["off-nan", "obj-inf", "csv-nan"],
+)
+def test_non_finite_coordinate_is_parse_error(tmp_path, name, lines):
+    with pytest.raises(MeshParseError, match="non-finite coordinate"):
+        _load_text(tmp_path, lines, name)
+
+
 def test_non_ascii_file_is_parse_error(tmp_path):
     path = tmp_path / "m.off"
     path.write_bytes(("\n".join(TET_OFF_LINES) + "\n# é\n").encode("utf-8"))
@@ -459,6 +484,21 @@ def test_generators_validate(icosphere):
     for m in meshes:
         report = validate(m)
         assert report.is_closed and report.is_oriented
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda sub: gen_icosphere(1.0, subdivisions=sub),
+        lambda sub: gen_ellipsoid(1.0, 1.0, 1.0, sub),
+        lambda sub: gen_perturbed_sphere(1.0, 0.1, SphericalHarmonicBump(2, 0), sub),
+    ],
+    ids=["icosphere", "ellipsoid", "perturbed"],
+)
+@pytest.mark.parametrize("subdivisions", [-1, -2, -0.5])
+def test_generators_reject_negative_subdivisions(generate, subdivisions):
+    with pytest.raises(ValueError, match="subdivisions must be >= 0"):
+        generate(subdivisions)
 
 
 def test_ellipsoid_degenerate_is_icosphere(icosphere):
