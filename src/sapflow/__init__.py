@@ -30,7 +30,6 @@ from .geometry import (
     compute_cache,
     diameter_estimate,
     enclosed_volume,
-    gradient_norm_field,
     surface_integral,
     vertex_area_weights,
 )

@@ -187,7 +187,7 @@ def cmd_run(args):
     ext = "csv" if input_mesh.mode == "curve" else "off"
     writer = _SnapshotWriter(outdir, manifest["mesh_cadence"], ext)
 
-    result = flow.run_flow(input_mesh, config, keep_meshes=False, observer=writer)
+    result = flow.run_flow(input_mesh, config, observer=writer)
     series = result.series
     series.metadata["manifest"] = manifest
     series.to_csv(os.path.join(outdir, "series.csv"))

@@ -9,6 +9,7 @@ the surviving area drift is O(dt) over a run and can be removed entirely by
 the optional projection step (uniform rescaling about the area centroid).
 """
 
+import math
 import numbers
 from dataclasses import asdict, dataclass, field, replace
 
@@ -43,7 +44,10 @@ _SETTING_CHECKS = {
     "area_projection": ("a bool", lambda x: isinstance(x, bool)),
     "t_max": ("a positive number", lambda x: _number(x) and x > 0),
     "roundness_tol": ("a number in (0, 1)", lambda x: _number(x) and 0 < x < 1),
-    "blowup_max_A": ("a number or None", lambda x: x is None or _number(x)),
+    "blowup_max_A": (
+        "a positive finite number or None",
+        lambda x: x is None or (_number(x) and 0 < x < math.inf),
+    ),
     "snapshot_every": ("an integer >= 1", lambda x: _number(x, numbers.Integral) and x >= 1),
 }
 
@@ -94,7 +98,6 @@ class FlowRunResult:
     series: "object"  # diagnostics.TimeSeries
     final_state: FlowState
     termination: Termination
-    snapshot_meshes: list = field(default_factory=list)
 
 
 def compute_h(cache):
@@ -228,7 +231,7 @@ def enforce_area_constraint(state):
     )
 
 
-def run_flow(mesh, config, keep_meshes=True, observer=None):
+def run_flow(mesh, config, keep_meshes=False, observer=None):
     """Evolve a mesh until convergence, the time limit, or blow-up.
 
     Loop: snapshot (at cadence, and always on the final state) -> guards ->
@@ -245,14 +248,21 @@ def run_flow(mesh, config, keep_meshes=True, observer=None):
     ``observer``, when given, is called as ``observer(state, cache, row)``
     once per recorded row, as the row is recorded: ``row`` is its
     :class:`DiagnosticsRecord` and ``cache`` the geometry pass of
-    ``state.mesh`` that the run took. What it raises propagates.
+    ``state.mesh`` that the run took. What it raises propagates. It is the one
+    way to see the meshes of the rows: an observer that appends
+    ``state.mesh`` collects them aligned with the series records.
+    ``keep_meshes`` stays only so that ``keep_meshes=False`` (which the
+    benchmark in perfbench/ passes) still binds; True raises ``ValueError``.
 
     Returns
     -------
     FlowRunResult
-        Time series, final state, termination reason, and (with
-        ``keep_meshes``) the snapshot meshes aligned with the series records.
+        Time series, final state and termination reason.
     """
+    if keep_meshes:
+        raise ValueError(
+            "run_flow keeps no meshes: collect them with observer(state, cache, row)"
+        )
     report = validate(mesh)
     if not (report.is_closed and report.is_oriented and report.is_vertex_manifold):
         raise BlowUpError("invalid_input", "mesh is not a closed oriented manifold")
@@ -268,13 +278,10 @@ def run_flow(mesh, config, keep_meshes=True, observer=None):
     if blowup_limit is None:
         blowup_limit = 1e3 * max(float(cache.second_form_norm.max()), 1e-300)
     records = []
-    meshes = []
     termination = None
 
     def take_snapshot(state, cache):
         records.append(diagnostics.record_snapshot(state, cache))
-        if keep_meshes:
-            meshes.append(state.mesh)
         if observer is not None:
             observer(state, cache, records[-1])
 
@@ -328,9 +335,4 @@ def run_flow(mesh, config, keep_meshes=True, observer=None):
             "config": {**asdict(config), "blowup_max_A": blowup_limit},
         },
     )
-    return FlowRunResult(
-        series=series,
-        final_state=state,
-        termination=termination,
-        snapshot_meshes=meshes if keep_meshes else [],
-    )
+    return FlowRunResult(series=series, final_state=state, termination=termination)

@@ -82,8 +82,7 @@ class GeometryCache:
 # a surface, or the unit tangents and segment lengths of a curve. Each helper
 # below holds the one formula for its field and the one curve/surface branch.
 # compute_cache is the one source of a configuration's per-vertex fields; the
-# standalone operations further down reuse the helpers for the area weights,
-# the area gradient and the gradient of an arbitrary field. Sums over faces,
+# operations further down take what they need of it as arguments. Sums over faces,
 # corners and half-edges are products with the incidence operators of the
 # mesh's connectivity (mesh._Connectivity); the half-edge vectors are the face
 # record's edges, one gather that both curvature fits share. The vector
@@ -146,6 +145,9 @@ def _normals(mesh, conf):
 
 
 def _area_gradient(mesh, conf, weight):
+    """Gradient of total area w.r.t. vertex positions (cotangent formula):
+    the integrated discrete Laplace-Beltrami of the embedding, the outward
+    mean curvature normal times the vertex area."""
     if mesh.mode == "curve":
         t, _ = conf
         return np.roll(t, 1, axis=0) - t  # gradient of total length
@@ -178,6 +180,13 @@ def _second_form(mesh, conf, normals, H):
 
 
 def _gradient_norm(mesh, conf, f):
+    """Intrinsic per-vertex |grad f| from per-face affine gradients.
+
+    The gradient of the piecewise-linear interpolant is constant per face and
+    tangential by construction; vertex values are face-area-weighted averages
+    over the incident faces. Exact on affine fields over flat patches.
+    Curve mode: centred difference along arc length.
+    """
     if mesh.mode == "curve":
         _, ln = conf
         df = np.roll(f, -1) - np.roll(f, 1)
@@ -238,38 +247,34 @@ def vertex_area_weights(mesh):
     The weights partition the total face area exactly: Voronoi corner areas
     for non-obtuse triangles, half/quarter splits when a triangle is obtuse.
     Curve mode: half the summed length of the two incident segments.
+    ``compute_cache(mesh).vertex_area`` holds the same values; this function
+    remains because the benchmark's tracer (perfbench/tracing.py) wraps it by
+    name.
     """
     return _weights(mesh, _configuration(mesh))
 
 
-def mean_curvature_vector(mesh):
-    """Gradient of total area w.r.t. vertex positions (cotangent formula).
-
-    Equals the (integrated) discrete Laplace-Beltrami of the embedding with
-    the sign of the outward mean curvature normal times vertex area.
-    """
-    conf = _configuration(mesh)
-    return _area_gradient(mesh, conf, _stiffness_weight(mesh, conf))
-
-
-def cotangent_stiffness(mesh, weight=None):
+def cotangent_stiffness(mesh, weight):
     """Sparse positive-semidefinite cotangent stiffness matrix L (CSR).
 
-    ``L @ x`` equals :func:`mean_curvature_vector` applied per coordinate;
-    ``f @ (L @ f)`` is the discrete Dirichlet energy of a vertex field.
-    ``weight`` is the ``stiffness_weight`` of this configuration's cache,
-    computed when omitted. The sparsity pattern is built once per
-    connectivity; each call is one product with its assembly operator.
+    ``weight`` is the ``stiffness_weight`` of this configuration's cache.
+    ``L @ x`` is the gradient of total area w.r.t. the vertex positions, per
+    coordinate; ``f @ (L @ f)`` is the discrete Dirichlet energy of a vertex
+    field. The sparsity pattern is built once per connectivity; each call is
+    one product with its assembly operator.
     """
-    if weight is None:
-        weight = _stiffness_weight(mesh, _configuration(mesh))
     pattern = mesh._connectivity.stiffness_pattern
     data = pattern.assemble @ weight
     n = mesh.n_vertices
     return sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
 
-def osculating_sphere_normals(mesh, reference_normals):
+# (n, 10) columns 4 s_xx, 4 s_xy, 4 s_xz, 4 s_yy, 4 s_yz, 4 s_zz, 2 s_x, 2 s_y,
+# 2 s_z, valence + 1 -> the symmetric (4, 4) sphere-fit matrix, row-major
+_SPHERE_MATRIX = [0, 1, 2, 6, 1, 3, 4, 7, 2, 4, 5, 8, 6, 7, 8, 9]
+
+
+def _sphere_fit_normals(mesh, conf, reference_normals):
     """Unit normals from per-vertex least-squares sphere fits over the 1-ring.
 
     Fits the algebraic sphere |p - x_i|^2 = 2 c.(p - x_i) + rho through the
@@ -279,15 +284,6 @@ def osculating_sphere_normals(mesh, reference_normals):
     second-form estimate the dynamic range the roundness diagnostics need.
     Degenerate fits fall back to the reference normal. Surface meshes only.
     """
-    return _sphere_fit_normals(mesh, _FaceRecord(mesh), reference_normals)
-
-
-# (n, 10) columns 4 s_xx, 4 s_xy, 4 s_xz, 4 s_yy, 4 s_yz, 4 s_zz, 2 s_x, 2 s_y,
-# 2 s_z, valence + 1 -> the symmetric (4, 4) sphere-fit matrix, row-major
-_SPHERE_MATRIX = [0, 1, 2, 6, 1, 3, 4, 7, 2, 4, 5, 8, 6, 7, 8, 9]
-
-
-def _sphere_fit_normals(mesh, conf, reference_normals):
     n = mesh.n_vertices
     ring = mesh._connectivity.ring
     d = conf.edge.reshape(-1, 3)  # ring points centred at the ring owner
@@ -401,17 +397,6 @@ def _shape_operator_eigen(mesh, conf, nsf, H):
     return (0.5 * trace - disc) * scale, (0.5 * trace + disc) * scale
 
 
-def gradient_norm_field(mesh, f):
-    """Intrinsic per-vertex |grad f| from per-face affine gradients.
-
-    The gradient of the piecewise-linear interpolant is constant per face and
-    tangential by construction; vertex values are face-area-weighted averages
-    over the incident faces. Exact on affine fields over flat patches.
-    Curve mode: centred difference along arc length.
-    """
-    return _gradient_norm(mesh, _configuration(mesh), np.asarray(f, dtype=np.float64))
-
-
 def surface_integral(weights, f):
     """Integral of a per-vertex field against the discrete surface measure.
 
@@ -425,7 +410,9 @@ def enclosed_volume(mesh, conf=None):
     """Signed enclosed volume (divergence theorem, exact for polyhedra).
 
     Curve mode: shoelace area of the polygon. ``conf`` is the face record of
-    this configuration, built when omitted.
+    this configuration, built when omitted. ``compute_cache`` calls this
+    function for ``cache.volume``; it remains public because the benchmark's
+    tracer (perfbench/tracing.py) wraps it by name.
     """
     if mesh.mode == "curve":
         return _shoelace_area(mesh.vertices)
@@ -446,8 +433,11 @@ def diameter_estimate(mesh, edge_length=None):
     8 when the rows of a flow run are one step apart, all 8 on a
     connectivity's first call. The value is the 8-source maximum bit for
     bit, whatever the earlier calls were.
-    ``edge_length`` is the ``edge_length`` of this configuration's cache,
-    computed when omitted.
+    ``edge_length`` is the ``edge_length`` of this configuration's cache.
+    Pass it: when omitted, the face record (segments) of ``mesh`` is built
+    again to take it, which fails on a zero-area face (zero-length segment)
+    as ``compute_cache`` does. The omitted form remains because the
+    benchmark's API test (tests/test_benchmark_api.py) calls it.
     Edge paths overestimate true geodesics: on unit icospheres at
     subdivisions 1-5 the estimate lies 4.4 % to 6.2 % above pi.
     Hop-spread sources can miss the tips of a long axis: on static 2/1/0.5 and
@@ -467,9 +457,7 @@ def diameter_estimate(mesh, edge_length=None):
     if mesh.mode == "surface" and (not mesh.is_closed or mesh._has_duplicate_directed):
         raise ValueError("diameter_estimate needs a closed, consistently oriented surface")
     if edge_length is None:
-        # the cache's lengths; a surface's without checking its face areas
-        conf = _configuration(mesh) if mesh.mode == "curve" else _FaceRecord(mesh)
-        edge_length = _edge_length(mesh, conf)
+        edge_length = _edge_length(mesh, _configuration(mesh))
     if mesh.mode == "curve":
         cum = np.concatenate([[0.0], np.cumsum(edge_length)])
         total = cum[-1]

@@ -10,6 +10,7 @@ machinery.
 from dataclasses import dataclass
 from functools import cached_property
 from math import pi, sqrt
+import numbers
 import os
 
 import numpy as np
@@ -694,9 +695,11 @@ def _unit_icosphere(subdivisions):
     """
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
+    if isinstance(subdivisions, bool) or not isinstance(subdivisions, numbers.Integral):
+        raise ValueError(f"subdivisions must be an integer, not {subdivisions!r}")
     verts = list(_icosahedron_vertices())
     faces = _ICO_FACES
-    for _ in range(int(subdivisions)):
+    for _ in range(subdivisions):
         cache = {}
 
         def midpoint(i, j):

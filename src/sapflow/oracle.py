@@ -154,7 +154,7 @@ def linearized_mode_rates(radius, degree, amplitude, subdivisions, config=None):
     mesh = gen_perturbed_sphere(
         radius, amplitude, SphericalHarmonicBump(degree, 0), subdivisions
     )
-    result = flow.run_flow(mesh, config, keep_meshes=False)
+    result = flow.run_flow(mesh, config)
     fit = diagnostics.fit_exponential_rate(result.series, "int_traceless_sq")
     return ModeRate(
         degree=degree,

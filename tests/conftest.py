@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import sapflow
-from sapflow import TriMesh, gen_icosphere
+from sapflow import TriMesh, gen_icosphere, run_flow
 
 
 def run_sapflow(*args):
@@ -18,6 +18,16 @@ def run_sapflow(*args):
         capture_output=True,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def run_keeping_meshes(mesh, config):
+    """``(run_flow(mesh, config), meshes)``: the mesh of every row, in row
+    order, collected by the run's observer."""
+    meshes = []
+    result = run_flow(
+        mesh, config, observer=lambda state, cache, row: meshes.append(state.mesh)
+    )
+    return result, meshes
 
 
 def replace_on_call(monkeypatch, module, name, k, substitute):

@@ -33,7 +33,7 @@ from sapflow import (
     select_timestep,
 )
 from sapflow.diagnostics import area_identity_residuals
-from conftest import run_sapflow
+from conftest import run_keeping_meshes, run_sapflow
 
 
 def ok(criterion, message):
@@ -75,7 +75,7 @@ def drift_runs():
             roundness_tol=1e-12,
             snapshot_every=5,
         )
-        out[dt] = run_flow(mesh, config, keep_meshes=False)
+        out[dt] = run_flow(mesh, config)
     return out
 
 
@@ -88,12 +88,13 @@ def dented_run():
         roundness_tol=1e-6,
         snapshot_every=5,
     )
-    return run_flow(mesh, config, keep_meshes=False)
+    return run_flow(mesh, config)
 
 
 @pytest.fixture(scope="module")
 def si_residual_runs():
-    """Semi-implicit near-sphere runs at dt and dt/2 for the ODE residuals."""
+    """Semi-implicit near-sphere runs at dt and dt/2 for the ODE residuals:
+    dt -> (result, the mesh of every row)."""
     mesh = gen_perturbed_sphere(1.0, 0.05, SphericalHarmonicBump(2, 0), 3)
     out = {}
     for dt in (0.04, 0.02):
@@ -105,7 +106,7 @@ def si_residual_runs():
             roundness_tol=1e-12,
             snapshot_every=1,
         )
-        out[dt] = run_flow(mesh, config)
+        out[dt] = run_keeping_meshes(mesh, config)
     return out
 
 
@@ -159,7 +160,8 @@ def test_criterion_3_area_identity_every_run(
     ellipsoid_run, drift_runs, dented_run, si_residual_runs
 ):
     worst = 0.0
-    runs = [ellipsoid_run, dented_run, *drift_runs.values(), *si_residual_runs.values()]
+    runs = [ellipsoid_run, dented_run, *drift_runs.values(),
+            *(r for r, _ in si_residual_runs.values())]
     for result in runs:
         worst = max(worst, area_identity_residuals(result.series).max())
     assert worst <= 1e-12
@@ -209,8 +211,8 @@ def test_criterion_7_mean_convexity_onset(dented_run):
 
 def test_criterion_8_ode_residuals_first_order(si_residual_runs):
     res = {
-        dt: identity_residuals(r.series, r.snapshot_meshes)
-        for dt, r in si_residual_runs.items()
+        dt: identity_residuals(r.series, meshes)
+        for dt, (r, meshes) in si_residual_runs.items()
     }
     ratio_h = res[0.04].h_ode.max() / res[0.02].h_ode.max()
     ratio_H2 = res[0.04].H2_ode.max() / res[0.02].H2_ode.max()

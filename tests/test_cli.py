@@ -144,6 +144,16 @@ def test_run_non_finite_input_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_nan_blowup_limit_is_input_error(tmp_path, capsys):
+    # NaN would switch the max|A| guard off and write a bare NaN into
+    # run_meta.json, which is not JSON
+    out = tmp_path / "out"
+    argv = ("run", "--generator", "icosphere", "--blowup-max-a", "nan", "-o", str(out))
+    assert run_cli(*argv) == 1
+    assert "error: blowup_max_A must be" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_run_blowup_exit_code(tmp_path):
     manifest_path, _ = run_manifest(tmp_path, blowup_max_A=1.0)
     assert run_cli("run", "--manifest", str(manifest_path)) == 2

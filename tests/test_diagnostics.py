@@ -34,7 +34,7 @@ from sapflow.diagnostics import (
 )
 from sapflow import TriMesh, geometry
 from sapflow.flow import FlowState
-from conftest import count_calls
+from conftest import count_calls, run_keeping_meshes
 
 
 def series_from_columns(t, **overrides):
@@ -81,18 +81,28 @@ def test_snapshot_fields_finite_on_ellipsoid():
 
 
 @pytest.fixture(scope="module")
-def small_run():
+def small_run_and_meshes():
     m = gen_ellipsoid(1.2, 1.0, 0.85, 2)
     config = FlowConfig(stepping="explicit", t_max=0.4, snapshot_every=1)
-    return run_flow(m, config)
+    return run_keeping_meshes(m, config)
+
+
+@pytest.fixture(scope="module")
+def small_run(small_run_and_meshes):
+    return small_run_and_meshes[0]
+
+
+@pytest.fixture(scope="module")
+def small_meshes(small_run_and_meshes):
+    return small_run_and_meshes[1]
 
 
 def test_area_residual_machine_level(small_run):
     assert area_identity_residuals(small_run.series).max() <= 1e-12
 
 
-def test_ode_residuals_projection_compensated(small_run):
-    res = identity_residuals(small_run.series, small_run.snapshot_meshes)
+def test_ode_residuals_projection_compensated(small_run, small_meshes):
+    res = identity_residuals(small_run.series, small_meshes)
     assert len(res.h_ode) == len(small_run.series) - 1
     assert res.h_ode.max() < 0.05
     assert res.H2_ode.max() < 5.0
@@ -101,14 +111,14 @@ def test_ode_residuals_projection_compensated(small_run):
     config = FlowConfig(
         stepping="explicit", t_max=0.4, snapshot_every=1, area_projection=False
     )
-    raw = run_flow(m, config)
-    res2 = identity_residuals(raw.series, raw.snapshot_meshes)
+    raw, raw_meshes = run_keeping_meshes(m, config)
+    res2 = identity_residuals(raw.series, raw_meshes)
     assert res2.h_ode.max() == pytest.approx(res.h_ode.max(), rel=0.1)
 
 
-def test_residuals_require_aligned_meshes(small_run):
+def test_residuals_require_aligned_meshes(small_run, small_meshes):
     with pytest.raises(ValueError):
-        identity_residuals(small_run.series, small_run.snapshot_meshes[:-1])
+        identity_residuals(small_run.series, small_meshes[:-1])
 
 
 def test_ode_residuals_from_the_run_caches_equal_the_mesh_recompute():
@@ -122,10 +132,9 @@ def test_ode_residuals_from_the_run_caches_equal_the_mesh_recompute():
     config = FlowConfig(stepping="explicit", t_max=0.3, snapshot_every=4)
     result = run_flow(gen_ellipsoid(1.2, 1.0, 0.85, 2), config, observer=observer)
     assert [row for _, row, _ in seen] == result.series.records
-    assert all(a is b for (a, _, _), b in zip(seen, result.snapshot_meshes))
     assert result.final_state.step_index % 4  # the last row is off the cadence
     from_run = ode_residuals(result.series, [rhs for _, _, rhs in seen[:-1]])
-    from_meshes = identity_residuals(result.series, result.snapshot_meshes)
+    from_meshes = identity_residuals(result.series, [mesh for mesh, _, _ in seen])
     assert np.array_equal(from_run.h_ode, from_meshes.h_ode)
     assert np.array_equal(from_run.H2_ode, from_meshes.H2_ode)
     with pytest.raises(ValueError):
@@ -171,19 +180,21 @@ def unprojected_residuals(series, meshes):
 
 
 @pytest.fixture(scope="module")
-def projected_runs(small_run):
-    semi = run_flow(
+def projected_runs(small_run_and_meshes):
+    """(result, meshes) per kind of run."""
+    semi = run_keeping_meshes(
         gen_ellipsoid(1.2, 1.0, 0.85, 2),
         FlowConfig(stepping="semi-implicit", dt_max=0.01, t_max=0.2),
     )
-    curve = run_flow(ellipse(1.3, 0.8, 64), FlowConfig(stepping="explicit", t_max=0.1))
-    return {"explicit": small_run, "semi-implicit": semi, "curve": curve}
+    curve = run_keeping_meshes(
+        ellipse(1.3, 0.8, 64), FlowConfig(stepping="explicit", t_max=0.1)
+    )
+    return {"explicit": small_run_and_meshes, "semi-implicit": semi, "curve": curve}
 
 
 @pytest.mark.parametrize("kind", ["explicit", "semi-implicit", "curve"])
 def test_ode_residuals_match_unprojected_recompute(projected_runs, kind, monkeypatch):
-    run = projected_runs[kind]
-    meshes = run.snapshot_meshes
+    run, meshes = projected_runs[kind]
     assert any(r.area_scale_applied != 1.0 for r in run.series.records[1:])
     ref_h, ref_H2 = unprojected_residuals(run.series, meshes)
     calls = count_calls(monkeypatch, geometry, "compute_cache")
@@ -208,8 +219,8 @@ def test_ode_residuals_shrink_under_joint_refinement():
             stepping="explicit", cfl_safety=1.0, dt_max=dt, t_max=0.24,
             snapshot_every=1, roundness_tol=1e-12,
         )
-        result = run_flow(m, config)
-        res = identity_residuals(result.series, result.snapshot_meshes)
+        result, meshes = run_keeping_meshes(m, config)
+        res = identity_residuals(result.series, meshes)
         maxima.append((res.h_ode.max(), res.H2_ode.max()))
     assert maxima[1][0] < 0.5 * maxima[0][0]
     assert maxima[1][1] < 0.5 * maxima[0][1]
@@ -416,12 +427,12 @@ def test_series_rejects_wrong_header():
         TimeSeries.from_csv(io.StringIO("a,b,c\n1,2,3\n"))
 
 
-def test_summary_structure(small_run):
+def test_summary_structure(small_run, small_meshes):
     summary = make_summary(
         small_run.series,
         small_run.final_state.mesh,
         small_run.termination,
-        identity_residuals(small_run.series, small_run.snapshot_meshes),
+        identity_residuals(small_run.series, small_meshes),
     )
     assert set(summary) == {
         "termination",
@@ -436,10 +447,10 @@ def test_summary_structure(small_run):
     assert summary["final_sphere"]["radius"] > 0
 
 
-def test_snapshot_suprema_bitwise_recomputable(small_run):
+def test_snapshot_suprema_bitwise_recomputable(small_run, small_meshes):
     idx = len(small_run.series) // 2
     rec = small_run.series.records[idx]
-    cache = compute_cache(small_run.snapshot_meshes[idx])
+    cache = compute_cache(small_meshes[idx])
     assert float(np.abs(1 - rec.h * cache.mean_curvature).max()) == rec.sup_one_minus_hH
     assert float(cache.traceless_norm.max()) == rec.max_traceless
     assert float(cache.grad_H_norm.max()) == rec.max_grad_H

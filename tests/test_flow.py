@@ -33,7 +33,13 @@ from sapflow import (
 )
 from sapflow import diagnostics, flow, geometry
 from sapflow.diagnostics import area_identity_residuals, best_fit_sphere, series_to_csv_bytes
-from conftest import cg_not_converged, fail_on_call, replace_on_call, sliver_sphere
+from conftest import (
+    cg_not_converged,
+    fail_on_call,
+    replace_on_call,
+    run_keeping_meshes,
+    sliver_sphere,
+)
 
 
 def synthetic_cache(mesh, H_value, normals=None):
@@ -68,6 +74,10 @@ STEP_MESHES = {
         ("t_max", float("nan")),
         ("roundness_tol", 1.0),
         ("blowup_max_A", "1e3"),
+        ("blowup_max_A", float("nan")),
+        ("blowup_max_A", float("inf")),
+        ("blowup_max_A", 0.0),
+        ("blowup_max_A", -1.0),
         ("snapshot_every", 0),
         ("snapshot_every", 2.0),
         ("snapshot_every", True),
@@ -299,12 +309,14 @@ def test_blowup_guard_reports_cleanly():
 )
 def test_midrun_geometry_error_is_blowup(monkeypatch, error, kind):
     fail_on_call(monkeypatch, geometry, "compute_cache", 4, error)
-    result = run_flow(gen_ellipsoid(1.2, 1.0, 0.85, 2), FlowConfig(t_max=5.0))
+    result, meshes = run_keeping_meshes(
+        gen_ellipsoid(1.2, 1.0, 0.85, 2), FlowConfig(t_max=5.0)
+    )
     assert result.termination.kind == "blow_up"
     assert result.termination.detail == kind
     assert len(result.series) == 3
     # the fields of step 3 failed: the run ends at step 2, which has a row
-    assert len(result.snapshot_meshes) == 3
+    assert len(meshes) == 3
     assert result.final_state.step_index == 2
 
 
@@ -351,7 +363,7 @@ def test_area_drift_halves_with_dt():
             stepping="explicit", cfl_safety=1.0, dt_max=dt,
             area_projection=False, t_max=1.0, snapshot_every=5,
         )
-        result = run_flow(m, config, keep_meshes=False)
+        result = run_flow(m, config)
         area = result.series.column("area")
         drifts.append(np.abs(area - area[0]).max() / area[0])
     assert 4 / 3 <= drifts[0] / drifts[1] <= 4.0
@@ -365,7 +377,7 @@ def test_explicit_and_semi_implicit_agree():
             stepping=stepping, dt_max=dt_max, t_max=20.0, roundness_tol=1e-5,
             snapshot_every=10,
         )
-        result = run_flow(m, config, keep_meshes=False)
+        result = run_flow(m, config)
         assert result.termination.kind == "converged"
         fits.append(best_fit_sphere(result.final_state.mesh))
     assert fits[0].radius == pytest.approx(fits[1].radius, rel=0.005)
@@ -375,8 +387,8 @@ def test_explicit_and_semi_implicit_agree():
 def test_run_is_deterministic():
     m = gen_ellipsoid(1.2, 1.0, 0.85, 2)
     config = FlowConfig(stepping="explicit", t_max=0.3, snapshot_every=2)
-    a = run_flow(m, config, keep_meshes=False)
-    b = run_flow(m, config, keep_meshes=False)
+    a = run_flow(m, config)
+    b = run_flow(m, config)
     assert series_to_csv_bytes(a.series) == series_to_csv_bytes(b.series)
 
 
@@ -388,10 +400,10 @@ def test_semi_implicit_run_is_deterministic():
     other = gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 2)
     assert other.n_vertices == m.n_vertices
     config = FlowConfig(stepping="semi-implicit", dt_max=0.01, t_max=0.3, snapshot_every=2)
-    a = run_flow(m, config, keep_meshes=False)
-    b = run_flow(m, config, keep_meshes=False)
-    run_flow(other, config, keep_meshes=False)
-    c = run_flow(m, config, keep_meshes=False)
+    a = run_flow(m, config)
+    b = run_flow(m, config)
+    run_flow(other, config)
+    c = run_flow(m, config)
     assert series_to_csv_bytes(a.series) == series_to_csv_bytes(b.series)
     assert series_to_csv_bytes(a.series) == series_to_csv_bytes(c.series)
 
@@ -428,7 +440,8 @@ def test_semi_implicit_step_solves_the_system(name):
     h, dt = compute_h(cache), 0.05
     explicit = mesh.vertices + dt * flow_velocity(cache, h)
     x = flow._semi_implicit_step(mesh, cache, h, dt, explicit)
-    A = np.diag(cache.vertex_area) + dt * h * geometry.cotangent_stiffness(mesh).toarray()
+    L = geometry.cotangent_stiffness(mesh, cache.stiffness_weight)
+    A = np.diag(cache.vertex_area) + dt * h * L.toarray()
     rhs = cache.vertex_area[:, None] * (mesh.vertices + dt * cache.normal)
     # CG stops at a residual of _CG_RTOL |rhs| per coordinate; these meshes
     # have unit size, so x is off by about as much
@@ -441,7 +454,7 @@ def dent_run(monkeypatch, rtol, **config):
     monkeypatch.setattr(flow, "_CG_RTOL", rtol)
     mesh = gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 2)
     config = FlowConfig(**{"stepping": "semi-implicit", "snapshot_every": 5, **config})
-    result = run_flow(mesh, config, keep_meshes=False)
+    result = run_flow(mesh, config)
     assert result.termination.kind == "converged"
     return result
 
@@ -479,28 +492,28 @@ def test_unconverged_solve_is_blowup(monkeypatch):
     # three solves per step: the 4th call is the first coordinate of step 2
     replace_on_call(monkeypatch, flow.spla, "cg", 4, cg_not_converged)
     config = FlowConfig(stepping="semi-implicit", dt_max=0.01, t_max=5.0)
-    result = run_flow(gen_ellipsoid(1.2, 1.0, 0.85, 2), config)
+    result, meshes = run_keeping_meshes(gen_ellipsoid(1.2, 1.0, 0.85, 2), config)
     assert str(result.termination) == "blow_up(linear_solve)"
     assert len(result.series) == 2
-    assert len(result.snapshot_meshes) == 2
+    assert len(meshes) == 2
     assert result.final_state.step_index == 1
 
 
 # -- every blow-up kind ends at a state that has a row ------------------------------
 
 
-def assert_ends_at_last_row(result, termination, rows):
+def assert_ends_at_last_row(result, meshes, termination, rows):
     assert str(result.termination) == termination
     assert len(result.series) == rows
     assert result.series.records[-1].t == result.final_state.t
-    assert result.snapshot_meshes[-1] is result.final_state.mesh
+    assert meshes[-1] is result.final_state.mesh
 
 
 def test_mesh_degeneracy_is_blowup():
     sliver = sliver_sphere(gap=5e-4)
     assert compute_cache(sliver).min_angle < flow.MIN_ANGLE_LIMIT
-    result = run_flow(sliver, FlowConfig(t_max=5.0))
-    assert_ends_at_last_row(result, "blow_up(mesh_degeneracy)", rows=1)
+    result, meshes = run_keeping_meshes(sliver, FlowConfig(t_max=5.0))
+    assert_ends_at_last_row(result, meshes, "blow_up(mesh_degeneracy)", rows=1)
     assert result.final_state.step_index == 0
 
 
@@ -524,9 +537,9 @@ def test_injected_blowup_ends_at_last_row(monkeypatch, kind):
     name, k, substitute = INJECTED_BLOWUPS[kind]
     replace_on_call(monkeypatch, flow, name, k, substitute)
     config = FlowConfig(stepping="explicit", t_max=5.0, snapshot_every=2)
-    result = run_flow(gen_ellipsoid(1.2, 1.0, 0.85, 2), config)
+    result, meshes = run_keeping_meshes(gen_ellipsoid(1.2, 1.0, 0.85, 2), config)
     # rows at steps 0 and 2 on the cadence, then step 3, the final state
-    assert_ends_at_last_row(result, f"blow_up({kind})", rows=3)
+    assert_ends_at_last_row(result, meshes, f"blow_up({kind})", rows=3)
     assert result.final_state.step_index == 3
 
 
@@ -534,6 +547,12 @@ def test_degenerate_H_on_input_propagates(monkeypatch):
     replace_on_call(monkeypatch, flow, "compute_h", 1, _raise_degenerate_H)
     with pytest.raises(DegenerateMeanCurvatureError):
         run_flow(gen_ellipsoid(1.2, 1.0, 0.85, 2), FlowConfig(t_max=5.0))
+
+
+def test_keep_meshes_true_is_rejected(icosphere):
+    # the observer is the one way to see the meshes of the rows
+    with pytest.raises(ValueError, match="observer"):
+        run_flow(icosphere(1.0, 1), FlowConfig(), keep_meshes=True)
 
 
 def test_bowtie_is_invalid_input(bowtie):

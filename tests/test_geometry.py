@@ -27,19 +27,14 @@ from sapflow import (
     compute_h,
     diameter_estimate,
     enclosed_volume,
-    gradient_norm_field,
     run_flow,
     surface_integral,
     validate,
     vertex_area_weights,
 )
 from sapflow import geometry, mesh as meshmod
-from sapflow.geometry import (
-    cotangent_stiffness,
-    mean_curvature_vector,
-    osculating_sphere_normals,
-)
-from conftest import count_calls, make_cylinder_patch
+from sapflow.geometry import cotangent_stiffness
+from conftest import count_calls, make_cylinder_patch, run_keeping_meshes
 
 
 # -- area weights ---------------------------------------------------------------
@@ -177,14 +172,19 @@ def test_pointwise_traceless_identity(icosphere):
 # -- gradients -------------------------------------------------------------------------
 
 
+def gradient_norm(mesh, f):
+    """|grad f| of an arbitrary vertex field, by the formula of grad_H_norm."""
+    return geometry._gradient_norm(mesh, geometry._configuration(mesh), f)
+
+
 def test_gradient_constant_field(icosphere):
     m = icosphere(1.0, 2)
-    g = gradient_norm_field(m, np.full(m.n_vertices, 3.7))
+    g = gradient_norm(m, np.full(m.n_vertices, 3.7))
     assert np.abs(g).max() < 1e-12
 
 
 def test_gradient_affine_exactness(flat_patch):
-    g = gradient_norm_field(flat_patch, flat_patch.vertices[:, 0])
+    g = gradient_norm(flat_patch, flat_patch.vertices[:, 0])
     assert np.abs(g - 1.0).max() < 1e-12
 
 
@@ -192,7 +192,7 @@ def test_gradient_of_H_vanishes_under_refinement(icosphere):
     maxima = []
     for sub in (2, 3, 4):
         m = icosphere(1.0, sub)
-        maxima.append(gradient_norm_field(m, compute_cache(m).mean_curvature).max())
+        maxima.append(compute_cache(m).grad_H_norm.max())
     assert all(a > b for a, b in zip(maxima, maxima[1:]))
 
 
@@ -389,8 +389,7 @@ def record_sources(monkeypatch):
 
 
 def ellipsoid_run(observer):
-    run_flow(gen_ellipsoid(1.2, 1.0, 0.85, 2), FlowConfig(t_max=1.0),
-             keep_meshes=False, observer=observer)
+    run_flow(gen_ellipsoid(1.2, 1.0, 0.85, 2), FlowConfig(t_max=1.0), observer=observer)
 
 
 @pytest.fixture(scope="module")
@@ -476,16 +475,16 @@ def test_diameter_close_to_32_source_estimate_icosphere(icosphere, subdivisions)
     ids=["explicit-ellipsoid-s2", "semi-implicit-dent-s3"],
 )
 def test_diameter_close_to_32_source_estimate_along_runs(mesh, config):
-    result = run_flow(mesh, config, keep_meshes=True)
+    result, meshes = run_keeping_meshes(mesh, config)
     assert result.termination.kind == "converged"
     new = result.series.column("diameter_est")
-    old = np.array([diameter_32_sources(m) for m in result.snapshot_meshes])
+    old = np.array([diameter_32_sources(m) for m in meshes])
     assert (new >= 0.99 * old).all()
     # both are eccentricities of the same graph, so the only way above the
     # 32-source value is a longer graph path it missed (on the ellipsoid run
     # the new value is up to 1.3 % higher, where the old one falls 1.6 % short)
     for row in np.flatnonzero(new > 1.01 * old):
-        assert new[row] <= graph_diameter(result.snapshot_meshes[row]) * (1 + 1e-12)
+        assert new[row] <= graph_diameter(meshes[row]) * (1 + 1e-12)
 
 
 @settings(max_examples=25, deadline=None)
@@ -574,7 +573,7 @@ def test_flat_ring_sphere_fit_falls_back_to_vertex_normal(unit_cube):
     cache = compute_cache(mesh)
     assert all(np.isfinite(getattr(cache, f)).all() for f in CACHE_FIELDS)
     reference = cache.normal
-    fitted = osculating_sphere_normals(mesh, reference)
+    fitted = geometry._sphere_fit_normals(mesh, geometry._configuration(mesh), reference)
     assert np.array_equal(fitted[8:], reference[8:])
     assert np.allclose(reference[8:], [[0, 0, -1], [0, 0, 1], [0, -1, 0],
                                        [0, 1, 0], [1, 0, 0], [-1, 0, 0]])
@@ -633,11 +632,7 @@ def test_cache_equals_standalone_operations(name):
     mesh = CACHE_MESHES[name]()
     cache = compute_cache(mesh)
     assert np.array_equal(cache.vertex_area, vertex_area_weights(mesh))
-    assert np.array_equal(
-        cache.grad_H_norm, gradient_norm_field(mesh, cache.mean_curvature)
-    )
-    L = cotangent_stiffness(mesh, cache.stiffness_weight)
-    assert np.array_equal(L.data, cotangent_stiffness(mesh).data)
+    assert np.array_equal(cache.grad_H_norm, gradient_norm(mesh, cache.mean_curvature))
     assert cache.volume == enclosed_volume(mesh)
 
 
@@ -666,29 +661,36 @@ def test_cache_relabelling_property(name, seed):
 # -- cotangent stiffness ----------------------------------------------------------------
 
 
+def stiffness(mesh):
+    """The cotangent stiffness at the half-edge weights of ``mesh``."""
+    conf = geometry._configuration(mesh)
+    return cotangent_stiffness(mesh, geometry._stiffness_weight(mesh, conf))
+
+
 @pytest.mark.parametrize("name", sorted(CACHE_MESHES))
-def test_stiffness_reproduces_mean_curvature_vector(name):
+def test_stiffness_reproduces_area_gradient(name):
     mesh = CACHE_MESHES[name]()
-    L = cotangent_stiffness(mesh)
-    assert np.allclose(
-        L @ mesh.vertices, mean_curvature_vector(mesh), rtol=0, atol=1e-13
-    )
+    conf = geometry._configuration(mesh)
+    weight = geometry._stiffness_weight(mesh, conf)
+    L = cotangent_stiffness(mesh, weight)
+    area_gradient = geometry._area_gradient(mesh, conf, weight)
+    assert np.allclose(L @ mesh.vertices, area_gradient, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("name", sorted(CACHE_MESHES))
 def test_stiffness_symmetric_with_zero_row_sums(name):
-    L = cotangent_stiffness(CACHE_MESHES[name]())
+    L = stiffness(CACHE_MESHES[name]())
     assert abs(L - L.T).max() == 0
     assert np.abs(L.sum(axis=1)).max() <= 1e-13 * abs(L).max()
 
 
 def test_stiffness_pattern_shared_by_derived_meshes():
     mesh = CACHE_MESHES["dented"]()
-    L = cotangent_stiffness(mesh)
+    L = stiffness(mesh)
     moved = mesh.with_vertices(1.5 * mesh.vertices)
     assert moved._connectivity.stiffness_pattern is mesh._connectivity.stiffness_pattern
     # a uniform scale leaves every cotangent unchanged
-    assert np.allclose(cotangent_stiffness(moved).data, L.data, rtol=1e-13, atol=0)
+    assert np.allclose(stiffness(moved).data, L.data, rtol=1e-13, atol=0)
 
 
 @settings(max_examples=25, deadline=None)
@@ -699,7 +701,7 @@ def test_stiffness_positive_semidefinite_property(seed, amplitude):
     base = gen_icosphere(1.0, subdivisions=2)
     noise = amplitude * rng.uniform(-1.0, 1.0, size=base.vertices.shape)
     mesh = base.with_vertices(base.vertices + noise)
-    L = cotangent_stiffness(mesh)
+    L = stiffness(mesh)
     for f in rng.normal(size=(5, mesh.n_vertices)):
         assert f @ (L @ f) >= -1e-12 * (f @ f)
 
@@ -763,7 +765,7 @@ def test_incidence_operators_match_bincount(name, unit_cube):
     assert np.array_equal(geometry._stiffness_weight(mesh, conf), weight.ravel())
     x = weight[:, :, None] * conf.edge
     expected = bincount_sum(corner, (x[[2, 0, 1]] - x).reshape(-1, 3), n)
-    assert np.array_equal(mean_curvature_vector(mesh), expected)
+    assert np.array_equal(geometry._area_gradient(mesh, conf, weight.ravel()), expected)
     # the stiffness slot scatter: -w into (a, b) and (b, a), w into (a, a) and
     # (b, b) for each half-edge a -> b
     a, b = mesh.directed_edges.T
@@ -987,8 +989,7 @@ def test_operators_built_once_for_meshes_derived_before_first_use(monkeypatch):
     derived = [mesh.with_vertices(s * mesh.vertices) for s in (1.1, 0.9)]
     builds = count_calls(monkeypatch, meshmod, "_incidence")
     for m in (*derived, mesh):
-        compute_cache(m)
-        cotangent_stiffness(m)
+        cotangent_stiffness(m, compute_cache(m).stiffness_weight)
     # ring (face is a view of it) and the stiffness assembly, once for all
     # three
     assert len(builds) == 2

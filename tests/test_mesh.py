@@ -495,9 +495,11 @@ def test_generators_validate(icosphere):
     ],
     ids=["icosphere", "ellipsoid", "perturbed"],
 )
-@pytest.mark.parametrize("subdivisions", [-1, -2, -0.5])
+@pytest.mark.parametrize("subdivisions", [-1, -2, -0.5, 1.7, 2.0, float("nan"), True])
 def test_generators_reject_negative_subdivisions(generate, subdivisions):
-    with pytest.raises(ValueError, match="subdivisions must be >= 0"):
+    # a non-integral count would be truncated: 1.7 built the subdivision-1 mesh
+    message = ">= 0" if subdivisions < 0 else "an integer"
+    with pytest.raises(ValueError, match=f"subdivisions must be {message}"):
         generate(subdivisions)
 
 
