@@ -24,7 +24,7 @@ from .errors import (
     OrientationError,
 )
 from . import diagnostics, geometry
-from .mesh import TriMesh, intrinsic_dimension, validate
+from .mesh import TriMesh, _SegmentRecord, intrinsic_dimension
 
 # smallest face corner (curve vertex) angle, in radians, before a run ends as
 # blow_up(mesh_degeneracy)
@@ -219,7 +219,7 @@ def enforce_area_constraint(state):
     factor is recorded on the state for the diagnostics to compensate.
     """
     mesh = state.mesh
-    current, c = geometry._area_centroid(mesh, geometry._configuration(mesh))
+    current, c = geometry._area_centroid(geometry._configuration(mesh))
     scale = (state.initial_area / current) ** (1 / intrinsic_dimension(mesh.mode))
     if scale == 1.0:
         return replace(state, last_projection_scale=1.0)
@@ -243,7 +243,8 @@ def run_flow(mesh, config, keep_meshes=False, observer=None):
     ``DegenerateGeometryError`` as ``degenerate_geometry``, an
     ``OrientationError`` as ``orientation``, a
     ``DegenerateMeanCurvatureError`` as ``degenerate_H``. On the input mesh
-    these errors propagate.
+    these errors propagate; one that is not a closed oriented manifold, or a
+    clockwise curve, raises ``BlowUpError("invalid_input", <the defect>)``.
 
     ``observer``, when given, is called as ``observer(state, cache, row)``
     once per recorded row, as the row is recorded: ``row`` is its
@@ -263,9 +264,11 @@ def run_flow(mesh, config, keep_meshes=False, observer=None):
         raise ValueError(
             "run_flow keeps no meshes: collect them with observer(state, cache, row)"
         )
-    report = validate(mesh)
-    if not (report.is_closed and report.is_oriented and report.is_vertex_manifold):
-        raise BlowUpError("invalid_input", "mesh is not a closed oriented manifold")
+    defect = mesh._topology_defect
+    if defect is None and mesh.mode == "curve" and _SegmentRecord(mesh).volume <= 0:
+        defect = "clockwise curve (negative enclosed area)"
+    if defect is not None:
+        raise BlowUpError("invalid_input", defect)
 
     cache = geometry.compute_cache(mesh)
     state = FlowState(

@@ -8,9 +8,9 @@ normal divided by the vertex area; with the nonlocal coefficient built from
 the same fields this makes the discrete first variation of total area vanish
 exactly (see flow module).
 
-Curve mode (closed planar polylines) dispatches to the one-dimensional
-analogues: half-edge-sum length weights, turning-angle curvature, shoelace
-enclosed area.
+Curve mode (closed planar polylines) takes one straight-line pass over the
+curve's segment record instead: half-edge-sum length weights, turning-angle
+curvature, shoelace enclosed area.
 """
 
 from dataclasses import dataclass
@@ -20,28 +20,31 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import DegenerateGeometryError, OrientationError
-from .mesh import _FaceRecord, _cross, _dot, _norm, _shoelace_area, _turning_angles
+from .mesh import _FaceRecord, _SegmentRecord, _cross, _dot, _norm
 
 
 @dataclass
 class GeometryCache:
     """Per-vertex discrete geometry of one mesh configuration.
 
-    Fields
+    Fields (a curve's from the curve pass, :func:`_curve_cache`)
     ------
     vertex_area : (n,) float
         Mixed-Voronoi area weights (discrete surface measure); arc-length
         weights in curve mode.
     normal : (n, d) float
-        Outward unit vertex normals (area-weighted face-normal average).
+        Outward unit vertex normals (area-weighted face-normal average; the
+        sum of the two segment normals in curve mode).
     mean_curvature : (n,) float
         Discrete H; turning-angle curvature in curve mode.
     second_form_norm : (n,) float
-        |A| = sqrt(k1^2 + k2^2) from the trace-reconciled shape operator fit.
+        |A| = sqrt(k1^2 + k2^2) from the trace-reconciled shape operator fit;
+        |H| in curve mode.
     traceless_norm : (n,) float
         |Adev| with |Adev|^2 = |A|^2 - H^2/n; identically zero in curve mode.
     grad_H_norm : (n,) float
-        Intrinsic |grad H| from area-averaged per-face affine gradients.
+        Intrinsic |grad H| from area-averaged per-face affine gradients; the
+        centred difference along arc length in curve mode.
     stiffness_weight : (3m,) or (n,) float
         Half the cotangent of the corner opposite each half-edge (row-aligned
         with ``mesh.directed_edges``), or 1/length of each curve segment: the
@@ -79,35 +82,64 @@ class GeometryCache:
 # -- per-configuration data and the field formulas ----------------------------
 #
 # Every field is built from one per-configuration record: the face record of
-# a surface, or the unit tangents and segment lengths of a curve. Each helper
-# below holds the one formula for its field and the one curve/surface branch.
-# compute_cache is the one source of a configuration's per-vertex fields; the
-# operations further down take what they need of it as arguments. Sums over faces,
-# corners and half-edges are products with the incidence operators of the
-# mesh's connectivity (mesh._Connectivity); the half-edge vectors are the face
-# record's edges, one gather that both curvature fits share. The vector
-# arithmetic is written out per component, once, in mesh._dot / _cross / _norm.
+# a surface or the segment record of a curve, which share the names of the
+# measure (area), the element centroids and the enclosed volume. compute_cache
+# decides curve or surface once: a curve takes the one straight-line pass of
+# _curve_cache, a surface the helpers below, each the one formula for its
+# field. compute_cache is the one source of a configuration's per-vertex
+# fields; the operations further down take what they need of it as arguments.
+# Sums over faces, corners and half-edges are products with the incidence
+# operators of the mesh's connectivity (mesh._Connectivity); the half-edge
+# vectors are the face record's edges, one gather that both curvature fits
+# share. The vector arithmetic is written out per component, once, in
+# mesh._dot / _cross / _norm.
 
 
 def _configuration(mesh):
-    """Face record (surface) or (unit tangents, segment lengths) (curve)."""
-    if mesh.mode == "curve":
-        v = mesh.vertices
-        e = np.diff(np.vstack([v, v[:1]]), axis=0)  # edge i: v_i -> v_{i+1}
-        ln = np.linalg.norm(e, axis=1)
-        if (ln == 0).any():
-            raise DegenerateGeometryError("zero-length curve segment")
-        return e / ln[:, None], ln
-    faces = _FaceRecord(mesh)
-    if (faces.area == 0).any():
-        raise DegenerateGeometryError("zero-area face")
-    return faces
+    """Face record (surface) or segment record (curve) of this configuration."""
+    curve = mesh.mode == "curve"
+    conf = (_SegmentRecord if curve else _FaceRecord)(mesh)
+    if (conf.area == 0).any():
+        what = "zero-length curve segment" if curve else "zero-area face"
+        raise DegenerateGeometryError(what)
+    return conf
+
+
+def _segment_weights(length):
+    """Curve vertex weights: half the summed length of the two incident segments."""
+    return 0.5 * (length + np.roll(length, 1))
+
+
+def _curve_cache(mesh, seg):
+    """The cache of a closed planar polyline, in one pass over its segment
+    record; the stiffness weight of a segment is 1/length."""
+    ln, t = seg.area, seg.tangent
+    weights = _segment_weights(ln)
+    # outward for counter-clockwise orientation: rotate tangent by -90 deg
+    rot = np.column_stack([t[:, 1], -t[:, 0]])
+    normal = rot + np.roll(rot, 1, axis=0)
+    normal_length = np.linalg.norm(normal, axis=1)
+    if (normal_length == 0).any():
+        raise DegenerateGeometryError("cusp vertex on curve")
+    volume = enclosed_volume(mesh, seg)
+    if volume < 0:
+        raise OrientationError("clockwise curve (negative enclosed area)")
+    H = seg.turning / weights
+    return GeometryCache(
+        vertex_area=weights,
+        normal=normal / normal_length[:, None],
+        mean_curvature=H,
+        second_form_norm=np.abs(H),
+        traceless_norm=np.zeros_like(H),
+        grad_H_norm=np.abs(np.roll(H, -1) - np.roll(H, 1)) / (ln + np.roll(ln, 1)),
+        stiffness_weight=1.0 / ln,
+        edge_length=ln,
+        volume=volume,
+        min_angle=float(pi - np.abs(seg.turning).max()),
+    )
 
 
 def _weights(mesh, conf):
-    if mesh.mode == "curve":
-        _, ln = conf
-        return 0.5 * (ln + np.roll(ln, 1))
     cot, area = conf.cot, conf.area
     # |edge opposite corner k|^2 cot_k; the edge opposite corner k is edge k + 1
     t = conf.length2[[1, 2, 0]] * cot
@@ -121,17 +153,6 @@ def _weights(mesh, conf):
 
 
 def _normals(mesh, conf):
-    if mesh.mode == "curve":
-        t, _ = conf
-        # outward for counter-clockwise orientation: rotate tangent by -90 deg
-        rot = np.column_stack([t[:, 1], -t[:, 0]])
-        n = rot + np.roll(rot, 1, axis=0)
-        ln = np.linalg.norm(n, axis=1)
-        if (ln == 0).any():
-            raise DegenerateGeometryError("cusp vertex on curve")
-        if _shoelace_area(mesh.vertices) < 0:
-            raise OrientationError("clockwise curve (negative enclosed area)")
-        return n / ln[:, None]
     # the volume sign check only means anything on closed meshes
     if mesh.is_closed and conf.volume <= 0:
         raise OrientationError("inward orientation (negative enclosed volume)")
@@ -148,20 +169,10 @@ def _area_gradient(mesh, conf, weight):
     """Gradient of total area w.r.t. vertex positions (cotangent formula):
     the integrated discrete Laplace-Beltrami of the embedding, the outward
     mean curvature normal times the vertex area."""
-    if mesh.mode == "curve":
-        t, _ = conf
-        return np.roll(t, 1, axis=0) - t  # gradient of total length
     # each half-edge carries its weight times its vector x: -x into its source
     # and x into its target, the source of the next half-edge of its face
     x = weight.reshape(3, -1, 1) * conf.edge
     return mesh._connectivity.ring @ (x[[2, 0, 1]] - x).reshape(-1, 3)
-
-
-def _mean_curvature(mesh, conf, weights, normals, mcv):
-    if mesh.mode == "curve":
-        t, _ = conf
-        return _turning_angles(t) / weights
-    return _dot(mcv, normals) / weights
 
 
 def _second_form(mesh, conf, normals, H):
@@ -169,10 +180,8 @@ def _second_form(mesh, conf, normals, H):
 
     The shape operator is fit per vertex from the derivatives of the
     osculating-sphere normals along the 1-ring edges and rescaled so that its
-    trace is the H that drives the flow. Curve mode: |A| = |H|, |Adev| = 0.
+    trace is the H that drives the flow.
     """
-    if mesh.mode == "curve":
-        return np.abs(H), np.zeros_like(H)
     nsf = _sphere_fit_normals(mesh, conf, normals)
     k1, k2 = _shape_operator_eigen(mesh, conf, nsf, H)
     second = np.sqrt(k1**2 + k2**2)
@@ -185,12 +194,7 @@ def _gradient_norm(mesh, conf, f):
     The gradient of the piecewise-linear interpolant is constant per face and
     tangential by construction; vertex values are face-area-weighted averages
     over the incident faces. Exact on affine fields over flat patches.
-    Curve mode: centred difference along arc length.
     """
-    if mesh.mode == "curve":
-        _, ln = conf
-        df = np.roll(f, -1) - np.roll(f, 1)
-        return np.abs(df) / (ln + np.roll(ln, 1))
     # the face gradient is n_f x sum_k f_k E_k / 2A, E_k the edge opposite
     # corner k (edge k + 1) and n_f = cross / 2A; vertices average it by area
     fk = f[mesh.faces.T][:, :, None]
@@ -204,36 +208,17 @@ def _gradient_norm(mesh, conf, f):
 
 
 def _stiffness_weight(mesh, conf):
-    if mesh.mode == "curve":
-        _, ln = conf
-        return 1.0 / ln
     # the half-edge leaving corner k is opposite corner k - 1
     return (0.5 * conf.cot[[2, 0, 1]]).ravel()
 
 
-def _min_angle(mesh, conf):
-    if mesh.mode == "curve":
-        t, _ = conf
-        return float(pi - np.abs(_turning_angles(t)).max())
-    # the corner angle in (0, pi) decreases as its cotangent grows
-    return float(np.arctan2(1.0, conf.cot.max()))
-
-
-def _edge_length(mesh, conf):
-    if mesh.mode == "curve":
-        _, ln = conf
-        return ln
+def _edge_length(conf):
     # every edge is a half-edge of some face; |p - q| squares each component
     # as mesh.edge_lengths() does, so both give the same bits
     return np.sqrt(conf.length2).ravel()
 
 
-def _area_centroid(mesh, conf):
-    if mesh.mode == "curve":
-        v = mesh.vertices
-        _, ln = conf
-        total = float(ln.sum())
-        return total, ((v + np.roll(v, -1, axis=0)) / 2 * ln[:, None]).sum(0) / total
+def _area_centroid(conf):
     total = float(conf.area.sum())
     return total, (conf.centroid * conf.area[:, None]).sum(0) / total
 
@@ -251,7 +236,8 @@ def vertex_area_weights(mesh):
     remains because the benchmark's tracer (perfbench/tracing.py) wraps it by
     name.
     """
-    return _weights(mesh, _configuration(mesh))
+    conf = _configuration(mesh)
+    return _segment_weights(conf.area) if mesh.mode == "curve" else _weights(mesh, conf)
 
 
 def cotangent_stiffness(mesh, weight):
@@ -409,13 +395,11 @@ def surface_integral(weights, f):
 def enclosed_volume(mesh, conf=None):
     """Signed enclosed volume (divergence theorem, exact for polyhedra).
 
-    Curve mode: shoelace area of the polygon. ``conf`` is the face record of
-    this configuration, built when omitted. ``compute_cache`` calls this
-    function for ``cache.volume``; it remains public because the benchmark's
-    tracer (perfbench/tracing.py) wraps it by name.
+    Curve mode: shoelace area of the polygon. ``conf`` is the face (segment)
+    record of this configuration, built when omitted. ``compute_cache`` calls
+    this function for ``cache.volume``; it remains public because the
+    benchmark's tracer (perfbench/tracing.py) wraps it by name.
     """
-    if mesh.mode == "curve":
-        return _shoelace_area(mesh.vertices)
     return (conf or _configuration(mesh)).volume
 
 
@@ -454,11 +438,9 @@ def diameter_estimate(mesh, edge_length=None):
     """
     from scipy.sparse.csgraph import dijkstra
 
-    if mesh.mode == "surface" and (not mesh.is_closed or mesh._has_duplicate_directed):
-        raise ValueError("diameter_estimate needs a closed, consistently oriented surface")
-    if edge_length is None:
-        edge_length = _edge_length(mesh, _configuration(mesh))
     if mesh.mode == "curve":
+        if edge_length is None:
+            edge_length = _configuration(mesh).area
         cum = np.concatenate([[0.0], np.cumsum(edge_length)])
         total = cum[-1]
         # the arc distance from a vertex peaks at its antipode, so the farthest
@@ -467,6 +449,10 @@ def diameter_estimate(mesh, edge_length=None):
         k = np.searchsorted(cum, np.where(pos < half, pos + half, pos - half))
         arc = np.abs(pos - cum[np.stack([k - 1, k])])
         return float(np.minimum(arc, total - arc).max())
+    if not mesh.is_closed or mesh._has_duplicate_directed:
+        raise ValueError("diameter_estimate needs a closed, consistently oriented surface")
+    if edge_length is None:
+        edge_length = _edge_length(_configuration(mesh))
     graph = mesh._connectivity.diameter_graph
     n = mesh.n_vertices
     g = sparse.csr_matrix(
@@ -515,7 +501,8 @@ def compute_cache(mesh):
     """Compute all per-vertex geometry fields for one mesh configuration.
 
     The one entry point for the normals, H, |A|, |Adev| and |grad H|. Builds
-    the per-configuration data once and runs every field helper on it.
+    the per-configuration record once; a curve takes the curve pass, a
+    surface runs every field helper on the record.
 
     Raises
     ------
@@ -526,10 +513,12 @@ def compute_cache(mesh):
         weight, or rank-deficient 1-ring shape operator fit.
     """
     conf = _configuration(mesh)
+    if mesh.mode == "curve":
+        return _curve_cache(mesh, conf)
     weights = _weights(mesh, conf)
     normals = _normals(mesh, conf)
     stiffness = _stiffness_weight(mesh, conf)
-    H = _mean_curvature(mesh, conf, weights, normals, _area_gradient(mesh, conf, stiffness))
+    H = _dot(_area_gradient(mesh, conf, stiffness), normals) / weights
     second, traceless = _second_form(mesh, conf, normals, H)
     return GeometryCache(
         vertex_area=weights,
@@ -539,7 +528,8 @@ def compute_cache(mesh):
         traceless_norm=traceless,
         grad_H_norm=_gradient_norm(mesh, conf, H),
         stiffness_weight=stiffness,
-        edge_length=_edge_length(mesh, conf),
+        edge_length=_edge_length(conf),
         volume=enclosed_volume(mesh, conf),
-        min_angle=_min_angle(mesh, conf),
+        # the corner angle in (0, pi) decreases as its cotangent grows
+        min_angle=float(np.arctan2(1.0, conf.cot.max())),
     )

@@ -110,6 +110,7 @@ class TriMesh:
             e = np.column_stack([np.arange(n), np.roll(np.arange(n), -1)])
             e.setflags(write=False)
             self.directed_edges = e
+            self._topology_defect = None
         self._connectivity = _Connectivity(self)
 
     # -- connectivity -------------------------------------------------------
@@ -135,10 +136,7 @@ class TriMesh:
         # orientation balance: a consistently oriented interior edge appears
         # once in each direction
         self._has_duplicate_directed = bool((key[1:] == key[:-1]).any())
-        self._is_vertex_manifold = (
-            self.is_closed and not self._has_duplicate_directed
-            and _single_vertex_links(self, order)
-        )
+        self._topology_defect = _topology_defect(self, order)
 
     @property
     def n_vertices(self):
@@ -252,6 +250,37 @@ class _FaceRecord:
     def volume(self):
         """Signed enclosed volume (divergence theorem, exact for polyhedra)."""
         return float(np.einsum("ij,ij->i", self.centroid, self.cross).sum() / 6.0)
+
+
+class _SegmentRecord:
+    """Per-segment data of one curve configuration, named as in the face record:
+    segment i (row i of ``mesh.directed_edges``) runs from vertex i to i + 1.
+    ``edge``, the lengths ``area`` and the midpoints ``centroid`` are computed
+    on construction; the unit ``tangent``, the signed ``turning`` angle from
+    segment i - 1 to i and the shoelace ``volume`` on first use, since
+    validation must not divide by a zero length."""
+
+    def __init__(self, mesh):
+        v = self.vertices = mesh.vertices
+        self.edge = np.diff(np.vstack([v, v[:1]]), axis=0)
+        self.area = np.linalg.norm(self.edge, axis=1)
+        self.centroid = (v + np.roll(v, -1, axis=0)) / 2
+
+    @cached_property
+    def tangent(self):
+        return self.edge / self.area[:, None]
+
+    @cached_property
+    def turning(self):
+        t = self.tangent
+        tp = np.roll(t, 1, axis=0)
+        cross = tp[:, 0] * t[:, 1] - tp[:, 1] * t[:, 0]
+        return np.arctan2(cross, np.einsum("ij,ij->i", tp, t))
+
+    @cached_property
+    def volume(self):
+        x, y = self.vertices[:, 0], self.vertices[:, 1]
+        return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
 
 
 def _incidence(rows, cols, shape, sign=None):
@@ -429,15 +458,22 @@ def _single_vertex_links(mesh, order):
         if np.array_equal(nxt, label):
             break
         label, hop = nxt, hop[hop]
-    return np.count_nonzero(label == corner) == n
+    return bool(np.count_nonzero(label == corner) == n)
 
 
-def _turning_angles(t):
-    """Signed (counter-clockwise) turning angle at each vertex of a closed
-    polyline, from the unit tangents ``t`` of its segments i -> i + 1."""
-    tp = np.roll(t, 1, axis=0)
-    cross = tp[:, 0] * t[:, 1] - tp[:, 1] * t[:, 0]
-    return np.arctan2(cross, np.einsum("ij,ij->i", tp, t))
+def _topology_defect(mesh, order):
+    """The first reason that a surface connectivity is not a closed oriented
+    manifold, or None; ``order`` sorts the half-edges by undirected edge."""
+    boundary = int((mesh._edge_counts == 1).sum())
+    if boundary:
+        return f"{boundary} boundary edges"
+    if (mesh._edge_counts > 2).any():
+        return "edge shared by more than two faces"
+    if mesh._has_duplicate_directed:
+        return "inconsistent face orientation"
+    if not _single_vertex_links(mesh, order):
+        return "non-manifold vertex (one-ring is not a single cycle)"
+    return None
 
 
 def intrinsic_dimension(mode):
@@ -458,58 +494,40 @@ def validate(mesh):
     vectors, accurate down to slivers; a degenerate face has a zero angle.
     """
     if mesh.mode == "curve":
-        e = np.diff(np.vstack([mesh.vertices, mesh.vertices[:1]]), axis=0)
-        ln = np.linalg.norm(e, axis=1)
-        area = _shoelace_area(mesh.vertices)
+        seg = _SegmentRecord(mesh)
         # a zero-length segment has no tangent: its vertex angles are 0
-        if (ln == 0).any():
-            min_angle = 0.0
-        else:
-            min_angle = float(pi - np.abs(_turning_angles(e / ln[:, None])).max())
+        min_angle = 0.0 if (seg.area == 0).any() else float(pi - np.abs(seg.turning).max())
         return MeshQualityReport(
-            is_closed=True,
-            is_oriented=bool(area > 0),
-            is_vertex_manifold=True,
-            min_face_area=float(ln.min()),
-            min_angle=min_angle,
-            boundary_edge_count=0,
-            volume=area,
+            is_closed=True, is_oriented=bool(seg.volume > 0), is_vertex_manifold=True,
+            min_face_area=float(seg.area.min()), min_angle=min_angle,
+            boundary_edge_count=0, volume=seg.volume,
         )
-    counts = mesh._edge_counts
-    boundary = int((counts == 1).sum())
-    overshared = bool((counts > 2).any())
+    overshared = (mesh._edge_counts > 2).any()
     faces = _FaceRecord(mesh)
     # at every corner |u x v| is twice the face area
     angles = np.arctan2(2.0 * faces.area, faces.corner_dot)
     return MeshQualityReport(
-        is_closed=boundary == 0 and not overshared,
-        is_oriented=not mesh._has_duplicate_directed and not overshared,
-        is_vertex_manifold=mesh._is_vertex_manifold,
+        is_closed=mesh.is_closed,
+        is_oriented=not (mesh._has_duplicate_directed or overshared),
+        is_vertex_manifold=mesh._topology_defect is None,
         min_face_area=float(faces.area.min()) if mesh.n_faces else 0.0,
         min_angle=float(angles.min()) if mesh.n_faces else 0.0,
-        boundary_edge_count=boundary,
+        boundary_edge_count=int((mesh._edge_counts == 1).sum()),
         volume=faces.volume,
     )
-
-
-def _shoelace_area(pts):
-    x, y = pts[:, 0], pts[:, 1]
-    return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
 
 
 # -- file I/O ---------------------------------------------------------------
 
 
-def load_mesh(path, fmt=None):
-    """Load and validate a closed oriented mesh from OFF, OBJ or curve CSV.
+def load_mesh(path):
+    """Load and check a closed oriented mesh from OFF, OBJ or curve CSV.
 
     Parameters
     ----------
     path : str | os.PathLike
-        Input file.
-    fmt : str | None
-        ``"off"``, ``"obj"`` or ``"csv"``; inferred from the extension when
-        ``None``.
+        Input file; the extension ``.off``, ``.obj`` or ``.csv`` (any case)
+        names the format.
 
     Returns
     -------
@@ -521,9 +539,9 @@ def load_mesh(path, fmt=None):
         Malformed file, or a vertex with a non-finite coordinate.
     MeshTopologyError
         Open, non-manifold (at an edge or a vertex), inconsistently oriented
-        or inward-oriented mesh; clockwise curve.
+        or inward-oriented mesh; clockwise curve: the first such defect.
     """
-    fmt = (fmt or os.path.splitext(str(path))[1].lstrip(".")).lower()
+    fmt = os.path.splitext(str(path))[1].lstrip(".").lower()
     if fmt == "off":
         verts, faces = _read_off(path)
     elif fmt == "obj":
@@ -537,29 +555,24 @@ def load_mesh(path, fmt=None):
         mesh = TriMesh(verts, faces, mode="surface" if faces is not None else "curve")
     except ValueError as exc:
         raise MeshParseError(str(exc)) from exc
+    if mesh._topology_defect is not None:
+        raise MeshTopologyError(mesh._topology_defect)
     if mesh.mode == "curve":
-        if validate(mesh).volume <= 0:
+        if _SegmentRecord(mesh).volume <= 0:
             raise MeshTopologyError("clockwise curve (negative enclosed area)")
-        return mesh
-    report = validate(mesh)
-    if not report.is_closed:
-        raise MeshTopologyError(f"{report.boundary_edge_count} boundary edges")
-    if not report.is_oriented:
-        raise MeshTopologyError("inconsistent face orientation")
-    if not report.is_vertex_manifold:
-        raise MeshTopologyError("non-manifold vertex (one-ring is not a single cycle)")
-    if report.volume <= 0:
+    elif _FaceRecord(mesh).volume <= 0:
         raise MeshTopologyError("inward orientation (negative enclosed volume)")
     return mesh
 
 
-def save_mesh(mesh, path, fmt=None):
+def save_mesh(mesh, path):
     """Write a mesh to OFF, OBJ or curve CSV with 17-significant-digit floats.
 
-    A save/load round trip reproduces vertices bit-exactly and faces
+    The extension of ``path`` names the format, as for :func:`load_mesh`. A
+    save/load round trip reproduces vertices bit-exactly and faces
     identically. Raises ``OSError`` on I/O failure.
     """
-    fmt = (fmt or os.path.splitext(str(path))[1].lstrip(".")).lower()
+    fmt = os.path.splitext(str(path))[1].lstrip(".").lower()
     v, f = mesh.vertices, mesh.faces
     xyz = " ".join([FLOAT_FMT] * 3) + "\n"
     if mesh.mode == "curve":
@@ -659,7 +672,6 @@ def _read_curve_csv(path):
 
 # -- generators -------------------------------------------------------------
 
-_ICO_VERTS = None
 _ICO_FACES = np.array(
     [
         [0, 11, 5], [0, 5, 1], [0, 1, 7], [0, 7, 10], [0, 10, 11],
@@ -669,22 +681,6 @@ _ICO_FACES = np.array(
     ],
     dtype=np.int64,
 )
-
-
-def _icosahedron_vertices():
-    global _ICO_VERTS
-    if _ICO_VERTS is None:
-        phi = (1.0 + sqrt(5.0)) / 2.0
-        v = np.array(
-            [
-                [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
-                [0, -1, phi], [0, 1, phi], [0, -1, -phi], [0, 1, -phi],
-                [phi, 0, -1], [phi, 0, 1], [-phi, 0, -1], [-phi, 0, 1],
-            ],
-            dtype=np.float64,
-        )
-        _ICO_VERTS = v / np.linalg.norm(v[0])
-    return _ICO_VERTS.copy()
 
 
 def _unit_icosphere(subdivisions):
@@ -697,7 +693,16 @@ def _unit_icosphere(subdivisions):
         raise ValueError("subdivisions must be >= 0")
     if isinstance(subdivisions, bool) or not isinstance(subdivisions, numbers.Integral):
         raise ValueError(f"subdivisions must be an integer, not {subdivisions!r}")
-    verts = list(_icosahedron_vertices())
+    phi = (1.0 + sqrt(5.0)) / 2.0
+    ico = np.array(
+        [
+            [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
+            [0, -1, phi], [0, 1, phi], [0, -1, -phi], [0, 1, -phi],
+            [phi, 0, -1], [phi, 0, 1], [-phi, 0, -1], [-phi, 0, 1],
+        ],
+        dtype=np.float64,
+    )
+    verts = list(ico / np.linalg.norm(ico[0]))
     faces = _ICO_FACES
     for _ in range(subdivisions):
         cache = {}

@@ -91,6 +91,20 @@ def bowtie():
 
 
 @pytest.fixture(scope="session")
+def two_tetrahedra():
+    """Two tetrahedra sharing the edge 0-1, the second the first turned half
+    a turn about the x axis: every face is outward, but four faces meet at
+    the shared edge."""
+    verts = np.array(
+        [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0, -1, 0], [0, 0, -1]],
+        dtype=float,
+    )
+    faces = [[0, 2, 1], [0, 1, 3], [1, 2, 3], [0, 3, 2],
+             [0, 4, 1], [0, 1, 5], [1, 4, 5], [0, 5, 4]]
+    return TriMesh(verts, faces)
+
+
+@pytest.fixture(scope="session")
 def icosphere():
     """Cached icosphere factory: icosphere(radius, subdiv, center)."""
     cache = {}

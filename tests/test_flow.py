@@ -252,10 +252,10 @@ def test_projection_inverts_uniform_scaling(icosphere):
 def test_projection_restores_face_area_sum(name):
     # the projection measures the face areas (segment lengths of a curve)
     mesh = STEP_MESHES[name]()
-    area = geometry._area_centroid(mesh, geometry._configuration(mesh))[0]
+    area = geometry._area_centroid(geometry._configuration(mesh))[0]
     moved = mesh.with_vertices(1.3 * mesh.vertices + 0.2)
     out = enforce_area_constraint(FlowState(mesh=moved, initial_area=area))
-    restored = geometry._area_centroid(out.mesh, geometry._configuration(out.mesh))[0]
+    restored = geometry._area_centroid(geometry._configuration(out.mesh))[0]
     assert abs(restored - area) <= 1e-12 * area
 
 
@@ -553,6 +553,19 @@ def test_keep_meshes_true_is_rejected(icosphere):
     # the observer is the one way to see the meshes of the rows
     with pytest.raises(ValueError, match="observer"):
         run_flow(icosphere(1.0, 1), FlowConfig(), keep_meshes=True)
+
+
+def test_edge_shared_by_four_faces_is_invalid_input(two_tetrahedra):
+    with pytest.raises(BlowUpError, match="edge shared by more than two faces") as info:
+        run_flow(two_tetrahedra, FlowConfig())
+    assert info.value.kind == "invalid_input"
+
+
+def test_clockwise_curve_is_invalid_input():
+    clockwise = TriMesh(gen_circle(1.0, 16).vertices[::-1], mode="curve")
+    with pytest.raises(BlowUpError, match="clockwise curve") as info:
+        run_flow(clockwise, FlowConfig())
+    assert info.value.kind == "invalid_input"
 
 
 def test_bowtie_is_invalid_input(bowtie):

@@ -173,8 +173,13 @@ def test_pointwise_traceless_identity(icosphere):
 
 
 def gradient_norm(mesh, f):
-    """|grad f| of an arbitrary vertex field, by the formula of grad_H_norm."""
-    return geometry._gradient_norm(mesh, geometry._configuration(mesh), f)
+    """|grad f| of an arbitrary vertex field, by the formula of grad_H_norm:
+    on a curve the centred difference along arc length."""
+    conf = geometry._configuration(mesh)
+    if mesh.mode == "curve":
+        ln = conf.area
+        return np.abs(np.roll(f, -1) - np.roll(f, 1)) / (ln + np.roll(ln, 1))
+    return geometry._gradient_norm(mesh, conf, f)
 
 
 def test_gradient_constant_field(icosphere):
@@ -580,7 +585,6 @@ def test_flat_ring_sphere_fit_falls_back_to_vertex_normal(unit_cube):
 
 
 def test_rigid_motion_invariance():
-    m = gen_ellipsoid(1.2, 1.0, 0.85, 2)
     theta = 0.7
     rot = np.array(
         [
@@ -589,13 +593,20 @@ def test_rigid_motion_invariance():
             [0, 0, 1],
         ]
     )
-    moved = m.with_vertices(m.vertices @ rot.T + np.array([0.3, -1.2, 2.0]))
-    c1, c2 = compute_cache(m), compute_cache(moved)
-    assert np.allclose(c2.mean_curvature, c1.mean_curvature, atol=1e-10)
-    assert np.allclose(c2.second_form_norm, c1.second_form_norm, atol=1e-10)
-    assert np.allclose(c2.traceless_norm, c1.traceless_norm, atol=1e-10)
-    assert c2.total_area == pytest.approx(c1.total_area, rel=1e-12)
-    assert enclosed_volume(moved) == pytest.approx(enclosed_volume(m), rel=1e-10)
+    # a surface, and a curve under the planar rotation and translation
+    motions = [
+        (gen_ellipsoid(1.2, 1.0, 0.85, 2), rot, [0.3, -1.2, 2.0]),
+        (CACHE_MESHES["ellipse"](), rot[:2, :2], [0.3, -1.2]),
+    ]
+    for m, r, shift in motions:
+        moved = m.with_vertices(m.vertices @ r.T + np.array(shift))
+        c1, c2 = compute_cache(m), compute_cache(moved)
+        assert np.allclose(c2.normal, c1.normal @ r.T, atol=1e-10)
+        assert np.allclose(c2.mean_curvature, c1.mean_curvature, atol=1e-10)
+        assert np.allclose(c2.second_form_norm, c1.second_form_norm, atol=1e-10)
+        assert np.allclose(c2.traceless_norm, c1.traceless_norm, atol=1e-10)
+        assert c2.total_area == pytest.approx(c1.total_area, rel=1e-12)
+        assert enclosed_volume(moved) == pytest.approx(enclosed_volume(m), rel=1e-10)
 
 
 def test_unit_normals_everywhere(icosphere):
@@ -612,10 +623,15 @@ def test_curve_cache_traceless_zero():
 
 # -- the cache and the standalone operations ------------------------------------------
 
+ELLIPSE_ANGLES = 2 * np.pi * np.arange(64) / 64
 CACHE_MESHES = {
     "ellipsoid": lambda: gen_ellipsoid(1.2, 1.0, 0.85, 2),
     "dented": lambda: gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 2),
     "circle": lambda: gen_circle(1.0, 48),
+    "ellipse": lambda: TriMesh(
+        np.column_stack([1.3 * np.cos(ELLIPSE_ANGLES), 0.8 * np.sin(ELLIPSE_ANGLES)]),
+        mode="curve",
+    ),
 }
 CACHE_FIELDS = [f.name for f in fields(GeometryCache)]
 # every field but the per-face-corner (per-segment) stiffness weights and
@@ -637,43 +653,64 @@ def test_cache_equals_standalone_operations(name):
 
 
 @settings(max_examples=20, deadline=None)
-@given(name=st.sampled_from(["ellipsoid", "dented"]), seed=st.integers(0, 2**32 - 1))
+@given(name=st.sampled_from(sorted(CACHE_MESHES)), seed=st.integers(0, 2**32 - 1))
 def test_cache_relabelling_property(name, seed):
     # new vertex j is old vertex perm[j]; every field must follow the labels
     mesh = CACHE_MESHES[name]()
-    perm = np.random.default_rng(seed).permutation(mesh.n_vertices)
-    new_label = np.empty_like(perm)
-    new_label[perm] = np.arange(len(perm))
-    relabelled = TriMesh(mesh.vertices[perm], new_label[mesh.faces])
+    rng = np.random.default_rng(seed)
+    if mesh.mode == "curve":
+        # a polyline stays a polyline only under a cyclic shift, which moves
+        # segment j (vertex j to j + 1) with vertex j
+        perm = np.roll(np.arange(mesh.n_vertices), -int(rng.integers(mesh.n_vertices)))
+        relabelled = TriMesh(mesh.vertices[perm], mode="curve")
+        element = perm
+    else:
+        perm = rng.permutation(mesh.n_vertices)
+        new_label = np.empty_like(perm)
+        new_label[perm] = np.arange(len(perm))
+        relabelled = TriMesh(mesh.vertices[perm], new_label[mesh.faces])
+        element = slice(None)  # faces keep their order
     c1, c2 = compute_cache(mesh), compute_cache(relabelled)
     for field in VERTEX_FIELDS:
         assert np.allclose(
             getattr(c2, field), getattr(c1, field)[perm], rtol=0, atol=1e-10
         ), field
-    # faces keep their order, so the per-corner weights and edge lengths and
-    # the scalars over faces do not move
-    assert np.array_equal(c2.stiffness_weight, c1.stiffness_weight)
-    assert np.array_equal(c2.edge_length, c1.edge_length)
-    scalars = ("volume", "min_angle", "min_edge")
-    assert [getattr(c2, k) for k in scalars] == [getattr(c1, k) for k in scalars]
+    # the per-corner (per-segment) weights and edge lengths follow their
+    # elements, and the minima over them do not move
+    assert np.array_equal(c2.stiffness_weight, c1.stiffness_weight[element])
+    assert np.array_equal(c2.edge_length, c1.edge_length[element])
+    assert [c2.min_angle, c2.min_edge] == [c1.min_angle, c1.min_edge]
+    if mesh.mode == "curve":  # the shoelace sum starts at another vertex
+        assert c2.volume == pytest.approx(c1.volume, rel=1e-14)
+    else:
+        assert c2.volume == c1.volume
 
 
 # -- cotangent stiffness ----------------------------------------------------------------
 
 
+def stiffness_weight(mesh):
+    """The half-edge weights of ``mesh``; a curve's come from its cache pass."""
+    if mesh.mode == "curve":
+        return compute_cache(mesh).stiffness_weight
+    return geometry._stiffness_weight(mesh, geometry._configuration(mesh))
+
+
 def stiffness(mesh):
     """The cotangent stiffness at the half-edge weights of ``mesh``."""
-    conf = geometry._configuration(mesh)
-    return cotangent_stiffness(mesh, geometry._stiffness_weight(mesh, conf))
+    return cotangent_stiffness(mesh, stiffness_weight(mesh))
 
 
 @pytest.mark.parametrize("name", sorted(CACHE_MESHES))
 def test_stiffness_reproduces_area_gradient(name):
     mesh = CACHE_MESHES[name]()
     conf = geometry._configuration(mesh)
-    weight = geometry._stiffness_weight(mesh, conf)
+    weight = stiffness_weight(mesh)
     L = cotangent_stiffness(mesh, weight)
-    area_gradient = geometry._area_gradient(mesh, conf, weight)
+    if mesh.mode == "curve":
+        area_gradient = np.roll(conf.tangent, 1, axis=0) - conf.tangent  # of the length
+    else:
+        area_gradient = geometry._area_gradient(mesh, conf, weight)
     assert np.allclose(L @ mesh.vertices, area_gradient, rtol=0, atol=1e-13)
 
 
@@ -1004,7 +1041,8 @@ def test_stiffness_weight_once_per_cache(monkeypatch, name):
     # one half-edge weight per configuration drives the area gradient and the
     # stiffness of the semi-implicit step
     mesh = CACHE_MESHES[name]()
-    calls = count_calls(monkeypatch, geometry, "_stiffness_weight")
+    producer = "_curve_cache" if mesh.mode == "curve" else "_stiffness_weight"
+    calls = count_calls(monkeypatch, geometry, producer)
     cache = compute_cache(mesh)
     assert len(calls) == 1
     cotangent_stiffness(mesh, cache.stiffness_weight)

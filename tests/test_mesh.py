@@ -192,6 +192,58 @@ def test_load_bowtie_rejected(bowtie, tmp_path):
         load_mesh(path)
 
 
+def test_load_edge_shared_by_four_faces_rejected(two_tetrahedra, tmp_path):
+    path = tmp_path / "twotets.off"
+    save_mesh(two_tetrahedra, path)
+    with pytest.raises(MeshTopologyError, match="edge shared by more than two faces"):
+        load_mesh(path)
+
+
+def test_load_checks_without_validate(tmp_path, monkeypatch, icosphere):
+    # load_mesh reads the topology verdict and the volume sign, not a report
+    save_mesh(icosphere(1.0, 2), tmp_path / "s.off")
+    save_mesh(gen_circle(1.0, 16), tmp_path / "c.csv")
+    reports = count_calls(monkeypatch, meshmod, "validate")
+    load_mesh(tmp_path / "s.off")
+    load_mesh(tmp_path / "c.csv")
+    assert reports == []
+
+
+TOPOLOGY_DEFECTS = {
+    "icosphere": None,
+    "open": "3 boundary edges",
+    "two-tetrahedra": "edge shared by more than two faces",
+    "flipped": "inconsistent face orientation",
+    "bowtie": "non-manifold vertex (one-ring is not a single cycle)",
+    "circle": None,
+}
+
+
+@pytest.mark.parametrize("name", list(TOPOLOGY_DEFECTS))
+def test_topology_defect_is_the_first_defect(name, icosphere, bowtie, two_tetrahedra):
+    m = icosphere(1.0, 0)
+    flipped = m.faces.copy()
+    flipped[0] = flipped[0][::-1]
+    mesh = {
+        "icosphere": m,
+        "open": TriMesh(m.vertices, m.faces[:-1]),
+        "two-tetrahedra": two_tetrahedra,
+        "flipped": TriMesh(m.vertices, flipped),
+        "bowtie": bowtie,
+        "circle": gen_circle(1.0, 16),
+    }[name]
+    defect = TOPOLOGY_DEFECTS[name]
+    assert mesh._topology_defect == defect
+    assert mesh.with_vertices(mesh.vertices)._topology_defect == defect
+
+
+def test_validate_flags_are_bool(icosphere, bowtie):
+    for mesh in (icosphere(1.0, 2), bowtie, gen_circle(1.0, 16)):
+        report = validate(mesh)
+        flags = (report.is_closed, report.is_oriented, report.is_vertex_manifold)
+        assert [type(flag) for flag in flags] == [bool] * 3, mesh
+
+
 def test_validate_flipped_face(icosphere):
     m = icosphere(1.0, 0)
     faces = m.faces.copy()
