@@ -72,6 +72,8 @@ def load_manifest(path=None, overrides=None):
     if path is not None:
         with open(path, encoding="ascii") as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("manifest must be a JSON object")
         unknown = set(data) - set(MANIFEST_DEFAULTS)
         if unknown:
             raise ValueError(f"unknown manifest keys: {sorted(unknown)}")
@@ -259,6 +261,8 @@ def cmd_analyze(args):
     if os.path.exists(meta_path):
         with open(meta_path, encoding="ascii") as fh:
             meta = json.load(fh)
+        if not isinstance(meta, dict) or not isinstance(meta.get("metadata", {}), dict):
+            raise ValueError("run_meta.json must be a JSON object with an object 'metadata'")
     series = diagnostics.TimeSeries.from_csv(args.series, meta.get("metadata"))
     mesh_rows, meshes = [], []
     for row, path in _snapshot_files(os.path.join(rundir, "meshes")):

@@ -24,7 +24,7 @@ from .errors import (
     OrientationError,
 )
 from . import diagnostics, geometry
-from .mesh import TriMesh, _SegmentRecord, intrinsic_dimension
+from .mesh import TriMesh, _input_defect, intrinsic_dimension
 
 # smallest face corner (curve vertex) angle, in radians, before a run ends as
 # blow_up(mesh_degeneracy)
@@ -243,8 +243,8 @@ def run_flow(mesh, config, keep_meshes=False, observer=None):
     ``DegenerateGeometryError`` as ``degenerate_geometry``, an
     ``OrientationError`` as ``orientation``, a
     ``DegenerateMeanCurvatureError`` as ``degenerate_H``. On the input mesh
-    these errors propagate; one that is not a closed oriented manifold, or a
-    clockwise curve, raises ``BlowUpError("invalid_input", <the defect>)``.
+    these errors propagate; a mesh that :func:`sapflow.mesh.load_mesh`
+    rejects raises ``BlowUpError("invalid_input", <the same message>)``.
 
     ``observer``, when given, is called as ``observer(state, cache, row)``
     once per recorded row, as the row is recorded: ``row`` is its
@@ -264,9 +264,7 @@ def run_flow(mesh, config, keep_meshes=False, observer=None):
         raise ValueError(
             "run_flow keeps no meshes: collect them with observer(state, cache, row)"
         )
-    defect = mesh._topology_defect
-    if defect is None and mesh.mode == "curve" and _SegmentRecord(mesh).volume <= 0:
-        defect = "clockwise curve (negative enclosed area)"
+    defect = _input_defect(mesh)
     if defect is not None:
         raise BlowUpError("invalid_input", defect)
 

@@ -122,8 +122,8 @@ def _curve_cache(mesh, seg):
     if (normal_length == 0).any():
         raise DegenerateGeometryError("cusp vertex on curve")
     volume = enclosed_volume(mesh, seg)
-    if volume < 0:
-        raise OrientationError("clockwise curve (negative enclosed area)")
+    if volume <= 0:
+        raise OrientationError(seg.INWARD)
     H = seg.turning / weights
     return GeometryCache(
         vertex_area=weights,
@@ -155,7 +155,7 @@ def _weights(mesh, conf):
 def _normals(mesh, conf):
     # the volume sign check only means anything on closed meshes
     if mesh.is_closed and conf.volume <= 0:
-        raise OrientationError("inward orientation (negative enclosed volume)")
+        raise OrientationError(conf.INWARD)
     # the face cross product is twice the area-weighted face normal; the
     # factor 2 drops out of the unit vertex normal
     n = mesh._connectivity.face @ conf.cross
@@ -246,11 +246,12 @@ def cotangent_stiffness(mesh, weight):
     ``weight`` is the ``stiffness_weight`` of this configuration's cache.
     ``L @ x`` is the gradient of total area w.r.t. the vertex positions, per
     coordinate; ``f @ (L @ f)`` is the discrete Dirichlet energy of a vertex
-    field. The sparsity pattern is built once per connectivity; each call is
-    one product with its assembly operator.
+    field. The sparsity pattern is built once per connectivity; each call
+    scatters the half-edge weights into its slots with one ``np.bincount``.
     """
     pattern = mesh._connectivity.stiffness_pattern
-    data = pattern.assemble @ weight
+    w = np.concatenate([-weight, -weight, weight, weight])
+    data = np.bincount(pattern.slot, w, minlength=len(pattern.indices))
     n = mesh.n_vertices
     return sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 

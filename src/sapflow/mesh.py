@@ -220,6 +220,8 @@ class _FaceRecord:
     snapshot meshes would hold their face data too.
     """
 
+    INWARD = "inward orientation (negative enclosed volume)"
+
     def __init__(self, mesh):
         # np.take gathers rows several times faster than fancy indexing
         p = np.take(mesh.vertices, mesh.faces.T, axis=0)
@@ -260,6 +262,8 @@ class _SegmentRecord:
     segment i - 1 to i and the shoelace ``volume`` on first use, since
     validation must not divide by a zero length."""
 
+    INWARD = "clockwise curve (negative enclosed area)"
+
     def __init__(self, mesh):
         v = self.vertices = mesh.vertices
         self.edge = np.diff(np.vstack([v, v[:1]]), axis=0)
@@ -283,19 +287,14 @@ class _SegmentRecord:
         return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
 
 
-def _incidence(rows, cols, shape, sign=None):
-    """CSR operator adding ``sign[e] * x[cols[e]]`` into row ``rows[e]``.
+def _incidence(rows, cols, shape):
+    """CSR operator adding ``x[cols[e]]`` into row ``rows[e]``.
 
-    Each row lists its entries in increasing ``e``, and the entries are
-    +-1, so ``op @ x`` adds up each row in the order ``np.bincount`` does
-    over ``rows``: the sums are bit-identical to a bincount of the gathered,
-    signed values.
+    With ``cols`` increasing in ``e``, the canonical CSR lists each row in
+    increasing ``e``, the order in which ``np.bincount`` adds over ``rows``:
+    ``op @ x`` is bit-identical to a bincount of the gathered values.
     """
-    order = np.argsort(rows, kind="stable")
-    indptr = np.zeros(shape[0] + 1, dtype=np.int32)
-    np.cumsum(np.bincount(rows, minlength=shape[0]), out=indptr[1:])
-    data = np.ones(len(rows)) if sign is None else sign[order]
-    op = sparse.csr_matrix((data, cols[order].astype(np.int32), indptr), shape=shape)
+    op = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=shape)
     for a in (op.data, op.indices, op.indptr):  # shared: an in-place change raises
         a.setflags(write=False)
     return op
@@ -310,16 +309,15 @@ class _Connectivity:
     before its first use.
 
     ``ring`` is the one half-edge table: the incidence operator
-    (:func:`_incidence`, the connectivity's one sort of its half-edges) that
-    adds each half-edge into its source vertex. Half-edge ``k * m + f``
-    leaves corner k of face f, the order of ``mesh.directed_edges``, so
-    ``ring @ x`` = ``np.bincount(faces.T.ravel(), x)``. It gives the 1-ring
-    sums, and the area gradient as ``ring @ (x[[2, 0, 1]] - x)``: the
-    half-edge leaving corner k - 1 ends at corner k. ``face`` (n, m) adds
-    each face into its three vertices,
-    = ``np.bincount(faces.T.ravel(), np.tile(x, 3))``; it is a view of
-    ``ring``'s arrays with column ``k * m + f`` read as ``f``, so it takes no
-    sort. The diameter graph takes its CSR pattern from ``ring`` too.
+    (:func:`_incidence`) that adds each half-edge into its source vertex.
+    Half-edge ``k * m + f`` leaves corner k of face f, the order of
+    ``mesh.directed_edges``, so ``ring @ x`` =
+    ``np.bincount(faces.T.ravel(), x)``. It gives the 1-ring sums, and the
+    area gradient as ``ring @ (x[[2, 0, 1]] - x)``: the half-edge leaving
+    corner k - 1 ends at corner k. ``face`` (n, m) adds each face into its
+    three vertices, = ``np.bincount(faces.T.ravel(), np.tile(x, 3))``; it is
+    a view of ``ring``'s arrays with column ``k * m + f`` read as ``f``. The
+    diameter graph takes its CSR pattern from ``ring`` too.
     """
 
     def __init__(self, mesh):
@@ -404,11 +402,10 @@ class _StiffnessPattern:
 
     The stiffness is a sum of w (e_a - e_b)(e_a - e_b)^T over the half-edges
     a -> b of ``mesh.directed_edges`` (a curve's segments i -> i + 1), each
-    weighted by the ``stiffness_weight`` of its row. ``assemble`` is the
-    incidence operator (:func:`_incidence`) that takes the half-edge weights
-    to the CSR data ``indptr`` / ``indices``: -w into the entries (a, b) and
-    (b, a), w into (a, a) and (b, b), in that block order. ``diagonal``
-    holds the slot of each diagonal entry.
+    weighted by the ``stiffness_weight`` of its row. ``slot`` takes the
+    entries (a, b), (b, a), (a, a) and (b, b) of every half-edge, in that
+    block order, to their places in the CSR data of ``indptr`` /
+    ``indices``. ``diagonal`` holds the slot of each diagonal entry.
     """
 
     def __init__(self, conn):
@@ -417,17 +414,10 @@ class _StiffnessPattern:
         rows = np.concatenate([a, b, a, b])
         cols = np.concatenate([b, a, a, b])
         # sorted row-major keys are the CSR order
-        keys, slot = np.unique(rows * n + cols, return_inverse=True)
+        keys, self.slot = np.unique(rows * n + cols, return_inverse=True)
         self.indices = (keys % n).astype(np.int32)
         self.indptr = np.searchsorted(keys, np.arange(n + 1) * n).astype(np.int32)
         self.diagonal = np.searchsorted(keys, np.arange(n) * (n + 1))
-        pairs = len(a)
-        self.assemble = _incidence(
-            slot,
-            np.tile(np.arange(pairs), 4),
-            (len(keys), pairs),
-            np.repeat([-1.0, -1.0, 1.0, 1.0], pairs),
-        )
 
 
 def _single_vertex_links(mesh, order):
@@ -440,25 +430,18 @@ def _single_vertex_links(mesh, order):
     b -> v; each cycle of that successor map is one fan of faces, so the links
     are single cycles iff there is one cycle per vertex.
     """
+    from scipy.sparse.csgraph import connected_components
+
     n, m = mesh.n_vertices, mesh.n_faces
     if (np.bincount(mesh.faces.ravel(), minlength=n) == 0).any():
         return False
     # half-edge row k * m + i: corner k of face i, outgoing
-    pairs = order.reshape(-1, 2)
     twin = np.empty(3 * m, dtype=np.int64)
-    twin[pairs[:, 0]], twin[pairs[:, 1]] = pairs[:, 1], pairs[:, 0]
+    twin[order] = order.reshape(-1, 2)[:, ::-1].ravel()  # the other of its pair
     succ = np.roll(twin, m)  # the incoming half-edge of row r is row r - m
-    # pointer doubling: after round j each corner holds the smallest index
-    # among the 2^j corners from it along its cycle; a round that changes
-    # nothing has reached every cycle's minimum
-    corner = np.arange(3 * m)
-    label, hop = corner, succ
-    while True:
-        nxt = np.minimum(label, label[hop])
-        if np.array_equal(nxt, label):
-            break
-        label, hop = nxt, hop[hop]
-    return bool(np.count_nonzero(label == corner) == n)
+    # each weak component of the permutation succ is one of its cycles
+    step = sparse.csr_matrix((np.ones(3 * m), succ, np.arange(3 * m + 1)))
+    return connected_components(step, connection="weak")[0] == n
 
 
 def _topology_defect(mesh, order):
@@ -474,6 +457,15 @@ def _topology_defect(mesh, order):
     if not _single_vertex_links(mesh, order):
         return "non-manifold vertex (one-ring is not a single cycle)"
     return None
+
+
+def _input_defect(mesh):
+    """The message that :func:`load_mesh` and ``run_flow`` reject a mesh with,
+    or None: its topology defect, else the record's ``INWARD`` at volume <= 0."""
+    if mesh._topology_defect is not None:
+        return mesh._topology_defect
+    record = (_SegmentRecord if mesh.mode == "curve" else _FaceRecord)(mesh)
+    return record.INWARD if record.volume <= 0 else None
 
 
 def intrinsic_dimension(mode):
@@ -539,7 +531,8 @@ def load_mesh(path):
         Malformed file, or a vertex with a non-finite coordinate.
     MeshTopologyError
         Open, non-manifold (at an edge or a vertex), inconsistently oriented
-        or inward-oriented mesh; clockwise curve: the first such defect.
+        or inward-oriented mesh; clockwise curve: the first such defect, with
+        the message of :func:`sapflow.flow.run_flow`'s ``invalid_input``.
     """
     fmt = os.path.splitext(str(path))[1].lstrip(".").lower()
     if fmt == "off":
@@ -555,13 +548,9 @@ def load_mesh(path):
         mesh = TriMesh(verts, faces, mode="surface" if faces is not None else "curve")
     except ValueError as exc:
         raise MeshParseError(str(exc)) from exc
-    if mesh._topology_defect is not None:
-        raise MeshTopologyError(mesh._topology_defect)
-    if mesh.mode == "curve":
-        if _SegmentRecord(mesh).volume <= 0:
-            raise MeshTopologyError("clockwise curve (negative enclosed area)")
-    elif _FaceRecord(mesh).volume <= 0:
-        raise MeshTopologyError("inward orientation (negative enclosed volume)")
+    defect = _input_defect(mesh)
+    if defect is not None:
+        raise MeshTopologyError(defect)
     return mesh
 
 
@@ -812,6 +801,8 @@ def gen_circle(radius, n_vertices, center=(0.0, 0.0)):
     """Generate a regular closed polygon (curve mode), counter-clockwise."""
     if radius <= 0:
         raise ValueError("radius must be positive")
+    if isinstance(n_vertices, bool) or not isinstance(n_vertices, numbers.Integral):
+        raise ValueError(f"n_vertices must be an integer, not {n_vertices!r}")
     if n_vertices < 3:
         raise ValueError("need at least 3 vertices")
     th = 2 * pi * np.arange(n_vertices) / n_vertices

@@ -49,13 +49,18 @@ def sphere_reference(radius, n=2):
     )
 
 
-def ellipsoid_area_reference(a, b, c, n_theta=256, n_phi=512):
+# the quadrature orders of ellipsoid_area_reference in theta and phi
+ELLIPSOID_N_THETA, ELLIPSOID_N_PHI = 256, 512
+
+
+def ellipsoid_area_reference(a, b, c):
     """Ellipsoid surface area by Gauss-Legendre x trapezoid quadrature.
 
     Computed at runtime so derived reference values stay reproducible from
-    within the repository; accurate to ~1e-12 relative at default orders.
+    within the repository; accurate to ~1e-12 relative at these orders.
     """
-    x, w = np.polynomial.legendre.leggauss(n_theta)
+    n_phi = ELLIPSOID_N_PHI
+    x, w = np.polynomial.legendre.leggauss(ELLIPSOID_N_THETA)
     theta = np.arccos(x)  # nodes in cos(theta), weight absorbs sin(theta)
     phi = 2.0 * pi * (np.arange(n_phi) + 0.5) / n_phi
     T, P = np.meshgrid(theta, phi, indexing="ij")

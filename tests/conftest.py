@@ -105,6 +105,19 @@ def two_tetrahedra():
 
 
 @pytest.fixture(scope="session")
+def pinched_sphere():
+    """The subdivision-1 icosphere with vertex 3 renamed to vertex 0 (6 hops
+    apart, no common neighbour), vertex 3 dropped and the rest renumbered:
+    closed and oriented with no isolated vertex, but the one-ring of vertex 0
+    is two fans of 5 faces each (not a manifold there)."""
+    mesh = gen_icosphere(1.0, subdivisions=1)
+    faces = mesh.faces.copy()
+    faces[faces == 3] = 0
+    faces[faces > 3] -= 1
+    return TriMesh(np.delete(mesh.vertices, 3, axis=0), faces)
+
+
+@pytest.fixture(scope="session")
 def icosphere():
     """Cached icosphere factory: icosphere(radius, subdiv, center)."""
     cache = {}

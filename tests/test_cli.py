@@ -472,6 +472,33 @@ def test_manifest_rejects_unknown_keys(tmp_path, capsys):
         assert "unknown manifest keys" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "content", ["5", "null", '["mesh"]', '"mesh"'], ids=["int", "null", "list", "str"]
+)
+def test_manifest_that_is_not_an_object_is_input_error(tmp_path, capsys, content):
+    # 5 and null ended in a TypeError traceback, ["mesh"] in a dict() message
+    path = tmp_path / "m.json"
+    path.write_text(content)
+    assert run_cli("run", "--manifest", str(path)) == 1
+    assert capsys.readouterr().err == "error: manifest must be a JSON object\n"
+
+
+@pytest.mark.parametrize(
+    "meta",
+    [[1, 2], 5, {"metadata": [1]}, {"metadata": None}],
+    ids=["list", "int", "list-metadata", "null-metadata"],
+)
+def test_run_meta_that_is_not_an_object_is_input_error(tmp_path, capsys, meta):
+    # [1, 2] ended in an AttributeError traceback
+    row = {name: 1.0 for name in RECORD_FIELDS}
+    TimeSeries(records=[DiagnosticsRecord(**row)], metadata={}).to_csv(tmp_path / "series.csv")
+    (tmp_path / "run_meta.json").write_text(json.dumps(meta))
+    assert run_cli("analyze", str(tmp_path / "series.csv")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: run_meta.json must be a JSON object") and "\n" not in err[:-1]
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_manifest_requires_exactly_one_source(tmp_path):
     path = tmp_path / "m.json"
     path.write_text(json.dumps({}))

@@ -811,7 +811,7 @@ def test_incidence_operators_match_bincount(name, unit_cube):
     w = spread_values(rng, 3 * m)
     pattern = conn.stiffness_pattern
     expected = bincount_sum(slot, np.concatenate([-w, -w, w, w]), len(pattern.indices))
-    assert np.array_equal(pattern.assemble @ w, expected)
+    assert np.array_equal(cotangent_stiffness(mesh, w).data, expected)
 
 
 def previous_cache(mesh):
@@ -1025,11 +1025,13 @@ def test_operators_built_once_for_meshes_derived_before_first_use(monkeypatch):
     mesh = gen_icosphere(1.0, subdivisions=2)
     derived = [mesh.with_vertices(s * mesh.vertices) for s in (1.1, 0.9)]
     builds = count_calls(monkeypatch, meshmod, "_incidence")
+    patterns = count_calls(monkeypatch, meshmod, "_StiffnessPattern")
     for m in (*derived, mesh):
         cotangent_stiffness(m, compute_cache(m).stiffness_weight)
-    # ring (face is a view of it) and the stiffness assembly, once for all
+    # ring (face is a view of it) and the stiffness pattern, once for all
     # three
-    assert len(builds) == 2
+    assert len(builds) == 1
+    assert len(patterns) == 1
     for m in derived:
         assert m._connectivity is mesh._connectivity
     pattern = mesh._connectivity.stiffness_pattern

@@ -7,6 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sapflow import (
+    BlowUpError,
+    FlowConfig,
     GaussianDentBump,
     MeshTopologyError,
     MeshParseError,
@@ -17,6 +19,7 @@ from sapflow import (
     gen_icosphere,
     gen_perturbed_sphere,
     load_mesh,
+    run_flow,
     save_mesh,
     validate,
 )
@@ -215,26 +218,69 @@ TOPOLOGY_DEFECTS = {
     "two-tetrahedra": "edge shared by more than two faces",
     "flipped": "inconsistent face orientation",
     "bowtie": "non-manifold vertex (one-ring is not a single cycle)",
+    "pinched": "non-manifold vertex (one-ring is not a single cycle)",
     "circle": None,
 }
 
 
-@pytest.mark.parametrize("name", list(TOPOLOGY_DEFECTS))
-def test_topology_defect_is_the_first_defect(name, icosphere, bowtie, two_tetrahedra):
+@pytest.fixture(scope="module")
+def named_meshes(icosphere, bowtie, two_tetrahedra, pinched_sphere, tetrahedron):
+    """The meshes of TOPOLOGY_DEFECTS, an inward tetrahedron and a clockwise
+    circle, by name."""
     m = icosphere(1.0, 0)
     flipped = m.faces.copy()
     flipped[0] = flipped[0][::-1]
-    mesh = {
+    circle = gen_circle(1.0, 16)
+    return {
         "icosphere": m,
         "open": TriMesh(m.vertices, m.faces[:-1]),
         "two-tetrahedra": two_tetrahedra,
         "flipped": TriMesh(m.vertices, flipped),
         "bowtie": bowtie,
-        "circle": gen_circle(1.0, 16),
-    }[name]
+        "pinched": pinched_sphere,
+        "circle": circle,
+        "inward": TriMesh(tetrahedron.vertices, tetrahedron.faces[:, ::-1]),
+        "clockwise": TriMesh(circle.vertices[::-1], mode="curve"),
+    }
+
+
+@pytest.mark.parametrize("name", list(TOPOLOGY_DEFECTS))
+def test_topology_defect_is_the_first_defect(name, named_meshes):
+    mesh = named_meshes[name]
     defect = TOPOLOGY_DEFECTS[name]
     assert mesh._topology_defect == defect
     assert mesh.with_vertices(mesh.vertices)._topology_defect == defect
+
+
+class _FirstRow(Exception):
+    """Raised by a run observer to end the run at its first row."""
+
+
+def _stop_at_first_row(state, cache, row):
+    raise _FirstRow
+
+
+@pytest.mark.parametrize("name", [*TOPOLOGY_DEFECTS, "inward", "clockwise"])
+def test_load_mesh_and_run_flow_reject_alike(name, named_meshes, tmp_path):
+    # load_mesh of the saved file raises MeshTopologyError(m) exactly when
+    # run_flow raises BlowUpError("invalid_input", m)
+    mesh = named_meshes[name]
+    path = tmp_path / ("m.csv" if mesh.mode == "curve" else "m.off")
+    save_mesh(mesh, path)
+    try:
+        load_mesh(path)
+        loaded = None
+    except MeshTopologyError as exc:
+        loaded = str(exc)
+    try:
+        run_flow(mesh, FlowConfig(), observer=_stop_at_first_row)
+    except BlowUpError as exc:
+        assert exc.kind == "invalid_input"
+        ran = str(exc)
+    except _FirstRow:
+        ran = None
+    assert loaded == ran
+    assert (loaded is None) == (name in ("icosphere", "circle"))
 
 
 def test_validate_flags_are_bool(icosphere, bowtie):
@@ -553,6 +599,15 @@ def test_generators_reject_negative_subdivisions(generate, subdivisions):
     message = ">= 0" if subdivisions < 0 else "an integer"
     with pytest.raises(ValueError, match=f"subdivisions must be {message}"):
         generate(subdivisions)
+
+
+@pytest.mark.parametrize("n_vertices", [3.5, 4.0, True, float("nan")])
+def test_gen_circle_rejects_non_integer_vertex_count(n_vertices):
+    # 3.5 built an irregular 4-gon: np.arange(3.5) has 4 entries 2 pi / 3.5 apart
+    with pytest.raises(ValueError, match="n_vertices must be an integer"):
+        gen_circle(1.0, n_vertices)
+    with pytest.raises(ValueError, match="need at least 3 vertices"):
+        gen_circle(1.0, 2)
 
 
 def test_ellipsoid_degenerate_is_icosphere(icosphere):
