@@ -1,9 +1,10 @@
 """Command-line interface: generate | run | analyze.
 
 Runs are configured by a flat JSON manifest plus flag overrides (flags win),
-so checked-in manifests reproduce results exactly. All floating output uses
-17 significant digits for lossless round trips; ``analyze`` re-derives the
-summary of a finished run from its artifacts alone.
+so checked-in manifests reproduce results exactly. Text output writes floats
+with 17 significant digits and snapshot meshes are binary ``.npz`` arrays,
+so every round trip is lossless; ``analyze`` re-derives the summary of a
+finished run from its artifacts alone.
 """
 
 import argparse
@@ -139,32 +140,34 @@ def cmd_generate(args):
     return 0
 
 
+# a snapshot file of sapflow run: the row, then the format; .off and .csv
+# are the formats of earlier versions, still read and still cleaned up
+_SNAPSHOT = re.compile(r"step_(\d{6,})\.(npz|off|csv)")
+
+
 class _SnapshotWriter:
     """The run observer of ``sapflow run``.
 
-    At every ``cadence``-th row it writes ``meshes/step_NNNNNN.<ext>`` as the
+    At every ``cadence``-th row it writes ``meshes/step_NNNNNN.npz`` as the
     row is recorded, and keeps the row's ODE right-hand sides, taken from the
     geometry cache the run built for it: the cache that ``analyze`` rebuilds
-    from the file, since the 17-digit save/load round trip is bit-exact. The
+    from the file, since the ``.npz`` save/load round trip is bit-exact. The
     run holds no mesh but its current one. The meshes directory is made at
     the first row, so an error on the input mesh writes nothing; there the
-    ``step_*`` and ``final`` mesh files of an earlier run are removed, and
-    nothing else, so that ``analyze`` pairs no row with an earlier run's mesh.
+    snapshot and ``final`` mesh files of an earlier run are removed, in the
+    current or an earlier format, and nothing else, so that ``analyze``
+    pairs no row with an earlier run's mesh.
     """
 
-    def __init__(self, outdir, cadence, ext):
+    def __init__(self, outdir, cadence):
         self.mesh_dir = os.path.join(outdir, "meshes")
         self.cadence = cadence
-        self.ext = ext
         self.recorded = 0
         self.rows = []  # the rows whose mesh is written
         self.rhs = []  # their ODE right-hand sides
 
-    def path(self, name):
-        return os.path.join(self.mesh_dir, f"{name}.{self.ext}")
-
     def write(self, mesh, row):
-        meshmod.save_mesh(mesh, self.path(f"step_{row:06d}"))
+        meshmod.save_mesh(mesh, os.path.join(self.mesh_dir, f"step_{row:06d}.npz"))
         self.rows.append(row)
 
     def __call__(self, state, cache, record):
@@ -175,7 +178,7 @@ class _SnapshotWriter:
         if row == 0:
             os.makedirs(self.mesh_dir, exist_ok=True)
             for name in os.listdir(self.mesh_dir):
-                if re.fullmatch(r"(step_\d{6,}|final)\.(off|csv)", name):
+                if _SNAPSHOT.fullmatch(name) or name in ("final.off", "final.csv"):
                     os.remove(os.path.join(self.mesh_dir, name))
         self.write(state.mesh, row)
         self.rhs.append(diagnostics._ode_rhs(cache, record.h, record.int_H2))
@@ -186,20 +189,21 @@ def cmd_run(args):
     config = flow_config(manifest)
     input_mesh = build_input_mesh(manifest)
     outdir = manifest["output_dir"]
-    ext = "csv" if input_mesh.mode == "curve" else "off"
-    writer = _SnapshotWriter(outdir, manifest["mesh_cadence"], ext)
+    writer = _SnapshotWriter(outdir, manifest["mesh_cadence"])
 
     result = flow.run_flow(input_mesh, config, observer=writer)
     series = result.series
     series.metadata["manifest"] = manifest
     series.to_csv(os.path.join(outdir, "series.csv"))
 
-    # the last row always has a mesh file; final.<ext> repeats it
+    # the last row always has a mesh file; final.off (final.csv for a curve)
+    # repeats it as text, for viewers
     last = len(series) - 1
     final_mesh = result.final_state.mesh
     if writer.rows[-1] != last:
         writer.write(final_mesh, last)
-    meshmod.save_mesh(final_mesh, writer.path("final"))
+    ext = "csv" if final_mesh.mode == "curve" else "off"
+    meshmod.save_mesh(final_mesh, os.path.join(writer.mesh_dir, f"final.{ext}"))
 
     # the right-hand sides of every persisted row but the last
     residuals = diagnostics.ode_residuals(
@@ -239,19 +243,25 @@ def _rebased(first, loaded):
 
 
 def _snapshot_files(mesh_dir):
-    """``(row, path)`` of each ``step_<row>`` mesh file in ``mesh_dir``, by row.
+    """``(row, path)`` of each snapshot file in ``mesh_dir``, by row.
 
     By row, not by name: ``step_1000000`` sorts between ``step_100000`` and
-    ``step_100001`` by name. Empty when ``mesh_dir`` does not exist.
+    ``step_100001`` by name. The names are those the run writes and cleans
+    up, so a name with fewer than six digits is not a snapshot. Empty when
+    ``mesh_dir`` does not exist; a ``ValueError`` when two files name one
+    row, say ``step_000003.off`` beside ``step_000003.npz``.
     """
     if not os.path.isdir(mesh_dir):
         return []
-    found = []
+    found = {}
     for name in os.listdir(mesh_dir):
-        match = re.fullmatch(r"step_(\d+)\.(off|csv)", name)
+        match = _SNAPSHOT.fullmatch(name)
         if match:
-            found.append((int(match[1]), os.path.join(mesh_dir, name)))
-    return sorted(found)
+            row = int(match[1])
+            if row in found:
+                raise ValueError(f"two snapshot files for row {row}")
+            found[row] = os.path.join(mesh_dir, name)
+    return sorted(found.items())
 
 
 def cmd_analyze(args):
@@ -273,7 +283,7 @@ def cmd_analyze(args):
     final_mesh = residuals = None
     if meshes:
         if "metadata" not in meta:
-            # without run_meta.json the snapshots tell the mode (step_*.csv: curve)
+            # without run_meta.json the snapshots tell the mode (no faces: curve)
             series.metadata["mode"] = meshes[0].mode
         final_mesh = meshes[-1]
         residuals = diagnostics.identity_residuals(series.subset(mesh_rows), meshes)
@@ -301,7 +311,7 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write a generator mesh to OFF/OBJ")
+    g = sub.add_parser("generate", help="write a generator mesh to OFF/OBJ/NPZ")
     g.add_argument(
         "generator", metavar="shape", choices=["icosphere", "ellipsoid", "perturbed"]
     )
@@ -319,7 +329,7 @@ def main(argv=None):
 
     r = sub.add_parser("run", help="evolve a mesh and write run artifacts")
     r.add_argument("--manifest", help="JSON manifest; flags override its keys")
-    r.add_argument("--mesh", help="input mesh file (OFF/OBJ/CSV)")
+    r.add_argument("--mesh", help="input mesh file (OFF/OBJ/CSV/NPZ)")
     r.add_argument("--generator", choices=["icosphere", "ellipsoid", "perturbed"])
     r.add_argument("--axes")
     r.add_argument("--subdiv", type=int, dest="subdivisions")

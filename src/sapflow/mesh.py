@@ -12,6 +12,8 @@ from functools import cached_property
 from math import pi, sqrt
 import numbers
 import os
+import zipfile
+import zlib
 
 import numpy as np
 import scipy.sparse as sparse
@@ -343,11 +345,6 @@ class _Connectivity:
         return _StiffnessPattern(self)
 
     @cached_property
-    def off_faces(self):
-        """The face block of an OFF file, one ``3 i j k`` line per face."""
-        return _format_rows("3 %d %d %d\n", self.faces)
-
-    @cached_property
     def diameter_graph(self):
         return _DiameterGraph(self)
 
@@ -513,13 +510,15 @@ def validate(mesh):
 
 
 def load_mesh(path):
-    """Load and check a closed oriented mesh from OFF, OBJ or curve CSV.
+    """Load and check a closed oriented mesh from OFF, OBJ, curve CSV or NPZ.
 
     Parameters
     ----------
     path : str | os.PathLike
-        Input file; the extension ``.off``, ``.obj`` or ``.csv`` (any case)
-        names the format.
+        Input file; the extension ``.off``, ``.obj``, ``.csv`` or ``.npz``
+        (any case) names the format. An ``.npz`` archive holds ``vertices``
+        (float64, (n, 3) or (n, 2)) and, for a surface, ``faces`` (int64,
+        (m, 3)); a file with faces is a surface.
 
     Returns
     -------
@@ -528,7 +527,10 @@ def load_mesh(path):
     Raises
     ------
     MeshParseError
-        Malformed file, or a vertex with a non-finite coordinate.
+        Malformed file, or a vertex with a non-finite coordinate. An
+        ``.npz`` file must be a whole zip archive with exactly the keys
+        above, no pickled objects, and arrays of exactly those dtypes: none
+        is cast.
     MeshTopologyError
         Open, non-manifold (at an edge or a vertex), inconsistently oriented
         or inward-oriented mesh; clockwise curve: the first such defect, with
@@ -541,6 +543,8 @@ def load_mesh(path):
         verts, faces = _read_obj(path)
     elif fmt == "csv":
         verts, faces = _read_curve_csv(path), None
+    elif fmt == "npz":
+        verts, faces = _read_npz(path)
     else:
         raise MeshParseError(f"unsupported mesh format {fmt!r}")
 
@@ -555,22 +559,31 @@ def load_mesh(path):
 
 
 def save_mesh(mesh, path):
-    """Write a mesh to OFF, OBJ or curve CSV with 17-significant-digit floats.
+    """Write a mesh to OFF, OBJ or curve CSV with 17-significant-digit floats,
+    or to an uncompressed NPZ archive of its arrays.
 
-    The extension of ``path`` names the format, as for :func:`load_mesh`. A
-    save/load round trip reproduces vertices bit-exactly and faces
-    identically. Raises ``OSError`` on I/O failure.
+    The extension of ``path`` names the format, as for :func:`load_mesh`; an
+    ``.npz`` file is written under exactly that name, whatever the case of
+    its extension. A save/load round trip reproduces vertices bit-exactly
+    and faces identically, and one mesh always gives the same bytes. Raises
+    ``OSError`` on I/O failure.
     """
     fmt = os.path.splitext(str(path))[1].lstrip(".").lower()
     v, f = mesh.vertices, mesh.faces
+    if fmt == "npz":
+        arrays = {"vertices": v} if f is None else {"vertices": v, "faces": f}
+        # an open file: given a path, np.savez writes m.NPZ to m.NPZ.npz
+        with open(path, "wb") as fh:
+            np.savez(fh, **arrays)
+        return
     xyz = " ".join([FLOAT_FMT] * 3) + "\n"
     if mesh.mode == "curve":
         if fmt != "csv":
-            raise ValueError("curve meshes serialize to CSV only")
+            raise ValueError("curve meshes serialize to CSV or NPZ only")
         text = _format_rows(f"{FLOAT_FMT},{FLOAT_FMT}\n", v)
     elif fmt == "off":
         text = f"OFF\n{mesh.n_vertices} {mesh.n_faces} 0\n"
-        text += _format_rows(xyz, v) + mesh._connectivity.off_faces
+        text += _format_rows(xyz, v) + _format_rows("3 %d %d %d\n", f)
     elif fmt == "obj":
         text = _format_rows("v " + xyz, v) + _format_rows("f %d %d %d\n", f + 1)
     else:
@@ -657,6 +670,34 @@ def _read_curve_csv(path):
         return np.loadtxt(lines, delimiter=",", usecols=(0, 1), ndmin=2)
     except ValueError as exc:
         raise MeshParseError(f"malformed curve CSV: {exc}") from exc
+
+
+def _read_npz(path):
+    """The vertices and faces (None for a curve) of an ``.npz`` mesh, with
+    its keys and dtypes checked; ``TriMesh`` checks the shapes and values."""
+    with open(path, "rb") as fh:
+        if fh.read(4) != b"PK\x03\x04":
+            raise MeshParseError("not an npz archive")
+        fh.seek(0)
+        try:
+            with np.load(fh, allow_pickle=False) as data:
+                keys = sorted(data.files)
+                if keys not in (["vertices"], ["faces", "vertices"]):
+                    raise MeshParseError(
+                        f"npz mesh must hold vertices and optionally faces, not {keys}"
+                    )
+                arrays = {key: data[key] for key in keys}
+        except (ValueError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+            raise MeshParseError(f"malformed npz file: {exc}") from exc
+    for key, array in arrays.items():
+        dtype = np.dtype(np.int64 if key == "faces" else np.float64)
+        # a member that is not an .npy file loads as bytes
+        found = getattr(array, "dtype", type(array).__name__)
+        if found != dtype:
+            raise MeshParseError(f"npz {key} must be {dtype}, not {found}")
+    if "faces" in arrays and not arrays["faces"].size:
+        raise MeshParseError("npz surface without faces")
+    return arrays["vertices"], arrays.get("faces")
 
 
 # -- generators -------------------------------------------------------------

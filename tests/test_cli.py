@@ -119,7 +119,7 @@ def test_run_writes_artifacts(tmp_path):
     assert os.path.exists(os.path.join(outdir, "series.csv"))
     assert os.path.exists(os.path.join(outdir, "summary.json"))
     assert os.path.exists(os.path.join(outdir, "meshes", "final.off"))
-    assert os.path.exists(os.path.join(outdir, "meshes", "step_000000.off"))
+    assert os.path.exists(os.path.join(outdir, "meshes", "step_000000.npz"))
     with open(os.path.join(outdir, "summary.json")) as fh:
         summary = json.load(fh)
     assert summary["termination"] == "time_limit"
@@ -232,7 +232,7 @@ def test_analyze_idempotent(tmp_path, monkeypatch, mesh_cadence, extra, fail_at,
     last = len(TimeSeries.from_csv(os.path.join(outdir, "series.csv"))) - 1
     rows = sorted({*range(0, last + 1, mesh_cadence), last})
     steps = sorted(n for n in os.listdir(os.path.join(outdir, "meshes")) if n != "final.off")
-    assert steps == [f"step_{row:06d}.off" for row in rows]
+    assert steps == [f"step_{row:06d}.npz" for row in rows]
     summary_path = os.path.join(outdir, "summary.json")
     with open(summary_path, "rb") as fh:
         original = fh.read()
@@ -244,18 +244,22 @@ def test_analyze_idempotent(tmp_path, monkeypatch, mesh_cadence, extra, fail_at,
 
 def test_run_into_an_earlier_runs_directory(tmp_path):
     # the second run removes the first run's mesh files, and only those, so
-    # analyze pairs each row with this run's mesh
+    # analyze pairs each row with this run's mesh; the text snapshots of an
+    # earlier version go too
     manifest_path, manifest = run_manifest(tmp_path, t_max=0.3)
     assert run_cli("run", "--manifest", str(manifest_path)) == 0
     outdir = manifest["output_dir"]
     mesh_dir = os.path.join(outdir, "meshes")
     (tmp_path / "out" / "meshes" / "notes.txt").write_text("kept\n")
+    save_mesh(load_mesh(os.path.join(mesh_dir, "final.off")),
+              os.path.join(mesh_dir, "step_000001.off"))
     assert run_cli("run", "--manifest", str(manifest_path),
                    "--t-max", "0.1", "--mesh-cadence", "3") == 0
     last = len(TimeSeries.from_csv(os.path.join(outdir, "series.csv"))) - 1
     rows = sorted({*range(0, last + 1, 3), last})
     steps = sorted(n for n in os.listdir(mesh_dir) if n.startswith("step_"))
-    assert steps == [f"step_{row:06d}.off" for row in rows]
+    assert steps == [f"step_{row:06d}.npz" for row in rows]
+    assert not os.path.exists(os.path.join(mesh_dir, "step_000001.off"))
     assert os.path.exists(os.path.join(mesh_dir, "notes.txt"))
     redone = tmp_path / "summary2.json"
     assert run_cli("analyze", os.path.join(outdir, "series.csv"), "-o", str(redone)) == 0
@@ -310,12 +314,59 @@ def test_snapshot_files_ordered_by_row(tmp_path):
     # by name, step_1000000 would sort between step_100000 and step_100001
     rows = [0, 5, 99999, 100000, 100001, 1000000, 1000001]
     for row in rows:
-        (tmp_path / f"step_{row:06d}.off").touch()
-    for name in ("final.off", "step_000007.off.tmp", "notes.txt"):
+        (tmp_path / f"step_{row:06d}.npz").touch()
+    for name in ("final.off", "step_000007.npz.tmp", "notes.txt"):
         (tmp_path / name).touch()
     found = cli._snapshot_files(str(tmp_path))
-    assert found == [(row, str(tmp_path / f"step_{row:06d}.off")) for row in rows]
+    assert found == [(row, str(tmp_path / f"step_{row:06d}.npz")) for row in rows]
     assert cli._snapshot_files(str(tmp_path / "missing")) == []
+
+
+def test_analyze_reads_the_text_snapshots_of_earlier_versions(tmp_path):
+    # a run directory with step_*.off snapshots still analyzes to its summary
+    manifest_path, manifest = run_manifest(tmp_path, mesh_cadence=2)
+    assert run_cli("run", "--manifest", str(manifest_path)) == 0
+    mesh_dir = os.path.join(manifest["output_dir"], "meshes")
+    for row, path in cli._snapshot_files(mesh_dir):
+        save_mesh(load_mesh(path), os.path.join(mesh_dir, f"step_{row:06d}.off"))
+        os.remove(path)
+    redone = tmp_path / "summary2.json"
+    series = os.path.join(manifest["output_dir"], "series.csv")
+    assert run_cli("analyze", series, "-o", str(redone)) == 0
+    with open(os.path.join(manifest["output_dir"], "summary.json"), "rb") as fh:
+        assert redone.read_bytes() == fh.read()
+
+
+def test_snapshot_with_a_short_name_is_ignored(tmp_path):
+    # step_3.off is no name a run writes or cleans up: analyze reading it
+    # paired row 3 with two meshes and divided by a zero time step
+    manifest_path, manifest = run_manifest(tmp_path)
+    assert run_cli("run", "--manifest", str(manifest_path)) == 0
+    mesh_dir = os.path.join(manifest["output_dir"], "meshes")
+    stray = load_mesh(os.path.join(mesh_dir, "final.off"))
+    save_mesh(stray.with_vertices(1.1 * stray.vertices), os.path.join(mesh_dir, "step_3.off"))
+    assert run_cli("run", "--manifest", str(manifest_path)) == 0
+    assert os.path.exists(os.path.join(mesh_dir, "step_3.off"))
+    assert [row for row, _ in cli._snapshot_files(mesh_dir)].count(3) == 1
+    redone = tmp_path / "summary2.json"
+    series = os.path.join(manifest["output_dir"], "series.csv")
+    assert run_cli("analyze", series, "-o", str(redone)) == 0
+    with open(os.path.join(manifest["output_dir"], "summary.json"), "rb") as fh:
+        assert redone.read_bytes() == fh.read()
+
+
+def test_two_snapshot_files_for_one_row_is_input_error(tmp_path, capsys):
+    manifest_path, manifest = run_manifest(tmp_path)
+    assert run_cli("run", "--manifest", str(manifest_path)) == 0
+    mesh_dir = os.path.join(manifest["output_dir"], "meshes")
+    save_mesh(load_mesh(os.path.join(mesh_dir, "step_000003.npz")),
+              os.path.join(mesh_dir, "step_000003.off"))
+    capsys.readouterr()
+    series = os.path.join(manifest["output_dir"], "series.csv")
+    assert run_cli("analyze", series, "-o", str(tmp_path / "summary2.json")) == 1
+    err = capsys.readouterr().err
+    assert err == "error: two snapshot files for row 3\n"
+    assert not (tmp_path / "summary2.json").exists()
 
 
 def test_analyze_synthetic_decay_csv(tmp_path):
@@ -519,7 +570,9 @@ def run_ellipse_curve(tmp_path):
 def test_curve_run_then_analyze(tmp_path):
     out = run_ellipse_curve(tmp_path)
     names = sorted(os.listdir(out / "meshes"))
-    assert names[0] == "final.csv" and all(n.endswith(".csv") for n in names)
+    assert names[0] == "final.csv" and all(n.endswith(".npz") for n in names[1:])
+    assert names[1] == "step_000000.npz"
+    assert load_mesh(out / "meshes" / names[1]).mode == "curve"
     analyzed = tmp_path / "analyzed.json"
     assert run_cli("analyze", str(out / "series.csv"), "-o", str(analyzed)) == 0
     assert analyzed.read_bytes() == (out / "summary.json").read_bytes()
@@ -527,7 +580,8 @@ def test_curve_run_then_analyze(tmp_path):
 
 
 def test_curve_analyze_without_run_meta(tmp_path):
-    # the mode comes from the step_*.csv snapshots: the decay bound uses n = 1
+    # the mode comes from the snapshots, which have no faces: the decay bound
+    # uses n = 1
     out = run_ellipse_curve(tmp_path)
     run_summary = json.loads((out / "summary.json").read_text())
     os.remove(out / "run_meta.json")

@@ -1,5 +1,7 @@
+import io
 import os
 import tempfile
+import zipfile
 
 import numpy as np
 import pytest
@@ -113,20 +115,6 @@ def test_save_roundtrip_bitexact(tmp_path, icosphere):
         loaded = load_mesh(path)
         assert np.array_equal(loaded.vertices, m.vertices)
         assert np.array_equal(loaded.faces, m.faces)
-
-
-def test_off_face_block_formatted_once_per_connectivity(tmp_path, monkeypatch):
-    sphere = gen_icosphere(1.0, subdivisions=1)
-    save_mesh(sphere.with_vertices(1.5 * sphere.vertices), tmp_path / "clone.off")
-    formats = count_calls(monkeypatch, meshmod, "_format_rows")
-    save_mesh(sphere, tmp_path / "shared.off")
-    assert len(formats) == 1  # the vertices; the face block is the clone's
-    save_mesh(TriMesh(sphere.vertices, sphere.faces), tmp_path / "fresh.off")
-    assert (tmp_path / "shared.off").read_bytes() == (tmp_path / "fresh.off").read_bytes()
-    # the same vertices on other faces write their own block
-    relabelled = TriMesh(sphere.vertices, np.roll(sphere.faces, 1, axis=1))
-    save_mesh(relabelled, tmp_path / "relabelled.off")
-    assert np.array_equal(load_mesh(tmp_path / "relabelled.off").faces, relabelled.faces)
 
 
 def test_save_curve_roundtrip(tmp_path):
@@ -465,28 +453,26 @@ def _parse_only(path):
     return TriMesh(*read(path))
 
 
-def _assert_same_mesh(loaded, mesh):
+def _assert_same_arrays(loaded, mesh):
     assert loaded.vertices.shape == mesh.vertices.shape
     assert np.array_equal(loaded.vertices.view(np.int64), mesh.vertices.view(np.int64))
     if mesh.faces is not None:
         assert loaded.faces.dtype == np.int64 and np.array_equal(loaded.faces, mesh.faces)
+
+
+def _assert_same_mesh(loaded, mesh):
+    _assert_same_arrays(loaded, mesh)
+    if mesh.faces is not None:
         assert loaded.faces.base is None  # not a view of a wider parse buffer
 
 
-@settings(max_examples=30, deadline=None)
-@given(
-    seed=st.integers(0, 2**32 - 1),
-    subdiv=st.integers(0, 2),
-    exponent=st.integers(-60, 60),
-    fmt=st.sampled_from(["off", "obj", "csv"]),
-)
-def test_save_load_roundtrip_property(seed, subdiv, exponent, fmt):
-    # perturbed and relabelled spheres (circles for csv) at scales 1e+-60, where
-    # squared face areas neither overflow nor underflow; the vertex order is
-    # the curve, so a circle is relabelled by a cyclic shift and stays
-    # counter-clockwise, as load_mesh requires
+def _perturbed_relabelled(seed, subdiv, exponent, curve):
+    """A perturbed and relabelled sphere (a circle for ``curve``) at scale
+    ``10**exponent``. At scales 1e+-60 squared face areas neither overflow
+    nor underflow; the vertex order is the curve, so a circle is relabelled
+    by a cyclic shift and stays counter-clockwise, as load_mesh requires."""
     rng = np.random.default_rng(seed)
-    if fmt == "csv":
+    if curve:
         base = gen_circle(1.0, 3 + 8 * subdiv)
         shift = int(rng.integers(base.n_vertices))
         mesh = base.with_vertices(np.roll(base.vertices, shift, axis=0))
@@ -497,10 +483,43 @@ def test_save_load_roundtrip_property(seed, subdiv, exponent, fmt):
         new_label[perm] = np.arange(len(perm))
         mesh = TriMesh(base.vertices[perm], new_label[base.faces])
     radial = 1.0 + 0.2 * rng.uniform(-1.0, 1.0, size=mesh.n_vertices)
-    mesh = mesh.with_vertices(radial[:, None] * mesh.vertices * 10.0**exponent)
+    return mesh.with_vertices(radial[:, None] * mesh.vertices * 10.0**exponent)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    subdiv=st.integers(0, 2),
+    exponent=st.integers(-60, 60),
+    fmt=st.sampled_from(["off", "obj", "csv"]),
+)
+def test_save_load_roundtrip_property(seed, subdiv, exponent, fmt):
+    mesh = _perturbed_relabelled(seed, subdiv, exponent, curve=fmt == "csv")
     text, loaded = _save_and_read(mesh, fmt, load_mesh)
     assert text == _per_element_text(mesh, fmt)
     _assert_same_mesh(loaded, mesh)
+
+
+def _npz_save_and_read(mesh, load):
+    """Save ``mesh`` to a fresh ``.npz`` file; returns ``load(path)``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "m.npz")
+        save_mesh(mesh, path)
+        return load(path)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    subdiv=st.integers(0, 2),
+    exponent=st.integers(-60, 60),
+    curve=st.booleans(),
+)
+def test_npz_roundtrip_property(seed, subdiv, exponent, curve):
+    mesh = _perturbed_relabelled(seed, subdiv, exponent, curve)
+    loaded = _npz_save_and_read(mesh, load_mesh)
+    assert loaded.mode == mesh.mode
+    _assert_same_arrays(loaded, mesh)
 
 
 EXTREME_FLOATS = st.one_of(
@@ -512,22 +531,130 @@ EXTREME_FLOATS = st.one_of(
 )
 
 
+def _extreme_mesh(data, curve):
+    """A curve, or two triangles, on 4-10 vertices drawn from ``EXTREME_FLOATS``."""
+    dim = 2 if curve else 3
+    n = data.draw(st.integers(4, 10))
+    values = data.draw(st.lists(EXTREME_FLOATS, min_size=n * dim, max_size=n * dim))
+    vertices = np.array(values).reshape(n, dim)
+    if curve:
+        return TriMesh(vertices, mode="curve")
+    a, b, c, d = data.draw(st.permutations(range(n)))[:4]
+    return TriMesh(vertices, [[a, b, c], [d, c, b]])
+
+
 @settings(max_examples=60, deadline=None)
 @given(data=st.data(), fmt=st.sampled_from(["off", "obj", "csv"]))
 def test_roundtrip_extreme_values_property(data, fmt):
     # magnitudes near 1e+-300, subnormals and -0.0, through the parsers
-    dim = 2 if fmt == "csv" else 3
-    n = data.draw(st.integers(4, 10))
-    values = data.draw(st.lists(EXTREME_FLOATS, min_size=n * dim, max_size=n * dim))
-    vertices = np.array(values).reshape(n, dim)
-    if fmt == "csv":
-        mesh = TriMesh(vertices, mode="curve")
-    else:
-        a, b, c, d = data.draw(st.permutations(range(n)))[:4]
-        mesh = TriMesh(vertices, [[a, b, c], [d, c, b]])
+    mesh = _extreme_mesh(data, curve=fmt == "csv")
     text, loaded = _save_and_read(mesh, fmt, _parse_only)
     assert text == _per_element_text(mesh, fmt)
     _assert_same_mesh(loaded, mesh)
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), curve=st.booleans())
+def test_npz_roundtrip_extreme_values_property(data, curve):
+    # the same values through the binary reader, without load_mesh's
+    # closed-manifold and orientation checks
+    mesh = _extreme_mesh(data, curve)
+    loaded = _npz_save_and_read(mesh, lambda path: TriMesh(*meshmod._read_npz(path),
+                                                           mode=mesh.mode))
+    _assert_same_arrays(loaded, mesh)
+
+
+def _npz_bytes(**arrays):
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def _corrupt_deflate(v, f):
+    """A compressed archive whose first member's deflate stream, after its
+    62-byte local header (30 fixed, the 12-byte name, 20 of zip64 extra),
+    has 8 bytes flipped."""
+    buf = io.BytesIO()
+    np.savez_compressed(buf, vertices=v, faces=f)
+    data = buf.getvalue()
+    return data[:62] + bytes(b ^ 0xFF for b in data[62:70]) + data[70:]
+
+
+def _raw_members(v, f):
+    """A zip archive whose members hold the raw array bytes, not ``.npy`` files."""
+    buf = io.BytesIO()
+    with zipfile.ZipFile(buf, "w") as archive:
+        archive.writestr("vertices", v.tobytes())
+        archive.writestr("faces", f.tobytes())
+    return buf.getvalue()
+
+
+def _with_nan(v):
+    v = v.copy()
+    v[1, 2] = np.nan
+    return v
+
+
+# name -> (the error's message, the file's bytes from the vertices and faces
+# of a tetrahedron)
+NPZ_DEFECTS = {
+    "not-a-zip": ("not an npz archive", lambda v, f: b"OFF\n4 4 0\n"),
+    "truncated": ("not a zip file", lambda v, f: _npz_bytes(vertices=v, faces=f)[:400]),
+    "corrupt-deflate": ("while decompressing", _corrupt_deflate),
+    "no-vertices": ("must hold vertices", lambda v, f: _npz_bytes(faces=f)),
+    "no-faces": ("without faces", lambda v, f: _npz_bytes(vertices=v, faces=f[:0])),
+    "raw-members": ("faces must be int64, not bytes", _raw_members),
+    "extra-key": (r"not \['faces', 'mode', 'vertices'\]",
+                  lambda v, f: _npz_bytes(vertices=v, faces=f, mode=np.array("surface"))),
+    "object-array": ("Object arrays",
+                     lambda v, f: _npz_bytes(vertices=v.astype(object), faces=f)),
+    "float32-vertices": ("vertices must be float64, not float32",
+                         lambda v, f: _npz_bytes(vertices=v.astype(np.float32), faces=f)),
+    "int32-faces": ("faces must be int64, not int32",
+                    lambda v, f: _npz_bytes(vertices=v, faces=f.astype(np.int32))),
+    "4-column-vertices": (r"shape \(n, 3\)",
+                          lambda v, f: _npz_bytes(vertices=np.hstack([v, v[:, :1]]), faces=f)),
+    "nan": ("non-finite coordinate", lambda v, f: _npz_bytes(vertices=_with_nan(v), faces=f)),
+}
+
+
+@pytest.mark.parametrize("name", list(NPZ_DEFECTS))
+def test_npz_malformed_is_parse_error(tmp_path, tetrahedron, name):
+    message, content = NPZ_DEFECTS[name]
+    path = tmp_path / "m.npz"
+    path.write_bytes(content(tetrahedron.vertices, tetrahedron.faces))
+    with pytest.raises(MeshParseError, match=message):
+        load_mesh(path)
+
+
+def test_npz_inward_mesh_rejected(tmp_path, tetrahedron):
+    path = tmp_path / "inward.npz"
+    path.write_bytes(_npz_bytes(vertices=tetrahedron.vertices, faces=tetrahedron.faces[:, ::-1]))
+    with pytest.raises(MeshTopologyError, match="inward"):
+        load_mesh(path)
+
+
+def test_npz_upper_case_suffix(tmp_path, icosphere):
+    # given a path, np.savez would write m.NPZ.npz
+    mesh = icosphere(1.0, 1)
+    save_mesh(mesh, tmp_path / "m.NPZ")
+    assert os.listdir(tmp_path) == ["m.NPZ"]
+    assert load_mesh(tmp_path / "m.NPZ") == mesh
+
+
+def test_npz_bytes_depend_on_the_mesh_alone(tmp_path, icosphere):
+    # every member is dated 1980-01-01 (ZipFile.open's default), not now
+    mesh = icosphere(1.0, 1)
+    save_mesh(mesh, tmp_path / "a.npz")
+    save_mesh(TriMesh(mesh.vertices.copy(), mesh.faces.copy()), tmp_path / "b.npz")
+    assert (tmp_path / "a.npz").read_bytes() == (tmp_path / "b.npz").read_bytes()
+    with zipfile.ZipFile(tmp_path / "a.npz") as archive:
+        members = archive.infolist()
+    assert [m.filename for m in members] == ["vertices.npy", "faces.npy"]
+    assert all(m.date_time == (1980, 1, 1, 0, 0, 0) for m in members)
+    assert all(m.compress_type == zipfile.ZIP_STORED for m in members)
+    with np.load(tmp_path / "a.npz") as data:
+        assert data["faces"].dtype == np.int64 and data["vertices"].dtype == np.float64
 
 
 # -- generators ----------------------------------------------------------------
