@@ -232,16 +232,6 @@ def cmd_run(args):
     return 0 if result.termination.kind in ("converged", "time_limit") else 2
 
 
-def _rebased(first, loaded):
-    """``loaded`` on the connectivity tables of ``first`` when they have equal
-    connectivity (as the snapshots of one run do), so that the tables and
-    incidence operators of the geometry pass are built once for all."""
-    same = first.mode == loaded.mode and first.vertices.shape == loaded.vertices.shape
-    if same and loaded.faces is not None:
-        same = np.array_equal(first.faces, loaded.faces)
-    return first.with_vertices(loaded.vertices) if same else loaded
-
-
 def _snapshot_files(mesh_dir):
     """``(row, path)`` of each snapshot file in ``mesh_dir``, by row.
 
@@ -278,8 +268,8 @@ def cmd_analyze(args):
     for row, path in _snapshot_files(os.path.join(rundir, "meshes")):
         if row < len(series):
             mesh_rows.append(row)
-            loaded = meshmod.load_mesh(path)
-            meshes.append(_rebased(meshes[0], loaded) if meshes else loaded)
+            # the snapshots of one run share the first one's connectivity
+            meshes.append(meshmod.load_mesh(path, like=meshes[0] if meshes else None))
     final_mesh = residuals = None
     if meshes:
         if "metadata" not in meta:

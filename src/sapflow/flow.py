@@ -14,7 +14,6 @@ import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
-import scipy.sparse as sparse
 import scipy.sparse.linalg as spla
 
 from .errors import (
@@ -162,17 +161,21 @@ def _semi_implicit_step(mesh, cache, h, dt, guess):
     # (M + dt h L) x' = M (x + dt nu): stiff h*Laplacian part implicit, unit
     # normal transport explicit. M is the positive mixed-Voronoi diagonal and
     # L is PSD, so A is SPD: each coordinate is solved by Jacobi-preconditioned
-    # CG from ``guess``.
+    # CG from ``guess``. CG gets both as thin operators: given the matrix and
+    # a sparse.diags preconditioner, scipy passes every product through
+    # several more Python layers, for the same products bit for bit.
     A = geometry.cotangent_stiffness(mesh, cache.stiffness_weight)
     diagonal = mesh._connectivity.stiffness_pattern.diagonal
     A.data *= dt * h
     A.data[diagonal] += cache.vertex_area
-    jacobi = sparse.diags(1.0 / A.data[diagonal])
+    inv_diagonal = 1.0 / A.data[diagonal]
+    system = spla.LinearOperator(A.shape, matvec=A.__matmul__, dtype=A.dtype)
+    jacobi = spla.LinearOperator(A.shape, matvec=inv_diagonal.__mul__, dtype=A.dtype)
     rhs = cache.vertex_area[:, None] * (mesh.vertices + dt * cache.normal)
     out = np.empty_like(rhs)
     for k in range(rhs.shape[1]):
         out[:, k], info = spla.cg(
-            A, rhs[:, k], x0=guess[:, k], rtol=_CG_RTOL, atol=0.0, M=jacobi
+            system, rhs[:, k], x0=guess[:, k], rtol=_CG_RTOL, atol=0.0, M=jacobi
         )
         if info != 0:
             raise BlowUpError(

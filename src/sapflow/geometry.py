@@ -90,9 +90,10 @@ class GeometryCache:
 # fields; the operations further down take what they need of it as arguments.
 # Sums over faces, corners and half-edges are products with the incidence
 # operators of the mesh's connectivity (mesh._Connectivity); the half-edge
-# vectors are the face record's edges, one gather that both curvature fits
-# share. The vector arithmetic is written out per component, once, in
-# mesh._dot / _cross / _norm.
+# vectors are the face record's edges, one gather, and both curvature fits
+# solve from one set of 1-ring moments of them (_ring_moments). The vector
+# arithmetic is written out per component, once, in mesh._dot / _cross /
+# _norm.
 
 
 def _configuration(mesh):
@@ -170,9 +171,11 @@ def _area_gradient(mesh, conf, weight):
     the integrated discrete Laplace-Beltrami of the embedding, the outward
     mean curvature normal times the vertex area."""
     # each half-edge carries its weight times its vector x: -x into its source
-    # and x into its target, the source of the next half-edge of its face
-    x = weight.reshape(3, -1, 1) * conf.edge
-    return mesh._connectivity.ring @ (x[[2, 0, 1]] - x).reshape(-1, 3)
+    # and x into its target, the source of the next half-edge of its face;
+    # summed component by component, x being (component, corner, face)
+    x = (conf.edge_rows * weight).reshape(3, 3, -1)
+    ring = mesh._connectivity.ring
+    return np.stack([ring @ (xc[[2, 0, 1]] - xc).ravel() for xc in x], axis=1)
 
 
 def _second_form(mesh, conf, normals, H):
@@ -180,10 +183,12 @@ def _second_form(mesh, conf, normals, H):
 
     The shape operator is fit per vertex from the derivatives of the
     osculating-sphere normals along the 1-ring edges and rescaled so that its
-    trace is the H that drives the flow.
+    trace is the H that drives the flow. The sphere fit and the shape fit
+    both take their normal equations from one set of 1-ring moments.
     """
-    nsf = _sphere_fit_normals(mesh, conf, normals)
-    k1, k2 = _shape_operator_eigen(mesh, conf, nsf, H)
+    moments = _ring_moments(mesh, conf)
+    nsf = _sphere_fit_normals(mesh, moments, normals)
+    k1, k2 = _shape_operator_eigen(mesh, conf, moments, nsf, H)
     second = np.sqrt(k1**2 + k2**2)
     return second, np.sqrt(np.maximum(second**2 - H**2 / 2.0, 0.0))
 
@@ -197,10 +202,10 @@ def _gradient_norm(mesh, conf, f):
     """
     # the face gradient is n_f x sum_k f_k E_k / 2A, E_k the edge opposite
     # corner k (edge k + 1) and n_f = cross / 2A; vertices average it by area
-    fk = f[mesh.faces.T][:, :, None]
-    e = conf.edge
-    s = fk[0] * e[1] + fk[1] * e[2] + fk[2] * e[0]
-    area_times_grad = _cross(conf.cross, s) / (4.0 * conf.area)[:, None]
+    fk = np.take(f, mesh.faces.T)
+    e = conf.edge_rows.reshape(3, 3, -1)  # component, corner, face
+    s = fk[0] * e[:, 1] + fk[1] * e[:, 2] + fk[2] * e[:, 0]
+    area_times_grad = _cross(conf.cross, s.T) / (4.0 * conf.area)[:, None]
     op = mesh._connectivity.face
     vg = op @ area_times_grad
     vg /= (op @ conf.area)[:, None]
@@ -256,122 +261,163 @@ def cotangent_stiffness(mesh, weight):
     return sparse.csr_matrix((data, pattern.indices, pattern.indptr), shape=(n, n))
 
 
-# (n, 10) columns 4 s_xx, 4 s_xy, 4 s_xz, 4 s_yy, 4 s_yz, 4 s_zz, 2 s_x, 2 s_y,
-# 2 s_z, valence + 1 -> the symmetric (4, 4) sphere-fit matrix, row-major
-_SPHERE_MATRIX = [0, 1, 2, 6, 1, 3, 4, 7, 2, 4, 5, 8, 6, 7, 8, 9]
+# The curvature fits work on component-major (k, n) arrays, whose rows numpy
+# runs through contiguously. A symmetric 3x3 matrix is stored as the rows of
+# its 6 distinct entries (xx, xy, xz, yy, yz, zz): _PAIRS holds the (a, b) of
+# each stored entry and _SYMMETRIC the stored entry of each (a, b).
+_PAIRS = ([0, 0, 0, 1, 1, 2], [0, 1, 2, 1, 2, 2])
+_SYMMETRIC = [[0, 1, 2], [1, 3, 4], [2, 4, 5]]
 
 
-def _sphere_fit_normals(mesh, conf, reference_normals):
+def _symmetric_solve(m, r):
+    """(adj(m) r, det m) for stored symmetric (6, n) m and (3, n) r: the
+    solution of m x = r times det m."""
+    xx, xy, xz, yy, yz, zz = m
+    adj = np.empty((3, 3, m.shape[1]))
+    (a00, a01, a02), (a10, a11, a12), (a20, a21, a22) = adj
+    np.subtract(yy * zz, yz * yz, out=a00)
+    np.subtract(xz * yz, xy * zz, out=a01)
+    np.subtract(xy * yz, xz * yy, out=a02)
+    np.subtract(xx * zz, xz * xz, out=a11)
+    np.subtract(xy * xz, xx * yz, out=a12)
+    np.subtract(xx * yy, xy * xy, out=a22)
+    a10[:], a20[:], a21[:] = a01, a02, a12
+    return np.einsum("abn,bn->an", adj, r), xx * a00 + xy * a01 + xz * a02
+
+
+def _tangent_forms(m, t):
+    """(2, 2, n) t_k^T m t_l of stored symmetric (6, n) m and the (2, 3, n)
+    tangent frame t."""
+    return np.einsum("kan,lan->kln", t, np.einsum("abn,lbn->lan", m[_SYMMETRIC], t))
+
+
+def _ring_moments(mesh, conf):
+    """The per-vertex 1-ring moments both curvature fits solve from.
+
+    With d the half-edge vectors leaving a vertex (its ring points centred at
+    the vertex) and q = |d|^2: ``(Q, s, sum_q, sum_qd)`` = (sum d d^T, stored
+    symmetric (6, n); sum d (3, n); sum q (n,); sum q d (3, n)). Each row is
+    one product of ``ring`` with a half-edge row, formed in one reused buffer.
+    """
+    ring = mesh._connectivity.ring
+    d, q = conf.edge_rows, conf.length2.ravel()
+    buf = np.empty(len(q))
+    sums = np.empty((13, mesh.n_vertices))
+    for k, (a, b) in enumerate(zip(*_PAIRS)):
+        sums[k] = ring @ np.multiply(d[a], d[b], out=buf)
+    sums[6] = ring @ q
+    for a in range(3):
+        sums[7 + a] = ring @ d[a]
+        sums[10 + a] = ring @ np.multiply(d[a], q, out=buf)
+    return sums[:6], sums[7:10], sums[6], sums[10:]
+
+
+# a sphere fit is singular when det M <= _SINGULAR_FIT (tr M)^3 (see
+# _sphere_fit_normals)
+_SINGULAR_FIT = 1e3 * np.finfo(np.float64).eps
+
+
+def _sphere_fit_normals(mesh, moments, reference_normals):
     """Unit normals from per-vertex least-squares sphere fits over the 1-ring.
 
     Fits the algebraic sphere |p - x_i|^2 = 2 c.(p - x_i) + rho through the
-    vertex and its 1-ring (centred for conditioning); the normal is the
-    radial direction at the vertex, sign-matched to ``reference_normals``.
+    vertex and its 1-ring (centred at the vertex); the normal is the radial
+    direction -c/|c| at the vertex, sign-matched to ``reference_normals``.
     Exact on meshes inscribed in a common sphere, which gives the traceless
     second-form estimate the dynamic range the roundness diagnostics need.
-    Degenerate fits fall back to the reference normal. Surface meshes only.
+
+    ``moments`` are the vertex's :func:`_ring_moments`. The normal equations
+    in (c, rho) lose rho to the Schur complement of the point count
+    kappa = valence + 1: M c = (sum q d - s sum q / kappa) / 2 with
+    M = Q - s s^T / kappa, the scatter matrix of the kappa points about their
+    mean. M is solved in closed form by its adjugate on (n,) rows. Only the
+    direction of c is used, so c is taken as adj(M) b with
+    b = sum q d - s sum q / kappa, without the factor 1/2 or the division by
+    det M. A fit is singular, and keeps the reference normal, when
+    det M <= 1000 eps (tr M)^3, which holds when M is singular to within its
+    rounding: when the points lie on one plane (a flat 1-ring, or a boundary
+    vertex of an open mesh with its ring on one rectangle, where the ratio
+    det M / (tr M)^3 reads about 1e-17). The eigenvalues of M are
+    nonnegative, so the ratio is at most 1/27; on icospheres, ellipsoids and
+    dented spheres up to V = 10242 it stays above 1e-5. The rule is
+    invariant under rigid motions and scaling. Returns an (n, 3) view of
+    component-major rows. Surface meshes only.
     """
-    n = mesh.n_vertices
-    ring = mesh._connectivity.ring
-    d = conf.edge.reshape(-1, 3)  # ring points centred at the ring owner
-    q = conf.length2.ravel()
-
-    # the moments in two products, each stack freed before the next (one
-    # 13-column stack would double the transient peak): Q = sum d d^T (its 6
-    # distinct entries) and sum q, then s = sum d and sum q d. Each column is
-    # one product along the half-edges: a broadcast over the rows of d would
-    # run numpy's inner loop over 3 components
-    dx, dy, dz = d.T
-    x = np.empty((len(d), 7))
-    for k, (a, b) in enumerate([(dx, dx), (dx, dy), (dx, dz), (dy, dy), (dy, dz), (dz, dz)]):
-        np.multiply(a, b, out=x[:, k])
-    x[:, 6] = q
-    quadratic = ring @ x
-    del x
-    x = np.empty((len(d), 6))
-    x[:, :3] = d
-    for k, a in enumerate((dx, dy, dz)):
-        np.multiply(a, q, out=x[:, 3 + k])
-    linear = ring @ x
-    del x
-
-    entries = np.empty((n, 10))
-    np.multiply(quadratic[:, :6], 4.0, out=entries[:, :6])
-    np.multiply(linear[:, :3], 2.0, out=entries[:, 6:9])
-    entries[:, 9] = np.diff(ring.indptr) + 1.0  # the centred vertex adds a zero row
-    G = entries[:, _SPHERE_MATRIX].reshape(n, 4, 4)
-    rhs = np.empty((n, 4))
-    np.multiply(linear[:, 3:], 2.0, out=rhs[:, :3])
-    rhs[:, 3] = quadratic[:, 6]
-
-    ok = np.ones(n, dtype=bool)
-    try:
-        sol = np.linalg.solve(G, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        # some fit is exactly singular (e.g. a flat 1-ring): solve the others
-        ok = np.abs(np.linalg.det(G)) > 0
-        sol = np.zeros((n, 4))
-        sol[ok] = np.linalg.solve(G[ok], rhs[ok, :, None])[:, :, 0]
-    centre = sol[:, :3]  # relative to each vertex
-    dist = _norm(centre)
-    usable = ok & (dist > 1e-300)
-    out = reference_normals.copy()
-    out[usable] = -centre[usable] / dist[usable, None]
-    flip = _dot(out, reference_normals) < 0
-    out[flip] = -out[flip]
-    return out
+    Q, s, sum_q, sum_qd = moments
+    kappa = np.diff(mesh._connectivity.ring.indptr) + 1.0
+    centroid = s / kappa
+    M = Q - s[_PAIRS[0]] * centroid[_PAIRS[1]]
+    centre, det = _symmetric_solve(M, sum_qd - centroid * sum_q)
+    trace = M[0] + M[3] + M[5]
+    dist = _norm(centre.T)
+    usable = (det > _SINGULAR_FIT * trace**3) & (dist > 0)
+    out = reference_normals.T.copy()
+    np.divide(centre, -dist, out=out, where=usable)
+    np.negative(out, out=out, where=_dot(out.T, reference_normals) < 0)
+    return out.T
 
 
-def _shape_operator_eigen(mesh, conf, nsf, H):
+def _shape_operator_eigen(mesh, conf, moments, nsf, H):
     """(k1, k2) of the trace-reconciled 1-ring shape operator fit.
 
-    ``nsf`` are the sphere-fit normals. An exactly rank-deficient fit raises
-    :class:`DegenerateGeometryError`, on open meshes too. On an open mesh the
-    fits of the boundary rings are rounding noise, since their sphere fits
-    are nearly singular; the flow runs on closed meshes only.
+    ``nsf`` are the sphere-fit normals and ``moments`` the vertex's
+    :func:`_ring_moments`. In the tangent frame (t1, t2) of each vertex, a
+    ring half-edge d to vertex j has the tangent components u_k = t_k . d of
+    its vector and w_k = t_k . (n_j - n_i) of its normal change. The normal
+    equations of the symmetric fit S = [[a, b], [b, c]] take their sums from
+    moments: sum u_k u_l = t_k^T Q t_l and sum u_k w_l = t_k^T P t_l with
+    P = sum d n_j^T - s n_i^T. Since t_l . n_i = 0 the second term drops,
+    and the equations read P only through its symmetric part, so 6 row
+    products over the half-edges give N = sum (d n_j^T + n_j d^T) =
+    P + P^T. An exactly rank-deficient fit raises
+    :class:`DegenerateGeometryError`, on open meshes too; the flow runs on
+    closed meshes only.
     """
     n = mesh.n_vertices
-    # t1 = nsf x e_x where |nsf_x| < 0.9, else nsf x e_y; t2 = nsf x t1
-    seed_x = (np.abs(nsf[:, 0]) < 0.9)[:, None]
-    t1 = _cross(nsf, np.where(seed_x, (1.0, 0.0, 0.0), (0.0, 1.0, 0.0)))
-    t1 /= _norm(t1)[:, None]
-    t2 = _cross(nsf, t1)
+    nrm = np.ascontiguousarray(nsf.T)
+    # t1 = nsf x e_x = (0, n_z, -n_y) where |n_x| < 0.9, else nsf x e_y =
+    # (-n_z, 0, n_x); t2 = nsf x t1
+    nx, ny, nz = nrm
+    seed_x = np.abs(nx) < 0.9
+    t = np.zeros((2, 3, n))
+    t1, t2 = t
+    np.negative(nz, out=t1[0], where=~seed_x)
+    np.copyto(t1[1], nz, where=seed_x)
+    np.copyto(t1[2], nx)
+    np.negative(ny, out=t1[2], where=seed_x)
+    t1 /= _norm(t1.T)
+    for k in range(3):  # t2 = nsf x t1, as _cross forms it
+        b, c = (k + 1) % 3, (k + 2) % 3
+        np.multiply(nrm[b], t1[c], out=t2[k])
+        t2[k] -= nrm[c] * t1[b]
 
-    e = mesh.directed_edges
-    i, j = e[:, 0], e[:, 1]
-    ev = conf.edge.reshape(-1, 3)
-    # np.take gathers rows several times faster than fancy indexing
-    dn = np.take(nsf, j, axis=0) - np.take(nsf, i, axis=0)
-    t = np.take(t1, i, axis=0)
-    u1, w1 = _dot(t, ev), _dot(t, dn)
-    t = np.take(t2, i, axis=0)
-    u2, w2 = _dot(t, ev), _dot(t, dn)
-    del t, dn
+    ring = mesh._connectivity.ring
+    d = conf.edge_rows
+    # np.take gathers several times faster than fancy indexing
+    nj = np.take(nrm, mesh.directed_edges[:, 1], axis=1)
+    buf, other = np.empty((2, d.shape[1]))
+    N = np.empty((6, n))
+    for k, (a, b) in enumerate(zip(*_PAIRS)):
+        np.multiply(d[a], nj[b], out=buf)
+        if a != b:
+            buf += np.multiply(d[b], nj[a], out=other)
+        N[k] = ring @ buf
+    del nj, buf, other
+    N[[0, 3, 5]] *= 2.0
 
     # normal equations for symmetric S = [[a, b], [b, c]]: the symmetric
     # system [[s11, s12, 0], [s12, s11 + s22, s12], [0, s12, s22]] (a, b, c)
-    # = (sum u1 w1, sum u2 w1 + u1 w2, sum u2 w2), s_kl = sum uk ul
-    x = np.empty((len(ev), 7))
-    np.multiply(u1, u1, out=x[:, 0])
-    np.multiply(u1, u2, out=x[:, 1])
-    np.multiply(u2, u2, out=x[:, 2])
-    np.add(x[:, 0], x[:, 2], out=x[:, 3])
-    np.multiply(u1, w1, out=x[:, 4])
-    x[:, 5] = u2 * w1 + u1 * w2
-    np.multiply(u2, w2, out=x[:, 6])
-    s = mesh._connectivity.ring @ x
+    # = (sum u1 w1, sum u2 w1 + u1 w2, sum u2 w2), with s_kl = sum uk ul =
+    # t_k^T Q t_l and sum uk wl + ul wk = t_k^T N t_l
+    (s11, s12), (_, s22) = _tangent_forms(moments[0], t)
+    G = np.stack([s11, s12, np.zeros(n), s11 + s22, s12, s22])
+    (r0, r1), (_, r2) = _tangent_forms(N, t)
+    r = np.stack([0.5 * r0, r1, 0.5 * r2])
     # solved by the adjugate: (a, b, c) = adj(G) r / det G
-    s11, s12, s22, s_tr = s[:, 0], s[:, 1], s[:, 2], s[:, 3]
-    r0, r1, r2 = s[:, 4], s[:, 5], s[:, 6]
-    p = s12 * s12
-    a_11, a_12, a_13 = s_tr * s22 - p, -s12 * s22, p
-    a_22, a_23, a_33 = s11 * s22, -s11 * s12, s11 * s_tr - p
-    det = s11 * a_11 + s12 * a_12
+    abc, det = _symmetric_solve(G, r)
     if (det == 0).any():
         raise DegenerateGeometryError("rank-deficient 1-ring shape operator fit")
-    a = (a_11 * r0 + a_12 * r1 + a_13 * r2) / det
-    b = (a_12 * r0 + a_22 * r1 + a_23 * r2) / det
-    c = (a_13 * r0 + a_23 * r1 + a_33 * r2) / det
+    a, b, c = abc / det
     trace = a + c
     disc = np.sqrt(0.25 * (a - c) ** 2 + b**2)
 

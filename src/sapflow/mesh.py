@@ -93,11 +93,7 @@ class TriMesh:
                 raise ValueError("curve mode takes no face list")
         else:
             raise ValueError(f"unknown mesh mode {mode!r}")
-        bad = ~np.isfinite(vertices).all(axis=1)
-        if bad.any():
-            raise ValueError(
-                f"non-finite coordinate in {int(bad.sum())} of {len(bad)} vertices"
-            )
+        _check_finite(vertices)
 
         vertices.setflags(write=False)
         self.vertices = vertices
@@ -188,6 +184,13 @@ class TriMesh:
         return f"TriMesh(mode={self.mode!r}, |V|={self.n_vertices}, |F|={self.n_faces})"
 
 
+def _check_finite(vertices):
+    """Raise ``ValueError`` naming how many vertices have a non-finite coordinate."""
+    bad = ~np.isfinite(vertices).all(axis=1)
+    if bad.any():
+        raise ValueError(f"non-finite coordinate in {int(bad.sum())} of {len(bad)} vertices")
+
+
 def _dot(a, b):
     """Dot product over the last axis (length 3), summed left to right."""
     return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
@@ -218,7 +221,9 @@ class _FaceRecord:
     lengths ``length2``, the corner cotangents ``cot`` (both (3, m)) and the
     signed ``volume`` on first use, since validation must not raise on
     degenerate faces. ``corner_dot`` (3, m) is the dot product of the two
-    edges leaving each corner. Not kept on the mesh: a run holding its
+    edges leaving each corner, and ``edge_rows`` (3, 3m), built on first
+    use, the half-edge vectors component by component, for the curvature
+    fits' contiguous row arithmetic. Not kept on the mesh: a run holding its
     snapshot meshes would hold their face data too.
     """
 
@@ -239,6 +244,11 @@ class _FaceRecord:
     @cached_property
     def length2(self):
         return _dot(self.edge, self.edge)
+
+    @cached_property
+    def edge_rows(self):
+        """(3, 3m) component-major copy of the half-edge vectors."""
+        return np.ascontiguousarray(self.edge.reshape(-1, 3).T)
 
     @property
     def corner_dot(self):
@@ -509,7 +519,7 @@ def validate(mesh):
 # -- file I/O ---------------------------------------------------------------
 
 
-def load_mesh(path):
+def load_mesh(path, like=None):
     """Load and check a closed oriented mesh from OFF, OBJ, curve CSV or NPZ.
 
     Parameters
@@ -519,6 +529,14 @@ def load_mesh(path):
         (any case) names the format. An ``.npz`` archive holds ``vertices``
         (float64, (n, 3) or (n, 2)) and, for a surface, ``faces`` (int64,
         (m, 3)); a file with faces is a surface.
+    like : TriMesh | None
+        A mesh whose connectivity the file may share, such as an earlier
+        snapshot of the same run. When the file has ``like``'s mode, vertex
+        count and faces, the result is ``like.with_vertices(vertices)``: it
+        shares ``like``'s edge table, topology verdict and operators, which
+        are then not built again. The checks are those of a file loaded on
+        its own, with the same errors and messages; a file with other faces
+        loads as a mesh of its own.
 
     Returns
     -------
@@ -549,13 +567,26 @@ def load_mesh(path):
         raise MeshParseError(f"unsupported mesh format {fmt!r}")
 
     try:
-        mesh = TriMesh(verts, faces, mode="surface" if faces is not None else "curve")
+        if _same_connectivity(like, verts, faces):
+            _check_finite(verts)
+            mesh = like.with_vertices(verts)
+        else:
+            mesh = TriMesh(verts, faces, mode="surface" if faces is not None else "curve")
     except ValueError as exc:
         raise MeshParseError(str(exc)) from exc
     defect = _input_defect(mesh)
     if defect is not None:
         raise MeshTopologyError(defect)
     return mesh
+
+
+def _same_connectivity(like, verts, faces):
+    """True iff the parsed arrays have the mode, vertex count and faces of ``like``."""
+    if like is None or (faces is None) != (like.faces is None):
+        return False
+    if verts.shape != like.vertices.shape:
+        return False
+    return faces is None or np.array_equal(faces, like.faces)
 
 
 def save_mesh(mesh, path):

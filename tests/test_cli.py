@@ -296,18 +296,21 @@ def test_run_meta_records_versions(tmp_path):
 
 
 def test_analyze_builds_one_connectivity(tmp_path, monkeypatch):
-    # the loaded snapshots share the first one's connectivity, so its one
-    # incidence operator (ring; face is a view of it) is built once in all
+    # the snapshots are loaded onto the first one's connectivity, so its edge
+    # table and its one incidence operator (ring; face is a view of it) are
+    # built once in all
     manifest_path, manifest = run_manifest(tmp_path)
     builds = count_calls(monkeypatch, meshmod, "_incidence")
     assert run_cli("run", "--manifest", str(manifest_path)) == 0
     assert len(builds) == 1
     builds.clear()
     loads = count_calls(monkeypatch, meshmod, "load_mesh")
+    tables = count_calls(monkeypatch, meshmod.TriMesh, "_build_edge_table")
     series = os.path.join(manifest["output_dir"], "series.csv")
     assert run_cli("analyze", series, "-o", str(tmp_path / "summary2.json")) == 0
     assert len(loads) > 2
     assert len(builds) == 1
+    assert len(tables) == 1
 
 
 def test_snapshot_files_ordered_by_row(tmp_path):
@@ -366,6 +369,22 @@ def test_two_snapshot_files_for_one_row_is_input_error(tmp_path, capsys):
     assert run_cli("analyze", series, "-o", str(tmp_path / "summary2.json")) == 1
     err = capsys.readouterr().err
     assert err == "error: two snapshot files for row 3\n"
+    assert not (tmp_path / "summary2.json").exists()
+
+
+def test_inward_snapshot_is_input_error(tmp_path, capsys):
+    # a later snapshot with the first one's faces is loaded onto its
+    # connectivity, and still rejected as a file on its own is
+    manifest_path, manifest = run_manifest(tmp_path)
+    assert run_cli("run", "--manifest", str(manifest_path)) == 0
+    path = os.path.join(manifest["output_dir"], "meshes", "step_000001.npz")
+    snapshot = load_mesh(path)
+    save_mesh(snapshot.with_vertices(snapshot.vertices * [-1.0, 1.0, 1.0]), path)
+    capsys.readouterr()
+    series = os.path.join(manifest["output_dir"], "series.csv")
+    assert run_cli("analyze", series, "-o", str(tmp_path / "summary2.json")) == 1
+    err = capsys.readouterr().err
+    assert err == "error: inward orientation (negative enclosed volume)\n"
     assert not (tmp_path / "summary2.json").exists()
 
 

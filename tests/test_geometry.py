@@ -578,7 +578,8 @@ def test_flat_ring_sphere_fit_falls_back_to_vertex_normal(unit_cube):
     cache = compute_cache(mesh)
     assert all(np.isfinite(getattr(cache, f)).all() for f in CACHE_FIELDS)
     reference = cache.normal
-    fitted = geometry._sphere_fit_normals(mesh, geometry._configuration(mesh), reference)
+    moments = geometry._ring_moments(mesh, geometry._configuration(mesh))
+    fitted = geometry._sphere_fit_normals(mesh, moments, reference)
     assert np.array_equal(fitted[8:], reference[8:])
     assert np.allclose(reference[8:], [[0, 0, -1], [0, 0, 1], [0, -1, 0],
                                        [0, 1, 0], [1, 0, 0], [-1, 0, 0]])
@@ -814,11 +815,62 @@ def test_incidence_operators_match_bincount(name, unit_cube):
     assert np.array_equal(cotangent_stiffness(mesh, w).data, expected)
 
 
+def refined_solve(G, rhs):
+    """Solutions of the batched systems ``G x = rhs``: LAPACK's, then three
+    steps of iterative refinement with the residuals in ``np.longdouble``
+    (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12)."""
+    x = np.linalg.solve(G, rhs[:, :, None])[:, :, 0]
+    wide = G.astype(np.longdouble)
+    for _ in range(3):
+        residual = rhs - np.einsum("nij,nj->ni", wide, x)
+        x = x + np.linalg.solve(G, residual.astype(np.float64)[:, :, None])[:, :, 0]
+    return x
+
+
+def sphere_fit_system(mesh):
+    """The (n, 4, 4) normal equations G (c, rho) = rhs of the sphere fits
+    |p - x_i|^2 = 2 c.(p - x_i) + rho over each vertex and its 1-ring, with
+    all nine second moments."""
+    v, n = mesh.vertices, mesh.n_vertices
+    e = mesh.directed_edges
+    src, dst = e[:, 1], e[:, 0]
+    d = v[src] - v[dst]
+    q = np.einsum("ij,ij->i", d, d)
+    s2 = bincount_sum(dst, (d[:, :, None] * d[:, None, :]).reshape(len(d), -1), n)
+    G = np.zeros((n, 4, 4))
+    G[:, :3, :3] = 4.0 * s2.reshape(n, 3, 3)
+    G[:, :3, 3] = G[:, 3, :3] = 2.0 * bincount_sum(dst, d, n)
+    G[:, 3, 3] = np.bincount(dst, minlength=n) + 1.0
+    rhs = np.zeros((n, 4))
+    rhs[:, :3] = 2.0 * bincount_sum(dst, q[:, None] * d, n)
+    rhs[:, 3] = bincount_sum(dst, q, n)
+    return G, rhs
+
+
+def refined_sphere_fit_normals(G, rhs, normal):
+    """Sphere-fit normals from the (n, 4, 4) normal equations ``G`` (c, rho)
+    = ``rhs`` by :func:`refined_solve`; the vertex normal where ``G`` is
+    exactly singular (a flat 1-ring)."""
+    ok = np.abs(np.linalg.det(G)) > 0
+    sol = np.zeros(rhs.shape)
+    sol[ok] = refined_solve(G[ok], rhs[ok])
+    centre = sol[:, :3]
+    dist = np.linalg.norm(centre, axis=1)
+    usable = ok & (dist > 1e-300)
+    nsf = normal.copy()
+    nsf[usable] = -centre[usable] / dist[usable, None]
+    flip = np.einsum("ij,ij->i", nsf, normal) < 0
+    nsf[flip] = -nsf[flip]
+    return nsf
+
+
 def previous_cache(mesh):
     """(vertex_area, normal, H, |A|, |Adev|, |grad H|) by the formulas of the
     bincount geometry pass: cotangents from per-corner cross products, area
     weights scattered face by face, all nine second moments of the sphere fit
-    and one half-edge gather per curvature fit."""
+    and one half-edge gather per curvature fit. The sphere fits are solved
+    by :func:`refined_solve`, a reference more accurate than either LAPACK's
+    bare solve or the closed form of the geometry pass."""
     v, F, n = mesh.vertices, mesh.faces, mesh.n_vertices
     p = v[F]
     cross = np.cross(p[:, 1] - p[:, 0], p[:, 2] - p[:, 0])
@@ -859,30 +911,10 @@ def previous_cache(mesh):
     H = np.einsum("ij,ij->i", mcv, normal) / weights
 
     # osculating-sphere normals
-    e = mesh.directed_edges
-    src, dst = e[:, 1], e[:, 0]
-    d = v[src] - v[dst]
-    q = np.einsum("ij,ij->i", d, d)
-    s2 = bincount_sum(dst, (d[:, :, None] * d[:, None, :]).reshape(len(d), -1), n)
-    G = np.zeros((n, 4, 4))
-    G[:, :3, :3] = 4.0 * s2.reshape(n, 3, 3)
-    G[:, :3, 3] = G[:, 3, :3] = 2.0 * bincount_sum(dst, d, n)
-    G[:, 3, 3] = np.bincount(dst, minlength=n) + 1.0
-    rhs = np.zeros((n, 4))
-    rhs[:, :3] = 2.0 * bincount_sum(dst, q[:, None] * d, n)
-    rhs[:, 3] = bincount_sum(dst, q, n)
-    ok = np.abs(np.linalg.det(G)) > 0
-    sol = np.zeros((n, 4))
-    sol[ok] = np.linalg.solve(G[ok], rhs[ok, :, None])[:, :, 0]
-    centre = sol[:, :3]
-    dist = np.linalg.norm(centre, axis=1)
-    usable = ok & (dist > 1e-300)
-    nsf = normal.copy()
-    nsf[usable] = -centre[usable] / dist[usable, None]
-    flip = np.einsum("ij,ij->i", nsf, normal) < 0
-    nsf[flip] = -nsf[flip]
+    nsf = refined_sphere_fit_normals(*sphere_fit_system(mesh), normal)
 
     # shape-operator fit
+    e = mesh.directed_edges
     seed = np.where(np.abs(nsf[:, 0:1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     t1 = np.cross(nsf, seed)
     t1 /= np.linalg.norm(t1, axis=1)[:, None]
@@ -954,12 +986,27 @@ def test_cache_matches_previous_bincount_pass(name, unit_cube):
     )
 
 
-# -- the closed-form shape fit and the previous batched solve ---------------------
+def test_sphere_fit_normals_match_refined_solve():
+    # on the dented V = 10242 sphere, whose bottom rings hold the worst
+    # conditioned fits, the closed form is within 1e-13 of the refined solve
+    # (measured 1.0e-14; LAPACK's bare solve of the same systems is off by
+    # 3.7e-13 there)
+    mesh = PREVIOUS_PASS_MESHES["dented-s5"](None)
+    normal = compute_cache(mesh).normal
+    want = refined_sphere_fit_normals(*sphere_fit_system(mesh), normal)
+    moments = geometry._ring_moments(mesh, geometry._configuration(mesh))
+    got = geometry._sphere_fit_normals(mesh, moments, normal)
+    assert np.abs(got - want).max() <= 1e-13
+
+
+# -- the moment-form shape fit and the previous batched solve ---------------------
 
 
 def lapack_shape_operator_eigen(mesh, conf, nsf, H):
-    """The shape fit before the closed form: the (n, 3, 3) normal equations of
-    S = [[a, b], [b, c]] by np.linalg.solve, then the trace reconciliation."""
+    """The shape fit before the moment form: its sums gathered per half-edge
+    from t1, t2 and the normals at both ends, the (n, 3, 3) normal equations
+    of S = [[a, b], [b, c]] by np.linalg.solve, then the trace
+    reconciliation."""
     n = mesh.n_vertices
     seed = np.where(np.abs(nsf[:, 0:1]) < 0.9, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0])
     t1 = np.cross(nsf, seed)
@@ -989,16 +1036,18 @@ def lapack_shape_operator_eigen(mesh, conf, nsf, H):
 
 @pytest.mark.parametrize("name", sorted(PREVIOUS_PASS_MESHES))
 def test_closed_form_shape_fit_matches_batched_solve(name, unit_cube):
-    # the same normal equations from the same sphere-fit normals, solved by
-    # the adjugate and by LAPACK: the principal curvatures agree to rounding
-    # of their scale; on the open cylinder only the interior is compared
+    # the same normal equations from the same sphere-fit normals, summed from
+    # the 1-ring moments and solved by the adjugate, or summed per half-edge
+    # and solved by LAPACK: the principal curvatures agree to rounding of
+    # their scale; on the open cylinder only the interior is compared
     mesh = PREVIOUS_PASS_MESHES[name](unit_cube)
     mesh, keep = mesh if isinstance(mesh, tuple) else (mesh, slice(None))
     cache = compute_cache(mesh)
     conf = geometry._configuration(mesh)
-    nsf = geometry._sphere_fit_normals(mesh, conf, cache.normal)
+    moments = geometry._ring_moments(mesh, conf)
+    nsf = geometry._sphere_fit_normals(mesh, moments, cache.normal)
     H = cache.mean_curvature
-    got = np.array(geometry._shape_operator_eigen(mesh, conf, nsf, H))[:, keep]
+    got = np.array(geometry._shape_operator_eigen(mesh, conf, moments, nsf, H))[:, keep]
     want = np.array(lapack_shape_operator_eigen(mesh, conf, nsf, H))[:, keep]
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
@@ -1009,10 +1058,11 @@ def test_rank_deficient_shape_fit(unit_cube):
     mesh = cube_with_face_centres(unit_cube)
     cache = compute_cache(mesh)
     conf = geometry._configuration(mesh)
+    moments = geometry._ring_moments(mesh, conf)
     nsf = cache.normal.copy()
     nsf[8] = np.roll(nsf[8], 1)
     with pytest.raises(DegenerateGeometryError, match="rank-deficient"):
-        geometry._shape_operator_eigen(mesh, conf, nsf, cache.mean_curvature)
+        geometry._shape_operator_eigen(mesh, conf, moments, nsf, cache.mean_curvature)
 
 
 @pytest.mark.parametrize("name", ["ellipsoid", "dented", "circle"])

@@ -657,6 +657,63 @@ def test_npz_bytes_depend_on_the_mesh_alone(tmp_path, icosphere):
         assert data["faces"].dtype == np.int64 and data["vertices"].dtype == np.float64
 
 
+# -- loading onto the connectivity of a like mesh --------------------------------
+
+
+def _mirrored(v):
+    """x -> -x: with the same faces, the mirror image is inward-oriented."""
+    return v * np.array([-1.0, 1.0, 1.0])
+
+
+# name -> the bytes of a snapshot file of ``like`` that load_mesh rejects
+LIKE_DEFECTS = {
+    "nan": lambda v, f: _npz_bytes(vertices=_with_nan(v), faces=f),
+    "inward": lambda v, f: _npz_bytes(vertices=_mirrored(v), faces=f),
+    "truncated": lambda v, f: _npz_bytes(vertices=v, faces=f)[:400],
+}
+
+
+@pytest.mark.parametrize("name", list(LIKE_DEFECTS))
+def test_load_like_rejects_as_alone(tmp_path, icosphere, name):
+    # the same faces as like, so the file is loaded onto like's connectivity,
+    # and the same error with the same message as for the file on its own
+    like = icosphere(1.0, 1)
+    path = tmp_path / "step_000001.npz"
+    path.write_bytes(LIKE_DEFECTS[name](0.9 * like.vertices, like.faces))
+    with pytest.raises((MeshParseError, MeshTopologyError)) as alone:
+        load_mesh(path)
+    with pytest.raises((MeshParseError, MeshTopologyError)) as shared:
+        load_mesh(path, like=like)
+    assert type(shared.value) is type(alone.value)
+    assert str(shared.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("curve", [False, True])
+def test_load_like_shares_the_connectivity(tmp_path, icosphere, monkeypatch, curve):
+    like = gen_circle(1.0, 24) if curve else icosphere(1.0, 2)
+    moved = like.with_vertices(0.9 * like.vertices)
+    save_mesh(moved, tmp_path / "m.npz")
+    tables = count_calls(monkeypatch, TriMesh, "_build_edge_table")
+    loaded = load_mesh(tmp_path / "m.npz", like=like)
+    assert tables == []
+    assert loaded._connectivity is like._connectivity
+    assert loaded == moved == load_mesh(tmp_path / "m.npz")
+    assert not loaded.vertices.flags.writeable
+
+
+def test_load_like_with_other_faces_is_a_mesh_of_its_own(tmp_path, icosphere):
+    # the same triangles listed from another corner: other faces, other tables
+    like = icosphere(1.0, 1)
+    other = TriMesh(0.9 * like.vertices, np.roll(like.faces, 1, axis=1))
+    save_mesh(other, tmp_path / "m.npz")
+    loaded = load_mesh(tmp_path / "m.npz", like=like)
+    assert loaded == other
+    assert loaded._connectivity is not like._connectivity
+    # and a file with another vertex count
+    save_mesh(icosphere(1.0, 2), tmp_path / "finer.npz")
+    assert load_mesh(tmp_path / "finer.npz", like=like).n_vertices == 162
+
+
 # -- generators ----------------------------------------------------------------
 
 
