@@ -91,9 +91,12 @@ class GeometryCache:
 # Sums over faces, corners and half-edges are products with the incidence
 # operators of the mesh's connectivity (mesh._Connectivity); the half-edge
 # vectors are the face record's edges, one gather, and both curvature fits
-# solve from one set of 1-ring moments of them (_ring_moments). The vector
-# arithmetic is written out per component, once, in mesh._dot / _cross /
-# _norm.
+# solve from one set of 1-ring moments of them (_ring_moments). Every vector
+# of the pass is component-major, (d, ...) with one contiguous row per
+# component, from the gather to GeometryCache.normal, which is transposed to
+# (n, d) there; the vector arithmetic is written out per component, once, in
+# mesh._dot / _cross / _norm, and a sparse operator acts row by row
+# (_rows).
 
 
 def _configuration(mesh):
@@ -111,24 +114,26 @@ def _segment_weights(length):
     return 0.5 * (length + np.roll(length, 1))
 
 
-def _curve_cache(mesh, seg):
+def _rows(op, x):
+    """``op`` applied to each row of component-major ``x``: (k, op.shape[0])."""
+    return np.array([op @ row for row in x])
+
+
+def _curve_cache(seg, volume):
     """The cache of a closed planar polyline, in one pass over its segment
     record; the stiffness weight of a segment is 1/length."""
     ln, t = seg.area, seg.tangent
     weights = _segment_weights(ln)
     # outward for counter-clockwise orientation: rotate tangent by -90 deg
-    rot = np.column_stack([t[:, 1], -t[:, 0]])
-    normal = rot + np.roll(rot, 1, axis=0)
-    normal_length = np.linalg.norm(normal, axis=1)
+    rot = np.stack([t[1], -t[0]])
+    normal = rot + np.roll(rot, 1, axis=1)
+    normal_length = np.linalg.norm(normal, axis=0)
     if (normal_length == 0).any():
         raise DegenerateGeometryError("cusp vertex on curve")
-    volume = enclosed_volume(mesh, seg)
-    if volume <= 0:
-        raise OrientationError(seg.INWARD)
     H = seg.turning / weights
     return GeometryCache(
         vertex_area=weights,
-        normal=normal / normal_length[:, None],
+        normal=(normal / normal_length).T.copy(),
         mean_curvature=H,
         second_form_norm=np.abs(H),
         traceless_norm=np.zeros_like(H),
@@ -154,16 +159,13 @@ def _weights(mesh, conf):
 
 
 def _normals(mesh, conf):
-    # the volume sign check only means anything on closed meshes
-    if mesh.is_closed and conf.volume <= 0:
-        raise OrientationError(conf.INWARD)
     # the face cross product is twice the area-weighted face normal; the
     # factor 2 drops out of the unit vertex normal
-    n = mesh._connectivity.face @ conf.cross
+    n = _rows(mesh._connectivity.face, conf.cross)
     ln = _norm(n)
     if (ln == 0).any():
         raise DegenerateGeometryError("zero-length vertex normal")
-    return n / ln[:, None]
+    return n / ln
 
 
 def _area_gradient(mesh, conf, weight):
@@ -171,11 +173,9 @@ def _area_gradient(mesh, conf, weight):
     the integrated discrete Laplace-Beltrami of the embedding, the outward
     mean curvature normal times the vertex area."""
     # each half-edge carries its weight times its vector x: -x into its source
-    # and x into its target, the source of the next half-edge of its face;
-    # summed component by component, x being (component, corner, face)
-    x = (conf.edge_rows * weight).reshape(3, 3, -1)
-    ring = mesh._connectivity.ring
-    return np.stack([ring @ (xc[[2, 0, 1]] - xc).ravel() for xc in x], axis=1)
+    # and x into its target, the source of the next half-edge of its face
+    x = conf.edge * weight.reshape(3, -1)
+    return _rows(mesh._connectivity.ring, (x[:, [2, 0, 1]] - x).reshape(3, -1))
 
 
 def _second_form(mesh, conf, normals, H):
@@ -202,13 +202,11 @@ def _gradient_norm(mesh, conf, f):
     """
     # the face gradient is n_f x sum_k f_k E_k / 2A, E_k the edge opposite
     # corner k (edge k + 1) and n_f = cross / 2A; vertices average it by area
-    fk = np.take(f, mesh.faces.T)
-    e = conf.edge_rows.reshape(3, 3, -1)  # component, corner, face
+    fk, e = np.take(f, mesh.faces.T), conf.edge
     s = fk[0] * e[:, 1] + fk[1] * e[:, 2] + fk[2] * e[:, 0]
-    area_times_grad = _cross(conf.cross, s.T) / (4.0 * conf.area)[:, None]
     op = mesh._connectivity.face
-    vg = op @ area_times_grad
-    vg /= (op @ conf.area)[:, None]
+    vg = _rows(op, _cross(conf.cross, s) / (4.0 * conf.area))
+    vg /= op @ conf.area
     return _norm(vg)
 
 
@@ -225,7 +223,9 @@ def _edge_length(conf):
 
 def _area_centroid(conf):
     total = float(conf.area.sum())
-    return total, (conf.centroid * conf.area[:, None]).sum(0) / total
+    # each component summed face by face in order, not by numpy's pairwise sum
+    moment = np.cumsum(conf.centroid * conf.area, axis=1)[:, -1]
+    return total, moment / total
 
 
 # -- per-vertex field operations ----------------------------------------------
@@ -300,7 +300,7 @@ def _ring_moments(mesh, conf):
     one product of ``ring`` with a half-edge row, formed in one reused buffer.
     """
     ring = mesh._connectivity.ring
-    d, q = conf.edge_rows, conf.length2.ravel()
+    d, q = conf.edge.reshape(3, -1), conf.length2.ravel()
     buf = np.empty(len(q))
     sums = np.empty((13, mesh.n_vertices))
     for k, (a, b) in enumerate(zip(*_PAIRS)):
@@ -340,8 +340,8 @@ def _sphere_fit_normals(mesh, moments, reference_normals):
     det M / (tr M)^3 reads about 1e-17). The eigenvalues of M are
     nonnegative, so the ratio is at most 1/27; on icospheres, ellipsoids and
     dented spheres up to V = 10242 it stays above 1e-5. The rule is
-    invariant under rigid motions and scaling. Returns an (n, 3) view of
-    component-major rows. Surface meshes only.
+    invariant under rigid motions and scaling. Normals in and out are
+    component-major (3, n). Surface meshes only.
     """
     Q, s, sum_q, sum_qd = moments
     kappa = np.diff(mesh._connectivity.ring.indptr) + 1.0
@@ -349,18 +349,18 @@ def _sphere_fit_normals(mesh, moments, reference_normals):
     M = Q - s[_PAIRS[0]] * centroid[_PAIRS[1]]
     centre, det = _symmetric_solve(M, sum_qd - centroid * sum_q)
     trace = M[0] + M[3] + M[5]
-    dist = _norm(centre.T)
+    dist = _norm(centre)
     usable = (det > _SINGULAR_FIT * trace**3) & (dist > 0)
-    out = reference_normals.T.copy()
+    out = reference_normals.copy()
     np.divide(centre, -dist, out=out, where=usable)
-    np.negative(out, out=out, where=_dot(out.T, reference_normals) < 0)
-    return out.T
+    np.negative(out, out=out, where=_dot(out, reference_normals) < 0)
+    return out
 
 
 def _shape_operator_eigen(mesh, conf, moments, nsf, H):
     """(k1, k2) of the trace-reconciled 1-ring shape operator fit.
 
-    ``nsf`` are the sphere-fit normals and ``moments`` the vertex's
+    ``nsf`` are the (3, n) sphere-fit normals and ``moments`` the vertex's
     :func:`_ring_moments`. In the tangent frame (t1, t2) of each vertex, a
     ring half-edge d to vertex j has the tangent components u_k = t_k . d of
     its vector and w_k = t_k . (n_j - n_i) of its normal change. The normal
@@ -374,27 +374,22 @@ def _shape_operator_eigen(mesh, conf, moments, nsf, H):
     closed meshes only.
     """
     n = mesh.n_vertices
-    nrm = np.ascontiguousarray(nsf.T)
     # t1 = nsf x e_x = (0, n_z, -n_y) where |n_x| < 0.9, else nsf x e_y =
     # (-n_z, 0, n_x); t2 = nsf x t1
-    nx, ny, nz = nrm
+    nx, ny, nz = nsf
     seed_x = np.abs(nx) < 0.9
-    t = np.zeros((2, 3, n))
-    t1, t2 = t
+    t1 = np.zeros((3, n))
     np.negative(nz, out=t1[0], where=~seed_x)
     np.copyto(t1[1], nz, where=seed_x)
     np.copyto(t1[2], nx)
     np.negative(ny, out=t1[2], where=seed_x)
-    t1 /= _norm(t1.T)
-    for k in range(3):  # t2 = nsf x t1, as _cross forms it
-        b, c = (k + 1) % 3, (k + 2) % 3
-        np.multiply(nrm[b], t1[c], out=t2[k])
-        t2[k] -= nrm[c] * t1[b]
+    t1 /= _norm(t1)
+    t = np.stack([t1, _cross(nsf, t1)])
 
     ring = mesh._connectivity.ring
-    d = conf.edge_rows
+    d = conf.edge.reshape(3, -1)
     # np.take gathers several times faster than fancy indexing
-    nj = np.take(nrm, mesh.directed_edges[:, 1], axis=1)
+    nj = np.take(nsf, mesh.directed_edges[:, 1], axis=1)
     buf, other = np.empty((2, d.shape[1]))
     N = np.empty((6, n))
     for k, (a, b) in enumerate(zip(*_PAIRS)):
@@ -450,7 +445,7 @@ def enclosed_volume(mesh, conf=None):
     return (conf or _configuration(mesh)).volume
 
 
-def diameter_estimate(mesh, edge_length=None):
+def diameter_estimate(mesh, edge_length):
     """Upper-bias intrinsic diameter estimate from graph geodesics.
 
     The largest eccentricity, in edge-length graph distance, of the
@@ -465,10 +460,6 @@ def diameter_estimate(mesh, edge_length=None):
     connectivity's first call. The value is the 8-source maximum bit for
     bit, whatever the earlier calls were.
     ``edge_length`` is the ``edge_length`` of this configuration's cache.
-    Pass it: when omitted, the face record (segments) of ``mesh`` is built
-    again to take it, which fails on a zero-area face (zero-length segment)
-    as ``compute_cache`` does. The omitted form remains because the
-    benchmark's API test (tests/test_benchmark_api.py) calls it.
     Edge paths overestimate true geodesics: on unit icospheres at
     subdivisions 1-5 the estimate lies 4.4 % to 6.2 % above pi.
     Hop-spread sources can miss the tips of a long axis: on static 2/1/0.5 and
@@ -486,8 +477,6 @@ def diameter_estimate(mesh, edge_length=None):
     from scipy.sparse.csgraph import dijkstra
 
     if mesh.mode == "curve":
-        if edge_length is None:
-            edge_length = _configuration(mesh).area
         cum = np.concatenate([[0.0], np.cumsum(edge_length)])
         total = cum[-1]
         # the arc distance from a vertex peaks at its antipode, so the farthest
@@ -498,8 +487,6 @@ def diameter_estimate(mesh, edge_length=None):
         return float(np.minimum(arc, total - arc).max())
     if not mesh.is_closed or mesh._has_duplicate_directed:
         raise ValueError("diameter_estimate needs a closed, consistently oriented surface")
-    if edge_length is None:
-        edge_length = _edge_length(_configuration(mesh))
     graph = mesh._connectivity.diameter_graph
     n = mesh.n_vertices
     g = sparse.csr_matrix(
@@ -560,8 +547,12 @@ def compute_cache(mesh):
         weight, or rank-deficient 1-ring shape operator fit.
     """
     conf = _configuration(mesh)
+    volume = enclosed_volume(mesh, conf)
+    # the volume sign only means anything on closed meshes; a curve is closed
+    if mesh.is_closed and volume <= 0:
+        raise OrientationError(conf.INWARD)
     if mesh.mode == "curve":
-        return _curve_cache(mesh, conf)
+        return _curve_cache(conf, volume)
     weights = _weights(mesh, conf)
     normals = _normals(mesh, conf)
     stiffness = _stiffness_weight(mesh, conf)
@@ -569,14 +560,14 @@ def compute_cache(mesh):
     second, traceless = _second_form(mesh, conf, normals, H)
     return GeometryCache(
         vertex_area=weights,
-        normal=normals,
+        normal=normals.T.copy(),  # (n, 3), the one transpose of the pass
         mean_curvature=H,
         second_form_norm=second,
         traceless_norm=traceless,
         grad_H_norm=_gradient_norm(mesh, conf, H),
         stiffness_weight=stiffness,
         edge_length=_edge_length(conf),
-        volume=enclosed_volume(mesh, conf),
+        volume=volume,
         # the corner angle in (0, pi) decreases as its cotangent grows
         min_angle=float(np.arctan2(1.0, conf.cot.max())),
     )

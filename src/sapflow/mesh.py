@@ -192,68 +192,64 @@ def _check_finite(vertices):
 
 
 def _dot(a, b):
-    """Dot product over the last axis (length 3), summed left to right."""
-    return a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
+    """Dot product over the first axis (length 3), summed left to right."""
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
 
 
 def _cross(a, b):
-    """Cross product over the last axis (length 3), as ``np.cross`` forms it."""
+    """Cross product over the first axis (length 3), as ``np.cross`` forms it."""
     c = np.empty(np.broadcast_shapes(a.shape, b.shape))
-    np.subtract(a[..., 1] * b[..., 2], a[..., 2] * b[..., 1], out=c[..., 0])
-    np.subtract(a[..., 2] * b[..., 0], a[..., 0] * b[..., 2], out=c[..., 1])
-    np.subtract(a[..., 0] * b[..., 1], a[..., 1] * b[..., 0], out=c[..., 2])
+    np.subtract(a[1] * b[2], a[2] * b[1], out=c[0])
+    np.subtract(a[2] * b[0], a[0] * b[2], out=c[1])
+    np.subtract(a[0] * b[1], a[1] * b[0], out=c[2])
     return c
 
 
 def _norm(a):
-    """Length over the last axis, summed as ``np.linalg.norm`` does."""
+    """Length over the first axis, summed as ``np.linalg.norm`` does."""
     return np.sqrt(_dot(a, a))
 
 
 class _FaceRecord:
     """Per-face data of one surface configuration, built once and shared.
 
-    Corner-major: ``edge`` (3, m, 3) holds in row k the half-edge
-    p_{k+1} - p_k leaving corner k of every face, so ``edge.reshape(-1, 3)``
-    is row-aligned with ``mesh.directed_edges``; the edge opposite corner k
-    is ``edge[k + 1]``. ``edge``, ``cross`` = (p1 - p0) x (p2 - p0), ``area``
-    and ``centroid`` are computed on construction; the squared half-edge
-    lengths ``length2``, the corner cotangents ``cot`` (both (3, m)) and the
-    signed ``volume`` on first use, since validation must not raise on
-    degenerate faces. ``corner_dot`` (3, m) is the dot product of the two
-    edges leaving each corner, and ``edge_rows`` (3, 3m), built on first
-    use, the half-edge vectors component by component, for the curvature
-    fits' contiguous row arithmetic. Not kept on the mesh: a run holding its
-    snapshot meshes would hold their face data too.
+    Component-major, as every vector of the geometry pass: ``edge``
+    (3, 3, m) holds at ``edge[:, k]`` the half-edge p_{k+1} - p_k leaving
+    corner k of every face, so ``edge.reshape(3, -1)`` holds the half-edge
+    vectors component by component in the order of ``mesh.directed_edges``;
+    the edge opposite corner k is ``edge[:, k + 1]``. ``edge``, ``cross`` =
+    (p1 - p0) x (p2 - p0) (3, m), ``area`` and ``centroid`` (3, m) are
+    computed on construction; the squared half-edge lengths ``length2``, the
+    corner cotangents ``cot`` (both (3, m)) and the signed ``volume`` on
+    first use, since validation must not raise on degenerate faces.
+    ``corner_dot`` (3, m) is the dot product of the two edges leaving each
+    corner. Not kept on the mesh: ``sapflow analyze``, which holds every
+    snapshot mesh of a run, would hold their face data too.
     """
 
     INWARD = "inward orientation (negative enclosed volume)"
 
     def __init__(self, mesh):
-        # np.take gathers rows several times faster than fancy indexing
-        p = np.take(mesh.vertices, mesh.faces.T, axis=0)
+        # component, corner, face: np.take gathers several times faster than
+        # fancy indexing, and reads any layout of the vertex array
+        p = np.take(mesh.vertices.T, mesh.faces.T, axis=1)
         e = np.empty_like(p)
-        np.subtract(p[1], p[0], out=e[0])
-        np.subtract(p[2], p[1], out=e[1])
-        np.subtract(p[0], p[2], out=e[2])
+        np.subtract(p[:, 1], p[:, 0], out=e[:, 0])
+        np.subtract(p[:, 2], p[:, 1], out=e[:, 1])
+        np.subtract(p[:, 0], p[:, 2], out=e[:, 2])
         self.edge = e
-        self.cross = _cross(e[2], e[0])  # (p1 - p0) x (p2 - p0) = e2 x e0
+        self.cross = _cross(e[:, 2], e[:, 0])  # (p1 - p0) x (p2 - p0) = e2 x e0
         self.area = 0.5 * _norm(self.cross)
-        self.centroid = (p[0] + p[1] + p[2]) / 3.0
+        self.centroid = (p[:, 0] + p[:, 1] + p[:, 2]) / 3.0
 
     @cached_property
     def length2(self):
         return _dot(self.edge, self.edge)
 
-    @cached_property
-    def edge_rows(self):
-        """(3, 3m) component-major copy of the half-edge vectors."""
-        return np.ascontiguousarray(self.edge.reshape(-1, 3).T)
-
     @property
     def corner_dot(self):
         # corner k: (p_{k+1} - p_k) . (p_{k+2} - p_k) = -edge[k] . edge[k - 1]
-        return -_dot(self.edge, self.edge[[2, 0, 1]])
+        return -_dot(self.edge, self.edge[:, [2, 0, 1]])
 
     @cached_property
     def cot(self):
@@ -263,40 +259,44 @@ class _FaceRecord:
     @cached_property
     def volume(self):
         """Signed enclosed volume (divergence theorem, exact for polyhedra)."""
-        return float(np.einsum("ij,ij->i", self.centroid, self.cross).sum() / 6.0)
+        return float(_dot(self.centroid, self.cross).sum() / 6.0)
 
 
 class _SegmentRecord:
-    """Per-segment data of one curve configuration, named as in the face record:
-    segment i (row i of ``mesh.directed_edges``) runs from vertex i to i + 1.
-    ``edge``, the lengths ``area`` and the midpoints ``centroid`` are computed
-    on construction; the unit ``tangent``, the signed ``turning`` angle from
-    segment i - 1 to i and the shoelace ``volume`` on first use, since
-    validation must not divide by a zero length."""
+    """Per-segment data of one curve configuration, named as in the face record
+    and component-major as it is: segment i (row i of ``mesh.directed_edges``)
+    runs from vertex i to i + 1. ``edge`` (2, n), the lengths ``area`` and
+    the midpoints ``centroid`` (2, n) are computed on construction; the unit
+    ``tangent`` (2, n), the signed ``turning`` angle from segment i - 1 to i
+    and the shoelace ``volume`` on first use, since validation must not
+    divide by a zero length."""
 
     INWARD = "clockwise curve (negative enclosed area)"
 
     def __init__(self, mesh):
-        v = self.vertices = mesh.vertices
-        self.edge = np.diff(np.vstack([v, v[:1]]), axis=0)
-        self.area = np.linalg.norm(self.edge, axis=1)
-        self.centroid = (v + np.roll(v, -1, axis=0)) / 2
+        # one contiguous row per component, whatever the vertex array's layout
+        v = self.points = np.ascontiguousarray(mesh.vertices.T)
+        following = np.roll(v, -1, axis=1)
+        self.edge = following - v
+        self.area = np.linalg.norm(self.edge, axis=0)
+        self.centroid = (v + following) / 2
 
     @cached_property
     def tangent(self):
-        return self.edge / self.area[:, None]
+        return self.edge / self.area
 
     @cached_property
     def turning(self):
         t = self.tangent
-        tp = np.roll(t, 1, axis=0)
-        cross = tp[:, 0] * t[:, 1] - tp[:, 1] * t[:, 0]
-        return np.arctan2(cross, np.einsum("ij,ij->i", tp, t))
+        tp = np.roll(t, 1, axis=1)
+        return np.arctan2(tp[0] * t[1] - tp[1] * t[0], tp[0] * t[0] + tp[1] * t[1])
 
     @cached_property
     def volume(self):
-        x, y = self.vertices[:, 0], self.vertices[:, 1]
-        return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(np.roll(x, -1), y))
+        # the sum of p_i x p_{i+1} by numpy's pairwise sum: a BLAS dot would
+        # round by the stride of its input
+        x, y = self.points
+        return 0.5 * float((x * np.roll(y, -1) - np.roll(x, -1) * y).sum())
 
 
 def _incidence(rows, cols, shape):
@@ -486,8 +486,10 @@ def validate(mesh):
     Never raises; all failures are carried by the report. A mesh is closed
     iff every undirected edge is shared by exactly two faces
     (``boundary_edge_count == 0`` and no over-shared edge), and oriented iff
-    the two half-edges of every interior edge run in opposite directions. A
-    closed oriented mesh is vertex-manifold iff every vertex lies on a face
+    the two half-edges of every interior edge run in opposite directions; a
+    curve, a cyclic polyline, is always closed and oriented. An oriented mesh
+    that faces inward (a clockwise curve) has ``volume <= 0``. A closed
+    oriented mesh is vertex-manifold iff every vertex lies on a face
     and its one-ring is a single cycle (two tetrahedra sharing a vertex are
     not). A corner angle is ``arctan2(|u x v|, u . v)`` of its two edge
     vectors, accurate down to slivers; a degenerate face has a zero angle.
@@ -497,7 +499,7 @@ def validate(mesh):
         # a zero-length segment has no tangent: its vertex angles are 0
         min_angle = 0.0 if (seg.area == 0).any() else float(pi - np.abs(seg.turning).max())
         return MeshQualityReport(
-            is_closed=True, is_oriented=bool(seg.volume > 0), is_vertex_manifold=True,
+            is_closed=True, is_oriented=True, is_vertex_manifold=True,
             min_face_area=float(seg.area.min()), min_angle=min_angle,
             boundary_edge_count=0, volume=seg.volume,
         )

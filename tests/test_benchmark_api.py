@@ -63,9 +63,10 @@ def test_diameter_sweeps_visible_to_tracer(monkeypatch):
     # the sweeps of diameter_estimate; a module-level import would hide them
     # all and fail the traced run with "no Dijkstra sweep counted"
     sphere = gen_icosphere(1.0, subdivisions=1)
-    geometry.diameter_estimate(sphere)  # the one-time source selection
+    edge_length = geometry.compute_cache(sphere).edge_length
+    geometry.diameter_estimate(sphere, edge_length)  # the one-time source selection
     calls = count_calls(monkeypatch, csgraph, "dijkstra")
-    geometry.diameter_estimate(sphere)
+    geometry.diameter_estimate(sphere, edge_length)
     assert calls
 
 

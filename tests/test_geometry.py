@@ -228,27 +228,32 @@ def test_enclosed_volume_sphere_convergence(icosphere):
     assert all(a > b for a, b in zip(errs, errs[1:]))
 
 
+def estimate(mesh):
+    """The diameter estimate at the edge lengths of the mesh's geometry pass."""
+    return diameter_estimate(mesh, compute_cache(mesh).edge_length)
+
+
 def test_diameter_icosphere(icosphere):
-    d = diameter_estimate(icosphere(1.0, 3))
+    d = estimate(icosphere(1.0, 3))
     assert abs(d - np.pi) < 0.1 * np.pi
 
 
 def test_diameter_scales_with_radius(icosphere):
-    d1 = diameter_estimate(icosphere(1.0, 2))
-    d2 = diameter_estimate(icosphere(2.0, 2))
+    d1 = estimate(icosphere(1.0, 2))
+    d2 = estimate(icosphere(2.0, 2))
     assert d2 == pytest.approx(2 * d1, rel=1e-12)
 
 
 def test_diameter_two_source_lower_bound(icosphere):
     m = icosphere(1.0, 2)
-    est = diameter_estimate(m)
+    est = estimate(m)
     # graph distances dominate Euclidean ones; the farthest pair spans 2r
     assert est >= 2.0 - 1e-9
 
 
 def test_diameter_curve():
     c = gen_circle(1.0, 256)
-    assert diameter_estimate(c) == pytest.approx(np.pi, rel=1e-3)
+    assert estimate(c) == pytest.approx(np.pi, rel=1e-3)
 
 
 def test_diameter_curve_matches_all_pairs():
@@ -267,7 +272,7 @@ def test_diameter_curve_matches_all_pairs():
         cum = np.concatenate([[0.0], np.cumsum(ln)])
         arc = np.abs(cum[:, None] - cum[None, :-1])
         brute = np.minimum(arc, cum[-1] - arc).max()
-        got = diameter_estimate(TriMesh(v, mode="curve"))
+        got = estimate(TriMesh(v, mode="curve"))
         assert got == pytest.approx(brute, rel=1e-15, abs=0.0)
 
 
@@ -321,7 +326,9 @@ def test_diameter_graph_weights_from_cache_lengths(subdivisions):
     assert np.array_equal(got.indptr, want.indptr)
     assert np.array_equal(got.indices, want.indices)
     assert np.array_equal(got.data, want.data)
-    assert diameter_estimate(mesh, cache.edge_length) == diameter_estimate(mesh)
+    # the estimate is that of the same sources on the edge graph
+    sweep = csgraph.dijkstra(want, indices=graph.sources)
+    assert diameter_estimate(mesh, cache.edge_length) == float(sweep.max())
 
 
 def test_diameter_graph_read_only_and_unchanged_by_estimates():
@@ -335,7 +342,7 @@ def test_diameter_graph_read_only_and_unchanged_by_estimates():
     before = [a.copy() for a in arrays]
     assert not any(a.flags.writeable for a in arrays)
     moved = mesh.with_vertices(1.1 * mesh.vertices)
-    diameter_estimate(mesh)
+    estimate(mesh)
     diameter_estimate(moved, compute_cache(moved).edge_length)
     for a, b in zip(arrays, before):
         assert np.array_equal(a, b)
@@ -343,31 +350,32 @@ def test_diameter_graph_read_only_and_unchanged_by_estimates():
 
 def test_diameter_needs_closed_oriented_surface(flat_patch, icosphere):
     # the graph's edges are the half-edges: only on a closed, consistently
-    # oriented surface do they run both ways along every edge
+    # oriented surface do they run both ways along every edge; the check comes
+    # before the lengths are read
     with pytest.raises(ValueError, match="closed, consistently oriented"):
-        diameter_estimate(flat_patch)
+        diameter_estimate(flat_patch, np.ones(3 * flat_patch.n_faces))
     sphere = icosphere(1.0, 2)
     faces = sphere.faces.copy()
     faces[0] = faces[0, ::-1]
     flipped = TriMesh(sphere.vertices, faces)
     assert flipped.is_closed
     with pytest.raises(ValueError, match="closed, consistently oriented"):
-        diameter_estimate(flipped)
+        diameter_estimate(flipped, np.ones(3 * flipped.n_faces))
 
 
 def test_diameter_graph_shared_by_derived_meshes():
     mesh = gen_perturbed_sphere(1.0, 0.2, GaussianDentBump(), 2)
-    d = diameter_estimate(mesh)
+    d = estimate(mesh)
     moved = mesh.with_vertices(1.5 * mesh.vertices)
     assert moved._connectivity.diameter_graph is mesh._connectivity.diameter_graph
-    assert diameter_estimate(moved) == pytest.approx(1.5 * d, rel=1e-13)
+    assert estimate(moved) == pytest.approx(1.5 * d, rel=1e-13)
 
 
 def test_diameter_one_sweep_per_row(monkeypatch):
     mesh = gen_ellipsoid(1.2, 1.0, 0.85, 2)
-    diameter_estimate(mesh)  # builds the graph and its sources
+    estimate(mesh)  # builds the graph and its sources
     calls = count_calls(monkeypatch, csgraph, "dijkstra")
-    diameter_estimate(mesh.with_vertices(0.9 * mesh.vertices))
+    estimate(mesh.with_vertices(0.9 * mesh.vertices))
     assert len(calls) == 1
 
 
@@ -433,7 +441,7 @@ def test_diameter_after_a_large_move_equals_full_estimate(move):
     base = gen_ellipsoid(1.2, 1.0, 0.85, 2)
     rng = np.random.default_rng(1)
     mesh = base.with_vertices(base.vertices + 0.01 * rng.normal(size=base.vertices.shape))
-    diameter_estimate(mesh)
+    estimate(mesh)
     v = mesh.vertices.copy()
     if move == "scale-2":
         v *= 2.0
@@ -445,13 +453,13 @@ def test_diameter_after_a_large_move_equals_full_estimate(move):
     assert got == full_diameter_estimate(moved, edge_length)
     if move == "scale-2":
         # every length doubles exactly, so the value does too
-        assert got == 2.0 * diameter_estimate(mesh)
+        assert got == 2.0 * estimate(mesh)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf, 0.0])
 def test_diameter_non_finite_ratio_takes_all_sources(monkeypatch, value):
     mesh = gen_ellipsoid(1.2, 1.0, 0.85, 2)
-    diameter_estimate(mesh)
+    estimate(mesh)
     edge_length = compute_cache(mesh.with_vertices(0.9 * mesh.vertices)).edge_length
     edge_length[5] = value  # a ratio of NaN, inf or 0
     counts = record_sources(monkeypatch)
@@ -463,7 +471,7 @@ def test_diameter_non_finite_ratio_takes_all_sources(monkeypatch, value):
 @pytest.mark.parametrize("subdivisions", [1, 2, 3, 4, 5])
 def test_diameter_close_to_32_source_estimate_icosphere(icosphere, subdivisions):
     mesh = icosphere(1.0, subdivisions)
-    d = diameter_estimate(mesh)
+    d = estimate(mesh)
     assert d >= np.pi
     assert d == pytest.approx(diameter_32_sources(mesh), rel=1e-2)
 
@@ -508,7 +516,7 @@ def test_diameter_continuous_in_positions_property(seed, eps):
     )
     moved = mesh.with_vertices(mesh.vertices + step)
     bound = 2.0 * eps * mesh.n_vertices
-    assert abs(diameter_estimate(moved) - diameter_estimate(mesh)) <= bound
+    assert abs(estimate(moved) - estimate(mesh)) <= bound
 
 
 # -- cache-level invariants ------------------------------------------------------------
@@ -579,7 +587,7 @@ def test_flat_ring_sphere_fit_falls_back_to_vertex_normal(unit_cube):
     assert all(np.isfinite(getattr(cache, f)).all() for f in CACHE_FIELDS)
     reference = cache.normal
     moments = geometry._ring_moments(mesh, geometry._configuration(mesh))
-    fitted = geometry._sphere_fit_normals(mesh, moments, reference)
+    fitted = geometry._sphere_fit_normals(mesh, moments, reference.T).T
     assert np.array_equal(fitted[8:], reference[8:])
     assert np.allclose(reference[8:], [[0, 0, -1], [0, 0, 1], [0, -1, 0],
                                        [0, 1, 0], [1, 0, 0], [-1, 0, 0]])
@@ -653,6 +661,27 @@ def test_cache_equals_standalone_operations(name):
     assert cache.volume == enclosed_volume(mesh)
 
 
+@pytest.mark.parametrize("name", ["dented", "ellipse"])
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_cache_independent_of_vertex_layout(name, layout):
+    # TriMesh keeps the caller's array; the pass gives the same bits from a
+    # Fortran-ordered array or a strided view as from a C-ordered one
+    mesh = CACHE_MESHES[name]()
+    v = np.ascontiguousarray(mesh.vertices)
+    if layout == "fortran":
+        other = np.asfortranarray(v)
+    else:
+        other = np.zeros((len(v), 2 * v.shape[1]))[:, ::2]
+        other[:] = v
+    assert not other.flags.c_contiguous
+    want = compute_cache(TriMesh(v, mesh.faces, mode=mesh.mode))
+    got = compute_cache(TriMesh(other, mesh.faces, mode=mesh.mode))
+    for field in CACHE_FIELDS:
+        a, b = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert np.ascontiguousarray(a).tobytes() == np.ascontiguousarray(b).tobytes(), field
+
+
 @settings(max_examples=20, deadline=None)
 @given(name=st.sampled_from(sorted(CACHE_MESHES)), seed=st.integers(0, 2**32 - 1))
 def test_cache_relabelling_property(name, seed):
@@ -709,10 +738,10 @@ def test_stiffness_reproduces_area_gradient(name):
     weight = stiffness_weight(mesh)
     L = cotangent_stiffness(mesh, weight)
     if mesh.mode == "curve":
-        area_gradient = np.roll(conf.tangent, 1, axis=0) - conf.tangent  # of the length
+        area_gradient = np.roll(conf.tangent, 1, axis=1) - conf.tangent  # of the length
     else:
         area_gradient = geometry._area_gradient(mesh, conf, weight)
-    assert np.allclose(L @ mesh.vertices, area_gradient, rtol=0, atol=1e-13)
+    assert np.allclose(L @ mesh.vertices, area_gradient.T, rtol=0, atol=1e-13)
 
 
 @pytest.mark.parametrize("name", sorted(CACHE_MESHES))
@@ -801,9 +830,9 @@ def test_incidence_operators_match_bincount(name, unit_cube):
     conf = geometry._configuration(mesh)
     weight = 0.5 * conf.cot[[2, 0, 1]]
     assert np.array_equal(geometry._stiffness_weight(mesh, conf), weight.ravel())
-    x = weight[:, :, None] * conf.edge
-    expected = bincount_sum(corner, (x[[2, 0, 1]] - x).reshape(-1, 3), n)
-    assert np.array_equal(geometry._area_gradient(mesh, conf, weight.ravel()), expected)
+    x = weight * conf.edge  # component, corner, face
+    expected = bincount_sum(corner, (x[:, [2, 0, 1]] - x).reshape(3, -1).T, n)
+    assert np.array_equal(geometry._area_gradient(mesh, conf, weight.ravel()).T, expected)
     # the stiffness slot scatter: -w into (a, b) and (b, a), w into (a, a) and
     # (b, b) for each half-edge a -> b
     a, b = mesh.directed_edges.T
@@ -995,7 +1024,7 @@ def test_sphere_fit_normals_match_refined_solve():
     normal = compute_cache(mesh).normal
     want = refined_sphere_fit_normals(*sphere_fit_system(mesh), normal)
     moments = geometry._ring_moments(mesh, geometry._configuration(mesh))
-    got = geometry._sphere_fit_normals(mesh, moments, normal)
+    got = geometry._sphere_fit_normals(mesh, moments, normal.T).T
     assert np.abs(got - want).max() <= 1e-13
 
 
@@ -1013,7 +1042,7 @@ def lapack_shape_operator_eigen(mesh, conf, nsf, H):
     t1 /= np.linalg.norm(t1, axis=1)[:, None]
     t2 = np.cross(nsf, t1)
     i, j = mesh.directed_edges.T
-    ev = conf.edge.reshape(-1, 3)
+    ev = conf.edge.reshape(3, -1).T
     dn = nsf[j] - nsf[i]
     u1, u2 = (np.einsum("ij,ij->i", t[i], ev) for t in (t1, t2))
     w1, w2 = (np.einsum("ij,ij->i", t[i], dn) for t in (t1, t2))
@@ -1045,10 +1074,10 @@ def test_closed_form_shape_fit_matches_batched_solve(name, unit_cube):
     cache = compute_cache(mesh)
     conf = geometry._configuration(mesh)
     moments = geometry._ring_moments(mesh, conf)
-    nsf = geometry._sphere_fit_normals(mesh, moments, cache.normal)
+    nsf = geometry._sphere_fit_normals(mesh, moments, cache.normal.T)
     H = cache.mean_curvature
     got = np.array(geometry._shape_operator_eigen(mesh, conf, moments, nsf, H))[:, keep]
-    want = np.array(lapack_shape_operator_eigen(mesh, conf, nsf, H))[:, keep]
+    want = np.array(lapack_shape_operator_eigen(mesh, conf, nsf.T, H))[:, keep]
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
@@ -1059,8 +1088,8 @@ def test_rank_deficient_shape_fit(unit_cube):
     cache = compute_cache(mesh)
     conf = geometry._configuration(mesh)
     moments = geometry._ring_moments(mesh, conf)
-    nsf = cache.normal.copy()
-    nsf[8] = np.roll(nsf[8], 1)
+    nsf = cache.normal.T.copy()
+    nsf[:, 8] = np.roll(nsf[:, 8], 1)
     with pytest.raises(DegenerateGeometryError, match="rank-deficient"):
         geometry._shape_operator_eigen(mesh, conf, moments, nsf, cache.mean_curvature)
 

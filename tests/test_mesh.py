@@ -133,6 +133,24 @@ def test_load_clockwise_curve_rejected(tmp_path):
         load_mesh(path)
 
 
+@pytest.mark.parametrize("name", ["inward-icosphere", "clockwise-circle"])
+def test_inward_mesh_is_oriented_with_negative_volume(tmp_path, icosphere, name):
+    # is_oriented means consistent half-edges in both modes; facing inward is
+    # volume <= 0, which load_mesh rejects
+    if name == "inward-icosphere":
+        sphere = icosphere(1.0, 2)
+        mesh, path = TriMesh(sphere.vertices, sphere.faces[:, ::-1]), tmp_path / "m.off"
+    else:
+        mesh = TriMesh(gen_circle(1.0, 16).vertices[::-1], mode="curve")
+        path = tmp_path / "m.csv"
+    report = validate(mesh)
+    assert report.is_closed and report.is_oriented and report.is_vertex_manifold
+    assert report.volume < 0
+    save_mesh(mesh, path)
+    with pytest.raises(MeshTopologyError, match="inward|clockwise"):
+        load_mesh(path)
+
+
 def test_validate_curve_repeated_point():
     # a zero-length segment is a degenerate element: length 0, angle 0, and
     # no division by its length
