@@ -21,7 +21,8 @@ import scipy
 
 from .errors import SapflowError
 from . import __version__, diagnostics, flow, geometry, mesh as meshmod
-from .flow import FlowConfig, _number
+from .flow import FlowConfig
+from .mesh import _check_fields, _number, _numbers
 
 
 # the flow keys and their defaults are FlowConfig's; flags share the key names
@@ -40,12 +41,6 @@ MANIFEST_DEFAULTS = {
     "output_dir": "sapflow_out",
     "mesh_cadence": 1,
 }
-
-
-def _numbers(x, count, kind=numbers.Real):
-    return isinstance(x, (list, tuple)) and len(x) == count and all(
-        _number(v, kind) for v in x
-    )
 
 
 # the one check of each key outside FlowConfig, as FlowConfig checks the flow
@@ -87,9 +82,7 @@ def load_manifest(path=None, overrides=None):
             manifest[key] = value
     if (manifest["mesh"] is None) == (manifest["generator"] is None):
         raise ValueError("exactly one of 'mesh' and 'generator' must be set")
-    for key, (expected, ok) in _MANIFEST_CHECKS.items():
-        if not ok(manifest[key]):
-            raise ValueError(f"{key} must be {expected}, not {manifest[key]!r}")
+    _check_fields(manifest, _MANIFEST_CHECKS)
     return manifest
 
 

@@ -23,15 +23,11 @@ from .errors import (
     OrientationError,
 )
 from . import diagnostics, geometry
-from .mesh import TriMesh, _input_defect, intrinsic_dimension
+from .mesh import TriMesh, _check_fields, _input_defect, _number, intrinsic_dimension
 
 # smallest face corner (curve vertex) angle, in radians, before a run ends as
 # blow_up(mesh_degeneracy)
 MIN_ANGLE_LIMIT = 1e-3
-
-
-def _number(x, kind=numbers.Real):
-    return isinstance(x, kind) and not isinstance(x, bool)
 
 
 # the one check of each run setting, for the library and the manifest:
@@ -41,7 +37,7 @@ _SETTING_CHECKS = {
     "cfl_safety": ("a number in (0, 1]", lambda x: _number(x) and 0 < x <= 1),
     "dt_max": ("a positive number", lambda x: _number(x) and x > 0),
     "area_projection": ("a bool", lambda x: isinstance(x, bool)),
-    "t_max": ("a positive number", lambda x: _number(x) and x > 0),
+    "t_max": ("a positive finite number", lambda x: _number(x) and 0 < x < math.inf),
     "roundness_tol": ("a number in (0, 1)", lambda x: _number(x) and 0 < x < 1),
     "blowup_max_A": (
         "a positive finite number or None",
@@ -63,10 +59,7 @@ class FlowConfig:
     snapshot_every: int = 1
 
     def __post_init__(self):
-        for name, (expected, ok) in _SETTING_CHECKS.items():
-            value = getattr(self, name)
-            if not ok(value):
-                raise ValueError(f"{name} must be {expected}, not {value!r}")
+        _check_fields(vars(self), _SETTING_CHECKS)
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ machinery.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import pi, sqrt
+from math import inf, isfinite, pi, sqrt
 import numbers
 import os
 import zipfile
@@ -24,6 +24,24 @@ FLOAT_FMT = "%.17g"  # lossless double round-trip
 
 # sources of the graph-geodesic diameter estimate (geometry.diameter_estimate)
 DIAMETER_SOURCES = 8
+
+
+def _number(x, kind=numbers.Real):
+    return isinstance(x, kind) and not isinstance(x, bool)
+
+
+def _numbers(x, count, kind=numbers.Real):
+    return isinstance(x, (list, tuple)) and len(x) == count and all(
+        _number(v, kind) for v in x
+    )
+
+
+def _check_fields(values, checks):
+    """Raise ``ValueError`` at the first key of ``checks`` whose entry in
+    ``values`` fails its test; ``checks`` maps key -> (what it must be, test)."""
+    for key, (expected, ok) in checks.items():
+        if not ok(values[key]):
+            raise ValueError(f"{key} must be {expected}, not {values[key]!r}")
 
 
 @dataclass(frozen=True)
@@ -56,7 +74,7 @@ class TriMesh:
     Notes
     -----
     Construction performs hard structural checks only (finite coordinates,
-    index range, no degenerate faces). Closedness and orientation are
+    integer indices in range, no degenerate faces). Closedness and orientation are
     reported by :func:`validate` and enforced by :func:`load_mesh` and the
     geometry operations that require them. Vertex and face arrays are frozen;
     derived meshes are created with :meth:`with_vertices`, which leaves the
@@ -70,7 +88,11 @@ class TriMesh:
                 raise ValueError("surface vertices must have shape (n, 3)")
             if faces is None:
                 raise ValueError("surface mesh requires a face list")
-            faces = np.asarray(faces, dtype=np.int64)
+            faces = np.asarray(faces)
+            # a cast would truncate: 0.4 would index vertex 0
+            if faces.dtype.kind not in "iu":
+                raise ValueError(f"faces must hold integer indices, not {faces.dtype}")
+            faces = faces.astype(np.int64, copy=False)
             if faces.ndim != 2 or faces.shape[1] != 3:
                 raise ValueError("faces must have shape (m, 3)")
             if len(faces) and (faces.min() < 0 or faces.max() >= len(vertices)):
@@ -749,12 +771,14 @@ _ICO_FACES = np.array(
 def _unit_icosphere(subdivisions):
     """Midpoint-subdivided icosahedron, re-projected to the unit sphere each level.
 
-    Midpoint indices are cached per sorted vertex pair in insertion order, so
-    identical inputs produce bitwise-identical vertex arrays.
+    Each level splits every face (a, b, c), in order, into (a, ab, ca),
+    (b, bc, ab), (c, ca, bc), (ab, bc, ca). The midpoints follow the old
+    vertices, numbered by the first edge ab, bc, ca of the faces, in order,
+    that reaches each. Identical inputs give bitwise-identical arrays.
     """
     if subdivisions < 0:
         raise ValueError("subdivisions must be >= 0")
-    if isinstance(subdivisions, bool) or not isinstance(subdivisions, numbers.Integral):
+    if not _number(subdivisions, numbers.Integral):
         raise ValueError(f"subdivisions must be an integer, not {subdivisions!r}")
     phi = (1.0 + sqrt(5.0)) / 2.0
     ico = np.array(
@@ -765,27 +789,18 @@ def _unit_icosphere(subdivisions):
         ],
         dtype=np.float64,
     )
-    verts = list(ico / np.linalg.norm(ico[0]))
-    faces = _ICO_FACES
+    v, faces = ico / np.linalg.norm(ico[0]), _ICO_FACES
     for _ in range(subdivisions):
-        cache = {}
-
-        def midpoint(i, j):
-            key = (i, j) if i < j else (j, i)
-            if key not in cache:
-                m = verts[i] + verts[j]
-                verts.append(m / np.linalg.norm(m))
-                cache[key] = len(verts) - 1
-            return cache[key]
-
-        new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
-        for n, (a, b, c) in enumerate(faces):
-            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
-            new_faces[4 * n : 4 * n + 4] = [
-                [a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca],
-            ]
-        faces = new_faces
-    v = np.array(verts)
+        (a, b, c), n = faces.T, len(v)
+        i, j = faces.ravel(), np.roll(faces, -1, axis=1).ravel()  # half-edges ab, bc, ca
+        key = np.minimum(i, j) * n + np.maximum(i, j)
+        _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+        reached = np.sort(first)  # the half-edge that first reaches each midpoint
+        mid = v[i[reached]] + v[j[reached]]
+        # each row's norm by one BLAS dot product, as np.linalg.norm takes it of a row
+        v = np.vstack([v, mid / np.sqrt(np.matmul(mid[:, None], mid[..., None]))[:, 0]])
+        ab, bc, ca = (n + np.argsort(np.argsort(first))[inverse]).reshape(-1, 3).T
+        faces = np.column_stack([a, ab, ca, b, bc, ab, c, ca, bc, ab, bc, ca]).reshape(-1, 3)
     return v / np.linalg.norm(v, axis=1)[:, None], faces
 
 
@@ -817,8 +832,13 @@ class SphericalHarmonicBump:
     order: int = 0
 
     def __post_init__(self):
-        if abs(self.order) > self.degree:
-            raise ValueError("|order| must not exceed degree")
+        _check_fields(vars(self), {
+            "degree": ("an integer >= 0", lambda x: _number(x, numbers.Integral) and x >= 0),
+            "order": (
+                "an integer with |order| <= degree",
+                lambda x: _number(x, numbers.Integral) and abs(x) <= self.degree,
+            ),
+        })
 
     def evaluate(self, unit_points):
         from scipy.special import lpmv
@@ -842,6 +862,15 @@ class GaussianDentBump:
 
     direction: tuple = (0.0, 0.0, 1.0)
     width: float = 0.3  # radians
+
+    def __post_init__(self):
+        _check_fields(vars(self), {
+            "direction": (
+                "3 finite numbers, not all 0",
+                lambda x: _numbers(x, 3) and all(map(isfinite, x)) and any(x),
+            ),
+            "width": ("a positive finite number", lambda x: _number(x) and 0 < x < inf),
+        })
 
     def evaluate(self, unit_points):
         d = np.asarray(self.direction, dtype=np.float64)
@@ -875,7 +904,7 @@ def gen_circle(radius, n_vertices, center=(0.0, 0.0)):
     """Generate a regular closed polygon (curve mode), counter-clockwise."""
     if radius <= 0:
         raise ValueError("radius must be positive")
-    if isinstance(n_vertices, bool) or not isinstance(n_vertices, numbers.Integral):
+    if not _number(n_vertices, numbers.Integral):
         raise ValueError(f"n_vertices must be an integer, not {n_vertices!r}")
     if n_vertices < 3:
         raise ValueError("need at least 3 vertices")

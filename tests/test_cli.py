@@ -154,6 +154,15 @@ def test_run_nan_blowup_limit_is_input_error(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_generate_negative_harmonic_degree_is_input_error(tmp_path, capsys):
+    # it said that |order| must not exceed degree
+    out = tmp_path / "h.off"
+    argv = ("generate", "perturbed", "--harmonic=-1,0", "--amplitude", "0.1")
+    assert run_cli(*argv, "-o", str(out)) == 1
+    assert capsys.readouterr().err.startswith("error: degree must be an integer >= 0")
+    assert not out.exists()
+
+
 def test_run_blowup_exit_code(tmp_path):
     manifest_path, _ = run_manifest(tmp_path, blowup_max_A=1.0)
     assert run_cli("run", "--manifest", str(manifest_path)) == 2
@@ -501,6 +510,7 @@ def test_every_run_flag_reaches_the_manifest(tmp_path, projection):
         ("mesh_cadence", 2.5),
         ("mesh_cadence", "x"),
         ("output_dir", 5),
+        ("t_max", float("inf")),
     ],
 )
 def test_manifest_value_of_wrong_type_is_input_error(tmp_path, capsys, key, value):

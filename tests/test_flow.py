@@ -72,6 +72,7 @@ STEP_MESHES = {
         ("area_projection", 1),
         ("t_max", "0.1"),
         ("t_max", float("nan")),
+        ("t_max", float("inf")),
         ("roundness_tol", 1.0),
         ("blowup_max_A", "1e3"),
         ("blowup_max_A", float("nan")),

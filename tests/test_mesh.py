@@ -38,6 +38,18 @@ def test_trimesh_rejects_bad_faces():
         TriMesh(verts, [[0, 1, 5]])
 
 
+@pytest.mark.parametrize("offset", [0.4, 0.0])
+def test_trimesh_rejects_non_integer_faces(icosphere, offset):
+    # a cast truncated 0.4 to 0: the icosphere with 0.4 added to a face index
+    # was the icosphere
+    sphere = icosphere(1.0, 1)
+    faces = sphere.faces.astype(np.float64)
+    faces[7, 1] += offset
+    with pytest.raises(ValueError, match="faces must hold integer indices, not float64"):
+        TriMesh(sphere.vertices, faces)
+    assert TriMesh(sphere.vertices, sphere.faces.astype(np.int32)) == sphere
+
+
 @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
 def test_trimesh_rejects_non_finite_coordinates(tetrahedron, value):
     verts = tetrahedron.vertices.copy()
@@ -810,6 +822,112 @@ def test_gen_circle_rejects_non_integer_vertex_count(n_vertices):
         gen_circle(1.0, n_vertices)
     with pytest.raises(ValueError, match="need at least 3 vertices"):
         gen_circle(1.0, 2)
+
+
+def _reference_unit_icosphere(subdivisions):
+    """The generator as a loop over faces with a dict of midpoints: each face
+    (a, b, c), in order, numbers the midpoints of ab, bc, ca it reaches first."""
+    phi = (1.0 + np.sqrt(5.0)) / 2.0
+    ico = np.array(
+        [
+            [-1, phi, 0], [1, phi, 0], [-1, -phi, 0], [1, -phi, 0],
+            [0, -1, phi], [0, 1, phi], [0, -1, -phi], [0, 1, -phi],
+            [phi, 0, -1], [phi, 0, 1], [-phi, 0, -1], [-phi, 0, 1],
+        ],
+        dtype=np.float64,
+    )
+    verts = list(ico / np.linalg.norm(ico[0]))
+    faces = meshmod._ICO_FACES
+    for _ in range(subdivisions):
+        cache = {}
+
+        def midpoint(i, j):
+            key = (i, j) if i < j else (j, i)
+            if key not in cache:
+                m = verts[i] + verts[j]
+                verts.append(m / np.linalg.norm(m))
+                cache[key] = len(verts) - 1
+            return cache[key]
+
+        new_faces = np.empty((4 * len(faces), 3), dtype=np.int64)
+        for n, (a, b, c) in enumerate(faces):
+            ab, bc, ca = midpoint(a, b), midpoint(b, c), midpoint(c, a)
+            new_faces[4 * n : 4 * n + 4] = [
+                [a, ab, ca], [b, bc, ab], [c, ca, bc], [ab, bc, ca],
+            ]
+        faces = new_faces
+    v = np.array(verts)
+    return v / np.linalg.norm(v, axis=1)[:, None], faces
+
+
+@pytest.mark.parametrize("subdivisions", range(7))
+def test_unit_icosphere_matches_reference_loop(subdivisions):
+    got = meshmod._unit_icosphere(subdivisions)
+    want = _reference_unit_icosphere(subdivisions)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.shape == w.shape
+        assert g.tobytes() == w.tobytes()
+
+
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda: gen_ellipsoid(1.2, 1.0, 0.85, 3),
+        lambda: gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 3),
+        lambda: gen_perturbed_sphere(1.0, 0.1, SphericalHarmonicBump(3, -2), 3),
+    ],
+    ids=["ellipsoid", "dent", "harmonic"],
+)
+def test_generators_match_reference_built_meshes(generate, monkeypatch):
+    got = generate()
+    monkeypatch.setattr(meshmod, "_unit_icosphere", _reference_unit_icosphere)
+    want = generate()
+    assert got.vertices.tobytes() == want.vertices.tobytes()
+    assert got.faces.dtype == want.faces.dtype
+    assert np.array_equal(got.faces, want.faces)
+
+
+@pytest.mark.parametrize(
+    "bump, args",
+    [
+        (GaussianDentBump, {"width": 0.0}),
+        (GaussianDentBump, {"width": -0.3}),
+        (GaussianDentBump, {"width": float("inf")}),
+        (GaussianDentBump, {"width": float("nan")}),
+        (GaussianDentBump, {"width": "0.3"}),
+        (GaussianDentBump, {"width": True}),
+        (GaussianDentBump, {"direction": (0, 0, 0)}),
+        (GaussianDentBump, {"direction": (0.0, 1.0)}),
+        (GaussianDentBump, {"direction": (float("nan"), 0.0, 1.0)}),
+        (GaussianDentBump, {"direction": (float("inf"), 0.0, 0.0)}),
+        (GaussianDentBump, {"direction": (True, 0, 0)}),
+        (GaussianDentBump, {"direction": "xyz"}),
+        (SphericalHarmonicBump, {"degree": -1}),
+        (SphericalHarmonicBump, {"degree": 2.5}),
+        (SphericalHarmonicBump, {"degree": 2.0}),
+        (SphericalHarmonicBump, {"degree": True}),
+        (SphericalHarmonicBump, {"degree": 2, "order": 3}),
+        (SphericalHarmonicBump, {"degree": 2, "order": -3}),
+        (SphericalHarmonicBump, {"degree": 2, "order": 0.5}),
+        (SphericalHarmonicBump, {"degree": 2, "order": False}),
+    ],
+    ids=lambda x: x.__name__ if isinstance(x, type) else ",".join(
+        f"{k}={v!r}".replace(" ", "") for k, v in x.items()
+    ),
+)
+def test_bumps_reject_invalid_fields(bump, args):
+    # width 0 or direction 0 divided by zero, width -0.3 built the width-0.3
+    # mesh, degree -1 blamed the order and degree 2.5 failed only at evaluate;
+    # the last field given is the one at fault
+    with pytest.raises(ValueError, match=f"^{list(args)[-1]} must be"):
+        bump(**args)
+
+
+def test_bumps_accept_numpy_numbers():
+    harmonic = SphericalHarmonicBump(np.int64(3), np.int64(-2))
+    dent = GaussianDentBump(tuple(np.array([0.0, 0.6, 0.8])), np.float64(0.3))
+    assert harmonic == SphericalHarmonicBump(3, -2)
+    assert dent == GaussianDentBump((0.0, 0.6, 0.8), 0.3)
 
 
 def test_ellipsoid_degenerate_is_icosphere(icosphere):
