@@ -9,7 +9,6 @@ finished run from its artifacts alone.
 
 import argparse
 import json
-import numbers
 import os
 import platform
 import re
@@ -22,7 +21,7 @@ import scipy
 from .errors import SapflowError
 from . import __version__, diagnostics, flow, geometry, mesh as meshmod
 from .flow import FlowConfig
-from .mesh import _check_fields, _number, _numbers
+from .mesh import INPUT_CHECKS, _check_fields, _integer, _numbers
 
 
 # the flow keys and their defaults are FlowConfig's; flags share the key names
@@ -43,21 +42,26 @@ MANIFEST_DEFAULTS = {
 }
 
 
-# the one check of each key outside FlowConfig, as FlowConfig checks the flow
-# keys, made at load time so that no bad value surfaces after a run:
-# key -> (what it must be, test of its value)
+# generator -> its mesh, built from the manifest's input keys
+_GENERATORS = {
+    "icosphere": lambda m: meshmod.gen_icosphere(m["radius"], (0.0, 0.0, 0.0), m["subdivisions"]),
+    "ellipsoid": lambda m: meshmod.gen_ellipsoid(*m["axes"], m["subdivisions"]),
+    "perturbed": lambda m: meshmod.gen_perturbed_sphere(
+        m["radius"], m["amplitude"], _bump_from(m), m["subdivisions"]
+    ),
+}
+
+
+# the rule of each key that no constructor owns; FlowConfig's rules
+# (flow._SETTING_CHECKS) and the generators' and bumps' (mesh.INPUT_CHECKS)
+# hold the others: key -> (what it must be, test of its value)
 _MANIFEST_CHECKS = {
     "mesh": ("a path or null", lambda x: x is None or isinstance(x, str)),
-    "radius": ("a positive number", lambda x: _number(x) and x > 0),
-    "axes": ("a list of 3 positive numbers", lambda x: _numbers(x, 3) and min(x) > 0),
-    "subdivisions": ("an integer >= 0", lambda x: _number(x, numbers.Integral) and x >= 0),
-    "amplitude": ("a number", _number),
+    "generator": (", ".join(_GENERATORS) + " or null", lambda x: x in (None, *_GENERATORS)),
     "bump": ("harmonic or dent", lambda x: x in ("harmonic", "dent")),
-    "harmonic": ("a list of 2 integers", lambda x: _numbers(x, 2, numbers.Integral)),
-    "width": ("a positive number", lambda x: _number(x) and x > 0),
-    "direction": ("a list of 3 numbers, not all 0", lambda x: _numbers(x, 3) and any(x)),
+    "harmonic": ("a list of 2 integers", lambda x: _numbers(x, 2, _integer)),
     "output_dir": ("a path", lambda x: isinstance(x, str)),
-    "mesh_cadence": ("an integer >= 1", lambda x: _number(x, numbers.Integral) and x >= 1),
+    "mesh_cadence": ("an integer >= 1", lambda x: _integer(x) and x >= 1),
 }
 
 
@@ -82,33 +86,21 @@ def load_manifest(path=None, overrides=None):
             manifest[key] = value
     if (manifest["mesh"] is None) == (manifest["generator"] is None):
         raise ValueError("exactly one of 'mesh' and 'generator' must be set")
-    _check_fields(manifest, _MANIFEST_CHECKS)
+    # every key is checked before any mesh is built or any file is written
+    _check_fields(manifest, {**_MANIFEST_CHECKS, **INPUT_CHECKS, **flow._SETTING_CHECKS})
     return manifest
 
 
 def _bump_from(manifest):
     if manifest["bump"] == "dent":
-        return meshmod.GaussianDentBump(
-            direction=tuple(manifest["direction"]), width=manifest["width"]
-        )
+        return meshmod.GaussianDentBump(tuple(manifest["direction"]), manifest["width"])
     return meshmod.SphericalHarmonicBump(*manifest["harmonic"])
 
 
 def build_input_mesh(manifest):
     if manifest["mesh"] is not None:
         return meshmod.load_mesh(manifest["mesh"])
-    kind = manifest["generator"]
-    sub = manifest["subdivisions"]
-    if kind == "icosphere":
-        return meshmod.gen_icosphere(manifest["radius"], (0.0, 0.0, 0.0), sub)
-    if kind == "ellipsoid":
-        a, b, c = manifest["axes"]
-        return meshmod.gen_ellipsoid(a, b, c, sub)
-    if kind == "perturbed":
-        return meshmod.gen_perturbed_sphere(
-            manifest["radius"], manifest["amplitude"], _bump_from(manifest), sub
-        )
-    raise ValueError(f"unknown generator {kind!r}")
+    return _GENERATORS[manifest["generator"]](manifest)
 
 
 def flow_config(manifest):
@@ -294,28 +286,27 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    g = sub.add_parser("generate", help="write a generator mesh to OFF/OBJ/NPZ")
-    g.add_argument(
-        "generator", metavar="shape", choices=["icosphere", "ellipsoid", "perturbed"]
-    )
-    g.add_argument("--radius", type=float)
-    g.add_argument("--subdiv", type=int, dest="subdivisions")
-    g.add_argument("--axes", help="a,b,c semi-axes (ellipsoid)")
-    g.add_argument("--amplitude", type=float)
-    g.add_argument("--dent", action="store_const", const="dent", dest="bump",
-                   help="Gaussian dent bump")
-    g.add_argument("--width", type=float, help="dent width (radians)")
-    g.add_argument("--direction", help="x,y,z dent direction")
-    g.add_argument("--harmonic", help="l,m spherical harmonic bump")
+    # the input flags, each of which sets the manifest key of its dest
+    inputs = argparse.ArgumentParser(add_help=False)
+    inputs.add_argument("--radius", type=float)
+    inputs.add_argument("--subdiv", type=int, dest="subdivisions")
+    inputs.add_argument("--axes", help="a,b,c semi-axes (ellipsoid)")
+    inputs.add_argument("--amplitude", type=float)
+    inputs.add_argument("--dent", action="store_const", const="dent", dest="bump",
+                        help="Gaussian dent bump")
+    inputs.add_argument("--width", type=float, help="dent width (radians)")
+    inputs.add_argument("--direction", help="x,y,z dent direction")
+    inputs.add_argument("--harmonic", help="l,m spherical harmonic bump")
+
+    g = sub.add_parser("generate", parents=[inputs], help="write a generator mesh to OFF/OBJ/NPZ")
+    g.add_argument("generator", metavar="shape", choices=list(_GENERATORS))
     g.add_argument("-o", "--output", required=True)
     g.set_defaults(func=cmd_generate)
 
-    r = sub.add_parser("run", help="evolve a mesh and write run artifacts")
+    r = sub.add_parser("run", parents=[inputs], help="evolve a mesh and write run artifacts")
     r.add_argument("--manifest", help="JSON manifest; flags override its keys")
     r.add_argument("--mesh", help="input mesh file (OFF/OBJ/CSV/NPZ)")
-    r.add_argument("--generator", choices=["icosphere", "ellipsoid", "perturbed"])
-    r.add_argument("--axes")
-    r.add_argument("--subdiv", type=int, dest="subdivisions")
+    r.add_argument("--generator", choices=list(_GENERATORS))
     r.add_argument("--stepping", choices=["explicit", "semi-implicit"])
     r.add_argument("--cfl-safety", type=float)
     r.add_argument("--dt-max", type=float)

@@ -12,6 +12,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields as dc_fields
+from math import isfinite
 
 import numpy as np
 
@@ -80,7 +81,8 @@ class TimeSeries:
     @classmethod
     def from_csv(cls, path_or_buffer, metadata=None):
         """Read :meth:`to_csv` output; a row without one field per column, such
-        as the cut last row of a killed write, raises ``ValueError``."""
+        as the cut last row of a killed write, or with a field that is not a
+        finite number raises ``ValueError``."""
         if hasattr(path_or_buffer, "read"):
             rows = list(csv.reader(path_or_buffer))
         else:
@@ -94,7 +96,11 @@ class TimeSeries:
                 raise ValueError(
                     f"series line {line} has {len(row)} fields, not {len(RECORD_FIELDS)}"
                 )
-            records.append(DiagnosticsRecord(*map(float, row)))
+            values = list(map(float, row))
+            for name, cell, value in zip(RECORD_FIELDS, row, values):
+                if not isfinite(value):
+                    raise ValueError(f"series line {line}, column {name}: {cell!r} is not finite")
+            records.append(DiagnosticsRecord(*values))
         t = np.array([r.t for r in records])
         if len(t) > 1 and not (np.diff(t) > 0).all():
             raise ValueError("snapshot times must be strictly increasing")

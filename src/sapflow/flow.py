@@ -9,8 +9,6 @@ the surviving area drift is O(dt) over a run and can be removed entirely by
 the optional projection step (uniform rescaling about the area centroid).
 """
 
-import math
-import numbers
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -23,7 +21,9 @@ from .errors import (
     OrientationError,
 )
 from . import diagnostics, geometry
-from .mesh import TriMesh, _check_fields, _input_defect, _number, intrinsic_dimension
+from .mesh import (
+    TriMesh, _check_fields, _input_defect, _integer, _number, _positive, intrinsic_dimension,
+)
 
 # smallest face corner (curve vertex) angle, in radians, before a run ends as
 # blow_up(mesh_degeneracy)
@@ -35,15 +35,12 @@ MIN_ANGLE_LIMIT = 1e-3
 _SETTING_CHECKS = {
     "stepping": ("explicit or semi-implicit", lambda x: x in ("explicit", "semi-implicit")),
     "cfl_safety": ("a number in (0, 1]", lambda x: _number(x) and 0 < x <= 1),
-    "dt_max": ("a positive number", lambda x: _number(x) and x > 0),
+    "dt_max": ("a positive finite number", _positive),
     "area_projection": ("a bool", lambda x: isinstance(x, bool)),
-    "t_max": ("a positive finite number", lambda x: _number(x) and 0 < x < math.inf),
+    "t_max": ("a positive finite number", _positive),
     "roundness_tol": ("a number in (0, 1)", lambda x: _number(x) and 0 < x < 1),
-    "blowup_max_A": (
-        "a positive finite number or None",
-        lambda x: x is None or (_number(x) and 0 < x < math.inf),
-    ),
-    "snapshot_every": ("an integer >= 1", lambda x: _number(x, numbers.Integral) and x >= 1),
+    "blowup_max_A": ("a positive finite number or None", lambda x: x is None or _positive(x)),
+    "snapshot_every": ("an integer >= 1", lambda x: _integer(x) and x >= 1),
 }
 
 

@@ -541,7 +541,8 @@ def compute_cache(mesh):
     Raises
     ------
     OrientationError
-        Closed mesh with negative enclosed volume, or clockwise curve.
+        Closed mesh with enclosed volume <= 0, or curve with enclosed area <= 0
+        (clockwise).
     DegenerateGeometryError
         Zero-area face, zero-length segment or normal, non-positive area
         weight, or rank-deficient 1-ring shape operator fit.

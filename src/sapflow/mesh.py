@@ -9,7 +9,7 @@ machinery.
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import inf, isfinite, pi, sqrt
+from math import inf, pi, sqrt
 import numbers
 import os
 import zipfile
@@ -30,18 +30,44 @@ def _number(x, kind=numbers.Real):
     return isinstance(x, kind) and not isinstance(x, bool)
 
 
-def _numbers(x, count, kind=numbers.Real):
-    return isinstance(x, (list, tuple)) and len(x) == count and all(
-        _number(v, kind) for v in x
-    )
+def _integer(x):
+    return _number(x, numbers.Integral)
 
 
-def _check_fields(values, checks):
-    """Raise ``ValueError`` at the first key of ``checks`` whose entry in
-    ``values`` fails its test; ``checks`` maps key -> (what it must be, test)."""
-    for key, (expected, ok) in checks.items():
-        if not ok(values[key]):
-            raise ValueError(f"{key} must be {expected}, not {values[key]!r}")
+def _finite(x):
+    return _number(x) and -inf < x < inf
+
+
+def _positive(x):
+    return _finite(x) and x > 0
+
+
+def _numbers(x, count, ok=_finite):
+    return isinstance(x, (list, tuple)) and len(x) == count and all(map(ok, x))
+
+
+# the one rule of each generator argument and bump field, and of the manifest
+# key of the same name: key -> (what it must be, test of its value)
+INPUT_CHECKS = {
+    "radius": ("a positive finite number", _positive),
+    "axes": ("3 positive finite numbers", lambda x: _numbers(x, 3, _positive)),
+    "subdivisions": ("an integer >= 0", lambda x: _integer(x) and x >= 0),
+    "amplitude": ("a finite number", _finite),
+    "n_vertices": ("an integer >= 3", lambda x: _integer(x) and x >= 3),
+    "direction": ("3 finite numbers, not all 0", lambda x: _numbers(x, 3) and any(x)),
+    "width": ("a positive finite number", _positive),
+    "degree": ("an integer >= 0", lambda x: _integer(x) and x >= 0),
+}
+
+
+def _check_fields(values, checks=INPUT_CHECKS):
+    """Raise ``ValueError`` at the first key of ``values`` whose value fails
+    its rule in ``checks`` (key -> (what it must be, test)), by default the
+    input rules."""
+    for key, value in values.items():
+        expected, ok = checks[key]
+        if not ok(value):
+            raise ValueError(f"{key} must be {expected}, not {value!r}")
 
 
 @dataclass(frozen=True)
@@ -776,10 +802,7 @@ def _unit_icosphere(subdivisions):
     vertices, numbered by the first edge ab, bc, ca of the faces, in order,
     that reaches each. Identical inputs give bitwise-identical arrays.
     """
-    if subdivisions < 0:
-        raise ValueError("subdivisions must be >= 0")
-    if not _number(subdivisions, numbers.Integral):
-        raise ValueError(f"subdivisions must be an integer, not {subdivisions!r}")
+    _check_fields({"subdivisions": subdivisions})
     phi = (1.0 + sqrt(5.0)) / 2.0
     ico = np.array(
         [
@@ -810,16 +833,14 @@ def gen_icosphere(radius, center=(0.0, 0.0, 0.0), subdivisions=0):
     All vertices lie at exact distance ``radius`` from ``center`` up to
     rounding. Deterministic: identical inputs give bitwise-identical arrays.
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_fields({"radius": radius})
     u, faces = _unit_icosphere(subdivisions)
     return TriMesh(np.asarray(center, dtype=np.float64) + radius * u, faces)
 
 
 def gen_ellipsoid(a, b, c, subdivisions=0):
     """Generate an origin-centred ellipsoid by anisotropic scaling of an icosphere."""
-    if min(a, b, c) <= 0:
-        raise ValueError("semi-axes must be positive")
+    _check_fields({"axes": (a, b, c)})
     u, faces = _unit_icosphere(subdivisions)
     return TriMesh(u * np.array([a, b, c], dtype=np.float64), faces)
 
@@ -833,10 +854,10 @@ class SphericalHarmonicBump:
 
     def __post_init__(self):
         _check_fields(vars(self), {
-            "degree": ("an integer >= 0", lambda x: _number(x, numbers.Integral) and x >= 0),
+            "degree": INPUT_CHECKS["degree"],
             "order": (
                 "an integer with |order| <= degree",
-                lambda x: _number(x, numbers.Integral) and abs(x) <= self.degree,
+                lambda x: _integer(x) and abs(x) <= self.degree,
             ),
         })
 
@@ -864,13 +885,7 @@ class GaussianDentBump:
     width: float = 0.3  # radians
 
     def __post_init__(self):
-        _check_fields(vars(self), {
-            "direction": (
-                "3 finite numbers, not all 0",
-                lambda x: _numbers(x, 3) and all(map(isfinite, x)) and any(x),
-            ),
-            "width": ("a positive finite number", lambda x: _number(x) and 0 < x < inf),
-        })
+        _check_fields(vars(self))
 
     def evaluate(self, unit_points):
         d = np.asarray(self.direction, dtype=np.float64)
@@ -891,8 +906,7 @@ def gen_perturbed_sphere(radius, amplitude, bump, subdivisions=0):
     bump : SphericalHarmonicBump | GaussianDentBump
     subdivisions : int
     """
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_fields({"radius": radius, "amplitude": amplitude})
     if abs(amplitude) >= radius / 2:
         raise ValueError("amplitude must satisfy |amplitude| < radius/2")
     u, faces = _unit_icosphere(subdivisions)
@@ -902,12 +916,7 @@ def gen_perturbed_sphere(radius, amplitude, bump, subdivisions=0):
 
 def gen_circle(radius, n_vertices, center=(0.0, 0.0)):
     """Generate a regular closed polygon (curve mode), counter-clockwise."""
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if not _number(n_vertices, numbers.Integral):
-        raise ValueError(f"n_vertices must be an integer, not {n_vertices!r}")
-    if n_vertices < 3:
-        raise ValueError("need at least 3 vertices")
+    _check_fields({"radius": radius, "n_vertices": n_vertices})
     th = 2 * pi * np.arange(n_vertices) / n_vertices
     pts = np.asarray(center) + radius * np.column_stack([np.cos(th), np.sin(th)])
     return TriMesh(pts, mode="curve")

@@ -140,11 +140,13 @@ def linearized_mode_rates(radius, degree, amplitude, subdivisions, config=None):
 
     Raises
     ------
+    ValueError
+        ``|amplitude| > 0.02 radius``: outside the linear regime.
     NonPositiveSamplesError
         Zero amplitude: the deficit series carries no fittable signal.
     """
-    if amplitude > 0.02 * radius * 1.0000001:
-        raise ValueError("amplitude outside the linear regime (> 0.02 radius)")
+    if abs(amplitude) > 0.02 * radius * 1.0000001:
+        raise ValueError("amplitude outside the linear regime (|amplitude| > 0.02 radius)")
     if amplitude == 0.0:
         raise NonPositiveSamplesError(
             "zero perturbation produces a numerically zero decay series"

@@ -440,6 +440,19 @@ def test_analyze_rejects_a_row_of_the_wrong_length(tmp_path, capsys, last_row):
     assert err.startswith(f"error: series line 3 has {fields} fields, not {len(RECORD_FIELDS)}")
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_analyze_rejects_a_non_finite_field(tmp_path, capsys, cell):
+    # analyze exited 0 and wrote "area": NaN under max_residuals
+    rows = [[ti] + ["1"] * (len(RECORD_FIELDS) - 1) for ti in ("0", "0.1", "0.2")]
+    rows[1][RECORD_FIELDS.index("int_H")] = cell
+    bad = tmp_path / "series.csv"
+    bad.write_text("\n".join(",".join(r) for r in [RECORD_FIELDS, *rows]) + "\n")
+    assert run_cli("analyze", str(bad)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: series line 3, column int_H: '{cell}' is not finite\n"
+    assert not (tmp_path / "summary.json").exists()
+
+
 def test_manifest_roundtrip_through_run_meta(tmp_path):
     from sapflow.cli import load_manifest
 
@@ -464,11 +477,19 @@ def test_every_run_flag_reaches_the_manifest(tmp_path, projection):
         "--stepping", "semi-implicit", "--cfl-safety", "0.4", "--dt-max", "0.02",
         "--t-max", "0.1", "--roundness-tol", "1e-3", "--blowup-max-a", "1e6",
         "--snapshot-every", "2", "--mesh-cadence", "2", projection, "-o", str(outdir),
+        "--radius", "1.1", "--amplitude", "-0.2", "--dent", "--width", "0.25",
+        "--direction", "0,1,0", "--harmonic", "3,1",
     ]
     expected = {
         "generator": "ellipsoid",
+        "radius": 1.1,
         "axes": [1.3, 1.0, 0.8],
         "subdivisions": 1,
+        "amplitude": -0.2,
+        "bump": "dent",
+        "harmonic": [3, 1],
+        "width": 0.25,
+        "direction": [0.0, 1.0, 0.0],
         "stepping": "semi-implicit",
         "cfl_safety": 0.4,
         "dt_max": 0.02,
@@ -511,6 +532,14 @@ def test_every_run_flag_reaches_the_manifest(tmp_path, projection):
         ("mesh_cadence", "x"),
         ("output_dir", 5),
         ("t_max", float("inf")),
+        ("generator", "cube"),
+        ("generator", 5),
+        # each numeric input key, non-finite (json.dumps writes NaN and Infinity)
+        ("radius", float("inf")),
+        ("axes", [1.0, float("inf"), 1.0]),
+        ("amplitude", float("nan")),
+        ("width", float("inf")),  # with the default bump, "harmonic"
+        ("direction", [float("inf"), 0.0, 0.0]),
     ],
 )
 def test_manifest_value_of_wrong_type_is_input_error(tmp_path, capsys, key, value):
@@ -521,6 +550,40 @@ def test_manifest_value_of_wrong_type_is_input_error(tmp_path, capsys, key, valu
     assert run_cli("run", "--manifest", str(path)) == 1
     assert f"error: {key} must be" in capsys.readouterr().err
     assert not outdir.exists()
+
+
+def test_manifest_non_finite_value_unused_by_the_mesh_is_input_error(tmp_path, capsys):
+    # a mesh input uses no amplitude or width: the run exited 0 and wrote NaN
+    # and Infinity into run_meta.json, which is then not strict JSON
+    mesh_path = tmp_path / "ico.off"
+    save_mesh(meshmod.gen_icosphere(1.0, subdivisions=1), mesh_path)
+    path = tmp_path / "m.json"
+    outdir = tmp_path / "out"
+    path.write_text(json.dumps({"mesh": str(mesh_path), "amplitude": float("nan"),
+                                "width": float("inf"), "output_dir": str(outdir)}))
+    assert run_cli("run", "--manifest", str(path), "--t-max", "0.1") == 1
+    assert capsys.readouterr().err.startswith("error: amplitude must be a finite number")
+    assert not outdir.exists()
+
+
+def test_every_manifest_key_has_one_rule():
+    from sapflow.cli import _MANIFEST_CHECKS
+
+    tables = [flow._SETTING_CHECKS, _MANIFEST_CHECKS, meshmod.INPUT_CHECKS]
+    for key in MANIFEST_DEFAULTS:
+        assert sum(key in table for table in tables) == 1, key
+
+
+def test_run_takes_the_input_flags(tmp_path):
+    # run had no --amplitude or --dent: "unrecognized arguments", exit 1
+    outdir = tmp_path / "out"
+    argv = ("run", "--generator", "perturbed", "--amplitude", "-0.35", "--dent",
+            "--width", "0.3", "--subdiv", "1", "--t-max", "0.1", "-o", str(outdir))
+    assert run_cli(*argv) == 0
+    manifest = json.loads((outdir / "run_meta.json").read_text())["metadata"]["manifest"]
+    assert (manifest["amplitude"], manifest["bump"], manifest["width"]) == (-0.35, "dent", 0.3)
+    first = load_mesh(outdir / "meshes" / "step_000000.npz")
+    assert first == gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 1)
 
 
 @pytest.mark.parametrize(

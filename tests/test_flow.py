@@ -69,6 +69,8 @@ STEP_MESHES = {
         ("cfl_safety", "0.5"),
         ("dt_max", 0.0),
         ("dt_max", True),
+        # an infinite cap was written into run_meta.json as Infinity, not JSON
+        ("dt_max", float("inf")),
         ("area_projection", 1),
         ("t_max", "0.1"),
         ("t_max", float("nan")),

@@ -807,21 +807,50 @@ def test_generators_validate(icosphere):
     ],
     ids=["icosphere", "ellipsoid", "perturbed"],
 )
-@pytest.mark.parametrize("subdivisions", [-1, -2, -0.5, 1.7, 2.0, float("nan"), True])
+@pytest.mark.parametrize(
+    "subdivisions", [-1, -2, -0.5, 1.7, 2.0, float("nan"), True, "3", None]
+)
 def test_generators_reject_negative_subdivisions(generate, subdivisions):
-    # a non-integral count would be truncated: 1.7 built the subdivision-1 mesh
-    message = ">= 0" if subdivisions < 0 else "an integer"
-    with pytest.raises(ValueError, match=f"subdivisions must be {message}"):
+    # a non-integral count would be truncated: 1.7 built the subdivision-1
+    # mesh; "3" and None raised a TypeError from the comparison with 0
+    with pytest.raises(ValueError, match="^subdivisions must be an integer >= 0"):
         generate(subdivisions)
 
 
 @pytest.mark.parametrize("n_vertices", [3.5, 4.0, True, float("nan")])
 def test_gen_circle_rejects_non_integer_vertex_count(n_vertices):
     # 3.5 built an irregular 4-gon: np.arange(3.5) has 4 entries 2 pi / 3.5 apart
-    with pytest.raises(ValueError, match="n_vertices must be an integer"):
+    with pytest.raises(ValueError, match="^n_vertices must be an integer >= 3"):
         gen_circle(1.0, n_vertices)
-    with pytest.raises(ValueError, match="need at least 3 vertices"):
+    with pytest.raises(ValueError, match="^n_vertices must be an integer >= 3"):
         gen_circle(1.0, 2)
+
+
+_DENT = GaussianDentBump()
+
+
+@pytest.mark.parametrize(
+    "generate, args, key",
+    [
+        (gen_icosphere, (float("inf"),), "radius"),
+        (gen_icosphere, (float("nan"),), "radius"),
+        (gen_icosphere, (True,), "radius"),
+        (gen_perturbed_sphere, (float("inf"), 0.1, _DENT), "radius"),
+        (gen_circle, (float("inf"), 8), "radius"),
+        (gen_circle, ("1", 8), "radius"),
+        (gen_perturbed_sphere, (1.0, float("nan"), _DENT), "amplitude"),
+        (gen_perturbed_sphere, (1.0, "0.1", _DENT), "amplitude"),
+        (gen_ellipsoid, (True, 1.0, 1.0), "axes"),
+        (gen_ellipsoid, (1.0, float("inf"), 1.0), "axes"),
+        (gen_ellipsoid, (1.0, 1.0, -1.0), "axes"),
+    ],
+    ids=lambda x: x.__name__ if callable(x) else str(x).replace(" ", ""),
+)
+def test_generators_name_the_argument_at_fault(generate, args, key):
+    # inf and nan failed later as "non-finite coordinate in 42 of 42
+    # vertices", which names no argument; a bool semi-axis built a mesh
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        generate(*args)
 
 
 def _reference_unit_icosphere(subdivisions):

@@ -77,8 +77,10 @@ def test_mode_rate_amplitude_independence_quick():
 def test_mode_rate_guards():
     with pytest.raises(NonPositiveSamplesError):
         linearized_mode_rates(1.0, 2, 0.0, 2)
-    with pytest.raises(ValueError, match="linear regime"):
-        linearized_mode_rates(1.0, 2, 0.5, 2)
+    # a negative amplitude ran the whole flow and failed in the rate fit
+    for amplitude in (0.5, 0.03, -0.03, -0.3):
+        with pytest.raises(ValueError, match="linear regime"):
+            linearized_mode_rates(1.0, 2, amplitude, 2)
 
 
 def test_mode_rate_deterministic():
