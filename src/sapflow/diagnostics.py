@@ -12,7 +12,7 @@ import csv
 import io
 import json
 from dataclasses import dataclass, fields as dc_fields
-from math import isfinite
+from math import isfinite, nan
 
 import numpy as np
 
@@ -96,10 +96,16 @@ class TimeSeries:
                 raise ValueError(
                     f"series line {line} has {len(row)} fields, not {len(RECORD_FIELDS)}"
                 )
-            values = list(map(float, row))
-            for name, cell, value in zip(RECORD_FIELDS, row, values):
-                if not isfinite(value):
-                    raise ValueError(f"series line {line}, column {name}: {cell!r} is not finite")
+            values = []
+            for name, cell in zip(RECORD_FIELDS, row):
+                try:
+                    values.append(float(cell))
+                except ValueError:
+                    values.append(nan)
+                if not isfinite(values[-1]):
+                    raise ValueError(
+                        f"series line {line}, column {name}: {cell!r} is not a finite number"
+                    )
             records.append(DiagnosticsRecord(*values))
         t = np.array([r.t for r in records])
         if len(t) > 1 and not (np.diff(t) > 0).all():

@@ -399,6 +399,15 @@ class _Connectivity:
         )
 
     @cached_property
+    def components(self):
+        """The number of connected components of the edge graph."""
+        from scipy.sparse.csgraph import connected_components
+
+        n, (a, b) = self.n_vertices, self.directed_edges.T
+        graph = sparse.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+        return connected_components(graph, directed=False)[0]
+
+    @cached_property
     def stiffness_pattern(self):
         return _StiffnessPattern(self)
 
@@ -516,9 +525,12 @@ def _topology_defect(mesh, order):
 
 def _input_defect(mesh):
     """The message that :func:`load_mesh` and ``run_flow`` reject a mesh with,
-    or None: its topology defect, else the record's ``INWARD`` at volume <= 0."""
+    or None: its topology defect, else a surface of several components (whose
+    edge-path diameter is inf), else the record's ``INWARD`` at volume <= 0."""
     if mesh._topology_defect is not None:
         return mesh._topology_defect
+    if mesh.mode == "surface" and mesh._connectivity.components > 1:
+        return f"{mesh._connectivity.components} connected components, not one"
     record = (_SegmentRecord if mesh.mode == "curve" else _FaceRecord)(mesh)
     return record.INWARD if record.volume <= 0 else None
 
@@ -600,9 +612,10 @@ def load_mesh(path, like=None):
         above, no pickled objects, and arrays of exactly those dtypes: none
         is cast.
     MeshTopologyError
-        Open, non-manifold (at an edge or a vertex), inconsistently oriented
-        or inward-oriented mesh; clockwise curve: the first such defect, with
-        the message of :func:`sapflow.flow.run_flow`'s ``invalid_input``.
+        Open, non-manifold (at an edge or a vertex), inconsistently oriented,
+        disconnected or inward-oriented mesh; clockwise curve: the first such
+        defect, with the message of :func:`sapflow.flow.run_flow`'s
+        ``invalid_input``.
     """
     fmt = os.path.splitext(str(path))[1].lstrip(".").lower()
     if fmt == "off":

@@ -440,16 +440,17 @@ def test_analyze_rejects_a_row_of_the_wrong_length(tmp_path, capsys, last_row):
     assert err.startswith(f"error: series line 3 has {fields} fields, not {len(RECORD_FIELDS)}")
 
 
-@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "abc"])
 def test_analyze_rejects_a_non_finite_field(tmp_path, capsys, cell):
-    # analyze exited 0 and wrote "area": NaN under max_residuals
+    # analyze exited 0 and wrote "area": NaN under max_residuals; "abc" was
+    # "could not convert string to float", which named no line or column
     rows = [[ti] + ["1"] * (len(RECORD_FIELDS) - 1) for ti in ("0", "0.1", "0.2")]
     rows[1][RECORD_FIELDS.index("int_H")] = cell
     bad = tmp_path / "series.csv"
     bad.write_text("\n".join(",".join(r) for r in [RECORD_FIELDS, *rows]) + "\n")
     assert run_cli("analyze", str(bad)) == 1
     err = capsys.readouterr().err
-    assert err == f"error: series line 3, column int_H: '{cell}' is not finite\n"
+    assert err == f"error: series line 3, column int_H: '{cell}' is not a finite number\n"
     assert not (tmp_path / "summary.json").exists()
 
 

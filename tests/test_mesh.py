@@ -243,8 +243,8 @@ TOPOLOGY_DEFECTS = {
 
 @pytest.fixture(scope="module")
 def named_meshes(icosphere, bowtie, two_tetrahedra, pinched_sphere, tetrahedron):
-    """The meshes of TOPOLOGY_DEFECTS, an inward tetrahedron and a clockwise
-    circle, by name."""
+    """The meshes of TOPOLOGY_DEFECTS, an inward tetrahedron, a clockwise
+    circle and two disjoint spheres, by name."""
     m = icosphere(1.0, 0)
     flipped = m.faces.copy()
     flipped[0] = flipped[0][::-1]
@@ -259,6 +259,11 @@ def named_meshes(icosphere, bowtie, two_tetrahedra, pinched_sphere, tetrahedron)
         "circle": circle,
         "inward": TriMesh(tetrahedron.vertices, tetrahedron.faces[:, ::-1]),
         "clockwise": TriMesh(circle.vertices[::-1], mode="curve"),
+        # its edge-path diameter is inf, which series.csv cannot hold
+        "two-spheres": TriMesh(
+            np.vstack([m.vertices, m.vertices + [3.0, 0.0, 0.0]]),
+            np.vstack([m.faces, m.faces + m.n_vertices]),
+        ),
     }
 
 
@@ -278,7 +283,7 @@ def _stop_at_first_row(state, cache, row):
     raise _FirstRow
 
 
-@pytest.mark.parametrize("name", [*TOPOLOGY_DEFECTS, "inward", "clockwise"])
+@pytest.mark.parametrize("name", [*TOPOLOGY_DEFECTS, "inward", "clockwise", "two-spheres"])
 def test_load_mesh_and_run_flow_reject_alike(name, named_meshes, tmp_path):
     # load_mesh of the saved file raises MeshTopologyError(m) exactly when
     # run_flow raises BlowUpError("invalid_input", m)
