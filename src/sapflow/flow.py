@@ -68,9 +68,10 @@ class FlowState:
     initial_area: float = 0.0
     initial_traceless_l2: float = 0.0
     last_projection_scale: float = 1.0
-    # the implicit part of the last semi-implicit step's velocity,
-    # (x' - x_explicit) / dt; None until a run's first semi-implicit step
-    implicit_velocity: np.ndarray | None = field(default=None, compare=False, repr=False)
+    # the implicit corrections x' - x_explicit of the last _START_HISTORY
+    # semi-implicit steps, newest first, component-major (d, j, n); None at
+    # the start of a run and after an explicit step
+    corrections: np.ndarray | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass(frozen=True)
@@ -142,16 +143,46 @@ def select_timestep(mesh, cache, h, config):
 # every series.csv column but t and the projected area moves by at most 1 % of
 # its gap to a run at dt_max / 2 (rows every step, interpolated to the same t),
 # both as the largest move over the rows and on the converged row. Worst
-# column, move / gap: 1e-11 0.90 % (max_abs_A at t = 0.009), 1e-10 23 %,
-# 1e-9 526 %. tests/test_flow.py repeats the check at subdivision 2.
+# column, move / gap, from the projected start: 1e-11 0.94 % (max_abs_A at
+# t = 0.009), 1e-10 11 %, 1e-9 200 %. tests/test_flow.py repeats the check
+# at subdivision 2.
 _CG_RTOL = 1e-11
 
 
-def _semi_implicit_step(mesh, cache, h, dt, guess):
+# how many of the last semi-implicit corrections x' - x_explicit a solve's
+# start is projected onto. The flow converges exponentially, so consecutive
+# steps solve nearly the same system and their corrections lie close to a
+# space of a few dimensions. CG iterations per coordinate per step on
+# dent-semi-s5 with 2, 4, 6 and 8 of them: 41.4, 26.9, 23.3 and 22.5 (54.8
+# from the last correction alone); each one costs a product with A.
+_START_HISTORY = 6
+
+
+def _projected_start(A, b, x, V):
+    """The point of ``x + span(rows of V)`` closest to ``A^-1 b`` in the
+    A-norm: ``x + V^T c`` with ``(V A V^T) c = V (b - A x)``, the Galerkin
+    system of Fischer (1998), "Projection techniques for iterative solution
+    of Ax = b with successive right-hand sides".
+
+    The corrections grow collinear, or vanish, as a run converges, so the
+    small system is solved by a rank-revealing least-squares solve, which
+    drops the directions whose singular values fall below 1e-13 of the
+    largest: a rank-deficient ``V`` gives a finite start, and an all-zero one
+    gives ``x``. The reductions are matrix products, not 1-D ``np.dot``,
+    whose sums here do not depend on the BLAS thread count below 10 000
+    vertices.
+    """
+    AV = A @ V.T
+    c = np.linalg.lstsq(V @ AV, V @ (b - A @ x), rcond=1e-13)[0]
+    return x + c @ V
+
+
+def _semi_implicit_step(mesh, cache, h, dt, explicit, corrections):
     # (M + dt h L) x' = M (x + dt nu): stiff h*Laplacian part implicit, unit
     # normal transport explicit. M is the positive mixed-Voronoi diagonal and
     # L is PSD, so A is SPD: each coordinate is solved by Jacobi-preconditioned
-    # CG from ``guess``. CG gets both as thin operators: given the matrix and
+    # CG from the explicit step, projected onto the state's ``corrections``
+    # when it has any. CG gets both as thin operators: given the matrix and
     # a sparse.diags preconditioner, scipy passes every product through
     # several more Python layers, for the same products bit for bit.
     A = geometry.cotangent_stiffness(mesh, cache.stiffness_weight)
@@ -164,8 +195,11 @@ def _semi_implicit_step(mesh, cache, h, dt, guess):
     rhs = cache.vertex_area[:, None] * (mesh.vertices + dt * cache.normal)
     out = np.empty_like(rhs)
     for k in range(rhs.shape[1]):
+        start = explicit[:, k]
+        if corrections is not None:
+            start = _projected_start(A, rhs[:, k], start, corrections[k])
         out[:, k], info = spla.cg(
-            system, rhs[:, k], x0=guess[:, k], rtol=_CG_RTOL, atol=0.0, M=jacobi
+            system, rhs[:, k], x0=start, rtol=_CG_RTOL, atol=0.0, M=jacobi
         )
         if info != 0:
             raise BlowUpError(
@@ -179,18 +213,24 @@ def advance(state, cache, config, dt):
 
     ``h`` is frozen within the step; the caller recomputes it from the new
     configuration (run_flow does). A semi-implicit step starts its solve from
-    the explicit step plus ``dt`` times the state's ``implicit_velocity``, the
-    last step's correction scaled to this step, and hands its own on.
+    the explicit step projected onto the state's ``corrections``, and hands
+    on its own correction ``x' - x_explicit`` in front of the last
+    ``_START_HISTORY - 1`` of them.
     """
     explicit = state.mesh.vertices + dt * flow_velocity(cache, state.h)
     if config.stepping == "explicit":
-        new_v, implicit = explicit, None
+        new_v, corrections = explicit, None
     else:
-        guess = explicit
-        if state.implicit_velocity is not None:
-            guess = explicit + dt * state.implicit_velocity
-        new_v = _semi_implicit_step(state.mesh, cache, state.h, dt, guess)
-        implicit = (new_v - explicit) / dt
+        new_v = _semi_implicit_step(
+            state.mesh, cache, state.h, dt, explicit, state.corrections
+        )
+        corrections = (new_v - explicit).T[:, None]
+        if state.corrections is not None:
+            kept = state.corrections[:, : _START_HISTORY - 1]
+            corrections = np.concatenate([corrections, kept], axis=1)
+        # contiguous rows: the next start's BLAS products then read V alike
+        # on every step
+        corrections = np.ascontiguousarray(corrections)
     if not np.isfinite(new_v).all():
         raise BlowUpError("nan", "non-finite vertex positions after step")
     return replace(
@@ -199,7 +239,7 @@ def advance(state, cache, config, dt):
         t=state.t + dt,
         step_index=state.step_index + 1,
         last_projection_scale=1.0,
-        implicit_velocity=implicit,
+        corrections=corrections,
     )
 
 
@@ -237,7 +277,8 @@ def run_flow(mesh, config, keep_meshes=False, observer=None):
     ``OrientationError`` as ``orientation``, a
     ``DegenerateMeanCurvatureError`` as ``degenerate_H``. On the input mesh
     these errors propagate; a mesh that :func:`sapflow.mesh.load_mesh`
-    rejects raises ``BlowUpError("invalid_input", <the same message>)``.
+    rejects raises ``BlowUpError("invalid_input", <the same message>)``, and
+    so does an input whose ``h`` is not positive, before its first row.
 
     ``observer``, when given, is called as ``observer(state, cache, row)``
     once per recorded row, as the row is recorded: ``row`` is its
@@ -262,9 +303,12 @@ def run_flow(mesh, config, keep_meshes=False, observer=None):
         raise BlowUpError("invalid_input", defect)
 
     cache = geometry.compute_cache(mesh)
+    h = compute_h(cache)
+    if h <= 0:
+        raise BlowUpError("invalid_input", f"nonpositive h = {h:.6g} (int H dmu <= 0)")
     state = FlowState(
         mesh=mesh,
-        h=compute_h(cache),
+        h=h,
         initial_area=cache.total_area,
         initial_traceless_l2=_traceless_l2(cache),
     )

@@ -174,8 +174,14 @@ def _area_gradient(mesh, conf, weight):
     mean curvature normal times the vertex area."""
     # each half-edge carries its weight times its vector x: -x into its source
     # and x into its target, the source of the next half-edge of its face
+    # x[:, k - 1] - x[:, k] corner by corner: slices, since indexing the middle
+    # axis with [2, 0, 1] copies into a transposed layout
     x = conf.edge * weight.reshape(3, -1)
-    return _rows(mesh._connectivity.ring, (x[:, [2, 0, 1]] - x).reshape(3, -1))
+    d = np.empty_like(x)
+    np.subtract(x[:, 2], x[:, 0], out=d[:, 0])
+    np.subtract(x[:, 0], x[:, 1], out=d[:, 1])
+    np.subtract(x[:, 1], x[:, 2], out=d[:, 2])
+    return _rows(mesh._connectivity.ring, d.reshape(3, -1))
 
 
 def _second_form(mesh, conf, normals, H):

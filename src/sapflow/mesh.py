@@ -296,8 +296,14 @@ class _FaceRecord:
 
     @property
     def corner_dot(self):
-        # corner k: (p_{k+1} - p_k) . (p_{k+2} - p_k) = -edge[k] . edge[k - 1]
-        return -_dot(self.edge, self.edge[:, [2, 0, 1]])
+        # corner k: (p_{k+1} - p_k) . (p_{k+2} - p_k) = -edge[k] . edge[k - 1];
+        # edge[k - 1] gathered by slices, since indexing the middle axis with
+        # [2, 0, 1] copies into a transposed layout
+        e = self.edge
+        previous = np.empty_like(e)
+        previous[:, 0] = e[:, 2]
+        previous[:, 1:] = e[:, :2]
+        return -_dot(e, previous)
 
     @cached_property
     def cot(self):

@@ -71,6 +71,18 @@ def sliver_sphere(gap=1.7e-3):
     return mesh.with_vertices(v)
 
 
+def jittered_icosphere(seed):
+    """An input of the fuzz probe: the icosphere of subdivision s in 0..2 and
+    radius 10^u, u in [-3, 3], each vertex moved by normal noise of up to
+    0.5^s of the radius, all drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    subdivisions = int(rng.integers(0, 3))
+    radius = 10.0 ** rng.uniform(-3, 3)
+    noise = rng.uniform(0, 0.5**subdivisions) * radius
+    mesh = gen_icosphere(radius, subdivisions=subdivisions)
+    return mesh.with_vertices(mesh.vertices + noise * rng.normal(size=mesh.vertices.shape))
+
+
 def cg_not_converged(A, b, **kwargs):
     """A ``scipy.sparse.linalg.cg`` stand-in that reports non-convergence."""
     return np.zeros_like(b), 1

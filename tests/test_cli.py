@@ -26,6 +26,7 @@ from conftest import (
     cg_not_converged,
     count_calls,
     fail_on_call,
+    jittered_icosphere,
     replace_on_call,
     run_sapflow,
     sliver_sphere,
@@ -564,6 +565,17 @@ def test_manifest_non_finite_value_unused_by_the_mesh_is_input_error(tmp_path, c
                                 "width": float("inf"), "output_dir": str(outdir)}))
     assert run_cli("run", "--manifest", str(path), "--t-max", "0.1") == 1
     assert capsys.readouterr().err.startswith("error: amplitude must be a finite number")
+    assert not outdir.exists()
+
+
+def test_nonpositive_input_h_is_input_error(tmp_path, capsys):
+    # an input of the fuzz probe with int H dmu < 0 ran as blow_up(nonpositive_h)
+    # at step 0, exit 2 with artifacts
+    mesh_path = tmp_path / "jittered.npz"
+    save_mesh(jittered_icosphere(14), mesh_path)
+    outdir = tmp_path / "out"
+    assert run_cli("run", "--mesh", str(mesh_path), "-o", str(outdir)) == 1
+    assert capsys.readouterr().err.startswith("error: nonpositive h = ")
     assert not outdir.exists()
 
 

@@ -2,6 +2,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
+from scipy.sparse import diags as sparse_diags
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,6 +37,7 @@ from sapflow.diagnostics import area_identity_residuals, best_fit_sphere, series
 from conftest import (
     cg_not_converged,
     fail_on_call,
+    jittered_icosphere,
     replace_on_call,
     run_keeping_meshes,
     sliver_sphere,
@@ -396,7 +398,7 @@ def test_run_is_deterministic():
 
 
 def test_semi_implicit_run_is_deterministic():
-    # the warm start of each solve comes from the run's own previous step: a
+    # the start of each solve comes from the run's own previous steps: a
     # second run, and a run after a run on another mesh of the same size,
     # start afresh
     m = gen_ellipsoid(1.2, 1.0, 0.85, 2)
@@ -434,6 +436,21 @@ def test_curve_semi_implicit_step():
 # -- the semi-implicit step's linear algebra ------------------------------------------
 
 
+def start_histories(correction):
+    """Corrections (d, j, n) that a solve's start is projected onto: none,
+    the true correction repeated, collinear ones, all zero, and the true one
+    among noise."""
+    c = correction.T[:, None]
+    noise = np.random.default_rng(0).normal(size=c.shape)
+    return {
+        "none": None,
+        "repeated": np.concatenate([c, c, c], axis=1),
+        "collinear": np.concatenate([c, -2.0 * c, 1e-9 * c], axis=1),
+        "zero": np.zeros((c.shape[0], 4, c.shape[2])),
+        "noisy": np.concatenate([noise, c + 1e-6 * noise, 3.0 * noise], axis=1),
+    }
+
+
 @pytest.mark.parametrize("name", sorted(STEP_MESHES))
 def test_semi_implicit_step_solves_the_system(name):
     mesh = STEP_MESHES[name]()
@@ -442,15 +459,93 @@ def test_semi_implicit_step_solves_the_system(name):
         assert 1e-3 < cache.min_angle < 1e-2
     h, dt = compute_h(cache), 0.05
     explicit = mesh.vertices + dt * flow_velocity(cache, h)
-    x = flow._semi_implicit_step(mesh, cache, h, dt, explicit)
     L = geometry.cotangent_stiffness(mesh, cache.stiffness_weight)
     A = np.diag(cache.vertex_area) + dt * h * L.toarray()
     rhs = cache.vertex_area[:, None] * (mesh.vertices + dt * cache.normal)
-    # CG stops at a residual of _CG_RTOL |rhs| per coordinate; these meshes
-    # have unit size, so x is off by about as much
-    residual = np.linalg.norm(A @ x - rhs, axis=0)
-    assert (residual <= 10 * flow._CG_RTOL * np.linalg.norm(rhs, axis=0)).all()
-    assert np.abs(x - np.linalg.solve(A, rhs)).max() <= 100 * flow._CG_RTOL
+    solved = np.linalg.solve(A, rhs)
+    for kind, history in start_histories(solved - explicit).items():
+        x = flow._semi_implicit_step(mesh, cache, h, dt, explicit, history)
+        # CG stops at a residual of _CG_RTOL |rhs| per coordinate, from any
+        # start; these meshes have unit size, so x is off by about as much
+        residual = np.linalg.norm(A @ x - rhs, axis=0)
+        assert (residual <= 10 * flow._CG_RTOL * np.linalg.norm(rhs, axis=0)).all(), kind
+        assert np.abs(x - solved).max() <= 100 * flow._CG_RTOL, kind
+
+
+def test_projected_start_is_finite_and_no_worse_in_the_a_norm():
+    # the start is the A-norm-closest point of x + span(V): never farther
+    # from the solution than x, and x itself when V spans nothing
+    mesh = STEP_MESHES["dented"]()
+    cache = compute_cache(mesh)
+    h, dt = compute_h(cache), 0.05
+    A = geometry.cotangent_stiffness(mesh, cache.stiffness_weight)
+    A = (A * (dt * h) + sparse_diags(cache.vertex_area)).tocsr()
+    rhs = cache.vertex_area * (mesh.vertices[:, 2] + dt * cache.normal[:, 2])
+    x = mesh.vertices[:, 2] + dt * flow_velocity(cache, h)[:, 2]
+    solved = np.linalg.solve(A.toarray(), rhs)
+
+    def a_norm(e):
+        return np.sqrt(e @ (A @ e))
+
+    for kind, history in start_histories((solved - x)[:, None]).items():
+        if history is None:
+            continue
+        start = flow._projected_start(A, rhs, x, history[0])
+        assert np.isfinite(start).all(), kind
+        assert a_norm(start - solved) <= a_norm(x - solved) * (1 + 1e-12), kind
+        if kind == "zero":
+            assert np.array_equal(start, x)
+
+
+def test_corrections_are_the_last_few_newest_first():
+    # the state hands on x' - x_explicit of its last _START_HISTORY
+    # semi-implicit steps; an explicit step keeps none
+    mesh = STEP_MESHES["dented"]()
+    state = FlowState(mesh=mesh, h=compute_h(compute_cache(mesh)))
+    semi = FlowConfig(stepping="semi-implicit")
+    for j in range(flow._START_HISTORY + 2):
+        cache = compute_cache(state.mesh)
+        explicit = state.mesh.vertices + 0.01 * flow_velocity(cache, state.h)
+        previous = state.corrections
+        state = advance(state, cache, semi, 0.01)
+        history = state.corrections
+        assert history.shape == (3, min(j + 1, flow._START_HISTORY), mesh.n_vertices)
+        assert np.array_equal(history[:, 0], (state.mesh.vertices - explicit).T)
+        if previous is not None:
+            assert np.array_equal(history[:, 1:], previous[:, : flow._START_HISTORY - 1])
+    explicit_step = advance(state, compute_cache(state.mesh), FlowConfig(), 1e-4)
+    assert explicit_step.corrections is None
+
+
+def count_cg_iterations(monkeypatch):
+    """Count the iterations of every ``spla.cg`` call the flow makes."""
+    real, count = flow.spla.cg, [0]
+
+    def counting(*args, **kwargs):
+        def tick(xk):
+            count[0] += 1
+
+        return real(*args, callback=tick, **kwargs)
+
+    monkeypatch.setattr(flow.spla, "cg", counting)
+    return count
+
+
+def test_projected_start_halves_the_cg_iterations(monkeypatch):
+    # the subdivision-2 dent run to convergence: 749 iterations from the
+    # projected start, 2358 from the explicit step (1885 from the explicit
+    # step plus the previous correction alone)
+    mesh = gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 2)
+    config = FlowConfig(stepping="semi-implicit", snapshot_every=5)
+    count = count_cg_iterations(monkeypatch)
+    projected = run_flow(mesh, config)
+    iterations = count[0]
+    monkeypatch.setattr(flow, "_projected_start", lambda A, b, x, V: x)
+    count[0] = 0
+    explicit = run_flow(mesh, config)
+    assert projected.termination.kind == explicit.termination.kind == "converged"
+    assert projected.final_state.step_index == explicit.final_state.step_index
+    assert iterations <= 0.5 * count[0]
 
 
 def dent_run(monkeypatch, rtol, **config):
@@ -569,6 +664,18 @@ def test_clockwise_curve_is_invalid_input():
     with pytest.raises(BlowUpError, match="clockwise curve") as info:
         run_flow(clockwise, FlowConfig())
     assert info.value.kind == "invalid_input"
+
+
+def test_nonpositive_input_h_is_invalid_input():
+    # an input of the fuzz probe with int H dmu < 0: refused before its
+    # first row, not a blow-up at step 0
+    mesh = jittered_icosphere(14)
+    assert compute_h(compute_cache(mesh)) <= 0
+    rows = []
+    with pytest.raises(BlowUpError, match="nonpositive h") as info:
+        run_flow(mesh, FlowConfig(), observer=lambda *row: rows.append(row))
+    assert info.value.kind == "invalid_input"
+    assert rows == []
 
 
 def test_bowtie_is_invalid_input(bowtie):
