@@ -21,7 +21,7 @@ import scipy
 from .errors import SapflowError
 from . import __version__, diagnostics, flow, geometry, mesh as meshmod
 from .flow import FlowConfig
-from .mesh import INPUT_CHECKS, _check_fields, _integer, _numbers
+from .mesh import INPUT_CHECKS, _check_fields, _integer
 
 
 # the flow keys and their defaults are FlowConfig's; flags share the key names
@@ -59,7 +59,7 @@ _MANIFEST_CHECKS = {
     "mesh": ("a path or null", lambda x: x is None or isinstance(x, str)),
     "generator": (", ".join(_GENERATORS) + " or null", lambda x: x in (None, *_GENERATORS)),
     "bump": ("harmonic or dent", lambda x: x in ("harmonic", "dent")),
-    "harmonic": ("a list of 2 integers", lambda x: _numbers(x, 2, _integer)),
+    "harmonic": ("a list [degree, order]", lambda x: type(x) in (list, tuple) and len(x) == 2),
     "output_dir": ("a path", lambda x: isinstance(x, str)),
     "mesh_cadence": ("an integer >= 1", lambda x: _integer(x) and x >= 1),
 }
@@ -81,13 +81,17 @@ def load_manifest(path=None, overrides=None):
     for key, value in (overrides or {}).items():
         default = MANIFEST_DEFAULTS.get(key)
         if isinstance(value, str) and isinstance(default, list):
-            value = [type(default[0])(x) for x in value.split(",")]
+            try:
+                value = [type(default[0])(x) for x in value.split(",")]
+            except ValueError:
+                pass  # the text stays, and the key's rule refuses a string
         if value is not None:
             manifest[key] = value
     if (manifest["mesh"] is None) == (manifest["generator"] is None):
         raise ValueError("exactly one of 'mesh' and 'generator' must be set")
-    # every key is checked before any mesh is built or any file is written
+    # every key and pair is checked before any mesh is built or any file is written
     _check_fields(manifest, {**_MANIFEST_CHECKS, **INPUT_CHECKS, **flow._SETTING_CHECKS})
+    _check_fields(dict(zip(("degree", "order"), manifest["harmonic"])))
     return manifest
 
 

@@ -46,8 +46,8 @@ def _numbers(x, count, ok=_finite):
     return isinstance(x, (list, tuple)) and len(x) == count and all(map(ok, x))
 
 
-# the one rule of each generator argument and bump field, and of the manifest
-# key of the same name: key -> (what it must be, test of its value)
+# the one rule of each generator argument, bump field and oracle argument, and
+# of the manifest key of the same name: key -> (what it must be, test)
 INPUT_CHECKS = {
     "radius": ("a positive finite number", _positive),
     "axes": ("3 positive finite numbers", lambda x: _numbers(x, 3, _positive)),
@@ -57,17 +57,33 @@ INPUT_CHECKS = {
     "direction": ("3 finite numbers, not all 0", lambda x: _numbers(x, 3) and any(x)),
     "width": ("a positive finite number", _positive),
     "degree": ("an integer >= 0", lambda x: _integer(x) and x >= 0),
+    "order": ("an integer", _integer),
+    "n": ("1 (curves) or 2 (surfaces)", lambda x: _integer(x) and x in (1, 2)),
+    "levels": ("3 or more subdivision levels", lambda x: len(x) >= 3),
+}
+
+# the rules that tie two input fields, applied wherever both are given:
+# (key, other key) -> (what the key must be, test of the two values)
+PAIR_CHECKS = {
+    ("amplitude", "radius"): ("less than radius/2 in magnitude", lambda a, r: abs(a) < r / 2),
+    ("order", "degree"): ("at most degree in magnitude", lambda m, l: abs(m) <= l),
 }
 
 
 def _check_fields(values, checks=INPUT_CHECKS):
     """Raise ``ValueError`` at the first key of ``values`` whose value fails
     its rule in ``checks`` (key -> (what it must be, test)), by default the
-    input rules."""
+    input rules; then at the first rule of ``PAIR_CHECKS`` whose two keys
+    are both in ``values`` and whose test fails."""
     for key, value in values.items():
         expected, ok = checks[key]
         if not ok(value):
             raise ValueError(f"{key} must be {expected}, not {value!r}")
+    for (key, other), (expected, ok) in PAIR_CHECKS.items():
+        if key in values and other in values and not ok(values[key], values[other]):
+            raise ValueError(
+                f"{key} must be {expected}, not {values[key]!r} with {other} {values[other]!r}"
+            )
 
 
 @dataclass(frozen=True)
@@ -84,7 +100,7 @@ class MeshQualityReport:
 
 
 class TriMesh:
-    """Immutable indexed-face-set mesh (surface mode) or cyclic polyline (curve mode).
+    """Immutable indexed-face-set mesh (a surface) or cyclic polyline (a curve).
 
     Parameters
     ----------
@@ -92,10 +108,9 @@ class TriMesh:
         Shape (n, 3) float positions for surfaces, (n, 2) for curves.
     faces : array_like | None
         Shape (m, 3) int vertex-index triples, oriented consistently
-        (counter-clockwise seen from outside). ``None`` in curve mode,
-        where edges are implied by cyclic vertex order.
-    mode : str
-        ``"surface"`` or ``"curve"``.
+        (counter-clockwise seen from outside). ``None`` makes a curve
+        (``mode`` ``"curve"``, else ``"surface"``), whose edges are implied
+        by cyclic vertex order.
 
     Notes
     -----
@@ -107,13 +122,15 @@ class TriMesh:
     coordinates unchecked (the flow checks each step's positions itself).
     """
 
-    def __init__(self, vertices, faces=None, mode="surface"):
+    def __init__(self, vertices, faces=None):
         vertices = np.asarray(vertices, dtype=np.float64)
-        if mode == "surface":
-            if vertices.ndim != 2 or vertices.shape[1] != 3:
-                raise ValueError("surface vertices must have shape (n, 3)")
-            if faces is None:
-                raise ValueError("surface mesh requires a face list")
+        self.mode = "curve" if faces is None else "surface"
+        d = 2 if faces is None else 3
+        if vertices.ndim != 2 or vertices.shape[1] != d:
+            raise ValueError(f"{self.mode} vertices must have shape (n, {d})")
+        if faces is None and len(vertices) < 3:
+            raise ValueError("curve needs at least 3 vertices")
+        if faces is not None:
             faces = np.asarray(faces)
             # a cast would truncate: 0.4 would index vertex 0
             if faces.dtype.kind not in "iu":
@@ -123,40 +140,23 @@ class TriMesh:
                 raise ValueError("faces must have shape (m, 3)")
             if len(faces) and (faces.min() < 0 or faces.max() >= len(vertices)):
                 raise ValueError("face index out of range")
-            degen = (
-                (faces[:, 0] == faces[:, 1])
-                | (faces[:, 1] == faces[:, 2])
-                | (faces[:, 2] == faces[:, 0])
-            )
-            if degen.any():
-                raise ValueError(
-                    f"{int(degen.sum())} degenerate faces (repeated vertex index)"
-                )
-        elif mode == "curve":
-            if vertices.ndim != 2 or vertices.shape[1] != 2:
-                raise ValueError("curve vertices must have shape (n, 2)")
-            if len(vertices) < 3:
-                raise ValueError("curve needs at least 3 vertices")
-            if faces is not None:
-                raise ValueError("curve mode takes no face list")
-        else:
-            raise ValueError(f"unknown mesh mode {mode!r}")
+            degenerate = int((faces == np.roll(faces, 1, axis=1)).any(axis=1).sum())
+            if degenerate:
+                raise ValueError(f"{degenerate} degenerate faces (repeated vertex index)")
         _check_finite(vertices)
 
         vertices.setflags(write=False)
         self.vertices = vertices
-        if faces is not None:
-            faces.setflags(write=False)
         self.faces = faces
-        self.mode = mode
-        if mode == "surface":
-            self._build_edge_table()
-        else:
+        if faces is None:
             n = len(vertices)
             e = np.column_stack([np.arange(n), np.roll(np.arange(n), -1)])
             e.setflags(write=False)
             self.directed_edges = e
             self._topology_defect = None
+        else:
+            faces.setflags(write=False)
+            self._build_edge_table()
         self._connectivity = _Connectivity(self)
 
     # -- connectivity -------------------------------------------------------
@@ -194,9 +194,7 @@ class TriMesh:
 
     @property
     def is_closed(self):
-        if self.mode == "curve":
-            return True
-        return bool((self._edge_counts == 2).all())
+        return self.faces is None or bool((self._edge_counts == 2).all())
 
     def with_vertices(self, vertices):
         """Return a mesh with the same connectivity and new vertex positions.
@@ -221,12 +219,10 @@ class TriMesh:
         return np.linalg.norm(v[e[:, 0]] - v[e[:, 1]], axis=1)
 
     def __eq__(self, other):
-        if not isinstance(other, TriMesh) or self.mode != other.mode:
-            return NotImplemented if not isinstance(other, TriMesh) else False
-        same_f = (self.faces is None) == (other.faces is None) and (
-            self.faces is None or np.array_equal(self.faces, other.faces)
-        )
-        return same_f and np.array_equal(self.vertices, other.vertices)
+        if not isinstance(other, TriMesh):
+            return NotImplemented
+        faces = self.faces is None or np.array_equal(self.faces, other.faces)
+        return self.mode == other.mode and faces and np.array_equal(self.vertices, other.vertices)
 
     def __repr__(self):
         return f"TriMesh(mode={self.mode!r}, |V|={self.n_vertices}, |F|={self.n_faces})"
@@ -382,8 +378,10 @@ class _Connectivity:
     area gradient as ``ring @ (x[[2, 0, 1]] - x)``: the half-edge leaving
     corner k - 1 ends at corner k. ``face`` (n, m) adds each face into its
     three vertices, = ``np.bincount(faces.T.ravel(), np.tile(x, 3))``; it is
-    a view of ``ring``'s arrays with column ``k * m + f`` read as ``f``. The
-    diameter graph takes its CSR pattern from ``ring`` too.
+    a view of ``ring``'s arrays with column ``k * m + f`` read as ``f``.
+    ``adjacency`` (n, n), the half-edge graph of a surface, holds each
+    half-edge a -> b as the entry (a, b) in ``ring``'s order, with no sort of
+    its own; the component count and the diameter graph both read it.
     """
 
     def __init__(self, mesh):
@@ -405,13 +403,18 @@ class _Connectivity:
         )
 
     @cached_property
+    def adjacency(self):
+        ring, n = self.ring, self.n_vertices
+        heads = np.take(self.directed_edges[:, 1], ring.indices).astype(np.int32)
+        heads.setflags(write=False)
+        return sparse.csr_matrix((ring.data, heads, ring.indptr), shape=(n, n))
+
+    @cached_property
     def components(self):
         """The number of connected components of the edge graph."""
         from scipy.sparse.csgraph import connected_components
 
-        n, (a, b) = self.n_vertices, self.directed_edges.T
-        graph = sparse.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
-        return connected_components(graph, directed=False)[0]
+        return connected_components(self.adjacency, directed=False)[0]
 
     @cached_property
     def stiffness_pattern(self):
@@ -425,12 +428,11 @@ class _Connectivity:
 class _DiameterGraph:
     """Half-edge graph of one surface connectivity and its diameter sources.
 
-    ``indptr`` / ``indices`` are the CSR pattern of the half-edges, each
-    half-edge a -> b the entry (a, b), in ``ring`` order with no sort of its
-    own: ``slot`` and ``indptr`` are ``ring``'s read-only ``indices`` and
-    ``indptr``, so ``cache.edge_length[slot]`` is the CSR data of the
-    edge-length graph. On a closed oriented mesh every edge is a half-edge in
-    each direction, so the graph is the symmetric adjacency.
+    ``indptr`` / ``indices`` are the CSR pattern of the connectivity's
+    ``adjacency`` and ``slot`` is ``ring``'s read-only ``indices``, so
+    ``cache.edge_length[slot]`` is the CSR data of the edge-length graph. On
+    a closed oriented mesh every edge is a half-edge in each direction, so
+    the graph is symmetric.
     ``sources`` are ``DIAMETER_SOURCES`` vertices spread by hop count: the
     first drawn by ``np.random.default_rng(0)``, each next one the vertex
     farthest in hops from those chosen (lowest index on ties). They depend on
@@ -449,17 +451,14 @@ class _DiameterGraph:
     def __init__(self, conn):
         from scipy.sparse.csgraph import dijkstra
 
-        n = conn.n_vertices
-        ring = conn.ring  # lists the half-edges of each vertex by their source
-        self.slot, self.indptr = ring.indices, ring.indptr
-        self.indices = np.take(conn.directed_edges[:, 1], self.slot).astype(np.int32)
-        self.indices.setflags(write=False)
-        pattern = sparse.csr_matrix((ring.data, self.indices, self.indptr), shape=(n, n))
+        n, adjacency = conn.n_vertices, conn.adjacency
+        self.slot = conn.ring.indices
+        self.indices, self.indptr = adjacency.indices, adjacency.indptr
         sources = [int(np.random.default_rng(0).integers(n))]
         hops = np.full(n, np.inf)
         for _ in range(min(DIAMETER_SOURCES, n) - 1):
             hops = np.minimum(
-                hops, dijkstra(pattern, unweighted=True, indices=sources[-1])
+                hops, dijkstra(adjacency, unweighted=True, indices=sources[-1])
             )
             sources.append(int(np.argmax(hops)))
         self.sources = np.array(sources)
@@ -640,7 +639,7 @@ def load_mesh(path, like=None):
             _check_finite(verts)
             mesh = like.with_vertices(verts)
         else:
-            mesh = TriMesh(verts, faces, mode="surface" if faces is not None else "curve")
+            mesh = TriMesh(verts, faces)
     except ValueError as exc:
         raise MeshParseError(str(exc)) from exc
     defect = _input_defect(mesh)
@@ -872,13 +871,7 @@ class SphericalHarmonicBump:
     order: int = 0
 
     def __post_init__(self):
-        _check_fields(vars(self), {
-            "degree": INPUT_CHECKS["degree"],
-            "order": (
-                "an integer with |order| <= degree",
-                lambda x: _integer(x) and abs(x) <= self.degree,
-            ),
-        })
+        _check_fields(vars(self))
 
     def evaluate(self, unit_points):
         from scipy.special import lpmv
@@ -926,8 +919,6 @@ def gen_perturbed_sphere(radius, amplitude, bump, subdivisions=0):
     subdivisions : int
     """
     _check_fields({"radius": radius, "amplitude": amplitude})
-    if abs(amplitude) >= radius / 2:
-        raise ValueError("amplitude must satisfy |amplitude| < radius/2")
     u, faces = _unit_icosphere(subdivisions)
     r = radius + amplitude * bump.evaluate(u)
     return TriMesh(r[:, None] * u, faces)
@@ -938,4 +929,4 @@ def gen_circle(radius, n_vertices, center=(0.0, 0.0)):
     _check_fields({"radius": radius, "n_vertices": n_vertices})
     th = 2 * pi * np.arange(n_vertices) / n_vertices
     pts = np.asarray(center) + radius * np.column_stack([np.cos(th), np.sin(th)])
-    return TriMesh(pts, mode="curve")
+    return TriMesh(pts)

@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NonPositiveSamplesError
 from . import diagnostics, flow, geometry
-from .mesh import SphericalHarmonicBump, gen_icosphere, gen_perturbed_sphere
+from .mesh import SphericalHarmonicBump, _check_fields, gen_icosphere, gen_perturbed_sphere
 
 
 @dataclass(frozen=True)
@@ -29,10 +29,7 @@ class SphereReference:
 
 
 def sphere_reference(radius, n=2):
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    if n not in (1, 2):
-        raise ValueError("n must be 1 (curves) or 2 (surfaces)")
+    _check_fields({"radius": radius, "n": n})
     if n == 2:
         area = 4.0 * pi * radius**2
         volume = 4.0 * pi * radius**3 / 3.0
@@ -59,6 +56,7 @@ def ellipsoid_area_reference(a, b, c):
     Computed at runtime so derived reference values stay reproducible from
     within the repository; accurate to ~1e-12 relative at these orders.
     """
+    _check_fields({"axes": (a, b, c)})
     n_phi = ELLIPSOID_N_PHI
     x, w = np.polynomial.legendre.leggauss(ELLIPSOID_N_THETA)
     theta = np.arccos(x)  # nodes in cos(theta), weight absorbs sin(theta)
@@ -73,6 +71,7 @@ def ellipsoid_area_reference(a, b, c):
 
 
 def ellipsoid_volume_reference(a, b, c):
+    _check_fields({"axes": (a, b, c)})
     return 4.0 * pi * a * b * c / 3.0
 
 
@@ -101,8 +100,7 @@ def refinement_study(levels):
     errors; at least 3 levels are required.
     """
     levels = list(levels)
-    if len(levels) < 3:
-        raise ValueError("need at least 3 refinement levels")
+    _check_fields({"levels": levels})
     ref = sphere_reference(1.0)
     errors = {"area": [], "volume": [], "max_H_err": [], "max_traceless": []}
     for lvl in levels:
@@ -141,10 +139,15 @@ def linearized_mode_rates(radius, degree, amplitude, subdivisions, config=None):
     Raises
     ------
     ValueError
+        A radius or amplitude that fails its input rule, or
         ``|amplitude| > 0.02 radius``: outside the linear regime.
     NonPositiveSamplesError
         Zero amplitude: the deficit series carries no fittable signal.
     """
+    # one at a time: the linear regime, not the perturbed sphere's |amplitude|
+    # < radius/2, is the rule that ties the two here
+    _check_fields({"radius": radius})
+    _check_fields({"amplitude": amplitude})
     if abs(amplitude) > 0.02 * radius * 1.0000001:
         raise ValueError("amplitude outside the linear regime (|amplitude| > 0.02 radius)")
     if amplitude == 0.0:

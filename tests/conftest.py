@@ -71,6 +71,25 @@ def sliver_sphere(gap=1.7e-3):
     return mesh.with_vertices(v)
 
 
+def zero_area_cube():
+    """The unit cube of the ``unit_cube`` fixture with corner 5 moved to the
+    midpoint of corners 4 and 6, exactly: closed, oriented, a manifold and
+    of volume 0.75, so load_mesh accepts it, but its face (4, 5, 6) has an
+    area of exactly 0."""
+    verts = np.array(
+        [
+            [0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0],
+            [0, 0, 1], [0.5, 0.5, 1], [1, 1, 1], [0, 1, 1],
+        ],
+        dtype=float,
+    )
+    faces = [
+        [0, 3, 2], [0, 2, 1], [4, 5, 6], [4, 6, 7], [0, 1, 5], [0, 5, 4],
+        [2, 3, 6], [3, 7, 6], [1, 2, 6], [1, 6, 5], [0, 4, 7], [0, 7, 3],
+    ]
+    return TriMesh(verts, faces)
+
+
 def jittered_icosphere(seed):
     """An input of the fuzz probe: the icosphere of subdivision s in 0..2 and
     radius 10^u, u in [-3, 3], each vertex moved by normal noise of up to

@@ -30,6 +30,7 @@ from conftest import (
     replace_on_call,
     run_sapflow,
     sliver_sphere,
+    zero_area_cube,
 )
 
 
@@ -94,6 +95,23 @@ def test_malformed_list_is_input_error(tmp_path, capsys, argv):
     assert run_cli(*argv, "-o", str(tmp_path / "out")) == 1
     assert capsys.readouterr().err.startswith("error: ")
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "flag, text, rule",
+    [
+        ("--axes", "1,x,1", "axes must be 3 positive finite numbers"),
+        ("--direction", "1,0,x", "direction must be 3 finite numbers, not all 0"),
+        ("--harmonic", "2.5,0", "harmonic must be a list [degree, order]"),
+    ],
+)
+def test_malformed_list_flag_fails_with_its_keys_rule(tmp_path, capsys, flag, text, rule):
+    # it printed Python's cast error, which named no key:
+    # "could not convert string to float: 'x'"
+    out = tmp_path / "out"
+    assert run_cli("run", "--generator", "ellipsoid", flag, text, "-o", str(out)) == 1
+    assert capsys.readouterr().err == f"error: {rule}, not {text!r}\n"
+    assert not out.exists()
 
 
 def run_manifest(tmp_path, **kw):
@@ -550,7 +568,9 @@ def test_manifest_value_of_wrong_type_is_input_error(tmp_path, capsys, key, valu
     path.write_text(json.dumps({"generator": "icosphere", "output_dir": str(outdir),
                                 key: value}))
     assert run_cli("run", "--manifest", str(path)) == 1
-    assert f"error: {key} must be" in capsys.readouterr().err
+    # the entries of harmonic take the rules of the bump fields degree and order
+    named = "degree" if key == "harmonic" else key
+    assert f"error: {named} must be" in capsys.readouterr().err
     assert not outdir.exists()
 
 
@@ -576,6 +596,51 @@ def test_nonpositive_input_h_is_input_error(tmp_path, capsys):
     outdir = tmp_path / "out"
     assert run_cli("run", "--mesh", str(mesh_path), "-o", str(outdir)) == 1
     assert capsys.readouterr().err.startswith("error: nonpositive h = ")
+    assert not outdir.exists()
+
+
+_DENT = GaussianDentBump()
+
+
+@pytest.mark.parametrize(
+    "keys, build",
+    [
+        ({"harmonic": [-1, 0]}, lambda: SphericalHarmonicBump(-1, 0)),
+        ({"harmonic": [2, 3]}, lambda: SphericalHarmonicBump(2, 3)),
+        ({"harmonic": [2, -3], "bump": "dent"}, lambda: SphericalHarmonicBump(2, -3)),
+        ({"generator": "perturbed", "amplitude": 0.9},
+         lambda: gen_perturbed_sphere(1.0, 0.9, _DENT)),
+        ({"radius": 0.5, "amplitude": -0.25}, lambda: gen_perturbed_sphere(0.5, -0.25, _DENT)),
+    ],
+    ids=["degree", "order", "order-with-dent", "amplitude-perturbed", "amplitude-icosphere"],
+)
+def test_pair_rules_are_checked_at_load(tmp_path, capsys, keys, build):
+    # harmonic [-1, 0] ran an icosphere and recorded the pair in run_meta.json;
+    # amplitude 0.9 failed only when the perturbed sphere was built, in words
+    # that gave no value. Each now fails at load, in the library's own words,
+    # whatever the generator and the bump
+    with pytest.raises(ValueError) as library:
+        build()
+    path, outdir = tmp_path / "m.json", tmp_path / "out"
+    manifest = {"generator": "icosphere", "subdivisions": 1, "output_dir": str(outdir), **keys}
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ValueError) as loaded:
+        cli.load_manifest(path)
+    assert str(loaded.value) == str(library.value)
+    assert run_cli("run", "--manifest", str(path)) == 1
+    assert capsys.readouterr().err == f"error: {library.value}\n"
+    assert not outdir.exists()
+
+
+def test_run_zero_area_input_face_is_input_error(tmp_path, capsys):
+    # load_mesh accepts the mesh; the run's first geometry pass refuses it
+    # before the first row, so nothing is written
+    mesh_path = tmp_path / "flat.off"
+    save_mesh(zero_area_cube(), mesh_path)
+    assert load_mesh(mesh_path) == zero_area_cube()
+    outdir = tmp_path / "out"
+    assert run_cli("run", "--mesh", str(mesh_path), "-o", str(outdir)) == 1
+    assert capsys.readouterr().err == "error: zero-area face\n"
     assert not outdir.exists()
 
 

@@ -143,7 +143,7 @@ def test_ode_residuals_from_the_run_caches_equal_the_mesh_recompute():
 
 def ellipse(a, b, n):
     th = 2 * np.pi * np.arange(n) / n
-    return TriMesh(np.column_stack([a * np.cos(th), b * np.sin(th)]), mode="curve")
+    return TriMesh(np.column_stack([a * np.cos(th), b * np.sin(th)]))
 
 
 def unprojected_residuals(series, meshes):
@@ -362,6 +362,19 @@ def test_best_fit_sphere_coplanar_raises(flat_patch):
         best_fit_sphere(flat_patch.vertices)
 
 
+def test_best_fit_sphere_names_coplanar_points():
+    # on the tilted plane x + y + z = 1, where no coordinate column is zero
+    a, b = np.meshgrid(np.linspace(0.0, 1.0, 5), np.linspace(0.0, 1.0, 5))
+    points = np.column_stack([a.ravel(), b.ravel(), 1.0 - a.ravel() - b.ravel()])
+    with pytest.raises(DegenerateFitError, match="^coplanar points: sphere fit"):
+        best_fit_sphere(points)
+
+
+def test_decay_bound_of_empty_series():
+    with pytest.raises(ValueError, match="^empty series$"):
+        decay_rate_lower_bound(TimeSeries(records=[], metadata={"mode": "surface"}))
+
+
 # -- mean convexity onset --------------------------------------------------------------
 
 
@@ -474,7 +487,7 @@ def random_shape(kind, rng):
     n = int(rng.integers(24, 97))
     th = 2 * np.pi * np.arange(n) / n
     xy = np.column_stack([rng.uniform(1.1, 1.5) * np.cos(th), np.sin(th)])
-    return TriMesh(xy, mode="curve")
+    return TriMesh(xy)
 
 
 def rigid_motion(mesh, rng):
@@ -490,7 +503,7 @@ def relabel(mesh, rng):
     if mesh.mode == "curve":
         # the vertex order is the curve: relabelling is a cyclic shift
         shift = int(rng.integers(1, mesh.n_vertices))
-        return TriMesh(np.roll(mesh.vertices, shift, axis=0), mode="curve")
+        return TriMesh(np.roll(mesh.vertices, shift, axis=0))
     perm = rng.permutation(mesh.n_vertices)  # new vertex j is old vertex perm[j]
     new_label = np.empty_like(perm)
     new_label[perm] = np.arange(len(perm))

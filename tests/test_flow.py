@@ -41,6 +41,7 @@ from conftest import (
     replace_on_call,
     run_keeping_meshes,
     sliver_sphere,
+    zero_area_cube,
 )
 
 
@@ -660,7 +661,7 @@ def test_edge_shared_by_four_faces_is_invalid_input(two_tetrahedra):
 
 
 def test_clockwise_curve_is_invalid_input():
-    clockwise = TriMesh(gen_circle(1.0, 16).vertices[::-1], mode="curve")
+    clockwise = TriMesh(gen_circle(1.0, 16).vertices[::-1])
     with pytest.raises(BlowUpError, match="clockwise curve") as info:
         run_flow(clockwise, FlowConfig())
     assert info.value.kind == "invalid_input"
@@ -675,6 +676,14 @@ def test_nonpositive_input_h_is_invalid_input():
     with pytest.raises(BlowUpError, match="nonpositive h") as info:
         run_flow(mesh, FlowConfig(), observer=lambda *row: rows.append(row))
     assert info.value.kind == "invalid_input"
+    assert rows == []
+
+
+def test_zero_area_input_face_propagates():
+    # load_mesh accepts the mesh; its first geometry pass raises, before any row
+    rows = []
+    with pytest.raises(DegenerateGeometryError, match="^zero-area face$"):
+        run_flow(zero_area_cube(), FlowConfig(), observer=lambda *row: rows.append(row))
     assert rows == []
 
 

@@ -272,7 +272,7 @@ def test_diameter_curve_matches_all_pairs():
         cum = np.concatenate([[0.0], np.cumsum(ln)])
         arc = np.abs(cum[:, None] - cum[None, :-1])
         brute = np.minimum(arc, cum[-1] - arc).max()
-        got = estimate(TriMesh(v, mode="curve"))
+        got = estimate(TriMesh(v))
         assert got == pytest.approx(brute, rel=1e-15, abs=0.0)
 
 
@@ -348,6 +348,37 @@ def test_diameter_graph_read_only_and_unchanged_by_estimates():
         assert np.array_equal(a, b)
 
 
+def _hop_spread_sources(graph, n):
+    """The diameter sources as the graph's docstring states them, on ``graph``."""
+    sources = [int(np.random.default_rng(0).integers(n))]
+    hops = np.full(n, np.inf)
+    for _ in range(meshmod.DIAMETER_SOURCES - 1):
+        hops = np.minimum(hops, csgraph.dijkstra(graph, unweighted=True, indices=sources[-1]))
+        sources.append(int(np.argmax(hops)))
+    return sources
+
+
+@pytest.mark.parametrize("name", ["ellipsoid", "two-spheres"])
+def test_one_half_edge_adjacency_per_connectivity(name):
+    # the component count and the diameter graph each built the half-edge
+    # graph of their own; both read the one table, which holds every
+    # half-edge a -> b as the graph of the directed edges does
+    mesh = gen_ellipsoid(1.2, 1.0, 0.85, 2)
+    if name == "two-spheres":
+        mesh = TriMesh(np.vstack([mesh.vertices, mesh.vertices + 3.0]),
+                       np.vstack([mesh.faces, mesh.faces + mesh.n_vertices]))
+    conn, n = mesh._connectivity, mesh.n_vertices
+    a, b = mesh.directed_edges.T
+    coo = sparse.csr_matrix((np.ones(len(a)), (a, b)), shape=(n, n))
+    assert (conn.adjacency != coo).nnz == 0
+    assert conn.components == csgraph.connected_components(coo, directed=False)[0]
+    assert conn.components == (2 if name == "two-spheres" else 1)
+    graph = conn.diameter_graph
+    assert graph.indices is conn.adjacency.indices and graph.indptr is conn.adjacency.indptr
+    if name == "ellipsoid":
+        assert graph.sources.tolist() == _hop_spread_sources(coo, n)
+
+
 def test_diameter_needs_closed_oriented_surface(flat_patch, icosphere):
     # the graph's edges are the half-edges: only on a closed, consistently
     # oriented surface do they run both ways along every edge; the check comes
@@ -361,6 +392,23 @@ def test_diameter_needs_closed_oriented_surface(flat_patch, icosphere):
     assert flipped.is_closed
     with pytest.raises(ValueError, match="closed, consistently oriented"):
         diameter_estimate(flipped, np.ones(3 * flipped.n_faces))
+
+
+def test_unreferenced_vertex_has_no_area_weight(icosphere):
+    # closed and outward, so the cache gets as far as the vertex weights
+    m = icosphere(1.0, 0)
+    mesh = TriMesh(np.vstack([m.vertices, [[0.0, 0.0, 0.0]]]), m.faces)
+    with pytest.raises(DegenerateGeometryError, match="^non-positive vertex area weight$"):
+        compute_cache(mesh)
+
+
+def test_out_and_back_spike_is_a_cusp():
+    # a counter-clockwise square whose top edge sends a spike up to (0.5, 2)
+    # and back down the same line: the two segment normals there cancel
+    spiked = TriMesh([[0, 0], [1, 0], [1, 1], [0.5, 1], [0.5, 2], [0.5, 1.5], [0, 1]])
+    assert validate(spiked).volume > 0
+    with pytest.raises(DegenerateGeometryError, match="^cusp vertex on curve$"):
+        compute_cache(spiked)
 
 
 def test_diameter_graph_shared_by_derived_meshes():
@@ -638,8 +686,7 @@ CACHE_MESHES = {
     "dented": lambda: gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 2),
     "circle": lambda: gen_circle(1.0, 48),
     "ellipse": lambda: TriMesh(
-        np.column_stack([1.3 * np.cos(ELLIPSE_ANGLES), 0.8 * np.sin(ELLIPSE_ANGLES)]),
-        mode="curve",
+        np.column_stack([1.3 * np.cos(ELLIPSE_ANGLES), 0.8 * np.sin(ELLIPSE_ANGLES)])
     ),
 }
 CACHE_FIELDS = [f.name for f in fields(GeometryCache)]
@@ -674,8 +721,8 @@ def test_cache_independent_of_vertex_layout(name, layout):
         other = np.zeros((len(v), 2 * v.shape[1]))[:, ::2]
         other[:] = v
     assert not other.flags.c_contiguous
-    want = compute_cache(TriMesh(v, mesh.faces, mode=mesh.mode))
-    got = compute_cache(TriMesh(other, mesh.faces, mode=mesh.mode))
+    want = compute_cache(TriMesh(v, mesh.faces))
+    got = compute_cache(TriMesh(other, mesh.faces))
     for field in CACHE_FIELDS:
         a, b = np.asarray(getattr(got, field)), np.asarray(getattr(want, field))
         assert a.dtype == b.dtype and a.shape == b.shape, field
@@ -692,7 +739,7 @@ def test_cache_relabelling_property(name, seed):
         # a polyline stays a polyline only under a cyclic shift, which moves
         # segment j (vertex j to j + 1) with vertex j
         perm = np.roll(np.arange(mesh.n_vertices), -int(rng.integers(mesh.n_vertices)))
-        relabelled = TriMesh(mesh.vertices[perm], mode="curve")
+        relabelled = TriMesh(mesh.vertices[perm])
         element = perm
     else:
         perm = rng.permutation(mesh.n_vertices)

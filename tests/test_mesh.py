@@ -1,3 +1,4 @@
+import inspect
 import io
 import os
 import tempfile
@@ -57,7 +58,45 @@ def test_trimesh_rejects_non_finite_coordinates(tetrahedron, value):
     with pytest.raises(ValueError, match="non-finite coordinate in 1 of 4 vertices"):
         TriMesh(verts, tetrahedron.faces)
     with pytest.raises(ValueError, match="non-finite"):
-        TriMesh([[1.0, 0.0], [0.0, value], [-1.0, -1.0]], mode="curve")
+        TriMesh([[1.0, 0.0], [0.0, value], [-1.0, -1.0]])
+
+
+def test_trimesh_takes_its_mode_from_the_faces(tetrahedron):
+    # a mode argument restated whether faces were given
+    assert list(inspect.signature(TriMesh).parameters) == ["vertices", "faces"]
+    assert TriMesh([[1.0, 0.0], [0.0, 1.0], [-1.0, -1.0]]).mode == "curve"
+    assert TriMesh(tetrahedron.vertices, tetrahedron.faces).mode == "surface"
+    with pytest.raises(ValueError, match=r"^curve vertices must have shape \(n, 2\)$"):
+        TriMesh(tetrahedron.vertices)
+    with pytest.raises(ValueError, match=r"^surface vertices must have shape \(n, 3\)$"):
+        TriMesh(tetrahedron.vertices[:, :2], tetrahedron.faces)
+
+
+def test_trimesh_rejects_faces_of_four_corners(unit_cube):
+    quads = [[0, 3, 2, 1], [4, 5, 6, 7], [0, 1, 5, 4]]
+    with pytest.raises(ValueError, match=r"^faces must have shape \(m, 3\)$"):
+        TriMesh(unit_cube.vertices, quads)
+
+
+def test_curve_needs_three_vertices():
+    with pytest.raises(ValueError, match="^curve needs at least 3 vertices$"):
+        TriMesh([[0.0, 0.0], [1.0, 0.0]])
+
+
+def test_with_vertices_keeps_the_vertex_array_shape(tetrahedron):
+    for vertices in (tetrahedron.vertices[:3], tetrahedron.vertices[:, :2]):
+        with pytest.raises(ValueError, match="^vertex array shape must be preserved$"):
+            tetrahedron.with_vertices(vertices)
+
+
+def test_stl_is_not_a_mesh_format(tmp_path, tetrahedron):
+    path = tmp_path / "m.stl"
+    with pytest.raises(ValueError, match="^unsupported mesh format 'stl'$"):
+        save_mesh(tetrahedron, path)
+    assert not path.exists()
+    path.write_text("solid m\nendsolid m\n", encoding="ascii")
+    with pytest.raises(MeshParseError, match="^unsupported mesh format 'stl'$"):
+        load_mesh(path)
 
 
 def test_vertices_are_frozen(tetrahedron):
@@ -140,7 +179,7 @@ def test_save_curve_roundtrip(tmp_path):
 
 def test_load_clockwise_curve_rejected(tmp_path):
     path = tmp_path / "c.csv"
-    save_mesh(TriMesh(gen_circle(1.0, 16).vertices[::-1], mode="curve"), path)
+    save_mesh(TriMesh(gen_circle(1.0, 16).vertices[::-1]), path)
     with pytest.raises(MeshTopologyError, match="clockwise"):
         load_mesh(path)
 
@@ -153,7 +192,7 @@ def test_inward_mesh_is_oriented_with_negative_volume(tmp_path, icosphere, name)
         sphere = icosphere(1.0, 2)
         mesh, path = TriMesh(sphere.vertices, sphere.faces[:, ::-1]), tmp_path / "m.off"
     else:
-        mesh = TriMesh(gen_circle(1.0, 16).vertices[::-1], mode="curve")
+        mesh = TriMesh(gen_circle(1.0, 16).vertices[::-1])
         path = tmp_path / "m.csv"
     report = validate(mesh)
     assert report.is_closed and report.is_oriented and report.is_vertex_manifold
@@ -167,7 +206,7 @@ def test_validate_curve_repeated_point():
     # a zero-length segment is a degenerate element: length 0, angle 0, and
     # no division by its length
     v = gen_circle(1.0, 16).vertices
-    report = validate(TriMesh(np.insert(v, 5, v[5], axis=0), mode="curve"))
+    report = validate(TriMesh(np.insert(v, 5, v[5], axis=0)))
     assert report.min_face_area == 0.0
     assert report.min_angle == 0.0
     assert report.is_oriented
@@ -258,7 +297,7 @@ def named_meshes(icosphere, bowtie, two_tetrahedra, pinched_sphere, tetrahedron)
         "pinched": pinched_sphere,
         "circle": circle,
         "inward": TriMesh(tetrahedron.vertices, tetrahedron.faces[:, ::-1]),
-        "clockwise": TriMesh(circle.vertices[::-1], mode="curve"),
+        "clockwise": TriMesh(circle.vertices[::-1]),
         # its edge-path diameter is inf, which series.csv cannot hold
         "two-spheres": TriMesh(
             np.vstack([m.vertices, m.vertices + [3.0, 0.0, 0.0]]),
@@ -483,7 +522,7 @@ def _save_and_read(mesh, fmt, load):
 def _parse_only(path):
     """The parsed mesh without load_mesh's closed-manifold and orientation checks."""
     if path.endswith(".csv"):
-        return TriMesh(meshmod._read_curve_csv(path), mode="curve")
+        return TriMesh(meshmod._read_curve_csv(path))
     read = meshmod._read_off if path.endswith(".off") else meshmod._read_obj
     return TriMesh(*read(path))
 
@@ -573,7 +612,7 @@ def _extreme_mesh(data, curve):
     values = data.draw(st.lists(EXTREME_FLOATS, min_size=n * dim, max_size=n * dim))
     vertices = np.array(values).reshape(n, dim)
     if curve:
-        return TriMesh(vertices, mode="curve")
+        return TriMesh(vertices)
     a, b, c, d = data.draw(st.permutations(range(n)))[:4]
     return TriMesh(vertices, [[a, b, c], [d, c, b]])
 
@@ -594,8 +633,7 @@ def test_npz_roundtrip_extreme_values_property(data, curve):
     # the same values through the binary reader, without load_mesh's
     # closed-manifold and orientation checks
     mesh = _extreme_mesh(data, curve)
-    loaded = _npz_save_and_read(mesh, lambda path: TriMesh(*meshmod._read_npz(path),
-                                                           mode=mesh.mode))
+    loaded = _npz_save_and_read(mesh, lambda path: TriMesh(*meshmod._read_npz(path)))
     _assert_same_arrays(loaded, mesh)
 
 
@@ -955,6 +993,33 @@ def test_bumps_reject_invalid_fields(bump, args):
     # the last field given is the one at fault
     with pytest.raises(ValueError, match=f"^{list(args)[-1]} must be"):
         bump(**args)
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: SphericalHarmonicBump(2, 3),
+         "order must be at most degree in magnitude, not 3 with degree 2"),
+        (lambda: SphericalHarmonicBump(0, -1),
+         "order must be at most degree in magnitude, not -1 with degree 0"),
+        (lambda: gen_perturbed_sphere(1.0, 0.5, _DENT),
+         "amplitude must be less than radius/2 in magnitude, not 0.5 with radius 1.0"),
+        (lambda: gen_perturbed_sphere(2.0, -1.0, _DENT),
+         "amplitude must be less than radius/2 in magnitude, not -1.0 with radius 2.0"),
+    ],
+    ids=["order", "order-degree-0", "amplitude", "negative-amplitude"],
+)
+def test_pair_rules_name_both_values(make, message):
+    # the amplitude rule gave no value, and the order rule was a table of
+    # the bump's own
+    with pytest.raises(ValueError) as raised:
+        make()
+    assert str(raised.value) == message
+
+
+def test_pair_rules_hold_at_their_bounds():
+    assert SphericalHarmonicBump(2, -2).order == -2
+    assert gen_perturbed_sphere(1.0, 0.499, _DENT).n_vertices == 12
 
 
 def test_bumps_accept_numpy_numbers():

@@ -34,6 +34,31 @@ def test_sphere_reference_rejects_bad_inputs():
         sphere_reference(1.0, 3)
 
 
+@pytest.mark.parametrize(
+    "call, key",
+    [
+        (lambda: sphere_reference(np.inf), "radius"),
+        (lambda: sphere_reference(np.nan), "radius"),
+        (lambda: sphere_reference(True), "radius"),
+        (lambda: sphere_reference(1.0, 2.0), "n"),
+        (lambda: ellipsoid_area_reference(-1.0, 1.0, 1.0), "axes"),
+        (lambda: ellipsoid_volume_reference(-1.0, 1.0, 1.0), "axes"),
+        (lambda: ellipsoid_area_reference(1.0, np.inf, 1.0), "axes"),
+        (lambda: linearized_mode_rates(-1.0, 2, 0.01, 1), "radius"),
+        (lambda: linearized_mode_rates(1.0, 2, np.nan, 1), "amplitude"),
+        (lambda: refinement_study(levels=(2, 3)), "levels"),
+    ],
+    ids=["radius-inf", "radius-nan", "radius-bool", "n-float", "area-axes", "volume-axes",
+         "area-axes-inf", "rates-radius", "rates-amplitude", "levels"],
+)
+def test_references_check_their_arguments_by_the_input_rules(call, key):
+    # sphere_reference(inf) gave radius inf and (True) the unit sphere, the
+    # ellipsoid references of a negative semi-axis 4 pi and -4.19, and a
+    # negative radius was "outside the linear regime"
+    with pytest.raises(ValueError, match=f"^{key} must be"):
+        call()
+
+
 def test_ellipsoid_quadrature_matches_sphere():
     assert ellipsoid_area_reference(1.0, 1.0, 1.0) == pytest.approx(
         4 * np.pi, rel=1e-10
