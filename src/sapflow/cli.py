@@ -65,13 +65,22 @@ _MANIFEST_CHECKS = {
 }
 
 
+def _read_json(path):
+    """The JSON value in the file at ``path``; an error that names the file
+    if it does not parse."""
+    with open(path, encoding="ascii") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ValueError(f"{path}: {exc}") from exc
+
+
 def load_manifest(path=None, overrides=None):
     """Defaults, then the manifest file, then the overrides that are not None;
     a comma-list override of a list key (``--axes 1.2,1,0.85``) is parsed."""
     manifest = dict(MANIFEST_DEFAULTS)
     if path is not None:
-        with open(path, encoding="ascii") as fh:
-            data = json.load(fh)
+        data = _read_json(path)
         if not isinstance(data, dict):
             raise ValueError("manifest must be a JSON object")
         unknown = set(data) - set(MANIFEST_DEFAULTS)
@@ -248,24 +257,31 @@ def cmd_analyze(args):
     meta = {}
     meta_path = os.path.join(rundir, "run_meta.json")
     if os.path.exists(meta_path):
-        with open(meta_path, encoding="ascii") as fh:
-            meta = json.load(fh)
+        meta = _read_json(meta_path)
         if not isinstance(meta, dict) or not isinstance(meta.get("metadata", {}), dict):
             raise ValueError("run_meta.json must be a JSON object with an object 'metadata'")
     series = diagnostics.TimeSeries.from_csv(args.series, meta.get("metadata"))
-    mesh_rows, meshes = [], []
-    for row, path in _snapshot_files(os.path.join(rundir, "meshes")):
-        if row < len(series):
-            mesh_rows.append(row)
-            # the snapshots of one run share the first one's connectivity
-            meshes.append(meshmod.load_mesh(path, like=meshes[0] if meshes else None))
+    snapshots = _snapshot_files(os.path.join(rundir, "meshes"))
+    snapshots = [(row, path) for row, path in snapshots if row < len(series)]
     final_mesh = residuals = None
-    if meshes:
+    if snapshots:
+        rows, paths = zip(*snapshots)
+        first = meshmod.load_mesh(paths[0])
         if "metadata" not in meta:
             # without run_meta.json the snapshots tell the mode (no faces: curve)
-            series.metadata["mode"] = meshes[0].mode
-        final_mesh = meshes[-1]
-        residuals = diagnostics.identity_residuals(series.subset(mesh_rows), meshes)
+            series.metadata["mode"] = first.mode
+
+        def meshes():
+            # one snapshot loaded at a time, onto the first one's connectivity;
+            # the last one stays, for the summary's final sphere
+            nonlocal final_mesh
+            final_mesh = first
+            yield first
+            for path in paths[1:]:
+                final_mesh = meshmod.load_mesh(path, like=first)
+                yield final_mesh
+
+        residuals = diagnostics.identity_residuals(series.subset(rows), meshes())
     summary = diagnostics.make_summary(
         series, final_mesh, termination=meta.get("termination"), residuals=residuals
     )
@@ -333,7 +349,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (SapflowError, ValueError, OSError, json.JSONDecodeError) as exc:
+    except (SapflowError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -213,20 +213,25 @@ def ode_residuals(series, rhs):
 
 def identity_residuals(series, meshes):
     """:func:`ode_residuals` with the right-hand sides taken from the
-    snapshot meshes: one geometry pass per interval, on its left mesh.
+    snapshot meshes: one geometry pass per interval, on its left mesh, and
+    none on the last mesh.
 
     Parameters
     ----------
     series : TimeSeries
-    meshes : sequence of TriMesh
-        Snapshot meshes aligned with ``series.records``.
+    meshes : iterable of TriMesh
+        Snapshot meshes aligned with ``series.records``, such as a generator
+        that loads each in turn: each mesh is passed over as it comes and not
+        kept, so no more than one is held here at a time. A ``ValueError``
+        follows the last mesh when their count is not the records'.
     """
-    if len(meshes) != len(series.records):
+    records, rhs, count = series.records, [], 0
+    for count, mesh in enumerate(meshes, 1):
+        if count < len(records):  # the left mesh of interval count - 1
+            rec = records[count - 1]
+            rhs.append(_ode_rhs(geometry.compute_cache(mesh), rec.h, rec.int_H2))
+    if count != len(records):
         raise ValueError("need one mesh per snapshot record")
-    rhs = [
-        _ode_rhs(geometry.compute_cache(mesh), rec.h, rec.int_H2)
-        for mesh, rec in zip(meshes[:-1], series.records)
-    ]
     return ode_residuals(series, rhs)
 
 

@@ -491,9 +491,10 @@ def diameter_estimate(mesh, edge_length):
         k = np.searchsorted(cum, np.where(pos < half, pos + half, pos - half))
         arc = np.abs(pos - cum[np.stack([k - 1, k])])
         return float(np.minimum(arc, total - arc).max())
-    if not mesh.is_closed or mesh._has_duplicate_directed:
+    conn = mesh._connectivity
+    if not (conn.closed and conn.oriented):
         raise ValueError("diameter_estimate needs a closed, consistently oriented surface")
-    graph = mesh._connectivity.diameter_graph
+    graph = conn.diameter_graph
     n = mesh.n_vertices
     g = sparse.csr_matrix(
         (edge_length[graph.slot], graph.indices, graph.indptr), shape=(n, n)

@@ -7,6 +7,7 @@ they provide an independent one-dimensional sanity regime for the same flow
 machinery.
 """
 
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import cached_property
 from math import inf, pi, sqrt
@@ -114,12 +115,14 @@ class TriMesh:
 
     Notes
     -----
-    Construction performs hard structural checks only (finite coordinates,
-    integer indices in range, no degenerate faces). Closedness and orientation are
-    reported by :func:`validate` and enforced by :func:`load_mesh` and the
-    geometry operations that require them. Vertex and face arrays are frozen;
-    derived meshes are created with :meth:`with_vertices`, which leaves the
-    coordinates unchecked (the flow checks each step's positions itself).
+    Construction makes hard structural checks only (finite coordinates,
+    integer indices in range, no degenerate faces) and sorts nothing: the
+    edge table and the topology verdict (closed, oriented, vertex-manifold)
+    live on the connectivity, built on first read, reported by
+    :func:`validate` and enforced by :func:`load_mesh` and the geometry that
+    needs them. Vertex and face arrays are frozen; :meth:`with_vertices`
+    shares the connectivity and leaves the new coordinates unchecked (the
+    flow checks each step's positions itself).
     """
 
     def __init__(self, vertices, faces=None):
@@ -143,46 +146,21 @@ class TriMesh:
             degenerate = int((faces == np.roll(faces, 1, axis=1)).any(axis=1).sum())
             if degenerate:
                 raise ValueError(f"{degenerate} degenerate faces (repeated vertex index)")
+            faces.setflags(write=False)
         _check_finite(vertices)
 
         vertices.setflags(write=False)
         self.vertices = vertices
         self.faces = faces
-        if faces is None:
-            n = len(vertices)
-            e = np.column_stack([np.arange(n), np.roll(np.arange(n), -1)])
-            e.setflags(write=False)
-            self.directed_edges = e
-            self._topology_defect = None
-        else:
-            faces.setflags(write=False)
-            self._build_edge_table()
-        self._connectivity = _Connectivity(self)
+        self._connectivity = _Connectivity(len(vertices), faces)
 
-    # -- connectivity -------------------------------------------------------
+    @property
+    def directed_edges(self):
+        return self._connectivity.directed_edges
 
-    def _build_edge_table(self):
-        f = self.faces
-        de = np.vstack([f[:, [0, 1]], f[:, [1, 2]], f[:, [2, 0]]])
-        de.setflags(write=False)
-        self.directed_edges = de
-        # one sort for every table: the half-edge a -> b has the key
-        # 2 (min n + max) + (a > b), so sorted keys run through the undirected
-        # edges in lexicographic order with both directions of an edge adjacent
-        n = len(self.vertices)
-        key = 2 * (de.min(axis=1) * n + de.max(axis=1)) + (de[:, 0] > de[:, 1])
-        order = np.argsort(key)
-        key = key[order]
-        undirected = key >> 1
-        first = np.flatnonzero(np.diff(undirected, prepend=-1))
-        edges = np.column_stack([undirected[first] // n, undirected[first] % n])
-        edges.setflags(write=False)
-        self.edges = edges
-        self._edge_counts = np.diff(np.append(first, len(key)))
-        # orientation balance: a consistently oriented interior edge appears
-        # once in each direction
-        self._has_duplicate_directed = bool((key[1:] == key[:-1]).any())
-        self._topology_defect = _topology_defect(self, order)
+    @property
+    def edges(self):
+        return self._connectivity.edge_table.edges
 
     @property
     def n_vertices(self):
@@ -194,7 +172,7 @@ class TriMesh:
 
     @property
     def is_closed(self):
-        return self.faces is None or bool((self._edge_counts == 2).all())
+        return self._connectivity.closed
 
     def with_vertices(self, vertices):
         """Return a mesh with the same connectivity and new vertex positions.
@@ -203,12 +181,11 @@ class TriMesh:
         reference, including those built after this call; only the positions
         are replaced (and frozen).
         """
-        vertices = np.asarray(vertices, dtype=np.float64)
+        vertices = np.array(vertices, dtype=np.float64)  # a copy
         if vertices.shape != self.vertices.shape:
             raise ValueError("vertex array shape must be preserved")
         clone = object.__new__(TriMesh)
         clone.__dict__.update(self.__dict__)
-        vertices = vertices.copy()
         vertices.setflags(write=False)
         clone.vertices = vertices
         return clone
@@ -221,8 +198,8 @@ class TriMesh:
     def __eq__(self, other):
         if not isinstance(other, TriMesh):
             return NotImplemented
-        faces = self.faces is None or np.array_equal(self.faces, other.faces)
-        return self.mode == other.mode and faces and np.array_equal(self.vertices, other.vertices)
+        same = np.array_equal(self.faces, other.faces)  # the mode too: None for a curve
+        return same and np.array_equal(self.vertices, other.vertices)
 
     def __repr__(self):
         return f"TriMesh(mode={self.mode!r}, |V|={self.n_vertices}, |F|={self.n_faces})"
@@ -267,8 +244,7 @@ class _FaceRecord:
     corner cotangents ``cot`` (both (3, m)) and the signed ``volume`` on
     first use, since validation must not raise on degenerate faces.
     ``corner_dot`` (3, m) is the dot product of the two edges leaving each
-    corner. Not kept on the mesh: ``sapflow analyze``, which holds every
-    snapshot mesh of a run, would hold their face data too.
+    corner. Not kept on the mesh, which may outlive its geometry pass.
     """
 
     INWARD = "inward orientation (negative enclosed volume)"
@@ -349,6 +325,9 @@ class _SegmentRecord:
         return 0.5 * float((x * np.roll(y, -1) - np.roll(x, -1) * y).sum())
 
 
+_EdgeTable = namedtuple("_EdgeTable", "edges counts repeated order")
+
+
 def _incidence(rows, cols, shape):
     """CSR operator adding ``x[cols[e]]`` into row ``rows[e]``.
 
@@ -381,13 +360,82 @@ class _Connectivity:
     a view of ``ring``'s arrays with column ``k * m + f`` read as ``f``.
     ``adjacency`` (n, n), the half-edge graph of a surface, holds each
     half-edge a -> b as the entry (a, b) in ``ring``'s order, with no sort of
-    its own; the component count and the diameter graph both read it.
+    its own; the component count and the diameter graph both read it. The
+    topology verdict, ``boundary_edges``, ``closed``, ``oriented`` and the
+    first ``defect`` (or None), reads one sort of the half-edges,
+    ``edge_table``; a curve is closed and oriented, with no defect.
     """
 
-    def __init__(self, mesh):
-        self.n_vertices = mesh.n_vertices
-        self.faces = mesh.faces
-        self.directed_edges = mesh.directed_edges
+    def __init__(self, n_vertices, faces):
+        self.n_vertices, self.faces = n_vertices, faces
+        if faces is None:  # a cyclic polyline
+            self.boundary_edges, self.closed, self.oriented, self.defect = 0, True, True, None
+
+    @cached_property
+    def directed_edges(self):
+        # half-edge k * m + f leaves corner k of face f; a curve is one face of
+        # n corners, so its segment i runs from vertex i to i + 1. Column-major,
+        # so that each column is contiguous
+        f = np.arange(self.n_vertices)[None] if self.faces is None else self.faces
+        de = np.array([f.T.ravel(), np.roll(f, -1, axis=1).T.ravel()]).T
+        de.setflags(write=False)
+        return de
+
+    @cached_property
+    def edge_table(self):
+        """The undirected edges (a, b), a < b, the half-edges on each, whether
+        a half-edge repeats, and the half-edges sorted by the key 2 (min n +
+        max) + (a > b) of a -> b: by edge, both directions adjacent."""
+        de, n = self.directed_edges, self.n_vertices
+        key = 2 * (de.min(axis=1) * n + de.max(axis=1)) + (de[:, 0] > de[:, 1])
+        order = np.argsort(key)
+        key = key[order]
+        undirected = key >> 1
+        first = np.flatnonzero(np.diff(undirected, prepend=-1))
+        edges = np.column_stack([undirected[first] // n, undirected[first] % n])
+        edges.setflags(write=False)
+        counts = np.diff(np.append(first, len(key)))
+        return _EdgeTable(edges, counts, bool((key[1:] == key[:-1]).any()), order)
+
+    @cached_property
+    def boundary_edges(self):
+        return int((self.edge_table.counts == 1).sum())
+
+    @cached_property
+    def closed(self):
+        return bool((self.edge_table.counts == 2).all())
+
+    @cached_property
+    def oriented(self):
+        # a consistently oriented edge has at most one half-edge each way
+        return not (self.edge_table.repeated or (self.edge_table.counts > 2).any())
+
+    @cached_property
+    def defect(self):
+        if self.boundary_edges:
+            return f"{self.boundary_edges} boundary edges"
+        if not self.closed:  # with no boundary edge, an edge on three faces
+            return "edge shared by more than two faces"
+        if not self.oriented:
+            return "inconsistent face orientation"
+        # each edge is now two adjacent half-edges of the sort, each other's
+        # twins. Around vertex v, the corner of face (v, a, b) is followed by
+        # the corner whose outgoing half-edge v -> b is the twin of the
+        # incoming b -> v; each cycle of that successor map is one fan, so each
+        # one-ring is a single cycle iff every vertex has faces and the map has n cycles
+        from scipy.sparse.csgraph import connected_components
+
+        n, m, order = self.n_vertices, len(self.faces), self.edge_table.order
+        # half-edge row k * m + i: corner k of face i, outgoing
+        twin = np.empty(3 * m, dtype=np.int64)
+        twin[order] = order.reshape(-1, 2)[:, ::-1].ravel()  # the other of its pair
+        succ = np.roll(twin, m)  # the incoming half-edge of row r is row r - m
+        # each weak component of the permutation succ is one of its cycles
+        step = sparse.csr_matrix((np.ones(3 * m), succ, np.arange(3 * m + 1)))
+        fans = connected_components(step, connection="weak")[0]
+        if fans != n or (np.bincount(self.faces.ravel(), minlength=n) == 0).any():
+            return "non-manifold vertex (one-ring is not a single cycle)"
+        return None
 
     @cached_property
     def ring(self):
@@ -489,53 +537,15 @@ class _StiffnessPattern:
         self.diagonal = np.searchsorted(keys, np.arange(n) * (n + 1))
 
 
-def _single_vertex_links(mesh, order):
-    """True iff every vertex has faces and its one-ring is a single cycle.
-
-    Needs a closed oriented mesh and ``order``, the half-edges sorted by
-    undirected edge: each edge is then two adjacent half-edges, each other's
-    twins. Around vertex v, the corner of face (v, a, b) is followed by the
-    corner whose outgoing half-edge v -> b is the twin of this face's incoming
-    b -> v; each cycle of that successor map is one fan of faces, so the links
-    are single cycles iff there is one cycle per vertex.
-    """
-    from scipy.sparse.csgraph import connected_components
-
-    n, m = mesh.n_vertices, mesh.n_faces
-    if (np.bincount(mesh.faces.ravel(), minlength=n) == 0).any():
-        return False
-    # half-edge row k * m + i: corner k of face i, outgoing
-    twin = np.empty(3 * m, dtype=np.int64)
-    twin[order] = order.reshape(-1, 2)[:, ::-1].ravel()  # the other of its pair
-    succ = np.roll(twin, m)  # the incoming half-edge of row r is row r - m
-    # each weak component of the permutation succ is one of its cycles
-    step = sparse.csr_matrix((np.ones(3 * m), succ, np.arange(3 * m + 1)))
-    return connected_components(step, connection="weak")[0] == n
-
-
-def _topology_defect(mesh, order):
-    """The first reason that a surface connectivity is not a closed oriented
-    manifold, or None; ``order`` sorts the half-edges by undirected edge."""
-    boundary = int((mesh._edge_counts == 1).sum())
-    if boundary:
-        return f"{boundary} boundary edges"
-    if (mesh._edge_counts > 2).any():
-        return "edge shared by more than two faces"
-    if mesh._has_duplicate_directed:
-        return "inconsistent face orientation"
-    if not _single_vertex_links(mesh, order):
-        return "non-manifold vertex (one-ring is not a single cycle)"
-    return None
-
-
 def _input_defect(mesh):
     """The message that :func:`load_mesh` and ``run_flow`` reject a mesh with,
     or None: its topology defect, else a surface of several components (whose
     edge-path diameter is inf), else the record's ``INWARD`` at volume <= 0."""
-    if mesh._topology_defect is not None:
-        return mesh._topology_defect
-    if mesh.mode == "surface" and mesh._connectivity.components > 1:
-        return f"{mesh._connectivity.components} connected components, not one"
+    conn = mesh._connectivity
+    if conn.defect is not None:
+        return conn.defect
+    if mesh.mode == "surface" and conn.components > 1:
+        return f"{conn.components} connected components, not one"
     record = (_SegmentRecord if mesh.mode == "curve" else _FaceRecord)(mesh)
     return record.INWARD if record.volume <= 0 else None
 
@@ -560,26 +570,19 @@ def validate(mesh):
     vectors, accurate down to slivers; a degenerate face has a zero angle.
     """
     if mesh.mode == "curve":
-        seg = _SegmentRecord(mesh)
+        record = _SegmentRecord(mesh)
         # a zero-length segment has no tangent: its vertex angles are 0
-        min_angle = 0.0 if (seg.area == 0).any() else float(pi - np.abs(seg.turning).max())
-        return MeshQualityReport(
-            is_closed=True, is_oriented=True, is_vertex_manifold=True,
-            min_face_area=float(seg.area.min()), min_angle=min_angle,
-            boundary_edge_count=0, volume=seg.volume,
-        )
-    overshared = (mesh._edge_counts > 2).any()
-    faces = _FaceRecord(mesh)
-    # at every corner |u x v| is twice the face area
-    angles = np.arctan2(2.0 * faces.area, faces.corner_dot)
+        angles = [0.0] if (record.area == 0).any() else pi - np.abs(record.turning)
+    else:
+        record = _FaceRecord(mesh)
+        # at every corner |u x v| is twice the face area
+        angles = np.arctan2(2.0 * record.area, record.corner_dot)
+    conn = mesh._connectivity
     return MeshQualityReport(
-        is_closed=mesh.is_closed,
-        is_oriented=not (mesh._has_duplicate_directed or overshared),
-        is_vertex_manifold=mesh._topology_defect is None,
-        min_face_area=float(faces.area.min()) if mesh.n_faces else 0.0,
-        min_angle=float(angles.min()) if mesh.n_faces else 0.0,
-        boundary_edge_count=int((mesh._edge_counts == 1).sum()),
-        volume=faces.volume,
+        is_closed=conn.closed, is_oriented=conn.oriented, is_vertex_manifold=conn.defect is None,
+        min_face_area=float(record.area.min()) if record.area.size else 0.0,
+        min_angle=float(np.min(angles)) if record.area.size else 0.0,
+        boundary_edge_count=conn.boundary_edges, volume=record.volume,
     )
 
 
@@ -600,10 +603,11 @@ def load_mesh(path, like=None):
         A mesh whose connectivity the file may share, such as an earlier
         snapshot of the same run. When the file has ``like``'s mode, vertex
         count and faces, the result is ``like.with_vertices(vertices)``: it
-        shares ``like``'s edge table, topology verdict and operators, which
-        are then not built again. The checks are those of a file loaded on
-        its own, with the same errors and messages; a file with other faces
-        loads as a mesh of its own.
+        shares ``like``'s connectivity object, whose edge table, topology
+        verdict and operators are built once, on first use, for all the
+        meshes on it. The checks are those of a file loaded on its own, with
+        the same errors and messages; a file with other faces loads as a
+        mesh of its own.
 
     Returns
     -------
@@ -635,7 +639,9 @@ def load_mesh(path, like=None):
         raise MeshParseError(f"unsupported mesh format {fmt!r}")
 
     try:
-        if _same_connectivity(like, verts, faces):
+        # like's mode, vertex count and faces (np.array_equal(None, None) holds)
+        same = like is not None and verts.shape == like.vertices.shape
+        if same and np.array_equal(faces, like.faces):
             _check_finite(verts)
             mesh = like.with_vertices(verts)
         else:
@@ -646,15 +652,6 @@ def load_mesh(path, like=None):
     if defect is not None:
         raise MeshTopologyError(defect)
     return mesh
-
-
-def _same_connectivity(like, verts, faces):
-    """True iff the parsed arrays have the mode, vertex count and faces of ``like``."""
-    if like is None or (faces is None) != (like.faces is None):
-        return False
-    if verts.shape != like.vertices.shape:
-        return False
-    return faces is None or np.array_equal(faces, like.faces)
 
 
 def save_mesh(mesh, path):
@@ -685,6 +682,8 @@ def save_mesh(mesh, path):
         text += _format_rows(xyz, v) + _format_rows("3 %d %d %d\n", f)
     elif fmt == "obj":
         text = _format_rows("v " + xyz, v) + _format_rows("f %d %d %d\n", f + 1)
+    elif fmt == "csv":  # the curve format
+        raise ValueError("surface meshes serialize to OFF, OBJ or NPZ only")
     else:
         raise ValueError(f"unsupported mesh format {fmt!r}")
     with open(path, "w", encoding="ascii") as fh:

@@ -1,6 +1,7 @@
 import json
 import os
 import platform
+import weakref
 
 import numpy as np
 import pytest
@@ -51,6 +52,14 @@ def test_generate_ellipsoid(tmp_path):
     assert run_cli("generate", "ellipsoid", "--axes", "1.2,1,0.85",
                    "--subdiv", "2", "-o", str(out)) == 0
     assert load_mesh(out).n_faces == 320
+
+
+def test_generate_surface_to_csv_is_input_error(tmp_path, capsys):
+    out = tmp_path / "ico.csv"
+    assert run_cli("generate", "icosphere", "--subdiv", "1", "-o", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err == "error: surface meshes serialize to OFF, OBJ or NPZ only\n"
+    assert not out.exists()
 
 
 def test_generate_dented_reports_min_H(tmp_path, capsys):
@@ -333,12 +342,44 @@ def test_analyze_builds_one_connectivity(tmp_path, monkeypatch):
     assert len(builds) == 1
     builds.clear()
     loads = count_calls(monkeypatch, meshmod, "load_mesh")
-    tables = count_calls(monkeypatch, meshmod.TriMesh, "_build_edge_table")
+    tables = count_calls(monkeypatch, meshmod, "_Connectivity")
     series = os.path.join(manifest["output_dir"], "series.csv")
     assert run_cli("analyze", series, "-o", str(tmp_path / "summary2.json")) == 0
     assert len(loads) > 2
     assert len(builds) == 1
     assert len(tables) == 1
+
+
+def test_analyze_holds_one_snapshot_at_a_time(tmp_path, monkeypatch):
+    # analyze keeps the first snapshot, whose connectivity the others load
+    # onto, and the one it is at, which at the end is the final mesh: at each
+    # load and each geometry pass no more than two snapshots are alive
+    manifest_path, manifest = run_manifest(tmp_path)
+    assert run_cli("run", "--manifest", str(manifest_path)) == 0
+    loaded, alive = [], []
+    load_mesh, compute_cache = meshmod.load_mesh, geometry.compute_cache
+
+    def count_alive():
+        alive.append(sum(ref() is not None for ref in loaded))
+
+    def load(path, like=None):
+        count_alive()
+        mesh = load_mesh(path, like=like)
+        loaded.append(weakref.ref(mesh))
+        return mesh
+
+    def cache(mesh):
+        count_alive()
+        return compute_cache(mesh)
+
+    monkeypatch.setattr(meshmod, "load_mesh", load)
+    monkeypatch.setattr(geometry, "compute_cache", cache)
+    series = os.path.join(manifest["output_dir"], "series.csv")
+    assert run_cli("analyze", series, "-o", str(tmp_path / "summary2.json")) == 0
+    assert len(loaded) > 3
+    assert max(alive) == 2
+    with open(os.path.join(manifest["output_dir"], "summary.json")) as fh:
+        assert (tmp_path / "summary2.json").read_text() == fh.read()
 
 
 def test_snapshot_files_ordered_by_row(tmp_path):
@@ -693,30 +734,53 @@ def test_manifest_rejects_unknown_keys(tmp_path, capsys):
         assert "unknown manifest keys" in capsys.readouterr().err
 
 
+_NOT_AN_OBJECT = "manifest must be a JSON object"
+
+
 @pytest.mark.parametrize(
-    "content", ["5", "null", '["mesh"]', '"mesh"'], ids=["int", "null", "list", "str"]
+    "content, error",
+    [
+        ("5", _NOT_AN_OBJECT),
+        ("null", _NOT_AN_OBJECT),
+        ('["mesh"]', _NOT_AN_OBJECT),
+        ('"mesh"', _NOT_AN_OBJECT),
+        (
+            "{",
+            "{path}: Expecting property name enclosed in double quotes: line 1 column 2 (char 1)",
+        ),
+    ],
+    ids=["int", "null", "list", "str", "truncated"],
 )
-def test_manifest_that_is_not_an_object_is_input_error(tmp_path, capsys, content):
-    # 5 and null ended in a TypeError traceback, ["mesh"] in a dict() message
+def test_manifest_that_is_not_an_object_is_input_error(tmp_path, capsys, content, error):
+    # 5 and null ended in a TypeError traceback, ["mesh"] in a dict() message;
+    # a file that does not parse is named
     path = tmp_path / "m.json"
     path.write_text(content)
     assert run_cli("run", "--manifest", str(path)) == 1
-    assert capsys.readouterr().err == "error: manifest must be a JSON object\n"
+    assert capsys.readouterr().err == f"error: {error.format(path=path)}\n"
 
 
 @pytest.mark.parametrize(
-    "meta",
-    [[1, 2], 5, {"metadata": [1]}, {"metadata": None}],
-    ids=["list", "int", "list-metadata", "null-metadata"],
+    "text, error",
+    [
+        ("[1, 2]", "run_meta.json must be a JSON object"),
+        ("5", "run_meta.json must be a JSON object"),
+        ('{"metadata": [1]}', "run_meta.json must be a JSON object"),
+        ('{"metadata": null}', "run_meta.json must be a JSON object"),
+        ("", "{path}: Expecting value: line 1 column 1 (char 0)"),
+    ],
+    ids=["list", "int", "list-metadata", "null-metadata", "empty"],
 )
-def test_run_meta_that_is_not_an_object_is_input_error(tmp_path, capsys, meta):
-    # [1, 2] ended in an AttributeError traceback
+def test_run_meta_that_is_not_an_object_is_input_error(tmp_path, capsys, text, error):
+    # [1, 2] ended in an AttributeError traceback; a file that does not parse
+    # is named
     row = {name: 1.0 for name in RECORD_FIELDS}
     TimeSeries(records=[DiagnosticsRecord(**row)], metadata={}).to_csv(tmp_path / "series.csv")
-    (tmp_path / "run_meta.json").write_text(json.dumps(meta))
+    (tmp_path / "run_meta.json").write_text(text)
     assert run_cli("analyze", str(tmp_path / "series.csv")) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: run_meta.json must be a JSON object") and "\n" not in err[:-1]
+    prefix = "error: " + error.format(path=tmp_path / "run_meta.json")
+    assert err.startswith(prefix) and "\n" not in err[:-1]
     assert not (tmp_path / "summary.json").exists()
 
 

@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import fields
 
 import numpy as np
@@ -677,6 +678,46 @@ def test_nonpositive_input_h_is_invalid_input():
         run_flow(mesh, FlowConfig(), observer=lambda *row: rows.append(row))
     assert info.value.kind == "invalid_input"
     assert rows == []
+
+
+# the blow-up kinds that README documents; degenerate_H carries its message
+DOCUMENTED_BLOW_UPS = {
+    "max_A_exceeded", "nonpositive_h", "mesh_degeneracy", "dt_underflow", "nan",
+    "linear_solve", "degenerate_geometry", "orientation",
+}
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_fuzz_probe_ends_documented(seed):
+    # the fuzz probe: a jittered icosphere of any scale s, run with both
+    # steppings to t_max = 0.02 s^2 at dt_max = 0.05 s^2, the same flow in
+    # its own units, ends in a documented termination or raises a documented
+    # input error before its first row, and no RuntimeWarning fires
+    mesh = jittered_icosphere(seed)
+    s2 = float((mesh.vertices**2).sum(axis=1).mean())  # the input's scale, squared
+    for stepping in ("explicit", "semi-implicit"):
+        config = FlowConfig(stepping=stepping, t_max=0.02 * s2, dt_max=0.05 * s2)
+        rows = []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                termination = run_flow(
+                    mesh, config, observer=lambda *row: rows.append(row)
+                ).termination
+            except BlowUpError as exc:
+                assert exc.kind == "invalid_input", exc
+                termination = None
+            except (DegenerateGeometryError, OrientationError, DegenerateMeanCurvatureError):
+                termination = None  # the input's geometry pass
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+        if termination is None:
+            assert rows == []
+        elif termination.kind == "blow_up":
+            detail = termination.detail
+            assert detail in DOCUMENTED_BLOW_UPS or detail.startswith("degenerate_H: ")
+        else:
+            assert termination.kind in ("converged", "time_limit")
 
 
 def test_zero_area_input_face_propagates():

@@ -99,6 +99,14 @@ def test_stl_is_not_a_mesh_format(tmp_path, tetrahedron):
         load_mesh(path)
 
 
+def test_surface_to_csv_names_the_surface_formats(tmp_path, tetrahedron):
+    # .csv is the curve format, which load_mesh reads: not an unknown format
+    path = tmp_path / "m.csv"
+    with pytest.raises(ValueError, match="^surface meshes serialize to OFF, OBJ or NPZ only$"):
+        save_mesh(tetrahedron, path)
+    assert not path.exists()
+
+
 def test_vertices_are_frozen(tetrahedron):
     with pytest.raises(ValueError):
         tetrahedron.vertices[0, 0] = 9.9
@@ -310,8 +318,8 @@ def named_meshes(icosphere, bowtie, two_tetrahedra, pinched_sphere, tetrahedron)
 def test_topology_defect_is_the_first_defect(name, named_meshes):
     mesh = named_meshes[name]
     defect = TOPOLOGY_DEFECTS[name]
-    assert mesh._topology_defect == defect
-    assert mesh.with_vertices(mesh.vertices)._topology_defect == defect
+    assert mesh._connectivity.defect == defect
+    assert mesh.with_vertices(mesh.vertices)._connectivity.defect == defect
 
 
 class _FirstRow(Exception):
@@ -380,10 +388,31 @@ def test_edge_table_equals_sorted_row_unique(name, icosphere, bowtie):
     )
     assert mesh.edges.dtype == edges.dtype
     assert np.array_equal(mesh.edges, edges)
-    assert np.array_equal(mesh._edge_counts, counts)
-    reference = mesh.with_vertices(mesh.vertices)
-    reference.edges, reference._edge_counts = edges, counts
+    assert np.array_equal(mesh._connectivity.edge_table.counts, counts)
+    reference = TriMesh(mesh.vertices, mesh.faces)
+    reference._connectivity.edge_table = mesh._connectivity.edge_table._replace(
+        edges=edges, counts=counts
+    )
     assert validate(mesh) == validate(reference)
+
+
+def test_topology_is_built_on_the_first_verdict_read(icosphere, monkeypatch):
+    # construction sorts nothing; the first verdict read, here through a
+    # clone made before it, builds the one edge table on the shared
+    # connectivity, and every later verdict of either mesh reads it
+    source = icosphere(1.0, 2)
+    sorts = count_calls(monkeypatch, np, "argsort")
+    mesh = TriMesh(source.vertices, source.faces)
+    clone = mesh.with_vertices(0.9 * mesh.vertices)
+    conn = mesh._connectivity
+    assert sorts == [] and clone._connectivity is conn
+    assert not {"directed_edges", "edge_table", "closed", "defect"} & set(vars(conn))
+    assert clone.is_closed
+    table = vars(conn)["edge_table"]
+    assert len(sorts) == 1
+    assert mesh.is_closed and conn.oriented and conn.defect is None
+    assert validate(mesh).is_vertex_manifold and validate(clone).boundary_edge_count == 0
+    assert vars(conn)["edge_table"] is table and len(sorts) == 1
 
 
 # -- file formats --------------------------------------------------------------
@@ -766,7 +795,7 @@ def test_load_like_shares_the_connectivity(tmp_path, icosphere, monkeypatch, cur
     like = gen_circle(1.0, 24) if curve else icosphere(1.0, 2)
     moved = like.with_vertices(0.9 * like.vertices)
     save_mesh(moved, tmp_path / "m.npz")
-    tables = count_calls(monkeypatch, TriMesh, "_build_edge_table")
+    tables = count_calls(monkeypatch, meshmod, "_Connectivity")
     loaded = load_mesh(tmp_path / "m.npz", like=like)
     assert tables == []
     assert loaded._connectivity is like._connectivity
