@@ -26,7 +26,7 @@ from .mesh import (
 )
 
 # smallest face corner (curve vertex) angle, in radians, before a run ends as
-# blow_up(mesh_degeneracy)
+# blow_up(mesh_degeneracy); an input below it is an invalid_input
 MIN_ANGLE_LIMIT = 1e-3
 
 
@@ -278,7 +278,8 @@ def run_flow(mesh, config, keep_meshes=False, observer=None):
     ``DegenerateMeanCurvatureError`` as ``degenerate_H``. On the input mesh
     these errors propagate; a mesh that :func:`sapflow.mesh.load_mesh`
     rejects raises ``BlowUpError("invalid_input", <the same message>)``, and
-    so does an input whose ``h`` is not positive, before its first row.
+    so does an input whose minimum angle is below ``MIN_ANGLE_LIMIT`` or
+    whose ``h`` is not positive, before its first row.
 
     ``observer``, when given, is called as ``observer(state, cache, row)``
     once per recorded row, as the row is recorded: ``row`` is its
@@ -303,6 +304,10 @@ def run_flow(mesh, config, keep_meshes=False, observer=None):
         raise BlowUpError("invalid_input", defect)
 
     cache = geometry.compute_cache(mesh)
+    if cache.min_angle < MIN_ANGLE_LIMIT:
+        raise BlowUpError(
+            "invalid_input", f"min angle = {cache.min_angle:.3g} rad < {MIN_ANGLE_LIMIT:g}"
+        )
     h = compute_h(cache)
     if h <= 0:
         raise BlowUpError("invalid_input", f"nonpositive h = {h:.6g} (int H dmu <= 0)")

@@ -20,7 +20,7 @@ import numpy as np
 import scipy.sparse as sparse
 
 from .errors import DegenerateGeometryError, OrientationError
-from .mesh import _FaceRecord, _SegmentRecord, _cross, _dot, _norm
+from .mesh import _cross, _dot, _norm
 
 
 @dataclass
@@ -81,13 +81,14 @@ class GeometryCache:
 
 # -- per-configuration data and the field formulas ----------------------------
 #
-# Every field is built from one per-configuration record: the face record of
-# a surface or the segment record of a curve, which share the names of the
-# measure (area), the element centroids and the enclosed volume. compute_cache
-# decides curve or surface once: a curve takes the one straight-line pass of
-# _curve_cache, a surface the helpers below, each the one formula for its
-# field. compute_cache is the one source of a configuration's per-vertex
-# fields; the operations further down take what they need of it as arguments.
+# Every field is built from one per-configuration record, the mesh's
+# _record: the face record of a surface or the segment record of a curve,
+# which share the names of the measure (area), the element centroids and the
+# enclosed volume. compute_cache decides curve or surface once: a curve
+# takes the one straight-line pass of _curve_cache, a surface the helpers
+# below, each the one formula for its field. compute_cache is the one source
+# of a configuration's per-vertex fields; the operations further down take
+# what they need of it as arguments.
 # Sums over faces, corners and half-edges are products with the incidence
 # operators of the mesh's connectivity (mesh._Connectivity); the half-edge
 # vectors are the face record's edges, one gather, and both curvature fits
@@ -100,11 +101,11 @@ class GeometryCache:
 
 
 def _configuration(mesh):
-    """Face record (surface) or segment record (curve) of this configuration."""
-    curve = mesh.mode == "curve"
-    conf = (_SegmentRecord if curve else _FaceRecord)(mesh)
+    """Face record (surface) or segment record (curve) of this configuration,
+    ``mesh._record``, checked for a zero-area face (zero-length segment)."""
+    conf = mesh._record
     if (conf.area == 0).any():
-        what = "zero-length curve segment" if curve else "zero-area face"
+        what = "zero-length curve segment" if mesh.mode == "curve" else "zero-area face"
         raise DegenerateGeometryError(what)
     return conf
 
@@ -440,15 +441,16 @@ def surface_integral(weights, f):
     return float((np.asarray(f, dtype=np.float64) * weights).sum())
 
 
-def enclosed_volume(mesh, conf=None):
+def enclosed_volume(mesh):
     """Signed enclosed volume (divergence theorem, exact for polyhedra).
 
-    Curve mode: shoelace area of the polygon. ``conf`` is the face (segment)
-    record of this configuration, built when omitted. ``compute_cache`` calls
-    this function for ``cache.volume``; it remains public because the
-    benchmark's tracer (perfbench/tracing.py) wraps it by name.
+    Curve mode: shoelace area of the polygon. Read from the mesh's face
+    (segment) record, ``mesh._record``, and defined for degenerate faces too,
+    as :func:`sapflow.mesh.validate` reports it. ``compute_cache`` calls this
+    function for ``cache.volume``; it remains public because the benchmark's
+    tracer (perfbench/tracing.py) wraps it by name.
     """
-    return (conf or _configuration(mesh)).volume
+    return mesh._record.volume
 
 
 def diameter_estimate(mesh, edge_length):
@@ -541,9 +543,11 @@ def _diameter_sources(graph, edge_length, n):
 def compute_cache(mesh):
     """Compute all per-vertex geometry fields for one mesh configuration.
 
-    The one entry point for the normals, H, |A|, |Adev| and |grad H|. Builds
-    the per-configuration record once; a curve takes the curve pass, a
-    surface runs every field helper on the record.
+    The one entry point for the normals, H, |A|, |Adev| and |grad H|. Takes
+    the mesh's record (``mesh._record``, built on its first read, by the
+    input check if that ran), then deletes it from the mesh: the pass is its
+    last reader, and a mesh that outlives its pass does not hold it. A curve
+    takes the curve pass, a surface runs every field helper on the record.
 
     Raises
     ------
@@ -555,7 +559,8 @@ def compute_cache(mesh):
         weight, or rank-deficient 1-ring shape operator fit.
     """
     conf = _configuration(mesh)
-    volume = enclosed_volume(mesh, conf)
+    volume = enclosed_volume(mesh)
+    del mesh._record
     # the volume sign only means anything on closed meshes; a curve is closed
     if mesh.is_closed and volume <= 0:
         raise OrientationError(conf.INWARD)

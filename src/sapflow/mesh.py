@@ -120,9 +120,12 @@ class TriMesh:
     edge table and the topology verdict (closed, oriented, vertex-manifold)
     live on the connectivity, built on first read, reported by
     :func:`validate` and enforced by :func:`load_mesh` and the geometry that
-    needs them. Vertex and face arrays are frozen; :meth:`with_vertices`
-    shares the connectivity and leaves the new coordinates unchecked (the
-    flow checks each step's positions itself).
+    needs them. The per-face data of the positions, ``_record``, is built on
+    first read too and shared by the input check, :func:`validate` and the
+    geometry pass, which releases it. Vertex and face arrays are frozen;
+    :meth:`with_vertices` shares the connectivity, not the record, and
+    leaves the new coordinates unchecked (the flow checks each step's
+    positions itself).
     """
 
     def __init__(self, vertices, faces=None):
@@ -174,18 +177,25 @@ class TriMesh:
     def is_closed(self):
         return self._connectivity.closed
 
+    @cached_property
+    def _record(self):
+        """The face record (a curve's segment record) of these positions: the
+        one place either is built. ``geometry.compute_cache``, its last
+        reader, deletes it, so that a mesh does not hold it past its pass."""
+        return (_SegmentRecord if self.mode == "curve" else _FaceRecord)(self)
+
     def with_vertices(self, vertices):
         """Return a mesh with the same connectivity and new vertex positions.
 
         Shares all derived connectivity tables with the source mesh, by
-        reference, including those built after this call; only the positions
-        are replaced (and frozen).
+        reference, including those built after this call; the positions are
+        replaced (and frozen), and the clone builds its own record.
         """
         vertices = np.array(vertices, dtype=np.float64)  # a copy
         if vertices.shape != self.vertices.shape:
             raise ValueError("vertex array shape must be preserved")
         clone = object.__new__(TriMesh)
-        clone.__dict__.update(self.__dict__)
+        clone.mode, clone.faces, clone._connectivity = self.mode, self.faces, self._connectivity
         vertices.setflags(write=False)
         clone.vertices = vertices
         return clone
@@ -244,7 +254,9 @@ class _FaceRecord:
     corner cotangents ``cot`` (both (3, m)) and the signed ``volume`` on
     first use, since validation must not raise on degenerate faces.
     ``corner_dot`` (3, m) is the dot product of the two edges leaving each
-    corner. Not kept on the mesh, which may outlive its geometry pass.
+    corner. Built only as ``mesh._record``, on its first read, so the input
+    check, :func:`validate` and the geometry pass share one; the pass then
+    releases it, since the mesh may outlive it.
     """
 
     INWARD = "inward orientation (negative enclosed volume)"
@@ -540,13 +552,15 @@ class _StiffnessPattern:
 def _input_defect(mesh):
     """The message that :func:`load_mesh` and ``run_flow`` reject a mesh with,
     or None: its topology defect, else a surface of several components (whose
-    edge-path diameter is inf), else the record's ``INWARD`` at volume <= 0."""
+    edge-path diameter is inf), else the record's ``INWARD`` at volume <= 0.
+    The volume is read from ``mesh._record``, which the mesh keeps for its
+    geometry pass."""
     conn = mesh._connectivity
     if conn.defect is not None:
         return conn.defect
     if mesh.mode == "surface" and conn.components > 1:
         return f"{conn.components} connected components, not one"
-    record = (_SegmentRecord if mesh.mode == "curve" else _FaceRecord)(mesh)
+    record = mesh._record
     return record.INWARD if record.volume <= 0 else None
 
 
@@ -569,12 +583,11 @@ def validate(mesh):
     not). A corner angle is ``arctan2(|u x v|, u . v)`` of its two edge
     vectors, accurate down to slivers; a degenerate face has a zero angle.
     """
+    record = mesh._record
     if mesh.mode == "curve":
-        record = _SegmentRecord(mesh)
         # a zero-length segment has no tangent: its vertex angles are 0
         angles = [0.0] if (record.area == 0).any() else pi - np.abs(record.turning)
     else:
-        record = _FaceRecord(mesh)
         # at every corner |u x v| is twice the face area
         angles = np.arctan2(2.0 * record.area, record.corner_dot)
     conn = mesh._connectivity
@@ -752,7 +765,11 @@ def _read_obj(path):
             elif parts[0] == "f":
                 if len(parts) != 4:
                     raise MeshParseError("OBJ loader accepts triangles only")
-                faces.append([int(p.split("/")[0]) - 1 for p in parts[1:4]])
+                index = [int(p.split("/")[0]) for p in parts[1:4]]
+                if 0 in index:
+                    raise MeshParseError("malformed OBJ file: face index 0")
+                # a negative index counts back from the last vertex read so far
+                faces.append([i - 1 if i > 0 else len(verts) + i for i in index])
     except (ValueError, IndexError) as exc:
         raise MeshParseError(f"malformed OBJ file: {exc}") from exc
     if not verts or not faces:

@@ -7,6 +7,7 @@ import pytest
 
 import sapflow
 from sapflow import TriMesh, gen_icosphere, run_flow
+from sapflow import mesh as meshmod
 
 
 def run_sapflow(*args):
@@ -49,6 +50,21 @@ def replace_on_call(monkeypatch, module, name, k, substitute):
 def count_calls(monkeypatch, module, name):
     """Count the calls of ``module.name``; returns the list of calls."""
     return replace_on_call(monkeypatch, module, name, 0, None)
+
+
+def record_builds(monkeypatch):
+    """The list of the meshes that a face or segment record is built for,
+    one entry per record, in order, whatever name the record class is
+    reached by."""
+    built = []
+    for record in (meshmod._FaceRecord, meshmod._SegmentRecord):
+
+        def counted(self, mesh, init=record.__init__):
+            built.append(mesh)
+            init(self, mesh)
+
+        monkeypatch.setattr(record, "__init__", counted)
+    return built
 
 
 def fail_on_call(monkeypatch, module, name, k, error):

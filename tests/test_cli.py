@@ -28,6 +28,7 @@ from conftest import (
     count_calls,
     fail_on_call,
     jittered_icosphere,
+    record_builds,
     replace_on_call,
     run_sapflow,
     sliver_sphere,
@@ -222,15 +223,14 @@ def test_run_unconverged_solve_keeps_artifacts(tmp_path, monkeypatch):
         assert json.load(fh)["termination"] == "blow_up(linear_solve)"
 
 
-def test_run_mesh_degeneracy_keeps_artifacts(tmp_path):
+def test_run_mesh_degeneracy_on_input_is_input_error(tmp_path, capsys):
+    # a sliver input is refused before the run writes anything
     mesh_path = tmp_path / "sliver.off"
     save_mesh(sliver_sphere(gap=5e-4), mesh_path)
     outdir = tmp_path / "out"
-    assert run_cli("run", "--mesh", str(mesh_path), "-o", str(outdir)) == 2
-    assert len(TimeSeries.from_csv(outdir / "series.csv")) == 1
-    assert (outdir / "meshes" / "final.off").exists()
-    summary = json.loads((outdir / "summary.json").read_text())
-    assert summary["termination"] == "blow_up(mesh_degeneracy)"
+    assert run_cli("run", "--mesh", str(mesh_path), "-o", str(outdir)) == 1
+    assert capsys.readouterr().err.startswith("error: min angle")
+    assert not outdir.exists()
 
 
 def test_run_degenerate_H_on_input_is_input_error(tmp_path, monkeypatch, capsys):
@@ -348,6 +348,19 @@ def test_analyze_builds_one_connectivity(tmp_path, monkeypatch):
     assert len(loads) > 2
     assert len(builds) == 1
     assert len(tables) == 1
+
+
+def test_analyze_builds_one_record_per_snapshot(tmp_path, monkeypatch):
+    # each snapshot's input check builds its face record and its geometry
+    # pass, if it has one, reads that record
+    manifest_path, manifest = run_manifest(tmp_path)
+    assert run_cli("run", "--manifest", str(manifest_path)) == 0
+    snapshots = os.listdir(os.path.join(manifest["output_dir"], "meshes"))
+    built = record_builds(monkeypatch)
+    series = os.path.join(manifest["output_dir"], "series.csv")
+    assert run_cli("analyze", series, "-o", str(tmp_path / "summary2.json")) == 0
+    assert len(built) == len([name for name in snapshots if name.startswith("step_")]) > 2
+    assert len({id(mesh) for mesh in built}) == len(built)
 
 
 def test_analyze_holds_one_snapshot_at_a_time(tmp_path, monkeypatch):

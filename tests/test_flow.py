@@ -1,5 +1,5 @@
 import warnings
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -214,8 +214,6 @@ def test_one_step_decreases_roundness_deficit():
 
 
 def test_sphere_stationarity_displacement_shrinks(icosphere):
-    from dataclasses import replace
-
     config = FlowConfig(stepping="explicit", dt_max=1e9)
     displacements = []
     for sub in (2, 3):
@@ -609,33 +607,43 @@ def assert_ends_at_last_row(result, meshes, termination, rows):
     assert meshes[-1] is result.final_state.mesh
 
 
-def test_mesh_degeneracy_is_blowup():
+def test_mesh_degeneracy_on_input_is_invalid_input():
+    # a sliver input is refused before its first row, as h <= 0 is, not a
+    # blow-up at step 0; the guard itself is covered by INJECTED_BLOWUPS
     sliver = sliver_sphere(gap=5e-4)
     assert compute_cache(sliver).min_angle < flow.MIN_ANGLE_LIMIT
-    result, meshes = run_keeping_meshes(sliver, FlowConfig(t_max=5.0))
-    assert_ends_at_last_row(result, meshes, "blow_up(mesh_degeneracy)", rows=1)
-    assert result.final_state.step_index == 0
+    rows = []
+    with pytest.raises(BlowUpError, match="min angle") as info:
+        run_flow(sliver, FlowConfig(t_max=5.0), observer=lambda *row: rows.append(row))
+    assert info.value.kind == "invalid_input"
+    assert rows == []
 
 
 def _raise_degenerate_H(cache):
     raise DegenerateMeanCurvatureError("injected")
 
 
-# kind -> (flow function, the call that is replaced, substitute): the k-th
-# compute_h call gives the h of step k - 1 and the k-th flow_velocity call
-# makes step k, so each run ends at step 3
+def _sliver_cache(mesh, real=geometry.compute_cache):
+    # the cache of mesh, with a min angle below the mesh-degeneracy guard
+    return replace(real(mesh), min_angle=0.5 * flow.MIN_ANGLE_LIMIT)
+
+
+# kind -> (module, function, the call that is replaced, substitute): the k-th
+# compute_h (compute_cache) call gives the h (cache) of step k - 1 and the
+# k-th flow_velocity call makes step k, so each run ends at step 3
 INJECTED_BLOWUPS = {
-    "nonpositive_h": ("compute_h", 4, lambda cache: -0.5),
-    "dt_underflow": ("compute_h", 4, lambda cache: 1e20),
-    "nan": ("flow_velocity", 4, lambda cache, h: np.full_like(cache.normal, np.nan)),
-    "degenerate_H: injected": ("compute_h", 5, _raise_degenerate_H),
+    "nonpositive_h": (flow, "compute_h", 4, lambda cache: -0.5),
+    "dt_underflow": (flow, "compute_h", 4, lambda cache: 1e20),
+    "nan": (flow, "flow_velocity", 4, lambda cache, h: np.full_like(cache.normal, np.nan)),
+    "degenerate_H: injected": (flow, "compute_h", 5, _raise_degenerate_H),
+    "mesh_degeneracy": (geometry, "compute_cache", 4, _sliver_cache),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(INJECTED_BLOWUPS))
 def test_injected_blowup_ends_at_last_row(monkeypatch, kind):
-    name, k, substitute = INJECTED_BLOWUPS[kind]
-    replace_on_call(monkeypatch, flow, name, k, substitute)
+    module, name, k, substitute = INJECTED_BLOWUPS[kind]
+    replace_on_call(monkeypatch, module, name, k, substitute)
     config = FlowConfig(stepping="explicit", t_max=5.0, snapshot_every=2)
     result, meshes = run_keeping_meshes(gen_ellipsoid(1.2, 1.0, 0.85, 2), config)
     # rows at steps 0 and 2 on the cadence, then step 3, the final state

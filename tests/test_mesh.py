@@ -28,7 +28,7 @@ from sapflow import (
 )
 from sapflow import geometry
 from sapflow import mesh as meshmod
-from conftest import count_calls
+from conftest import count_calls, record_builds
 
 
 def test_trimesh_rejects_bad_faces():
@@ -415,6 +415,63 @@ def test_topology_is_built_on_the_first_verdict_read(icosphere, monkeypatch):
     assert vars(conn)["edge_table"] is table and len(sorts) == 1
 
 
+# -- the face record: one per configuration --------------------------------------
+
+RECORD_FIELDS = {
+    "surface": ("edge", "cross", "area", "centroid", "length2", "cot", "volume"),
+    "curve": ("points", "edge", "area", "centroid", "tangent", "turning", "volume"),
+}
+
+
+def _record_mesh(mode):
+    if mode == "curve":
+        return gen_circle(1.0, 16)
+    return gen_perturbed_sphere(1.0, -0.3, GaussianDentBump(), 1)
+
+
+@pytest.mark.parametrize("mode", sorted(RECORD_FIELDS))
+def test_load_and_geometry_pass_build_one_record(tmp_path, monkeypatch, mode):
+    # load_mesh's input check builds the record, the pass reads it
+    path = tmp_path / ("m.csv" if mode == "curve" else "m.npz")
+    save_mesh(_record_mesh(mode), path)
+    built = record_builds(monkeypatch)
+    mesh = load_mesh(path)
+    geometry.compute_cache(mesh)
+    assert built == [mesh]
+
+
+def test_validate_and_run_build_one_input_record(monkeypatch):
+    # validate, the run's input check and its first pass share one record
+    mesh = _record_mesh("surface")
+    built = record_builds(monkeypatch)
+    validate(mesh)
+    run_flow(mesh, FlowConfig(t_max=0.01))
+    assert [m for m in built if m is mesh] == [mesh]
+
+
+@pytest.mark.parametrize("mode", sorted(RECORD_FIELDS))
+def test_geometry_pass_releases_the_record(mode):
+    mesh = _record_mesh(mode)
+    geometry.compute_cache(mesh)
+    assert "_record" not in vars(mesh)
+    record = mesh._record  # read before the pass: built once, then released
+    assert mesh._record is record
+    geometry.compute_cache(mesh)
+    assert "_record" not in vars(mesh)
+
+
+@pytest.mark.parametrize("mode", sorted(RECORD_FIELDS))
+def test_clone_builds_its_own_record(mode):
+    mesh = _record_mesh(mode)
+    source = mesh._record
+    clone = mesh.with_vertices(1.5 * mesh.vertices)
+    assert "_record" not in vars(clone)
+    fresh = TriMesh(clone.vertices, clone.faces)._record
+    for name in RECORD_FIELDS[mode]:
+        assert np.array_equal(getattr(clone._record, name), getattr(fresh, name)), name
+    assert mesh._record is source
+
+
 # -- file formats --------------------------------------------------------------
 
 TET_OFF_LINES = [
@@ -481,11 +538,23 @@ def test_off_malformed_is_parse_error(tmp_path, lines):
     [["v 0 0 0", "v 1 0", "v 0 1 0", "f 1 2 3"],  # short vertex row
      ["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 2 3 1"],  # a quad
      ["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 1 x 3"],  # non-numeric index
-     ["v 0 0 0", "v 1 0 0", "v 0 1 0"]],  # no faces
+     ["v 0 0 0", "v 1 0 0", "v 0 1 0"],  # no faces
+     ["v 0 0 0", "v 1 0 0", "v 0 1 0", "f 0 1 2"],  # index 0
+     ["v 0 0 0", "v 1 0 0", "v 0 1 0", "f -4 -1 -2"]],  # before the first vertex
 )
 def test_obj_malformed_is_parse_error(tmp_path, lines):
     with pytest.raises(MeshParseError):
         _load_text(tmp_path, lines, "m.obj")
+
+
+def test_obj_relative_face_indices(tmp_path, tetrahedron):
+    # a negative index counts back from the last vertex read so far: the
+    # first face is read after 3 vertices, the others after all 4
+    lines = ["v 0 0 0", "v 1 0 0", "v 0 1 0", "f -3 -1 -2", "v 0 0 1",
+             "f -4 -3 -1", "f -3/1 -2/1 -1/1", "f -4//1 -1//1 -2//1"]
+    positive = tmp_path / "tet.obj"
+    save_mesh(tetrahedron, positive)
+    assert _load_text(tmp_path, lines, "relative.obj") == load_mesh(positive)
 
 
 @pytest.mark.parametrize(
