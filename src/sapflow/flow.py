@@ -113,8 +113,8 @@ def _traceless_l2(cache):
 
 
 def flow_velocity(cache, h):
-    """Per-vertex velocity (1 - h H) nu."""
-    return (1.0 - h * cache.mean_curvature)[:, None] * cache.normal
+    """Per-vertex velocity (1 - h H) nu, component-major (d, n) as the normals."""
+    return (1.0 - h * cache.mean_curvature) * cache.normal
 
 
 def select_timestep(mesh, cache, h, config):
@@ -192,15 +192,13 @@ def _semi_implicit_step(mesh, cache, h, dt, explicit, corrections):
     inv_diagonal = 1.0 / A.data[diagonal]
     system = spla.LinearOperator(A.shape, matvec=A.__matmul__, dtype=A.dtype)
     jacobi = spla.LinearOperator(A.shape, matvec=inv_diagonal.__mul__, dtype=A.dtype)
-    rhs = cache.vertex_area[:, None] * (mesh.vertices + dt * cache.normal)
+    rhs = cache.vertex_area * (mesh.vertices.T + dt * cache.normal)
     out = np.empty_like(rhs)
-    for k in range(rhs.shape[1]):
-        start = explicit[:, k]
+    for k, b in enumerate(rhs):
+        start = explicit[k]
         if corrections is not None:
-            start = _projected_start(A, rhs[:, k], start, corrections[k])
-        out[:, k], info = spla.cg(
-            system, rhs[:, k], x0=start, rtol=_CG_RTOL, atol=0.0, M=jacobi
-        )
+            start = _projected_start(A, b, start, corrections[k])
+        out[k], info = spla.cg(system, b, x0=start, rtol=_CG_RTOL, atol=0.0, M=jacobi)
         if info != 0:
             raise BlowUpError(
                 "linear_solve", f"CG on coordinate {k} did not converge (info={info})"
@@ -217,25 +215,20 @@ def advance(state, cache, config, dt):
     on its own correction ``x' - x_explicit`` in front of the last
     ``_START_HISTORY - 1`` of them.
     """
-    explicit = state.mesh.vertices + dt * flow_velocity(cache, state.h)
+    explicit = state.mesh.vertices.T + dt * flow_velocity(cache, state.h)
     if config.stepping == "explicit":
-        new_v, corrections = explicit, None
+        new, corrections = explicit, None
     else:
-        new_v = _semi_implicit_step(
-            state.mesh, cache, state.h, dt, explicit, state.corrections
-        )
-        corrections = (new_v - explicit).T[:, None]
+        new = _semi_implicit_step(state.mesh, cache, state.h, dt, explicit, state.corrections)
+        corrections = (new - explicit)[:, None]
         if state.corrections is not None:
             kept = state.corrections[:, : _START_HISTORY - 1]
             corrections = np.concatenate([corrections, kept], axis=1)
-        # contiguous rows: the next start's BLAS products then read V alike
-        # on every step
-        corrections = np.ascontiguousarray(corrections)
-    if not np.isfinite(new_v).all():
+    if not np.isfinite(new).all():
         raise BlowUpError("nan", "non-finite vertex positions after step")
     return replace(
         state,
-        mesh=state.mesh.with_vertices(new_v),
+        mesh=state.mesh.with_vertices(new.T),
         t=state.t + dt,
         step_index=state.step_index + 1,
         last_projection_scale=1.0,

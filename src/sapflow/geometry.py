@@ -9,8 +9,9 @@ the same fields this makes the discrete first variation of total area vanish
 exactly (see flow module).
 
 Curve mode (closed planar polylines) takes one straight-line pass over the
-curve's segment record instead: half-edge-sum length weights, turning-angle
-curvature, shoelace enclosed area.
+curve's segment record instead: half-edge-sum length weights, H from the
+length gradient as on surfaces, shoelace enclosed area. Vectors are
+component-major, (d, n), from the face-record gather to the normals.
 """
 
 from dataclasses import dataclass
@@ -32,11 +33,12 @@ class GeometryCache:
     vertex_area : (n,) float
         Mixed-Voronoi area weights (discrete surface measure); arc-length
         weights in curve mode.
-    normal : (n, d) float
+    normal : (d, n) float
         Outward unit vertex normals (area-weighted face-normal average; the
         sum of the two segment normals in curve mode).
     mean_curvature : (n,) float
-        Discrete H; turning-angle curvature in curve mode.
+        Discrete H; 2 sin(theta/2) / weight at a curve vertex of turning
+        angle theta, the projection of the length gradient onto the normal.
     second_form_norm : (n,) float
         |A| = sqrt(k1^2 + k2^2) from the trace-reconciled shape operator fit;
         |H| in curve mode.
@@ -94,10 +96,9 @@ class GeometryCache:
 # vectors are the face record's edges, one gather, and both curvature fits
 # solve from one set of 1-ring moments of them (_ring_moments). Every vector
 # of the pass is component-major, (d, ...) with one contiguous row per
-# component, from the gather to GeometryCache.normal, which is transposed to
-# (n, d) there; the vector arithmetic is written out per component, once, in
-# mesh._dot / _cross / _norm, and a sparse operator acts row by row
-# (_rows).
+# component, from the gather to GeometryCache.normal; the vector arithmetic
+# is written out per component, once, in mesh._dot / _cross / _norm, and a
+# sparse operator acts row by row (_rows).
 
 
 def _configuration(mesh):
@@ -131,10 +132,11 @@ def _curve_cache(seg, volume):
     normal_length = np.linalg.norm(normal, axis=0)
     if (normal_length == 0).any():
         raise DegenerateGeometryError("cusp vertex on curve")
-    H = seg.turning / weights
+    # the length gradient t_{i-1} - t_i is 2 sin(theta/2) times the normal
+    H = 2.0 * np.sin(0.5 * seg.turning) / weights
     return GeometryCache(
         vertex_area=weights,
-        normal=(normal / normal_length).T.copy(),
+        normal=normal / normal_length,
         mean_curvature=H,
         second_form_norm=np.abs(H),
         traceless_norm=np.zeros_like(H),
@@ -573,7 +575,7 @@ def compute_cache(mesh):
     second, traceless = _second_form(mesh, conf, normals, H)
     return GeometryCache(
         vertex_area=weights,
-        normal=normals.T.copy(),  # (n, 3), the one transpose of the pass
+        normal=normals,
         mean_curvature=H,
         second_form_norm=second,
         traceless_norm=traceless,

@@ -106,7 +106,8 @@ class TriMesh:
     Parameters
     ----------
     vertices : array_like
-        Shape (n, 3) float positions for surfaces, (n, 2) for curves.
+        Shape (n, 3) float positions for surfaces, (n, 2) for curves, kept as
+        a C-ordered float64 array (the caller's if it is one, else a copy).
     faces : array_like | None
         Shape (m, 3) int vertex-index triples, oriented consistently
         (counter-clockwise seen from outside). ``None`` makes a curve
@@ -129,7 +130,7 @@ class TriMesh:
     """
 
     def __init__(self, vertices, faces=None):
-        vertices = np.asarray(vertices, dtype=np.float64)
+        vertices = np.ascontiguousarray(vertices, dtype=np.float64)
         self.mode = "curve" if faces is None else "surface"
         d = 2 if faces is None else 3
         if vertices.ndim != 2 or vertices.shape[1] != d:
@@ -189,9 +190,9 @@ class TriMesh:
 
         Shares all derived connectivity tables with the source mesh, by
         reference, including those built after this call; the positions are
-        replaced (and frozen), and the clone builds its own record.
+        replaced by a C-ordered copy (frozen); the clone builds its own record.
         """
-        vertices = np.array(vertices, dtype=np.float64)  # a copy
+        vertices = np.array(vertices, dtype=np.float64, order="C")
         if vertices.shape != self.vertices.shape:
             raise ValueError("vertex array shape must be preserved")
         clone = object.__new__(TriMesh)
@@ -244,7 +245,7 @@ def _norm(a):
 class _FaceRecord:
     """Per-face data of one surface configuration, built once and shared.
 
-    Component-major, as every vector of the geometry pass: ``edge``
+    Component-major, as every vector up to a step's new positions: ``edge``
     (3, 3, m) holds at ``edge[:, k]`` the half-edge p_{k+1} - p_k leaving
     corner k of every face, so ``edge.reshape(3, -1)`` holds the half-edge
     vectors component by component in the order of ``mesh.directed_edges``;
@@ -263,7 +264,7 @@ class _FaceRecord:
 
     def __init__(self, mesh):
         # component, corner, face: np.take gathers several times faster than
-        # fancy indexing, and reads any layout of the vertex array
+        # fancy indexing
         p = np.take(mesh.vertices.T, mesh.faces.T, axis=1)
         e = np.empty_like(p)
         np.subtract(p[:, 1], p[:, 0], out=e[:, 0])
@@ -312,7 +313,7 @@ class _SegmentRecord:
     INWARD = "clockwise curve (negative enclosed area)"
 
     def __init__(self, mesh):
-        # one contiguous row per component, whatever the vertex array's layout
+        # one contiguous row per component
         v = self.points = np.ascontiguousarray(mesh.vertices.T)
         following = np.roll(v, -1, axis=1)
         self.edge = following - v

@@ -164,7 +164,7 @@ def test_velocity_sign_flips_where_H_exceeds_1_over_h(icosphere):
     cache = compute_cache(m)
     h = 1.0  # 1/h = 1 < H ~ 2 everywhere
     v = flow_velocity(cache, h)
-    inward = np.einsum("ij,ij->i", v, cache.normal)
+    inward = np.einsum("ij,ij->j", v, cache.normal)
     assert (inward < 0).all()
 
 
@@ -433,6 +433,22 @@ def test_curve_semi_implicit_step():
     assert result.series.records[-1].h == pytest.approx(1.0, abs=2e-3)
 
 
+def test_curve_step_changes_length_at_second_order():
+    # a curve's H is the projection of the length gradient onto the normal,
+    # so the first variation of length along (1 - h H) nu vanishes: one
+    # explicit step changes the length by O(dt^2), as on surfaces
+    angles = 2 * np.pi * np.arange(64) / 64
+    ellipse = TriMesh(np.column_stack([1.3 * np.cos(angles), 0.8 * np.sin(angles)]))
+    cache = compute_cache(ellipse)
+    state = FlowState(mesh=ellipse, h=compute_h(cache))
+    length = ellipse.edge_lengths().sum()
+    change = [
+        abs(advance(state, cache, FlowConfig(), dt).mesh.edge_lengths().sum() / length - 1)
+        for dt in (1e-4, 1e-5)
+    ]
+    assert change[0] >= 50 * change[1]
+
+
 # -- the semi-implicit step's linear algebra ------------------------------------------
 
 
@@ -440,7 +456,7 @@ def start_histories(correction):
     """Corrections (d, j, n) that a solve's start is projected onto: none,
     the true correction repeated, collinear ones, all zero, and the true one
     among noise."""
-    c = correction.T[:, None]
+    c = correction[:, None]
     noise = np.random.default_rng(0).normal(size=c.shape)
     return {
         "none": None,
@@ -458,17 +474,17 @@ def test_semi_implicit_step_solves_the_system(name):
     if name == "sliver":
         assert 1e-3 < cache.min_angle < 1e-2
     h, dt = compute_h(cache), 0.05
-    explicit = mesh.vertices + dt * flow_velocity(cache, h)
+    explicit = mesh.vertices.T + dt * flow_velocity(cache, h)
     L = geometry.cotangent_stiffness(mesh, cache.stiffness_weight)
     A = np.diag(cache.vertex_area) + dt * h * L.toarray()
-    rhs = cache.vertex_area[:, None] * (mesh.vertices + dt * cache.normal)
-    solved = np.linalg.solve(A, rhs)
+    rhs = cache.vertex_area * (mesh.vertices.T + dt * cache.normal)
+    solved = np.linalg.solve(A, rhs.T).T
     for kind, history in start_histories(solved - explicit).items():
         x = flow._semi_implicit_step(mesh, cache, h, dt, explicit, history)
         # CG stops at a residual of _CG_RTOL |rhs| per coordinate, from any
         # start; these meshes have unit size, so x is off by about as much
-        residual = np.linalg.norm(A @ x - rhs, axis=0)
-        assert (residual <= 10 * flow._CG_RTOL * np.linalg.norm(rhs, axis=0)).all(), kind
+        residual = np.linalg.norm(A @ x.T - rhs.T, axis=0)
+        assert (residual <= 10 * flow._CG_RTOL * np.linalg.norm(rhs, axis=1)).all(), kind
         assert np.abs(x - solved).max() <= 100 * flow._CG_RTOL, kind
 
 
@@ -480,14 +496,14 @@ def test_projected_start_is_finite_and_no_worse_in_the_a_norm():
     h, dt = compute_h(cache), 0.05
     A = geometry.cotangent_stiffness(mesh, cache.stiffness_weight)
     A = (A * (dt * h) + sparse_diags(cache.vertex_area)).tocsr()
-    rhs = cache.vertex_area * (mesh.vertices[:, 2] + dt * cache.normal[:, 2])
-    x = mesh.vertices[:, 2] + dt * flow_velocity(cache, h)[:, 2]
+    rhs = cache.vertex_area * (mesh.vertices[:, 2] + dt * cache.normal[2])
+    x = mesh.vertices[:, 2] + dt * flow_velocity(cache, h)[2]
     solved = np.linalg.solve(A.toarray(), rhs)
 
     def a_norm(e):
         return np.sqrt(e @ (A @ e))
 
-    for kind, history in start_histories((solved - x)[:, None]).items():
+    for kind, history in start_histories((solved - x)[None]).items():
         if history is None:
             continue
         start = flow._projected_start(A, rhs, x, history[0])
@@ -505,16 +521,33 @@ def test_corrections_are_the_last_few_newest_first():
     semi = FlowConfig(stepping="semi-implicit")
     for j in range(flow._START_HISTORY + 2):
         cache = compute_cache(state.mesh)
-        explicit = state.mesh.vertices + 0.01 * flow_velocity(cache, state.h)
+        explicit = state.mesh.vertices.T + 0.01 * flow_velocity(cache, state.h)
         previous = state.corrections
         state = advance(state, cache, semi, 0.01)
         history = state.corrections
         assert history.shape == (3, min(j + 1, flow._START_HISTORY), mesh.n_vertices)
-        assert np.array_equal(history[:, 0], (state.mesh.vertices - explicit).T)
+        assert np.array_equal(history[:, 0], state.mesh.vertices.T - explicit)
         if previous is not None:
             assert np.array_equal(history[:, 1:], previous[:, : flow._START_HISTORY - 1])
     explicit_step = advance(state, compute_cache(state.mesh), FlowConfig(), 1e-4)
     assert explicit_step.corrections is None
+
+
+@pytest.mark.parametrize("name", ["dented", "circle"])
+def test_step_arrays_are_c_ordered(name):
+    # the step works on component-major (d, n) rows from the velocity to the
+    # corrections, and the new mesh stores its positions C-ordered
+    mesh = STEP_MESHES[name]()
+    d, n = mesh.vertices.shape[1], mesh.n_vertices
+    state = FlowState(mesh=TriMesh(np.asfortranarray(mesh.vertices), mesh.faces))
+    for j in (1, 2):
+        cache = compute_cache(state.mesh)
+        state = replace(state, h=compute_h(cache))
+        assert flow_velocity(cache, state.h).shape == (d, n)
+        state = advance(state, cache, FlowConfig(stepping="semi-implicit"), 0.01)
+        assert state.mesh.vertices.flags.c_contiguous
+        assert state.corrections.shape == (d, j, n)
+        assert state.corrections.flags.c_contiguous
 
 
 def count_cg_iterations(monkeypatch):

@@ -82,15 +82,15 @@ def test_obtuse_fallback_partition():
 def test_cube_corner_normal_symmetry(unit_cube):
     n = compute_cache(unit_cube).normal
     expect = np.ones(3) / np.sqrt(3.0)
-    assert np.allclose(n[6], expect, atol=1e-14)
-    assert np.allclose(n[0], -expect, atol=1e-14)
+    assert np.allclose(n[:, 6], expect, atol=1e-14)
+    assert np.allclose(n[:, 0], -expect, atol=1e-14)
 
 
 def test_icosphere_normal_error_decreases(icosphere):
     tilts = []
     for sub in (2, 3, 4):
         m = icosphere(1.0, sub)
-        n = compute_cache(m).normal
+        n = compute_cache(m).normal.T
         radial = m.vertices / np.linalg.norm(m.vertices, axis=1)[:, None]
         tilts.append(np.linalg.norm(n - radial, axis=1).max())
     assert tilts[0] / tilts[1] > 1.8
@@ -131,8 +131,8 @@ def test_polygon_curvature_approaches_circle():
         c = gen_circle(1.0, sides)
         k = compute_cache(c).mean_curvature
         errs.append(np.abs(k - 1.0).max())
-    assert all(a > b for a, b in zip(errs, errs[1:]))
-    assert errs[-1] < 2e-3
+    # H = 2 sin(pi/sides) / (2 sin(pi/sides)) is 1 up to rounding at every size
+    assert max(errs) <= 1e-12
 
 
 # -- second fundamental form ---------------------------------------------------------
@@ -633,9 +633,9 @@ def test_flat_ring_sphere_fit_falls_back_to_vertex_normal(unit_cube):
     assert report.is_closed and report.is_oriented and report.is_vertex_manifold
     cache = compute_cache(mesh)
     assert all(np.isfinite(getattr(cache, f)).all() for f in CACHE_FIELDS)
-    reference = cache.normal
+    reference = cache.normal.T
     moments = geometry._ring_moments(mesh, geometry._configuration(mesh))
-    fitted = geometry._sphere_fit_normals(mesh, moments, reference.T).T
+    fitted = geometry._sphere_fit_normals(mesh, moments, cache.normal).T
     assert np.array_equal(fitted[8:], reference[8:])
     assert np.allclose(reference[8:], [[0, 0, -1], [0, 0, 1], [0, -1, 0],
                                        [0, 1, 0], [1, 0, 0], [-1, 0, 0]])
@@ -658,7 +658,7 @@ def test_rigid_motion_invariance():
     for m, r, shift in motions:
         moved = m.with_vertices(m.vertices @ r.T + np.array(shift))
         c1, c2 = compute_cache(m), compute_cache(moved)
-        assert np.allclose(c2.normal, c1.normal @ r.T, atol=1e-10)
+        assert np.allclose(c2.normal, r @ c1.normal, atol=1e-10)
         assert np.allclose(c2.mean_curvature, c1.mean_curvature, atol=1e-10)
         assert np.allclose(c2.second_form_norm, c1.second_form_norm, atol=1e-10)
         assert np.allclose(c2.traceless_norm, c1.traceless_norm, atol=1e-10)
@@ -668,7 +668,7 @@ def test_rigid_motion_invariance():
 
 def test_unit_normals_everywhere(icosphere):
     c = compute_cache(gen_ellipsoid(1.1, 0.9, 1.0, 2))
-    assert np.abs(np.linalg.norm(c.normal, axis=1) - 1.0).max() < 1e-12
+    assert np.abs(np.linalg.norm(c.normal, axis=0) - 1.0).max() < 1e-12
 
 
 def test_curve_cache_traceless_zero():
@@ -708,11 +708,21 @@ def test_cache_equals_standalone_operations(name):
     assert cache.volume == enclosed_volume(mesh)
 
 
+@pytest.mark.parametrize("name", ["ellipsoid", "ellipse"])
+def test_normals_are_component_major(name):
+    # one contiguous row per component, the layout of the whole step
+    mesh = CACHE_MESHES[name]()
+    normal = compute_cache(mesh).normal
+    assert normal.shape == (mesh.vertices.shape[1], mesh.n_vertices)
+    assert normal.flags.c_contiguous
+
+
 @pytest.mark.parametrize("name", ["dented", "ellipse"])
 @pytest.mark.parametrize("layout", ["fortran", "strided"])
 def test_cache_independent_of_vertex_layout(name, layout):
-    # TriMesh keeps the caller's array; the pass gives the same bits from a
-    # Fortran-ordered array or a strided view as from a C-ordered one
+    # TriMesh keeps a C-ordered float64 array, copies any other; the pass
+    # gives the same bits from a Fortran-ordered array or a strided view as
+    # from a C-ordered one
     mesh = CACHE_MESHES[name]()
     v = np.ascontiguousarray(mesh.vertices)
     if layout == "fortran":
@@ -750,7 +760,7 @@ def test_cache_relabelling_property(name, seed):
     c1, c2 = compute_cache(mesh), compute_cache(relabelled)
     for field in VERTEX_FIELDS:
         assert np.allclose(
-            getattr(c2, field), getattr(c1, field)[perm], rtol=0, atol=1e-10
+            getattr(c2, field), getattr(c1, field)[..., perm], rtol=0, atol=1e-10
         ), field
     # the per-corner (per-segment) weights and edge lengths follow their
     # elements, and the minima over them do not move
@@ -1051,7 +1061,7 @@ def test_cache_matches_previous_bincount_pass(name, unit_cube):
     ref = [f[keep] for f in previous_cache(mesh)]
     area, normal, H, second, traceless, grad_H = ref
     for got, want in zip(
-        (cache.vertex_area, cache.normal, cache.mean_curvature, cache.second_form_norm),
+        (cache.vertex_area, cache.normal.T, cache.mean_curvature, cache.second_form_norm),
         (area, normal, H, second),
     ):
         assert np.abs(got[keep] - want).max() <= 1e-12 * np.abs(want).max()
@@ -1069,9 +1079,9 @@ def test_sphere_fit_normals_match_refined_solve():
     # 3.7e-13 there)
     mesh = PREVIOUS_PASS_MESHES["dented-s5"](None)
     normal = compute_cache(mesh).normal
-    want = refined_sphere_fit_normals(*sphere_fit_system(mesh), normal)
+    want = refined_sphere_fit_normals(*sphere_fit_system(mesh), normal.T)
     moments = geometry._ring_moments(mesh, geometry._configuration(mesh))
-    got = geometry._sphere_fit_normals(mesh, moments, normal.T).T
+    got = geometry._sphere_fit_normals(mesh, moments, normal).T
     assert np.abs(got - want).max() <= 1e-13
 
 
@@ -1121,7 +1131,7 @@ def test_closed_form_shape_fit_matches_batched_solve(name, unit_cube):
     cache = compute_cache(mesh)
     conf = geometry._configuration(mesh)
     moments = geometry._ring_moments(mesh, conf)
-    nsf = geometry._sphere_fit_normals(mesh, moments, cache.normal.T)
+    nsf = geometry._sphere_fit_normals(mesh, moments, cache.normal)
     H = cache.mean_curvature
     got = np.array(geometry._shape_operator_eigen(mesh, conf, moments, nsf, H))[:, keep]
     want = np.array(lapack_shape_operator_eigen(mesh, conf, nsf.T, H))[:, keep]
@@ -1135,7 +1145,7 @@ def test_rank_deficient_shape_fit(unit_cube):
     cache = compute_cache(mesh)
     conf = geometry._configuration(mesh)
     moments = geometry._ring_moments(mesh, conf)
-    nsf = cache.normal.T.copy()
+    nsf = cache.normal.copy()
     nsf[:, 8] = np.roll(nsf[:, 8], 1)
     with pytest.raises(DegenerateGeometryError, match="rank-deficient"):
         geometry._shape_operator_eigen(mesh, conf, moments, nsf, cache.mean_curvature)

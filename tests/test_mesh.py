@@ -27,8 +27,33 @@ from sapflow import (
     validate,
 )
 from sapflow import geometry
+from sapflow.diagnostics import best_fit_sphere
 from sapflow import mesh as meshmod
 from conftest import count_calls, record_builds
+
+
+@pytest.mark.parametrize("layout", ["fortran", "strided"])
+def test_positions_stored_c_ordered(tmp_path, layout):
+    # equal meshes hold equal bytes: a Fortran-ordered or strided vertex array
+    # is stored C-ordered, by TriMesh and by with_vertices alike, so the mesh
+    # saves the same .npz and fits the same sphere
+    mesh = gen_perturbed_sphere(1.0, -0.35, GaussianDentBump(width=0.3), 2)
+    v = mesh.vertices
+    if layout == "fortran":
+        other = np.asfortranarray(v)
+    else:
+        other = np.zeros((len(v), 2 * v.shape[1]))[:, ::2]
+        other[:] = v
+    assert not other.flags.c_contiguous
+    want = best_fit_sphere(mesh)
+    save_mesh(mesh, tmp_path / "c.npz")
+    for i, copy in enumerate([TriMesh(other, mesh.faces), mesh.with_vertices(other)]):
+        assert copy == mesh and copy.vertices.flags.c_contiguous
+        save_mesh(copy, tmp_path / f"{i}.npz")
+        assert (tmp_path / f"{i}.npz").read_bytes() == (tmp_path / "c.npz").read_bytes()
+        got = best_fit_sphere(copy)
+        assert np.array_equal(got.center, want.center)
+        assert (got.radius, got.rms_residual) == (want.radius, want.rms_residual)
 
 
 def test_trimesh_rejects_bad_faces():
