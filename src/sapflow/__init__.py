@@ -59,11 +59,8 @@ from .diagnostics import (
     record_snapshot,
 )
 from .oracle import (
-    ConvergenceStudy,
-    ModeRate,
     SphereReference,
-    linearized_mode_rates,
-    refinement_study,
+    sphere_mode_rate,
     sphere_reference,
 )
 

@@ -60,7 +60,6 @@ INPUT_CHECKS = {
     "degree": ("an integer >= 0", lambda x: _integer(x) and x >= 0),
     "order": ("an integer", _integer),
     "n": ("1 (curves) or 2 (surfaces)", lambda x: _integer(x) and x in (1, 2)),
-    "levels": ("3 or more subdivision levels", lambda x: len(x) >= 3),
 }
 
 # the rules that tie two input fields, applied wherever both are given:

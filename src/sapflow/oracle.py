@@ -1,9 +1,6 @@
-"""Independent ground-truth references for validating the discrete machinery.
-
-Analytic round-sphere values, mesh-refinement convergence studies against
-them, a quadrature reference for ellipsoid area, and a brute-force measured
-decay rate for single spherical-harmonic perturbation modes (the empirical
-oracle for the exponential-decay claims).
+"""Exact references for the round sphere, ellipsoid area and volume, and the
+linearized decay rate of a harmonic mode, against which the discrete
+machinery and the exponential-decay claims are checked.
 """
 
 from dataclasses import dataclass
@@ -11,9 +8,7 @@ from math import pi
 
 import numpy as np
 
-from .errors import NonPositiveSamplesError
-from . import diagnostics, flow, geometry
-from .mesh import SphericalHarmonicBump, _check_fields, gen_icosphere, gen_perturbed_sphere
+from .mesh import _check_fields
 
 
 @dataclass(frozen=True)
@@ -75,100 +70,20 @@ def ellipsoid_volume_reference(a, b, c):
     return 4.0 * pi * a * b * c / 3.0
 
 
-@dataclass
-class ConvergenceStudy:
-    levels: list
-    errors: dict  # quantity -> per-level error list
-    orders: dict  # quantity -> per-refinement estimated order list
+def sphere_mode_rate(degree, radius, n=2):
+    """Exact decay rate of ``int |Adev|^2 dmu`` for the degree-l mode.
 
-    def to_table(self):
-        rows = []
-        for i, lvl in enumerate(self.levels):
-            row = {"level": lvl}
-            for q, errs in self.errors.items():
-                row[q] = errs[i]
-            rows.append(row)
-        return {"rows": rows, "orders": self.orders}
-
-
-def refinement_study(levels):
-    """Per-level errors and estimated orders for the discrete operators.
-
-    Studies unit icospheres at the given subdivision levels against the
-    analytic sphere reference. Quantities: total area, enclosed volume,
-    max |H - H_exact|, max |Adev|. Orders are log2 ratios of successive
-    errors; at least 3 levels are required.
+    Linearized at the round n-sphere of the given radius, a normal graph
+    ``u`` of spherical-harmonic degree l >= 2 (a ``cos(l theta)`` radial
+    mode on a circle) has ``delta h = 0`` and decays at
+    ``(l(l+n-1) - n) / (n R)``; the deficit, quadratic in ``u``, at twice
+    that: 4/R, 10/R and 18/R at l = 2, 3 and 4 on a surface, 6/R at l = 2
+    on a curve. Modes 0 and 1 carry no traceless part, so l < 2 raises
+    ``ValueError``.
     """
-    levels = list(levels)
-    _check_fields({"levels": levels})
-    ref = sphere_reference(1.0)
-    errors = {"area": [], "volume": [], "max_H_err": [], "max_traceless": []}
-    for lvl in levels:
-        cache = geometry.compute_cache(gen_icosphere(1.0, (0.0, 0.0, 0.0), lvl))
-        errors["area"].append(abs(cache.total_area - ref.area_exact))
-        errors["volume"].append(abs(cache.volume - ref.volume_exact))
-        H_err = np.abs(cache.mean_curvature - ref.H_exact)
-        errors["max_H_err"].append(float(H_err.max()))
-        errors["max_traceless"].append(float(cache.traceless_norm.max()))
-    orders = {
-        q: [
-            float(np.log2(errs[i] / errs[i + 1])) if errs[i + 1] > 0 else float("inf")
-            for i in range(len(errs) - 1)
-        ]
-        for q, errs in errors.items()
-    }
-    return ConvergenceStudy(levels=levels, errors=errors, orders=orders)
-
-
-@dataclass(frozen=True)
-class ModeRate:
-    degree: int
-    amplitude: float
-    rate: float
-    r_squared: float
-
-
-def linearized_mode_rates(radius, degree, amplitude, subdivisions, config=None):
-    """Measured decay rate of int |Adev|^2 dmu for one harmonic mode.
-
-    Runs the full flow from a sphere perturbed by the (degree, 0) spherical
-    harmonic and fits the roundness-deficit decay. In the linear regime the
-    rate is amplitude-independent and increasing in the degree, which makes
-    this the empirical cross-check for the exponential-decay claims.
-
-    Raises
-    ------
-    ValueError
-        A radius or amplitude that fails its input rule, or
-        ``|amplitude| > 0.02 radius``: outside the linear regime.
-    NonPositiveSamplesError
-        Zero amplitude: the deficit series carries no fittable signal.
-    """
-    # one at a time: the linear regime, not the perturbed sphere's |amplitude|
-    # < radius/2, is the rule that ties the two here
-    _check_fields({"radius": radius})
-    _check_fields({"amplitude": amplitude})
-    if abs(amplitude) > 0.02 * radius * 1.0000001:
-        raise ValueError("amplitude outside the linear regime (|amplitude| > 0.02 radius)")
-    if amplitude == 0.0:
-        raise NonPositiveSamplesError(
-            "zero perturbation produces a numerically zero decay series"
+    _check_fields({"degree": degree, "radius": radius, "n": n})
+    if degree < 2:
+        raise ValueError(
+            f"degree must be 2 or more (modes 0 and 1 have no traceless part), not {degree!r}"
         )
-    if config is None:
-        config = flow.FlowConfig(
-            stepping="explicit",
-            t_max=1.5,
-            roundness_tol=1e-8,
-            snapshot_every=5,
-        )
-    mesh = gen_perturbed_sphere(
-        radius, amplitude, SphericalHarmonicBump(degree, 0), subdivisions
-    )
-    result = flow.run_flow(mesh, config)
-    fit = diagnostics.fit_exponential_rate(result.series, "int_traceless_sq")
-    return ModeRate(
-        degree=degree,
-        amplitude=amplitude,
-        rate=fit.rate,
-        r_squared=fit.r_squared,
-    )
+    return 2.0 * (degree * (degree + n - 1) - n) / (n * radius)

@@ -25,12 +25,12 @@ from sapflow import (
     gen_icosphere,
     gen_perturbed_sphere,
     identity_residuals,
-    linearized_mode_rates,
     mean_convexity_onset,
     decay_rate_lower_bound,
-    refinement_study,
     run_flow,
     select_timestep,
+    sphere_mode_rate,
+    sphere_reference,
 )
 from sapflow.diagnostics import area_identity_residuals
 from conftest import run_keeping_meshes, run_sapflow
@@ -222,9 +222,16 @@ def test_criterion_8_ode_residuals_first_order(si_residual_runs):
 
 
 def test_criterion_9_operator_convergence():
-    study = refinement_study(levels=(2, 3, 4, 5))
-    area_orders = study.orders["area"]
-    H_orders = study.orders["max_H_err"]
+    # unit icospheres at levels 2-5 against the exact sphere; orders are the
+    # log2 ratios of successive errors
+    ref = sphere_reference(1.0)
+    area_err, H_err = [], []
+    for level in (2, 3, 4, 5):
+        cache = compute_cache(gen_icosphere(1.0, (0.0, 0.0, 0.0), level))
+        area_err.append(abs(cache.total_area - ref.area_exact))
+        H_err.append(np.abs(cache.mean_curvature - ref.H_exact).max())
+    area_orders = np.log2(np.divide(area_err[:-1], area_err[1:]))
+    H_orders = np.log2(np.divide(H_err[:-1], H_err[1:]))
     assert all(abs(o - 2.0) <= 0.3 for o in area_orders)
     assert all(o >= 1.0 for o in H_orders)
     ok(9, f"area orders {['%.2f' % o for o in area_orders]}; "
@@ -232,13 +239,19 @@ def test_criterion_9_operator_convergence():
 
 
 def test_criterion_10_linear_regime_oracle():
-    r2a = linearized_mode_rates(1.0, 2, 0.02, 3)
-    r2b = linearized_mode_rates(1.0, 2, 0.01, 3)
-    r3 = linearized_mode_rates(1.0, 3, 0.02, 3)
-    assert abs(r2a.rate - r2b.rate) / r2b.rate <= 0.05
-    assert r3.rate > r2a.rate
-    ok(10, f"l=2 rates {r2a.rate:.3f}/{r2b.rate:.3f} "
-           f"({abs(r2a.rate-r2b.rate)/r2b.rate:.2%} apart); l=3 rate {r3.rate:.3f}")
+    # the measured decay of int |Adev|^2 for single harmonic modes of the
+    # unit sphere against the exact linearized rate; the explicit step's
+    # time-discretization factor lies below the bound
+    config = FlowConfig(stepping="explicit", t_max=0.6, roundness_tol=1e-8, snapshot_every=5)
+    gaps = []
+    for degree, amplitude in ((2, 0.02), (2, 0.01), (3, 0.02), (4, 0.02)):
+        mesh = gen_perturbed_sphere(1.0, amplitude, SphericalHarmonicBump(degree, 0), 3)
+        fit = fit_exponential_rate(run_flow(mesh, config).series, "int_traceless_sq")
+        exact = sphere_mode_rate(degree, 1.0)
+        gaps.append(f"l={degree} a={amplitude}: {fit.rate:.4f} vs {exact:g} "
+                    f"({fit.rate / exact - 1:+.2%})")
+        assert abs(fit.rate / exact - 1) <= 0.015, gaps[-1]
+    ok(10, "fitted vs exact rates: " + "; ".join(gaps))
 
 
 def test_criterion_11_determinism(tmp_path):
